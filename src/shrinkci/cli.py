@@ -271,9 +271,9 @@ def cmd_power(args) -> int:
     ws = np.linspace(args.w_min, args.w_max, args.w_steps)
     rows = []
     for w in ws:
-        for d in ds:
-            robust, ztest = pl.average_power(float(d), float(w), args.alpha)
-            rows.append([float(d), float(w), robust, ztest, robust - ztest])
+        robust, ztest = pl.average_power(ds, float(w), args.alpha)
+        for d, r, zt in zip(ds.tolist(), robust.tolist(), ztest.tolist()):
+            rows.append([d, float(w), r, zt, r - zt])
     _write_csv(
         args.output,
         [f"alpha={args.alpha}", "power of robust-interval test vs z-test"],

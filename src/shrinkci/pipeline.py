@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtri
 
+from shrinkci import _solve
 from shrinkci import moments as mom
 from shrinkci import worstcase as wc
 
@@ -124,7 +125,7 @@ def fit(
         else:
             m2 = sigma**2 / est.mu2
             kap_arr = None if kappa is None else np.full_like(y, kappa)
-        chi = _critical_values_memo(m2, kap_arr, alpha)
+        chi = wc.critical_values(m2, kap_arr, alpha)
         half = chi * w_out * sigma
     noncov_kappa = est.kappa if method == "robust_mu2_kappa" else None
     param_noncov = _param_noncov_batch(w, alpha, noncov_kappa)
@@ -149,24 +150,6 @@ def fit(
             row = dataclasses.replace(row, error="non-finite interval")
         outputs.append(row)
     return FitResult(outputs=tuple(outputs), moments=est, alpha=alpha, method=method)
-
-
-def _critical_values_memo(m2: np.ndarray, kappa: np.ndarray | None, alpha: float) -> np.ndarray:
-    """Batch critical values, deduplicated on rounded keys.
-
-    Heteroskedastic batches repeat nearby (m2, kappa) pairs; rounding at 1e-6
-    merges them before the vectorized solve.
-    """
-    key2 = np.round(m2, 6)
-    if kappa is None:
-        uniq, inv = np.unique(key2, return_inverse=True)
-        chi = wc.critical_values(uniq, kappa=None, alpha=alpha)
-    else:
-        keyk = np.round(kappa, 6)
-        pairs = np.column_stack([key2, keyk])
-        uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
-        chi = wc.critical_values(uniq[:, 0], kappa=uniq[:, 1], alpha=alpha)
-    return chi[inv.reshape(-1)]
 
 
 def _param_noncov_batch(w: np.ndarray, alpha: float, kappa: float | None) -> np.ndarray:
@@ -240,10 +223,7 @@ def parametric_worst_noncoverage(
 
 def _scaled_half_lengths(w: np.ndarray, snr: np.ndarray, kappa, alpha: float):
     """chi((1 - 1/w)^2 * snr) * w for arrays of shrinkage levels."""
-    m2 = (1.0 - 1.0 / w) ** 2 * snr
-    kap = None if kappa is None else np.broadcast_to(kappa, m2.shape)
-    chi = wc.critical_values(m2.ravel(), kappa=None if kap is None else kap.ravel(), alpha=alpha)
-    chi = chi.reshape(m2.shape)
+    chi = wc.critical_values((1.0 - 1.0 / w) ** 2 * snr, kappa=kappa, alpha=alpha)
     return chi * w, chi
 
 
@@ -257,35 +237,10 @@ def _optimal_shrinkage_batch(snr, kappa: float | None, alpha: float, grid_size: 
     snr = np.atleast_1d(np.asarray(snr, dtype=float))
     if np.any(snr <= 0):
         raise ValueError("snr must be > 0")
-    ws = np.linspace(1e-4, 1.0, grid_size)
-    vals, _ = _scaled_half_lengths(
-        np.broadcast_to(ws[:, None], (grid_size, snr.size)).copy(),
-        snr[None, :],
-        kappa,
-        alpha,
-    )
-    j = np.argmin(vals, axis=0)
-    idx = np.arange(snr.size)
-    lo = ws[np.maximum(j - 1, 0)]
-    hi = ws[np.minimum(j + 1, grid_size - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, _ = _scaled_half_lengths(c, snr, kappa, alpha)
-    fd, _ = _scaled_half_lengths(d, snr, kappa, alpha)
-    for _ in range(40):
-        take_left = fc < fd
-        hi = np.where(take_left, d, hi)
-        lo = np.where(take_left, lo, c)
-        c = hi - invphi * (hi - lo)
-        d = lo + invphi * (hi - lo)
-        fc, _ = _scaled_half_lengths(c, snr, kappa, alpha)
-        fd, _ = _scaled_half_lengths(d, snr, kappa, alpha)
-    w = 0.5 * (lo + hi)
-    half, chi = _scaled_half_lengths(w, snr, kappa, alpha)
-    worse = half > vals[j, idx]
-    w = np.where(worse, ws[j], w)
-    half, chi = _scaled_half_lengths(w, snr, kappa, alpha)
+    grid = np.broadcast_to(np.linspace(1e-4, 1.0, grid_size)[:, None], (grid_size, snr.size))
+    neg_half = lambda w: -_scaled_half_lengths(w, snr, kappa, alpha)[0]
+    w, _ = _solve.grid_golden_max(neg_half, grid, 40)
+    _, chi = _scaled_half_lengths(w, snr, kappa, alpha)
     return w, chi
 
 
@@ -298,20 +253,23 @@ def optimal_shrinkage(
     return float(w[0])
 
 
-def average_power(
-    d: float, w_eb: float, alpha: float = 0.05, kappa: float | None = 3.0
-) -> tuple[float, float]:
+def average_power(d, w_eb: float, alpha: float = 0.05, kappa: float | None = 3.0):
     """Average power of the robust-interval test and the z-test.
 
     ``d`` is the standardized distance between the shrinkage target and the
-    null value.  Both tests reject when the null lies outside the interval;
-    power is averaged over Gaussian effects centered at the target.
+    null value, a scalar or an array; the robust critical value is solved
+    once per call.  Both tests reject when the null lies outside the
+    interval; power is averaged over Gaussian effects centered at the target.
+    Returns (robust, ztest), floats for scalar ``d`` and arrays otherwise.
     """
     if not 0.0 < w_eb < 1.0:
         raise ValueError(f"w_eb must be in (0, 1), got {w_eb}")
     z = _z(alpha)
     chi = wc._cva_scalar(1.0 / w_eb - 1.0, kappa, alpha)
     s = math.sqrt(1.0 - w_eb)
-    robust = float(wc.noncoverage(d * s / w_eb, chi * s))
-    ztest = float(wc.noncoverage(d * s, z * s))
+    d = np.asarray(d, dtype=float)
+    robust = wc.noncoverage(d * s / w_eb, chi * s)
+    ztest = wc.noncoverage(d * s, z * s)
+    if d.ndim == 0:
+        return float(robust), float(ztest)
     return robust, ztest

@@ -17,6 +17,7 @@ import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +34,6 @@ __all__ = [
     "THETA_KINDS",
     "SIM_METHODS",
     "draw_theta",
-    "simulate_panel",
     "run_study",
     "load_calibration_csv",
 ]
@@ -82,8 +82,12 @@ class ThetaDistribution:
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
 
+    @cached_property
     def _lf_mass(self) -> float:
-        """Mass p of the displaced support points for the lf_* kinds."""
+        """Mass p of the displaced support points for the lf_* kinds.
+
+        Solved once per instance: every replication draws from it.
+        """
         m2 = 1.0 / self.mu2
         if self.kind == "lf_robust":
             chi = wc._cva_scalar(m2, None, self.alpha)
@@ -106,7 +110,7 @@ class ThetaDistribution:
             return self.mu2, 1.0 / (p * (1.0 - p)) - 3.0
         if self.kind == "three_point":
             return self.mu2, 2.0
-        return self.mu2, 1.0 / self._lf_mass()
+        return self.mu2, 1.0 / self._lf_mass
 
 
 def draw_theta(dist: ThetaDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -124,7 +128,7 @@ def draw_theta(dist: ThetaDistribution, n: int, rng: np.random.Generator) -> np.
         v = math.sqrt(mu2 / 0.5)
         u = rng.random(n)
         return np.where(u < 0.25, -v, np.where(u < 0.5, v, 0.0))
-    p = dist._lf_mass()
+    p = dist._lf_mass
     v = math.sqrt(mu2 / p)
     u = rng.random(n)
     return np.where(u < p / 2.0, -v, np.where(u < p, v, 0.0))
@@ -184,12 +188,6 @@ def simulate_panel_errors(theta: np.ndarray, t: float, err: str, rng: np.random.
     y = w.mean(axis=1)
     sigma2 = np.sum((w - y[:, None]) ** 2, axis=1) / (t * (t - 1))
     return y, np.sqrt(sigma2)
-
-
-def simulate_panel(design: PanelDesign, rng: np.random.Generator):
-    """(y, sigma_hat, theta) for one draw of the design."""
-    y, sigma, theta, _ = design.simulate(rng)
-    return y, sigma, theta
 
 
 @dataclass(frozen=True)
@@ -345,19 +343,6 @@ def _simulate_rep(args):
     return rep, y, sigma, theta, delta, mu2_hat, kappa_hat
 
 
-def _batch_critical_values(m2: np.ndarray, kappa: np.ndarray | None, alpha: float) -> np.ndarray:
-    """Critical values for a flat array of units, deduplicated on rounded keys."""
-    key2 = np.round(m2, 6)
-    if kappa is None:
-        uniq, inv = np.unique(key2, return_inverse=True)
-        chi = wc.critical_values(uniq, kappa=None, alpha=alpha)
-    else:
-        pairs = np.column_stack([key2, np.round(kappa, 6)])
-        uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
-        chi = wc.critical_values(uniq[:, 0], kappa=uniq[:, 1], alpha=alpha)
-    return chi[inv.reshape(-1)]
-
-
 def _method_coverage(results, method, oracle, alpha, reps):
     """Per-rep average coverage and length arrays for one method."""
     z = float(ndtri(1.0 - alpha / 2.0))
@@ -376,7 +361,7 @@ def _method_coverage(results, method, oracle, alpha, reps):
             kap_parts.append(np.full(y.size, kappa))
         m2_flat = np.concatenate(m2_parts)
         kap_flat = np.concatenate(kap_parts) if base == "robust_mu2_kappa" else None
-        chi_flat = _batch_critical_values(m2_flat, kap_flat, alpha)
+        chi_flat = wc.critical_values(m2_flat, kap_flat, alpha)
 
     offset = 0
     for rep, y, sigma, theta, delta, mu2_hat, kappa_hat in results:

@@ -9,18 +9,19 @@ moment alone, or second moment plus kurtosis), inverts it to obtain robust
 critical values, and reports the distributions that attain it.
 
 Everything here is a pure function of its arguments; there is no shared
-mutable state beyond an internal memo cache with thread-safe semantics.
+mutable state.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
+
+from shrinkci import _solve
 
 __all__ = [
     "MomentConstraints",
@@ -223,7 +224,7 @@ def majorant_kink(chi: float) -> float:
     return float(t0)
 
 
-def _majorant_kink_batch(chi: np.ndarray, iters: int = 64) -> np.ndarray:
+def _majorant_kink_batch(chi: np.ndarray) -> np.ndarray:
     """Vectorized ``majorant_kink`` by fixed-count bisection."""
     chi = np.asarray(chi, dtype=float)
     out = np.zeros_like(chi)
@@ -231,13 +232,9 @@ def _majorant_kink_batch(chi: np.ndarray, iters: int = 64) -> np.ndarray:
     if not mask.any():
         return out
     c = chi[mask]
-    lo = np.maximum(c * c - 3.0, 1e-12)
-    hi = (c + 5.0) ** 2
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        pos = _kink_objective(mid, c) > 0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
+    lo, hi = _solve.bisect(
+        lambda t: _kink_objective(t, c) > 0, np.maximum(c * c - 3.0, 1e-12), (c + 5.0) ** 2, 56
+    )
     out[mask] = 0.5 * (lo + hi)
     return out
 
@@ -259,13 +256,7 @@ def worst_noncoverage_second(m2, chi):
         raise ValueError("m2 and chi must be >= 0")
     scalar = m2.ndim == 0 and chi.ndim == 0
     m2, chi = np.broadcast_arrays(m2, chi)
-    t0 = _majorant_kink_batch(chi)
-    out = np.array(noncoverage_sq(m2, chi), dtype=float, copy=True)
-    chord = m2 < t0
-    if chord.any():
-        r00 = noncoverage_sq(0.0, chi[chord])
-        t0c = t0[chord]
-        out[chord] = r00 + (m2[chord] / t0c) * (noncoverage_sq(t0c, chi[chord]) - r00)
+    out = _worst_noncoverage_batch(m2, None, chi)
     return float(out) if scalar else out
 
 
@@ -288,32 +279,10 @@ def _fourth_binding_batch(m2, kappa, chi, t0, grid_size=49, golden_iters=48):
     golden-section refinement.  Returns (value, x0, x).
     """
     x0max = m2 * (t0 - kappa * m2) / (t0 - m2)
-    fracs = np.linspace(0.0, 1.0, grid_size)[:, None]
-    xs = fracs * x0max[None, :]
-    vals = _feasible_pair_value(xs, m2[None, :], kappa[None, :], chi[None, :])
-    j = np.argmax(vals, axis=0)
-    idx = np.arange(m2.size)
-    lo = xs[np.maximum(j - 1, 0), idx]
-    hi = xs[np.minimum(j + 1, grid_size - 1), idx]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc = _feasible_pair_value(c, m2, kappa, chi)
-    fd = _feasible_pair_value(d, m2, kappa, chi)
-    for _ in range(golden_iters):
-        take_left = fc > fd
-        hi = np.where(take_left, d, hi)
-        lo = np.where(take_left, lo, c)
-        c = hi - invphi * (hi - lo)
-        d = lo + invphi * (hi - lo)
-        fc = _feasible_pair_value(c, m2, kappa, chi)
-        fd = _feasible_pair_value(d, m2, kappa, chi)
-    x0 = 0.5 * (lo + hi)
-    val = _feasible_pair_value(x0, m2, kappa, chi)
-    best_grid = vals[j, idx]
-    use_grid = best_grid > val
-    x0 = np.where(use_grid, xs[j, idx], x0)
-    val = np.maximum(val, best_grid)
+    grid = np.linspace(0.0, 1.0, grid_size)[:, None] * x0max[None, :]
+    x0, val = _solve.grid_golden_max(
+        lambda x0: _feasible_pair_value(x0, m2, kappa, chi), grid, golden_iters
+    )
     x = m2 * (kappa * m2 - x0) / (m2 - x0)
     return val, x0, x
 
@@ -353,80 +322,6 @@ def _fourth_with_solution(m2, kappa, chi):
     return float(val[0]), float(x0[0]), float(x[0]), True
 
 
-def _fourth_dual_nested(m2, kappa, chi, grid_size=129, tol=1e-8):
-    """Fourth-moment worst case via the nested dual program.
-
-    Inner supremum of the curvature ratio delta(x; x0) over x in [0, t0] and
-    outer infimum over x0 in (0, t0], each by coarse grid plus golden-section
-    refinement.  Retained as an independent route for testing the production
-    two-point-family evaluation.
-    """
-    t0 = majorant_kink(chi)
-    if t0 == 0.0 or m2 >= t0:
-        return float(noncoverage_sq(m2, chi))
-    if kappa >= KAPPA_UNCONSTRAINED or kappa >= t0 / m2:
-        return float(worst_noncoverage_second(m2, chi))
-
-    def delta(x, x0):
-        near = np.abs(x - x0) < 1e-6 * max(1.0, t0)
-        dx = np.where(near, 1.0, x - x0)
-        raw = (
-            noncoverage_sq(x, chi)
-            - noncoverage_sq(x0, chi)
-            - (x - x0) * noncoverage_sq_d1(x0, chi)
-        ) / np.square(dx)
-        return np.where(near, 0.5 * noncoverage_sq_d2(x0, chi), raw)
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def golden(fn, lo, hi, maximize):
-        sign = 1.0 if maximize else -1.0
-        c = hi - invphi * (hi - lo)
-        d = lo + invphi * (hi - lo)
-        fc, fd = sign * fn(c), sign * fn(d)
-        while hi - lo > tol:
-            if fc > fd:
-                hi, d, fd = d, c, fc
-                c = hi - invphi * (hi - lo)
-                fc = sign * fn(c)
-            else:
-                lo, c, fc = c, d, fd
-                d = lo + invphi * (hi - lo)
-                fd = sign * fn(d)
-        mid = 0.5 * (lo + hi)
-        return mid, sign * max(fc, fd, sign * fn(mid))
-
-    xs = np.linspace(0.0, t0, grid_size)
-
-    def inner_sup(x0):
-        vals = delta(xs, x0)
-        j = int(np.argmax(vals))
-        _, best = golden(
-            lambda x: float(delta(np.asarray(x), x0)),
-            xs[max(j - 1, 0)],
-            xs[min(j + 1, grid_size - 1)],
-            maximize=True,
-        )
-        return max(best, float(vals[j]))
-
-    quad_weight = lambda x0: (x0 - m2) ** 2 + (kappa - 1.0) * m2 * m2
-
-    def outer_obj(x0):
-        return (
-            float(noncoverage_sq(x0, chi))
-            + (m2 - x0) * float(noncoverage_sq_d1(x0, chi))
-            + quad_weight(x0) * inner_sup(x0)
-        )
-
-    x0s = np.unique(np.concatenate([np.geomspace(t0 * 1e-8, t0, 33), xs[1:]]))
-    outer_vals = [outer_obj(x) for x in x0s]
-    j = int(np.argmin(outer_vals))
-    _, best = golden(
-        outer_obj, x0s[max(j - 1, 0)], x0s[min(j + 1, len(x0s) - 1)], maximize=False
-    )
-    return min(best, outer_vals[j])
-
-
 def worst_noncoverage(constraints: MomentConstraints, chi: float) -> float:
     """Worst-case non-coverage under the given moment constraints."""
     m2, kappa = constraints.m2, constraints.kappa
@@ -450,20 +345,10 @@ def _cva_bracket(m2, alpha):
     return z, hi
 
 
-_memo_lock = threading.Lock()
-_cva_memo: dict[tuple, float] = {}
-_CVA_MEMO_MAX = 200_000
-
-
 def _cva_scalar(m2: float, kappa: float | None, alpha: float) -> float:
     z = float(ndtri(1.0 - alpha / 2.0))
     if m2 == 0.0:
         return z
-    key = (round(m2, 6), None if kappa is None else round(kappa, 6), alpha)
-    with _memo_lock:
-        hit = _cva_memo.get(key)
-    if hit is not None:
-        return hit
     cons = MomentConstraints(m2, kappa)
     obj = lambda chi: worst_noncoverage(cons, chi) - alpha
     lo, hi = _cva_bracket(m2, alpha)
@@ -473,11 +358,7 @@ def _cva_scalar(m2: float, kappa: float | None, alpha: float) -> float:
         doublings += 1
         if doublings > 40:
             raise RuntimeError(f"critical value bracket failed for m2={m2}")
-    chi = float(brentq(obj, lo, hi, xtol=1e-8, rtol=8.9e-16))
-    with _memo_lock:
-        if len(_cva_memo) < _CVA_MEMO_MAX:
-            _cva_memo[key] = chi
-    return chi
+    return float(brentq(obj, lo, hi, xtol=1e-8, rtol=8.9e-16))
 
 
 def critical_value(constraints: MomentConstraints, alpha: float) -> CriticalValueResult:
@@ -530,21 +411,11 @@ def _cva_second_batch_newton(m2: np.ndarray, alpha: float) -> np.ndarray:
     m = m2[pos]
 
     # regime split: invert the point-mass branch first
-    lo = np.full(m.shape, z)
-    hi = z * np.sqrt((1.0 + m) / alpha) + 1.0
-    for _ in range(40):
-        bad = noncoverage_sq(m, hi) > alpha
-        if not bad.any():
-            break
-        hi = np.where(bad, hi * 2.0, hi)
-    hi_global = hi.copy()
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        too_low = noncoverage_sq(m, mid) > alpha
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
-    chi_point = 0.5 * (lo + hi)
-    t0_at_point = _majorant_kink_batch(chi_point, iters=52)
+    point_too_low = lambda chi: noncoverage_sq(m, chi) > alpha
+    hi = _solve.expand_upper(point_too_low, z * np.sqrt((1.0 + m) / alpha) + 1.0)
+    lo, hi_point = _solve.bisect(point_too_low, np.full(m.shape, z), hi, 52)
+    chi_point = 0.5 * (lo + hi_point)
+    t0_at_point = _majorant_kink_batch(chi_point)
     chord = m < t0_at_point
 
     chi = chi_point.copy()
@@ -553,7 +424,7 @@ def _cva_second_batch_newton(m2: np.ndarray, alpha: float) -> np.ndarray:
         chi_c, ok = _chord_newton(mc, alpha, chi_point[chord], t0_at_point[chord])
         if not ok.all():
             # rare fallback: nested bisection on the failed entries
-            sub = _critical_values_bisect(mc[~ok], None, alpha, hi_global[chord][~ok])
+            sub = _critical_values_bisect(mc[~ok], None, alpha, hi[chord][~ok])
             chi_c[~ok] = sub
         chi[chord] = chi_c
     out[pos] = chi
@@ -602,55 +473,54 @@ def _chord_newton(m2, alpha, chi0, t0_init, max_iter=40):
     return chi, ok
 
 
-def _critical_values_bisect(m2, kap, alpha, hi=None, tol=1e-9):
+def _critical_values_bisect(m2, kap, alpha, hi=None):
     """Reference nested-bisection inversion (also the kappa-constrained path)."""
     z = float(ndtri(1.0 - alpha / 2.0))
     lo = np.full(m2.shape, z)
     if hi is None:
         hi = z * np.sqrt((1.0 + m2) / alpha) + 1.0
-    rho = lambda chi_arr: _worst_noncoverage_batch(m2, kap, chi_arr)
-    for _ in range(40):
-        bad = rho(hi) > alpha
-        if not bad.any():
-            break
-        hi = np.where(bad, hi * 2.0, hi)
-    else:
-        raise RuntimeError("critical value bracket expansion failed")
-    while np.max(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        too_low = rho(mid) > alpha
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
+    too_low = lambda chi: _worst_noncoverage_batch(m2, kap, chi) > alpha
+    hi = _solve.expand_upper(too_low, hi)
+    # steps that shrink the widest bracket to 1e-8
+    width = float(np.max(hi - lo, initial=0.0))
+    steps = math.ceil(math.log2(width / 1e-8)) if width > 1e-8 else 0
+    _, hi = _solve.bisect(too_low, lo, hi, steps)
     return np.where(m2 == 0.0, z, hi)
 
 
-def critical_values(m2, kappa=None, alpha: float = 0.05, tol: float = 1e-8) -> np.ndarray:
+def critical_values(m2, kappa=None, alpha: float = 0.05) -> np.ndarray:
     """Vectorized robust critical values for arrays of moment constraints.
 
     ``kappa`` may be None (second moment only), a scalar, or an array
     broadcast against ``m2``.  Identical to ``critical_value(...)`` per entry
     up to the bisection tolerance; used by the batch pipeline and the
-    simulation harness where one inversion per unit would be too slow.
+    simulation harness where one inversion per unit would be too slow.  Each
+    distinct (m2, kappa) pair is solved once.
     """
     m2 = np.atleast_1d(np.asarray(m2, dtype=float))
     if np.any(m2 < 0):
         raise ValueError("m2 must be >= 0")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    z = float(ndtri(1.0 - alpha / 2.0))
-    kap = None if kappa is None else np.broadcast_to(np.asarray(kappa, dtype=float), m2.shape).copy()
-    if kap is not None and np.any(kap < 1.0):
-        raise ValueError("kappa must be >= 1")
-
-    if kap is None:
-        return _cva_second_batch_newton(m2, alpha)
-    return _critical_values_bisect(m2, kap, alpha, tol=tol)
+    if kappa is None:
+        uniq, inv = np.unique(m2, return_inverse=True)
+        chi = _cva_second_batch_newton(uniq, alpha)
+    else:
+        kap = np.broadcast_to(np.asarray(kappa, dtype=float), m2.shape)
+        if np.any(kap < 1.0):
+            raise ValueError("kappa must be >= 1")
+        # one exact key per (m2, kappa) pair; sorts far faster than unique(axis=0)
+        key = m2.astype(complex)
+        key.imag = kap
+        uniq, inv = np.unique(key, return_inverse=True)
+        chi = _critical_values_bisect(uniq.real.copy(), uniq.imag.copy(), alpha)
+    return chi[inv].reshape(m2.shape)
 
 
 def _worst_noncoverage_batch(m2, kap, chi):
     """Vectorized worst-case non-coverage; kap is None or an array."""
     chi = np.broadcast_to(np.asarray(chi, dtype=float), m2.shape)
-    t0 = _majorant_kink_batch(chi, iters=56)
+    t0 = _majorant_kink_batch(chi)
     out = np.array(noncoverage_sq(m2, chi), dtype=float, copy=True)
     chord = (m2 > 0) & (m2 < t0)
     if chord.any():

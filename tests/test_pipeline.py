@@ -103,6 +103,27 @@ class TestFit:
         with pytest.raises(ValueError):
             pl.fit([mom.UnitRecord(y=0.0, sigma=1.0)], method="bogus")
 
+    def test_tiny_m2_unit_keeps_worst_case_coverage(self):
+        # huge effects make m2 = sigma^2 / mu2 about 1.2e-7; the critical
+        # value must still hold worst-case non-coverage at alpha
+        rng = np.random.default_rng(0)
+        y = 3000.0 * rng.standard_normal(200)
+        res = pl.fit([mom.UnitRecord(y=float(v), sigma=1.0) for v in y], method="robust_mu2")
+        m2 = 1.0 / res.moments.mu2
+        assert 0.0 < m2 < 1e-6
+        for out in res.outputs:
+            assert out.cva > Z975
+            assert wc.worst_noncoverage_second(m2, out.cva) <= 0.05 + 1e-12
+
+    def test_robust_cva_matches_scalar_route(self):
+        rng = np.random.default_rng(5)
+        data, _ = simulate_records(rng, 2000, 1.0)
+        res = pl.fit(data, method="robust_mu2")
+        mu2 = res.moments.mu2
+        for i in rng.choice(len(data), 25, replace=False):
+            ref = wc.critical_value(wc.MomentConstraints(data[i].sigma**2 / mu2), 0.05).chi
+            assert res.outputs[i].cva == pytest.approx(ref, abs=1e-8)
+
 
 class TestParametricInterval:
     def test_w_one_limit_is_unshrunk(self):
@@ -209,6 +230,12 @@ class TestAveragePower:
             for w in (0.05, 0.5, 0.95):
                 r, z = pl.average_power(d, w)
                 assert 0.0 <= r <= 1.0 and 0.0 <= z <= 1.0
+
+    def test_array_distance_matches_scalar_calls(self):
+        ds = np.array([0.0, 0.5, 2.0, 5.0])
+        robust, ztest = pl.average_power(ds, 0.3)
+        for i, d in enumerate(ds):
+            assert (robust[i], ztest[i]) == pl.average_power(float(d), 0.3)
 
 
 class TestLengthRatios:

@@ -31,7 +31,7 @@ class TestThetaDistributions:
     def test_lf_kinds_reference_kink_mass(self):
         dist = sim.ThetaDistribution("lf_robust", mu2=0.1, alpha=0.05)
         _, kurt = dist.moments()
-        p = dist._lf_mass()
+        p = dist._lf_mass
         assert kurt == pytest.approx(1.0 / p)
         assert 0 < p <= 1
 
@@ -46,7 +46,7 @@ class TestSimulatePanel:
             n=100_000, t=math.inf, err="normal", snr=0.5,
             theta=sim.ThetaDistribution("normal", 0.5),
         )
-        y, sigma, theta = sim.simulate_panel(d, np.random.default_rng(2))
+        y, sigma, theta, _ = d.simulate(np.random.default_rng(2))
         assert np.all(sigma == 1.0)
         z = y - theta
         # Kolmogorov distance to the standard normal below 0.01
@@ -58,7 +58,7 @@ class TestSimulatePanel:
             n=30_000, t=5, err="normal", snr=0.5,
             theta=sim.ThetaDistribution("normal", 0.5),
         )
-        y, sigma, theta = sim.simulate_panel(d, np.random.default_rng(3))
+        y, sigma, theta, _ = d.simulate(np.random.default_rng(3))
         s2 = sigma**2
         se = s2.std() / math.sqrt(s2.size)
         assert abs(s2.mean() - 1.0) <= 3 * se
@@ -71,7 +71,7 @@ class TestSimulatePanel:
             n=400_000, t=t, err="chi2", snr=0.5,
             theta=sim.ThetaDistribution("normal", 0.5),
         )
-        y, _, theta = sim.simulate_panel(d, np.random.default_rng(4))
+        y, _, theta, _ = d.simulate(np.random.default_rng(4))
         z = y - theta
         skew = np.mean(z**3) / np.mean(z**2) ** 1.5
         want = math.sqrt(8.0 / 3.0) / math.sqrt(t)
@@ -114,7 +114,7 @@ class TestRunStudy:
         length = np.empty(3)
         for rep in range(3):
             rng = sim._rep_rng(11, 0, rep)
-            y, sigma, theta = sim.simulate_panel(d, rng)
+            y, sigma, theta, _ = d.simulate(rng)
             data = [
                 mom.UnitRecord(y=float(y[i]), sigma=float(sigma[i]))
                 for i in range(d.n)

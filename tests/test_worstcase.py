@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from shrinkci import momentlp as mlp
 from shrinkci import worstcase as wc
 
@@ -21,6 +22,80 @@ def lp_worst_case(m2, chi, kappa=None, size=3000):
         targets.append(kappa * m2 * m2)
     prob = mlp.MomentProblem(grid, wc.noncoverage_sq(grid, chi), np.vstack(moments), targets)
     return mlp.solve_moment_lp(prob).value
+
+
+def fourth_dual_nested(m2, kappa, chi, grid_size=129, tol=1e-8):
+    """Fourth-moment worst case via the nested dual program.
+
+    Inner supremum of the curvature ratio delta(x; x0) over x in [0, t0] and
+    outer infimum over x0 in (0, t0], each by coarse grid plus golden-section
+    refinement.  An independent route for testing the production
+    two-point-family evaluation.
+    """
+    t0 = wc.majorant_kink(chi)
+    if t0 == 0.0 or m2 >= t0:
+        return float(wc.noncoverage_sq(m2, chi))
+    if kappa >= wc.KAPPA_UNCONSTRAINED or kappa >= t0 / m2:
+        return float(wc.worst_noncoverage_second(m2, chi))
+
+    def delta(x, x0):
+        near = np.abs(x - x0) < 1e-6 * max(1.0, t0)
+        dx = np.where(near, 1.0, x - x0)
+        raw = (
+            wc.noncoverage_sq(x, chi)
+            - wc.noncoverage_sq(x0, chi)
+            - (x - x0) * wc.noncoverage_sq_d1(x0, chi)
+        ) / np.square(dx)
+        return np.where(near, 0.5 * wc.noncoverage_sq_d2(x0, chi), raw)
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def golden(fn, lo, hi, maximize):
+        sign = 1.0 if maximize else -1.0
+        c = hi - invphi * (hi - lo)
+        d = lo + invphi * (hi - lo)
+        fc, fd = sign * fn(c), sign * fn(d)
+        while hi - lo > tol:
+            if fc > fd:
+                hi, d, fd = d, c, fc
+                c = hi - invphi * (hi - lo)
+                fc = sign * fn(c)
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + invphi * (hi - lo)
+                fd = sign * fn(d)
+        mid = 0.5 * (lo + hi)
+        return mid, sign * max(fc, fd, sign * fn(mid))
+
+    xs = np.linspace(0.0, t0, grid_size)
+
+    def inner_sup(x0):
+        vals = delta(xs, x0)
+        j = int(np.argmax(vals))
+        _, best = golden(
+            lambda x: float(delta(np.asarray(x), x0)),
+            xs[max(j - 1, 0)],
+            xs[min(j + 1, grid_size - 1)],
+            maximize=True,
+        )
+        return max(best, float(vals[j]))
+
+    quad_weight = lambda x0: (x0 - m2) ** 2 + (kappa - 1.0) * m2 * m2
+
+    def outer_obj(x0):
+        return (
+            float(wc.noncoverage_sq(x0, chi))
+            + (m2 - x0) * float(wc.noncoverage_sq_d1(x0, chi))
+            + quad_weight(x0) * inner_sup(x0)
+        )
+
+    x0s = np.unique(np.concatenate([np.geomspace(t0 * 1e-8, t0, 33), xs[1:]]))
+    outer_vals = [outer_obj(x) for x in x0s]
+    j = int(np.argmin(outer_vals))
+    _, best = golden(
+        outer_obj, x0s[max(j - 1, 0)], x0s[min(j + 1, len(x0s) - 1)], maximize=False
+    )
+    return min(best, outer_vals[j])
 
 
 class TestNoncoverage:
@@ -196,7 +271,7 @@ class TestWorstNoncoverageFourth:
             m2 = rng.uniform(0.02, 0.95) * t0
             kappa = 1.0 + rng.uniform(0.05, 0.95) * (t0 / m2 - 1.0)
             prod = wc.worst_noncoverage_fourth(m2, kappa, chi)
-            dual = wc._fourth_dual_nested(m2, kappa, chi)
+            dual = fourth_dual_nested(m2, kappa, chi)
             assert prod == pytest.approx(dual, abs=5e-8)
 
     def test_sandwiched_between_pointmass_and_second(self):
@@ -276,6 +351,15 @@ class TestCriticalValue:
             assert batch4[i] == pytest.approx(
                 wc._cva_scalar(float(m2[i]), float(kap[i]), 0.05), abs=1e-6
             )
+
+    def test_nearby_m2_solved_separately(self):
+        # 0.9999996 and 1.0000004 agree to six decimals but not in chi
+        wc.critical_value(wc.MomentConstraints(0.9999996), 0.05)
+        cons = wc.MomentConstraints(1.0000004)
+        ref = brentq(
+            lambda chi: wc.worst_noncoverage(cons, chi) - 0.05, Z975, 20.0, xtol=1e-13
+        )
+        assert wc.critical_value(cons, 0.05).chi == pytest.approx(ref, abs=1e-8)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
