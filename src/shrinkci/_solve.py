@@ -15,9 +15,9 @@ import numpy as np
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def expand_upper(too_low, hi, max_doublings: int = 40):
+def expand_upper(too_low, hi):
     """Double each entry of ``hi`` until ``too_low(hi)`` is false there."""
-    for _ in range(max_doublings):
+    for _ in range(40):
         bad = too_low(hi)
         if not bad.any():
             return hi

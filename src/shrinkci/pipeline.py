@@ -121,11 +121,10 @@ def fit(
         kappa = est.kappa if method == "robust_mu2_kappa" else None
         if est.variant == "nn" and est.mu2_per_unit is not None:
             m2 = (1.0 - 1.0 / w) ** 2 * est.mu2_per_unit / sigma**2
-            kap_arr = est.kappa_per_unit if method == "robust_mu2_kappa" else None
+            kappa = est.kappa_per_unit if method == "robust_mu2_kappa" else None
         else:
             m2 = sigma**2 / est.mu2
-            kap_arr = None if kappa is None else np.full_like(y, kappa)
-        chi = wc.critical_values(m2, kap_arr, alpha)
+        chi = wc.critical_values(m2, kappa, alpha)
         half = chi * w_out * sigma
     noncov_kappa = est.kappa if method == "robust_mu2_kappa" else None
     param_noncov = _param_noncov_batch(w, alpha, noncov_kappa)

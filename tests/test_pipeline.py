@@ -115,13 +115,16 @@ class TestFit:
             assert out.cva > Z975
             assert wc.worst_noncoverage_second(m2, out.cva) <= 0.05 + 1e-12
 
-    def test_robust_cva_matches_scalar_route(self):
+    @pytest.mark.parametrize("method", ["robust_mu2", "robust_mu2_kappa"])
+    def test_robust_cva_matches_scalar_route(self, method):
         rng = np.random.default_rng(5)
         data, _ = simulate_records(rng, 2000, 1.0)
-        res = pl.fit(data, method="robust_mu2")
+        res = pl.fit(data, method=method)
         mu2 = res.moments.mu2
+        kappa = res.moments.kappa if method == "robust_mu2_kappa" else None
         for i in rng.choice(len(data), 25, replace=False):
-            ref = wc.critical_value(wc.MomentConstraints(data[i].sigma**2 / mu2), 0.05).chi
+            constraints = wc.MomentConstraints(data[i].sigma**2 / mu2, kappa)
+            ref = wc.critical_value(constraints, 0.05).chi
             assert res.outputs[i].cva == pytest.approx(ref, abs=1e-8)
 
 
