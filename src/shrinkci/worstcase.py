@@ -173,17 +173,19 @@ def noncoverage_sq_d2(t, chi):
     The sign equals that of f(sqrt(t)) = (chi u + u^2 + 1) - e^{2 chi u}
     (u^2 - chi u + 1); the t -> 0 limit is phi(chi) chi (chi^2 - 3) / 6.
     """
-    t = np.asarray(t, dtype=float)
-    chi = np.asarray(chi, dtype=float)
+    t, chi = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(chi, dtype=float))
     u = np.sqrt(t)
-    s = 2.0 * chi * u
     safe_t = np.where(t > 0, t, 1.0)
-    direct = (
-        _phi(chi - u) * (chi * u - t - 1.0) + _phi(chi + u) * (chi * u + t + 1.0)
-    ) / (4.0 * safe_t ** 1.5)
-    safe_u3 = np.where(u > 0, u, 1.0) ** 3
-    series = _phi(chi + u) * _cosh_combo_series(u, chi) / (4.0 * safe_u3)
-    out = np.where(s < 0.5, series, direct)
+    out = np.asarray(
+        (_phi(chi - u) * (chi * u - t - 1.0) + _phi(chi + u) * (chi * u + t + 1.0))
+        / (4.0 * safe_t ** 1.5)
+    )
+    # the series only where the direct form cancels
+    small = 2.0 * chi * u < 0.5
+    if small.any():
+        us, cs = u[small], chi[small]
+        safe_u3 = np.where(us > 0, us, 1.0) ** 3
+        out[small] = _phi(cs + us) * _cosh_combo_series(us, cs) / (4.0 * safe_u3)
     limit = _phi(chi) * chi * (np.square(chi) - 3.0) / 6.0
     return np.where(u == 0, limit, out)
 
@@ -192,8 +194,22 @@ def noncoverage_sq_d2(t, chi):
 # kink of the least concave majorant of noncoverage_sq
 
 
-def _kink_objective(t, chi):
-    return noncoverage_sq(0.0, chi) - noncoverage_sq(t, chi) + t * noncoverage_sq_d1(t, chi)
+def _kink_objective(t, chi, r0):
+    """r0 - r(t) + t r'(t) with r = noncoverage_sq(., chi) and r0 = r(0).
+
+    Its derivative in t is t r''(t).
+    """
+    return r0 - noncoverage_sq(t, chi) + t * noncoverage_sq_d1(t, chi)
+
+
+def _kink_floor(r0):
+    """Roundoff floor of ``_kink_objective`` where the kink is ill-conditioned.
+
+    Just above chi = sqrt(3) the objective's rounding error reaches about
+    ten ulp of r0 while its slope at the root tends to zero, so Newton steps
+    there are noise; 16 ulp sits above that noise.
+    """
+    return 16.0 * np.finfo(float).eps * r0
 
 
 def majorant_kink(chi: float) -> float:
@@ -202,6 +218,8 @@ def majorant_kink(chi: float) -> float:
     Zero for chi <= sqrt(3); otherwise the unique positive root of
     ``noncoverage_sq(0) - noncoverage_sq(t) + t * d/dt noncoverage_sq(t)``.
     Below t0 the majorant is the chord from t=0; above it the two agree.
+    Just above sqrt(3) the root lies within roundoff of the lower bracket
+    end chi^2 - 3, which is then returned.
     """
     if chi < 0:
         raise ValueError("chi must be >= 0")
@@ -210,33 +228,57 @@ def majorant_kink(chi: float) -> float:
     # objective is positive on (0, t0), negative beyond; chi^2 - 3 lies below
     # the inflection point and hence below t0, while the objective at
     # (chi + 5)^2 is dominated by -noncoverage_sq ~ -1.
+    r0 = float(noncoverage_sq(0.0, chi))
     lo = max(chi * chi - 3.0, 1e-12)
     hi = (chi + 5.0) ** 2
-    f_lo, f_hi = _kink_objective(lo, chi), _kink_objective(hi, chi)
-    if not (f_lo > 0 > f_hi):
+    f_lo, f_hi = _kink_objective(lo, chi, r0), _kink_objective(hi, chi, r0)
+    if not f_hi < 0 < f_lo:
+        if f_hi < 0 and abs(f_lo) <= _kink_floor(r0):
+            return lo
         raise RuntimeError(
             f"majorant kink bracket failed at chi={chi}: f(lo)={f_lo}, f(hi)={f_hi}"
         )
-    t0 = brentq(_kink_objective, lo, hi, args=(chi,), xtol=1e-12, rtol=8.9e-16)
-    resid = _kink_objective(t0, chi)
+    t0 = brentq(_kink_objective, lo, hi, args=(chi, r0), xtol=1e-12, rtol=8.9e-16)
+    resid = _kink_objective(t0, chi, r0)
     if abs(resid) > 1e-9:
         raise RuntimeError(f"majorant kink residual {resid} at chi={chi}")
     return float(t0)
 
 
 def _majorant_kink_batch(chi: np.ndarray) -> np.ndarray:
-    """Vectorized ``majorant_kink`` by fixed-count bisection."""
+    """Vectorized ``majorant_kink`` by safeguarded Newton.
+
+    Newton steps on the kink objective g, with g'(t) = t r''(t), inside the
+    bracket of ``majorant_kink``; a step leaving the bracket is replaced by
+    bisection.  Each entry stops once its relative step is at most 1e-12 or
+    its residual reaches the roundoff floor.
+    """
     chi = np.asarray(chi, dtype=float)
-    out = np.zeros_like(chi)
-    mask = chi > _SQRT3
-    if not mask.any():
-        return out
-    c = chi[mask]
-    lo, hi = _solve.bisect(
-        lambda t: _kink_objective(t, c) > 0, np.maximum(c * c - 3.0, 1e-12), (c + 5.0) ** 2, 56
-    )
-    out[mask] = 0.5 * (lo + hi)
-    return out
+    out = np.zeros(chi.size)
+    pos = np.flatnonzero(chi > _SQRT3)
+    c = chi.ravel()[pos]
+    r0 = noncoverage_sq(0.0, c)
+    floor = _kink_floor(r0)
+    lo = np.maximum(c * c - 3.0, 1e-12)
+    hi = (c + 5.0) ** 2
+    t = np.clip(np.minimum(2.5 * (c * c - 3.0), (c + 1.0) ** 2), lo, hi)
+    for _ in range(100):
+        g = _kink_objective(t, c, r0)
+        above = g <= 0
+        lo = np.where(above, lo, t)
+        hi = np.where(above, t, hi)
+        t_new = t - g / (t * noncoverage_sq_d2(t, c))
+        bad = ~((t_new >= lo) & (t_new <= hi))
+        t_new = np.where(bad, 0.5 * (lo + hi), t_new)
+        flat = np.abs(g) <= floor
+        done = flat | (np.abs(t_new - t) <= 1e-12 * t)
+        out[pos[done]] = np.where(flat, t, t_new)[done]
+        keep = ~done
+        pos, c, r0, floor = pos[keep], c[keep], r0[keep], floor[keep]
+        lo, hi, t = lo[keep], hi[keep], t_new[keep]
+        if not pos.size:
+            return out.reshape(chi.shape)
+    raise RuntimeError("majorant kink Newton iteration failed to converge")
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +308,15 @@ def _feasible_pair_value(x0, m2, kappa, chi):
     Support {x0, x} on the squared-bias scale with x chosen so that
     E[t] = m2 and E[t^2] = kappa * m2^2 hold exactly; x0 ranges over
     [0, m2*(t0 - kappa*m2)/(t0 - m2)] so that x stays within the kink.
+    Where that upper end rounds to m2 (kappa within ~1e-6 of 1 and m2 far
+    below t0) the pair at x0 = m2 is undefined; it scores -inf, so the
+    maximization skips it rather than returning NaN.
     """
-    x = m2 * (kappa * m2 - x0) / (m2 - x0)
-    p = (x - m2) / (x - x0)
-    return p * noncoverage_sq(x0, chi) + (1.0 - p) * noncoverage_sq(x, chi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = m2 * (kappa * m2 - x0) / (m2 - x0)
+        p = (x - m2) / (x - x0)
+        val = p * noncoverage_sq(x0, chi) + (1.0 - p) * noncoverage_sq(x, chi)
+    return np.where(np.isnan(val), -np.inf, val)
 
 
 def _fourth_binding_batch(m2, kappa, chi, t0, grid_size=49, golden_iters=48):
@@ -339,6 +386,12 @@ def worst_noncoverage(constraints: MomentConstraints, chi: float) -> float:
 # critical values
 
 
+# width of the bracket whose upper end the batch critical values return
+_CHI_TOL = 1e-8
+# half-width of the bracket that certifies a chord-regime Newton root
+_NEWTON_HALF_WIDTH = 1e-9
+
+
 def _cva_bracket(m2, alpha):
     z = float(ndtri(1.0 - alpha / 2.0))
     hi = z * math.sqrt((1.0 + m2) / alpha) + 1.0
@@ -395,13 +448,26 @@ def critical_value(constraints: MomentConstraints, alpha: float) -> CriticalValu
     return CriticalValueResult(chi=chi, noncoverage=attained, lf=lf, diagnostics=diag)
 
 
+def _log_excess(worst, alpha):
+    """log(worst / alpha), with the sign of worst - alpha kept exact.
+
+    The bracketed inversions interpolate on this scale, on which the worst
+    case's Gaussian and power-law tails in chi are close to linear.
+    """
+    v = np.log(np.maximum(worst, 1e-300) / alpha)
+    return np.where(worst > alpha, np.maximum(v, 1e-300), np.minimum(v, 0.0))
+
+
 def _cva_second_batch_newton(m2: np.ndarray, alpha: float) -> np.ndarray:
     """Second-moment-only critical values, vectorized.
 
     Splits into the point-mass regime (m2 at or above the kink, where the
-    worst case is ``noncoverage_sq(m2, chi)`` itself and a plain bisection
+    worst case is ``noncoverage_sq(m2, chi)`` itself and inverting that
     suffices) and the chord regime, where chi and the kink t0 solve a smooth
-    2x2 system handled by damped Newton with a bisection fallback.
+    2x2 system handled by damped Newton.  A Newton root is kept only inside
+    the chord regime and only once a bracket of width 2 * _NEWTON_HALF_WIDTH
+    around it certifies it; every other entry is inverted by bracketed root
+    finding.
     """
     z = float(ndtri(1.0 - alpha / 2.0))
     out = np.full(m2.shape, z)
@@ -410,22 +476,30 @@ def _cva_second_batch_newton(m2: np.ndarray, alpha: float) -> np.ndarray:
         return out
     m = m2[pos]
 
-    # regime split: invert the point-mass branch first
-    point_too_low = lambda chi: noncoverage_sq(m, chi) > alpha
-    hi = _solve.expand_upper(point_too_low, z * np.sqrt((1.0 + m) / alpha) + 1.0)
-    lo, hi_point = _solve.bisect(point_too_low, np.full(m.shape, z), hi, 52)
-    chi_point = 0.5 * (lo + hi_point)
+    # regime split: invert the point-mass branch first.  With u = sqrt(m2),
+    # Phi(u - chi) <= noncoverage_sq(m2, chi) <= 2 Phi(u - chi) brackets it.
+    u = np.sqrt(m)
+    point = lambda chi, i: _log_excess(noncoverage_sq(m[i], chi), alpha)
+    lo = np.maximum(z, u + ndtri(1.0 - alpha))
+    hi, f_hi = _solve.expand_upper(point, u + z)
+    chi_point = _solve.bracketed_root(point, lo, hi, point(lo, slice(None)), f_hi, _CHI_TOL)
     t0_at_point = _majorant_kink_batch(chi_point)
     chord = m < t0_at_point
 
     chi = chi_point.copy()
     if chord.any():
-        mc = m[chord]
-        chi_c, ok = _chord_newton(mc, alpha, chi_point[chord], t0_at_point[chord])
+        mc, chi_pc = m[chord], chi_point[chord]
+        chi_n, t_n, ok = _chord_newton(mc, alpha, chi_pc, t0_at_point[chord])
+        # a root of the 2x2 system with t <= m2 is not a chord-regime root
+        ok &= (t_n > mc) & (chi_n >= chi_pc)
+        g = np.flatnonzero(ok)
+        if g.size:
+            ends = np.concatenate([chi_n[g] - _NEWTON_HALF_WIDTH, chi_n[g] + _NEWTON_HALF_WIDTH])
+            f_ends = _worst_noncoverage_batch(np.tile(mc[g], 2), None, ends) - alpha
+            ok[g] = (f_ends[: g.size] > 0) & (f_ends[g.size :] <= 0)
+        chi_c = chi_n + _NEWTON_HALF_WIDTH
         if not ok.all():
-            # rare fallback: nested bisection on the failed entries
-            sub = _critical_values_bisect(mc[~ok], None, alpha, hi[chord][~ok])
-            chi_c[~ok] = sub
+            chi_c[~ok] = _critical_values_bracketed(mc[~ok], None, alpha)
         chi[chord] = chi_c
     out[pos] = chi
     return out
@@ -436,13 +510,16 @@ def _chord_newton(m2, alpha, chi0, t0_init, max_iter=40):
 
     Solves ``kink_objective(t, chi) = 0`` jointly with ``chord value = alpha``.
     The starting point (chi0 from the point-mass branch, its kink) lies below
-    the solution in both coordinates.
+    the solution in both coordinates.  Each entry stops once both residuals
+    are below 1e-13.  Returns (chi, t, converged); a converged entry can
+    still be a root of the system outside the chord regime.
     """
-    t = np.maximum(t0_init, 1e-8)
-    chi = chi0.copy()
-    f1 = np.empty_like(t)
-    f2 = np.empty_like(t)
-    for _ in range(max_iter):
+    t_out = np.maximum(t0_init, 1e-8)
+    chi_out = chi0.copy()
+    ok = np.zeros(m2.shape, dtype=bool)
+    act = np.arange(m2.size)
+    t, chi = t_out, chi_out
+    for it in range(max_iter):
         u = np.sqrt(t)
         pm = _phi(u - chi)
         pp = _phi(u + chi)
@@ -467,35 +544,43 @@ def _chord_newton(m2, alpha, chi0, t0_init, max_iter=40):
         dchi = np.clip(dchi, -0.5 * (chi - 1e-3), 0.5 * chi + 1.0)
         t = t + dt
         chi = np.maximum(chi + dchi, 1e-3)
-        if max(np.max(np.abs(f1)), np.max(np.abs(f2))) < 1e-13:
+        t_out[act], chi_out[act] = t, chi
+        # entries still running at the last iteration pass at 1e-10
+        tol = 1e-10 if it == max_iter - 1 else 1e-13
+        done = (np.abs(f1) < tol) & (np.abs(f2) < tol)
+        ok[act[done]] = True
+        keep = ~done
+        act, t, chi, m2 = act[keep], t[keep], chi[keep], m2[keep]
+        if not act.size:
             break
-    ok = (np.abs(f1) < 1e-10) & (np.abs(f2) < 1e-10) & np.isfinite(chi)
-    return chi, ok
+    return chi_out, t_out, ok & np.isfinite(chi_out)
 
 
-def _critical_values_bisect(m2, kap, alpha, hi=None):
-    """Reference nested-bisection inversion (also the kappa-constrained path)."""
+def _critical_values_bracketed(m2, kap, alpha):
+    """Reference bracketed inversion (also the kappa-constrained path).
+
+    Returns the upper end of a bracket of width at most ``_CHI_TOL`` around
+    each root, so the worst case there is at most alpha.
+    """
     z = float(ndtri(1.0 - alpha / 2.0))
+    f = lambda chi, i: _log_excess(
+        _worst_noncoverage_batch(m2[i], None if kap is None else kap[i], chi), alpha
+    )
     lo = np.full(m2.shape, z)
-    if hi is None:
-        hi = z * np.sqrt((1.0 + m2) / alpha) + 1.0
-    too_low = lambda chi: _worst_noncoverage_batch(m2, kap, chi) > alpha
-    hi = _solve.expand_upper(too_low, hi)
-    # steps that shrink the widest bracket to 1e-8
-    width = float(np.max(hi - lo, initial=0.0))
-    steps = math.ceil(math.log2(width / 1e-8)) if width > 1e-8 else 0
-    _, hi = _solve.bisect(too_low, lo, hi, steps)
-    return np.where(m2 == 0.0, z, hi)
+    hi, f_hi = _solve.expand_upper(f, z * np.sqrt((1.0 + m2) / alpha) + 1.0)
+    chi = _solve.bracketed_root(f, lo, hi, f(lo, slice(None)), f_hi, _CHI_TOL)
+    return np.where(m2 == 0.0, z, chi)
 
 
 def critical_values(m2, kappa=None, alpha: float = 0.05) -> np.ndarray:
     """Vectorized robust critical values for arrays of moment constraints.
 
     ``kappa`` may be None (second moment only), a scalar, or an array
-    broadcast against ``m2``.  Identical to ``critical_value(...)`` per entry
-    up to the bisection tolerance; used by the batch pipeline and the
-    simulation harness where one inversion per unit would be too slow.  Each
-    distinct (m2, kappa) pair is solved once.
+    broadcast against ``m2``.  Each entry is the upper end of a bracket of
+    width at most 1e-8 around the root, so its worst case is at most alpha;
+    it matches ``critical_value(...)`` to that tolerance.  Used by the batch
+    pipeline and the simulation harness, where one inversion per unit would
+    be too slow.  Each distinct (m2, kappa) pair is solved once.
     """
     m2 = np.atleast_1d(np.asarray(m2, dtype=float))
     if np.any(m2 < 0):
@@ -513,7 +598,7 @@ def critical_values(m2, kappa=None, alpha: float = 0.05) -> np.ndarray:
         key = m2.astype(complex)
         key.imag = kap
         uniq, inv = np.unique(key, return_inverse=True)
-        chi = _critical_values_bisect(uniq.real.copy(), uniq.imag.copy(), alpha)
+        chi = _critical_values_bracketed(uniq.real.copy(), uniq.imag.copy(), alpha)
     return chi[inv].reshape(m2.shape)
 
 

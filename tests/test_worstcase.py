@@ -203,10 +203,49 @@ class TestMajorantKink:
         assert wc.majorant_kink(chi) == pytest.approx(float(ts[flip]), abs=2e-4)
 
     def test_batch_matches_scalar(self):
-        chis = np.array([0.5, 1.7, 1.8, 2.0, 3.0, 7.0, 50.0, 196.0])
+        # away from sqrt(3), where the root is well conditioned
+        chis = np.concatenate(
+            [[0.5, 1.7, 1.8, 2.0, 3.0, 7.0, 50.0, 196.0], np.geomspace(math.sqrt(3.0) + 0.05, 1e3, 40)]
+        )
         batch = wc._majorant_kink_batch(chis)
         for c, t in zip(chis, batch):
             assert t == pytest.approx(wc.majorant_kink(float(c)), rel=1e-10, abs=1e-10)
+
+    def test_batch_newton_iteration_bound(self, monkeypatch):
+        # one second-derivative call per lockstep Newton iteration
+        calls = []
+        d2 = wc.noncoverage_sq_d2
+
+        def counted(t, chi):
+            calls.append(np.size(t))
+            return d2(t, chi)
+
+        monkeypatch.setattr(wc, "noncoverage_sq_d2", counted)
+        chis = np.concatenate(
+            [math.sqrt(3.0) + np.geomspace(1e-6, 1.0, 2000), np.geomspace(math.sqrt(3.0) + 1.0, 1e3, 2000)]
+        )
+        wc._majorant_kink_batch(chis)
+        assert 0 < len(calls) <= 12
+
+    def test_batch_near_sqrt3_residual_and_chord_value(self):
+        # the root is ill-conditioned here, so t itself is not compared
+        chis = math.sqrt(3.0) + np.geomspace(1e-7, 0.05, 60)
+        batch = wc._majorant_kink_batch(chis)
+        r0 = wc.noncoverage_sq(0.0, chis)
+        assert np.all(np.abs(wc._kink_objective(batch, chis, r0)) <= wc._kink_floor(r0))
+        scalar = np.array([wc.majorant_kink(float(c)) for c in chis])
+        m2 = 0.5 * np.minimum(batch, scalar)
+        chord = lambda t: r0 + (m2 / t) * (wc.noncoverage_sq(t, chis) - r0)
+        np.testing.assert_allclose(chord(batch), chord(scalar), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("offset", [1e-12, 1e-9, 3e-7, 1e-6, 3e-6])
+    def test_scalar_just_above_sqrt3(self, offset):
+        # roundoff makes the objective non-positive at the lower bracket end
+        chi = math.sqrt(3.0) + offset
+        t0 = wc.majorant_kink(chi)
+        r0 = float(wc.noncoverage_sq(0.0, chi))
+        assert 0.0 < t0 < 1e-4
+        assert abs(wc._kink_objective(t0, chi, r0)) <= wc._kink_floor(r0)
 
 
 class TestWorstNoncoverageSecond:
@@ -339,7 +378,7 @@ class TestCriticalValue:
         m2 = np.concatenate([[0.0], rng.uniform(0.01, 40, 40)])
         for alpha in (0.05, 0.1):
             batch = wc.critical_values(m2, kappa=None, alpha=alpha)
-            ref = wc._critical_values_bisect(m2, None, alpha)
+            ref = wc._critical_values_bracketed(m2, None, alpha)
             np.testing.assert_allclose(batch, ref, atol=1e-7)
             for i in (0, 5, 17):
                 assert batch[i] == pytest.approx(
@@ -351,6 +390,36 @@ class TestCriticalValue:
             assert batch4[i] == pytest.approx(
                 wc._cva_scalar(float(m2[i]), float(kap[i]), 0.05), abs=1e-6
             )
+
+    @pytest.mark.parametrize(
+        "m2,alpha",
+        [(644.47803431, 1e-3), (41.1605078, 1e-3), (3135.63003865, 1e-3), (730.87514358, 0.01)],
+    )
+    def test_second_moment_rejects_spurious_newton_root(self, m2, alpha):
+        # the chord Newton system has a root with t below m2 at these inputs
+        chi = wc.critical_values([m2], None, alpha)[0]
+        assert chi == pytest.approx(wc._cva_scalar(m2, None, alpha), abs=1e-8)
+
+    def test_coverage_guarantee(self):
+        # every chi is the upper end of a bracket of width 1e-8 around the root
+        rng = np.random.default_rng(7)
+        m2 = np.concatenate([[1e-8, 1e-4], np.exp(rng.uniform(np.log(1e-3), np.log(1e4), 40)), [1e6]])
+        for kappa in (None, 1.0 + 1e-6, 1.5, 3.0, 12.0, 1e5):
+            kap = None if kappa is None else np.full(m2.shape, kappa)
+            for alpha in (1e-3, 0.01, 0.05, 0.3):
+                chi = wc.critical_values(m2, kappa, alpha)
+                at = wc._worst_noncoverage_batch(m2, kap, chi)
+                below = wc._worst_noncoverage_batch(m2, kap, chi - 1e-8)
+                assert np.all(at <= alpha + 1e-12), (kappa, alpha, m2[at > alpha + 1e-12])
+                assert np.all(below > alpha), (kappa, alpha, m2[below <= alpha])
+
+    @pytest.mark.parametrize("kappa", [None, 3.0])
+    def test_chi_just_above_sqrt3(self, kappa):
+        # z is within 1e-6 of sqrt(3), where the kink root is ill-conditioned
+        alpha = 0.08326433863159476
+        res = wc.critical_value(wc.MomentConstraints(1e-9, kappa), alpha=alpha)
+        assert res.chi == pytest.approx(wc.critical_values([1e-9], kappa, alpha)[0], abs=1e-8)
+        assert res.diagnostics["t0"] > 0
 
     def test_nearby_m2_solved_separately(self):
         # 0.9999996 and 1.0000004 agree to six decimals but not in chi
