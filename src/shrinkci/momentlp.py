@@ -14,7 +14,8 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import linprog
 
-from shrinkci.worstcase import DiscreteDistribution
+from shrinkci import _solve
+from shrinkci.worstcase import DiscreteDistribution, _log_excess
 
 __all__ = [
     "MomentProblem",
@@ -148,28 +149,35 @@ def calibrate_chi(
 
     ``family`` maps a candidate chi to the discretized problem for that chi;
     the caller guarantees the worst-case value is nonincreasing in chi.
+    Returns ``lo`` when its worst case is at most alpha.  Otherwise ``hi`` is
+    doubled until its worst case is, and the bracket is narrowed by the ITP
+    root search of :mod:`shrinkci._solve` on log(value / alpha); the result
+    is the upper end of a final bracket at most ``tol`` wide, so its worst
+    case is at most alpha and the worst case ``tol`` below it exceeds alpha.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    value = lambda chi: solve_moment_lp(family(chi)).value
-    if value(lo) <= alpha:
+    if not 0.0 <= lo < hi:
+        raise ValueError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    excess = lambda chi: float(_log_excess(solve_moment_lp(family(chi)).value, alpha))
+    f_lo = excess(lo)
+    if f_lo <= 0.0:
         return lo
     for _ in range(max_doublings):
-        if value(hi) <= alpha:
+        f_hi = excess(hi)
+        if f_hi <= 0.0:
             break
-        lo = hi
+        lo, f_lo = hi, f_hi
         hi *= 2.0
     else:
         raise CalibrationError(
             f"worst case exceeds alpha={alpha} up to chi={hi}; calibration failed"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if value(mid) <= alpha:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    f = lambda chi, idx: np.array([excess(c) for c in chi])
+    root = _solve.bracketed_root(f, [lo], [hi], np.array([f_lo]), np.array([f_hi]), tol)
+    return float(root[0])
 
 
 def default_squared_bias_grid(m2: float, t0: float, size: int = 1000) -> np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erfcx, gammaincinv, gammaln, ndtr, ndtri, roots_legendre
 
+from shrinkci import _solve
 from shrinkci import momentlp as mlp
 
 __all__ = [
@@ -41,6 +42,10 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+# width of the bracket around each edge of a covered run in y
+_EDGE_TOL = 1e-12
+# Gauss-Legendre rule of the Laplace-baseline average, computed once
+_LEGENDRE_NODES, _LEGENDRE_WEIGHTS = roots_legendre(200)
 
 
 class EmptyHpdError(RuntimeError):
@@ -145,56 +150,47 @@ def _covered_margin(theta, y, cfg: SoftThresholdConfig, chi: float):
     """Margin whose sign says whether theta lies in the HPD set at y.
 
     Positive iff both quadratic inequalities hold; vectorized over a theta
-    column and a y row.
+    column and a y row.  The terms in y alone and in theta alone are summed
+    before they are broadcast, so a scan builds one full matrix.
     """
     s2 = cfg.sigma**2
     lam = math.sqrt(2.0 / cfg.mu2)
-    cbar = _posterior_log_const(y, cfg)
-    return (
-        chi
-        + cbar
-        + theta * y / s2
-        - theta * theta / (2.0 * s2)
-        - np.abs(theta) * lam
-    )
+    out = theta * (y / s2)
+    out += chi + _posterior_log_const(y, cfg)
+    out -= theta * theta / (2.0 * s2) + np.abs(theta) * lam
+    return out
 
 
 def soft_threshold_noncoverage(theta, cfg: SoftThresholdConfig, chi: float) -> np.ndarray:
     """P(theta not in HPD set | theta) for each theta, by integration over y.
 
     The coverage region in y is located by a sign scan of the membership
-    margin plus root refinement, then integrated exactly against the normal
-    density of y given theta; y is truncated per the config, and mass outside
-    the truncation counts as non-covered.
+    margin on 2001 points.  Every sign flip of every theta is refined to
+    1e-12 in one lockstep root search, and the covered mass is a signed sum
+    of normal probabilities at the edges of the covered runs.  y is truncated
+    per the config, and mass outside the truncation counts as non-covered.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     y_lo, y_hi = cfg.y_truncation
     ys = np.linspace(y_lo, y_hi, 2001)
     margin = _covered_margin(theta[:, None], ys[None, :], cfg, chi)
-    out = np.empty(theta.size)
-    for i, th in enumerate(theta):
-        out[i] = 1.0 - _covered_mass(th, ys, margin[i], cfg, chi)
-    return out
-
-
-def _covered_mass(th, ys, margin_row, cfg, chi):
-    sign = margin_row > 0
-    if not sign.any():
-        return 0.0
-    # refine the boundary crossings, then sum the normal mass of each covered run
-    edges = []
-    g = lambda y: float(_covered_margin(th, np.asarray(y), cfg, chi))
-    flips = np.flatnonzero(sign[:-1] != sign[1:])
-    for j in flips:
-        edges.append(brentq(g, ys[j], ys[j + 1], xtol=1e-12))
-    breaks = [ys[0], *edges, ys[-1]]
-    mass = 0.0
-    for a, b in zip(breaks, breaks[1:]):
-        if g(0.5 * (a + b)) > 0:
-            mass += float(
-                ndtr((b - th) / cfg.sigma) - ndtr((a - th) / cfg.sigma)
-            )
-    return mass
+    covered = margin > 0
+    # flat indices: far faster than a 2-d nonzero on a sparse boolean matrix
+    rows, cols = np.divmod(np.flatnonzero(covered[:, :-1] != covered[:, 1:]), ys.size - 1)
+    # +1 where a covered run ends, -1 where one starts: the signed margin
+    # then decreases through zero in every bracket
+    sign = np.where(covered[rows, cols], 1.0, -1.0)
+    th = theta[rows]
+    f = lambda y, i: sign[i] * _covered_margin(th[i], y, cfg, chi)
+    edges = _solve.bracketed_root(
+        f, ys[cols], ys[cols + 1],
+        sign * margin[rows, cols], sign * margin[rows, cols + 1], _EDGE_TOL,
+    )
+    s = cfg.sigma
+    mass = np.where(covered[:, -1], ndtr((y_hi - theta) / s), 0.0)
+    mass -= np.where(covered[:, 0], ndtr((y_lo - theta) / s), 0.0)
+    np.add.at(mass, rows, sign * ndtr((edges - th) / s))
+    return 1.0 - mass
 
 
 def _laplace_pdf(theta, mu2):
@@ -204,10 +200,9 @@ def _laplace_pdf(theta, mu2):
 
 def _laplace_average_noncoverage(cfg: SoftThresholdConfig, chi: float) -> float:
     """E[noncoverage(theta, chi)] under the Laplace baseline, by quadrature."""
-    nodes, weights = roots_legendre(200)
     up = cfg.y_truncation[1]
-    th = 0.5 * up * (nodes + 1.0)
-    w = 0.5 * up * weights
+    th = 0.5 * up * (_LEGENDRE_NODES + 1.0)
+    w = 0.5 * up * _LEGENDRE_WEIGHTS
     vals = soft_threshold_noncoverage(th, cfg, chi)
     return float(2.0 * np.sum(w * _laplace_pdf(th, cfg.mu2) * vals))
 
@@ -219,12 +214,7 @@ def soft_threshold_ebci(cfg: SoftThresholdConfig) -> tuple[float, float]:
     the grid with second moment mu2; the parametric value makes the average
     non-coverage under the Laplace baseline itself equal to alpha.
     """
-    grid = np.asarray(cfg.theta_grid)
-
-    def family(chi):
-        reward = np.clip(soft_threshold_noncoverage(grid, cfg, chi), 0.0, 1.0)
-        return mlp.MomentProblem(grid, reward, grid[None, :] ** 2, [cfg.mu2])
-
+    family = lambda chi: _soft_threshold_problem(cfg, chi)
     chi_robust = mlp.calibrate_chi(family, cfg.alpha, lo=0.0, hi=2.0)
 
     obj = lambda chi: _laplace_average_noncoverage(cfg, chi) - cfg.alpha
@@ -237,13 +227,16 @@ def soft_threshold_ebci(cfg: SoftThresholdConfig) -> tuple[float, float]:
     return chi_robust, chi_parametric
 
 
-def soft_threshold_worst_noncoverage(cfg: SoftThresholdConfig, chi: float) -> float:
-    """Worst-case non-coverage at chi over grid distributions matching mu2."""
+def _soft_threshold_problem(cfg: SoftThresholdConfig, chi: float) -> mlp.MomentProblem:
+    """Worst case at chi over grid distributions with second moment mu2."""
     grid = np.asarray(cfg.theta_grid)
     reward = np.clip(soft_threshold_noncoverage(grid, cfg, chi), 0.0, 1.0)
-    return mlp.solve_moment_lp(
-        mlp.MomentProblem(grid, reward, grid[None, :] ** 2, [cfg.mu2])
-    ).value
+    return mlp.MomentProblem(grid, reward, grid[None, :] ** 2, [cfg.mu2])
+
+
+def soft_threshold_worst_noncoverage(cfg: SoftThresholdConfig, chi: float) -> float:
+    """Worst-case non-coverage at chi over grid distributions matching mu2."""
+    return mlp.solve_moment_lp(_soft_threshold_problem(cfg, chi)).value
 
 
 def soft_threshold_expected_length(cfg: SoftThresholdConfig, chi: float) -> float:
@@ -366,15 +359,19 @@ def poisson_ebci(
         raise mlp.InfeasibleMomentsError(
             f"second moment {second_moment} below squared mean {mean**2}"
         )
-    grid = np.asarray(cfg.theta_grid)
-
-    def family(chi):
-        reward = np.clip(poisson_noncoverage(grid, cfg, chi), 0.0, 1.0)
-        return mlp.MomentProblem(
-            grid, reward, np.vstack([grid, grid**2]), [mean, second_moment]
-        )
-
+    family = lambda chi: _poisson_problem(cfg, chi, mean, second_moment)
     return mlp.calibrate_chi(family, cfg.alpha, lo=0.0, hi=2.0)
+
+
+def _poisson_problem(
+    cfg: PoissonConfig, chi: float, mean: float, second_moment: float
+) -> mlp.MomentProblem:
+    """Worst case at chi over grid rate distributions with the two moments."""
+    grid = np.asarray(cfg.theta_grid)
+    reward = np.clip(poisson_noncoverage(grid, cfg, chi), 0.0, 1.0)
+    return mlp.MomentProblem(
+        grid, reward, np.vstack([grid, grid**2]), [mean, second_moment]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -522,12 +519,20 @@ def selection_critical_value(
     """chi making the worst-case selection-conditional non-coverage alpha."""
     mu2_cond = max(mu2_cond, 1e-8)
     grid = np.asarray(theta_grid, dtype=float)
-
-    def family(chi):
-        reward = np.clip(
-            selection_noncoverage(grid, chi, window, w_eb, sigma), 0.0, 1.0
-        )
-        return mlp.MomentProblem(grid, reward, grid[None, :] ** 2, [mu2_cond])
-
+    family = lambda chi: _selection_problem(grid, chi, window, w_eb, sigma, mu2_cond)
     z = float(ndtri(1.0 - alpha / 2.0))
     return mlp.calibrate_chi(family, alpha, lo=0.0, hi=max(2.0 * z, 4.0))
+
+
+def _selection_problem(
+    grid: np.ndarray,
+    chi: float,
+    window: SelectionWindow,
+    w_eb: float,
+    sigma: float,
+    mu2_cond: float,
+) -> mlp.MomentProblem:
+    """Worst case at chi over grid distributions with conditional second
+    moment mu2_cond."""
+    reward = np.clip(selection_noncoverage(grid, chi, window, w_eb, sigma), 0.0, 1.0)
+    return mlp.MomentProblem(grid, reward, grid[None, :] ** 2, [mu2_cond])

@@ -399,19 +399,22 @@ def _cva_bracket(m2, alpha):
 
 
 def _cva_scalar(m2: float, kappa: float | None, alpha: float) -> float:
+    """Scalar critical value through ``worst_noncoverage``.
+
+    Like ``critical_values``, returns the upper end of a bracket of width at
+    most ``_CHI_TOL`` around the root, so the worst case there is at most
+    alpha.
+    """
     z = float(ndtri(1.0 - alpha / 2.0))
     if m2 == 0.0:
         return z
     cons = MomentConstraints(m2, kappa)
-    obj = lambda chi: worst_noncoverage(cons, chi) - alpha
+    f = lambda chi, idx: _log_excess(
+        np.array([worst_noncoverage(cons, float(c)) for c in chi]), alpha
+    )
     lo, hi = _cva_bracket(m2, alpha)
-    doublings = 0
-    while obj(hi) > 0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 40:
-            raise RuntimeError(f"critical value bracket failed for m2={m2}")
-    return float(brentq(obj, lo, hi, xtol=1e-8, rtol=8.9e-16))
+    hi, f_hi = _solve.expand_upper(f, [hi])
+    return float(_solve.bracketed_root(f, [lo], hi, f([lo], None), f_hi, _CHI_TOL)[0])
 
 
 def critical_value(constraints: MomentConstraints, alpha: float) -> CriticalValueResult:

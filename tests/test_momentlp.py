@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from shrinkci import momentlp as mlp
+from shrinkci import nonlinear as nl
 from shrinkci import worstcase as wc
 
 
@@ -91,3 +94,130 @@ class TestCalibrate:
         )
         with pytest.raises(mlp.CalibrationError):
             mlp.calibrate_chi(family, 0.05, lo=0.0, hi=1.0, max_doublings=5)
+
+    @pytest.mark.parametrize(
+        "lo, hi, tol",
+        [(0.0, 0.0, 1e-4), (1.0, 1.0, 1e-4), (2.0, 1.0, 1e-4), (-1.0, 1.0, 1e-4),
+         (0.0, 1.0, 0.0), (0.0, 1.0, -1e-4), (0.0, 1.0, float("nan"))],
+    )
+    def test_rejects_bad_bracket_or_tol_before_solving(self, monkeypatch, lo, hi, tol):
+        solves = []
+        monkeypatch.setattr(mlp, "solve_moment_lp", lambda prob: solves.append(prob))
+        family = lambda chi: make_problem(1.0, max(chi, 1.0), size=200)
+        with pytest.raises(ValueError):
+            mlp.calibrate_chi(family, 0.05, lo=lo, hi=hi, tol=tol)
+        assert solves == []
+
+
+def _counted_calibration(monkeypatch, family, alpha, lo, hi, tol=1e-4):
+    """calibrate_chi with every LP solve recorded as (chi, value), in order."""
+    solve = mlp.solve_moment_lp
+    chis, trail = [], []
+
+    def counted_family(chi):
+        chis.append(chi)
+        return family(chi)
+
+    def counted_solve(prob):
+        res = solve(prob)
+        trail.append((chis[-1], res.value))
+        return res
+
+    monkeypatch.setattr(mlp, "solve_moment_lp", counted_solve)
+    chi = mlp.calibrate_chi(counted_family, alpha, lo=lo, hi=hi, tol=tol)
+    monkeypatch.setattr(mlp, "solve_moment_lp", solve)
+    assert len(trail) == len(chis)
+    return chi, trail
+
+
+def assert_calibration_guarantee(monkeypatch, family, alpha, lo, hi, tol=1e-4):
+    """value(chi) <= alpha < value(chi - tol), and the bracketed search after
+    the doubling phase takes at most bisection's step count plus one."""
+    chi, trail = _counted_calibration(monkeypatch, family, alpha, lo, hi, tol)
+    value = lambda c: mlp.solve_moment_lp(family(c)).value
+    assert value(chi) <= alpha
+    if chi == lo:
+        assert len(trail) == 1 and trail[0][1] <= alpha
+        return chi
+    assert value(chi - tol) > alpha
+    # the doubling phase: lo, then hi, 2 hi, ... up to the first value <= alpha
+    assert trail[0][0] == lo and trail[0][1] > alpha
+    k = 1
+    while trail[k][1] > alpha:
+        assert trail[k][0] == hi * 2.0 ** (k - 1)
+        k += 1
+    assert trail[k][0] == hi * 2.0 ** (k - 1)
+    width = trail[k][0] - trail[k - 1][0]
+    bracketed = len(trail) - (k + 1)
+    assert bracketed <= math.ceil(math.log2(width / tol)) + 1
+    return chi
+
+
+class TestCalibrationGuarantee:
+    def test_linear_shrinkage_family(self, monkeypatch):
+        family = lambda chi: make_problem(1.0, chi, size=1000)
+        chi = assert_calibration_guarantee(monkeypatch, family, 0.05, 1.0, 2.0)
+        assert chi == pytest.approx(wc._cva_scalar(1.0, None, 0.05), abs=2e-3)
+
+    def test_linear_shrinkage_family_after_doublings(self, monkeypatch):
+        family = lambda chi: make_problem(4.0, max(chi, 0.5), size=1000)
+        assert_calibration_guarantee(monkeypatch, family, 0.01, 0.0, 0.5)
+
+    def test_zero_reward_family(self, monkeypatch):
+        grid = np.linspace(0.0, 4.0, 50)
+        family = lambda chi: mlp.MomentProblem(grid, np.zeros(50), grid[None, :], [1.0])
+        assert assert_calibration_guarantee(monkeypatch, family, 0.05, 0.7, 2.0) == 0.7
+
+    def test_step_reward_family(self, monkeypatch):
+        # reward 1{t > chi} with mean 0.103: the worst case is 0.103 / t+,
+        # t+ the first grid point above chi, so the smallest chi with worst
+        # case <= 0.05 is the grid point 2 itself
+        grid = np.linspace(0.0, 10.0, 46)
+        family = lambda chi: mlp.MomentProblem(
+            grid, (grid > chi).astype(float), grid[None, :], [0.103]
+        )
+        chi = assert_calibration_guarantee(monkeypatch, family, 0.05, 0.0, 1.0)
+        assert grid[9] <= chi <= grid[9] + 1e-4
+
+    # the nonlinear families, with the brackets their calibrations use
+
+    def test_soft_threshold_family(self, monkeypatch):
+        cfg = nl.SoftThresholdConfig(mu2=0.2)
+        family = lambda chi: nl._soft_threshold_problem(cfg, chi)
+        assert_calibration_guarantee(monkeypatch, family, cfg.alpha, 0.0, 2.0)
+
+    def test_poisson_family(self, monkeypatch):
+        cfg = nl.PoissonConfig(shape=1.0, scale=0.3)
+        family = lambda chi: nl._poisson_problem(cfg, chi, 0.3, 2.0 * 0.3**2)
+        assert_calibration_guarantee(monkeypatch, family, cfg.alpha, 0.0, 2.0)
+
+    def test_selection_family(self, monkeypatch):
+        grid = np.linspace(-8.0, 8.0, 1001)
+        window = nl.SelectionWindow(0.0, math.inf)
+        family = lambda chi: nl._selection_problem(grid, chi, window, 0.5, 1.0, 1.0)
+        assert_calibration_guarantee(monkeypatch, family, 0.05, 0.0, 4.0)
+
+
+def _nonlinear_problems():
+    soft = nl.SoftThresholdConfig(mu2=0.2)
+    poisson = nl.PoissonConfig(shape=1.0, scale=0.3)
+    grid = np.linspace(-8.0, 8.0, 1001)
+    window = nl.SelectionWindow(0.0, math.inf)
+    cases = [(f"soft-{c}", lambda c=c: nl._soft_threshold_problem(soft, c)) for c in (1.0, 3.0)]
+    cases += [(f"poisson-{c}", lambda c=c: nl._poisson_problem(poisson, c, 0.3, 2.0 * 0.3**2))
+              for c in (0.5, 2.0)]
+    cases += [(f"selection-{c}", lambda c=c: nl._selection_problem(grid, c, window, 0.5, 1.0, 1.0))
+              for c in (3.0, 8.0)]
+    return [pytest.param(build, id=name) for name, build in cases]
+
+
+@pytest.mark.parametrize("build", _nonlinear_problems())
+def test_nonlinear_dual_certificate(build):
+    # weak duality on the grid: the dual is feasible (reward under the
+    # dual function everywhere) and its objective matches the LP value
+    prob = build()
+    res = mlp.solve_moment_lp(prob)
+    dual_objective = res.dual_constant + res.dual_moments @ prob.targets
+    slack = res.dual_constant + res.dual_moments @ prob.moments - prob.reward
+    assert abs(dual_objective - res.value) <= 1e-8
+    assert slack.min() >= -1e-9

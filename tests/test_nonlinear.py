@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
+from scipy.special import ndtr
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import poisson as poisson_dist
 
@@ -123,6 +124,21 @@ class TestSoftThresholdNoncoverage:
         worst = nl.soft_threshold_worst_noncoverage(cfg, chi_r)
         assert worst == pytest.approx(0.05, abs=2e-3)
 
+    @pytest.mark.parametrize("chi", [0.0, 0.5, 1.5, 3.0, 6.0])
+    @pytest.mark.parametrize("mu2", [0.05, 0.2, 1.0])
+    @pytest.mark.parametrize(
+        "sigma, truncation",
+        [(1.0, (-10.0, 10.0)), (2.0, (-10.0, 10.0)), (1.0, (-2.0, 2.0))],
+        ids=["default", "sigma2", "narrow"],
+    )
+    def test_lockstep_refinement_matches_scalar_oracle(self, sigma, truncation, mu2, chi):
+        # the narrow truncation makes covered runs reach the ends of the y range
+        cfg = nl.SoftThresholdConfig(mu2=mu2, sigma=sigma, y_truncation=truncation)
+        theta = np.asarray(cfg.theta_grid)
+        got = nl.soft_threshold_noncoverage(theta, cfg, chi)
+        want = _noncoverage_refined(theta, cfg, chi, points=2001)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
 
 def _noncoverage_refined(theta, cfg, chi, points):
     out = np.empty(len(theta))
@@ -130,8 +146,29 @@ def _noncoverage_refined(theta, cfg, chi, points):
     ys = np.linspace(y_lo, y_hi, points)
     margin = nl._covered_margin(np.asarray(theta)[:, None], ys[None, :], cfg, chi)
     for i, th in enumerate(theta):
-        out[i] = 1.0 - nl._covered_mass(float(th), ys, margin[i], cfg, chi)
+        out[i] = 1.0 - _covered_mass(float(th), ys, margin[i], cfg, chi)
     return out
+
+
+def _covered_mass(th, ys, margin_row, cfg, chi):
+    """Scalar oracle: refine each sign flip of one theta's margin by brentq,
+    then sum the normal mass of each run whose midpoint is covered."""
+    sign = margin_row > 0
+    if not sign.any():
+        return 0.0
+    edges = []
+    g = lambda y: float(nl._covered_margin(th, np.asarray(y), cfg, chi))
+    flips = np.flatnonzero(sign[:-1] != sign[1:])
+    for j in flips:
+        edges.append(brentq(g, ys[j], ys[j + 1], xtol=1e-12))
+    breaks = [ys[0], *edges, ys[-1]]
+    mass = 0.0
+    for a, b in zip(breaks, breaks[1:]):
+        if g(0.5 * (a + b)) > 0:
+            mass += float(
+                ndtr((b - th) / cfg.sigma) - ndtr((a - th) / cfg.sigma)
+            )
+    return mass
 
 
 class TestPoissonInterval:

@@ -421,6 +421,22 @@ class TestCriticalValue:
         assert res.chi == pytest.approx(wc.critical_values([1e-9], kappa, alpha)[0], abs=1e-8)
         assert res.diagnostics["t0"] > 0
 
+    @pytest.mark.parametrize("kappa", [None, 3.0])
+    def test_scalar_worst_case_at_most_alpha(self, kappa):
+        # the scalar route returns the upper end of a bracket of width 1e-8
+        # too; first at z just above sqrt(3), then on seeded m2 draws
+        alpha = 0.08326433863159476
+        res = wc.critical_value(wc.MomentConstraints(1e-9, kappa), alpha=alpha)
+        assert wc.worst_noncoverage(wc.MomentConstraints(1e-9, kappa), res.chi) <= alpha
+        assert res.noncoverage <= alpha
+        rng = np.random.default_rng(11)
+        for m2 in np.exp(rng.uniform(np.log(1e-4), np.log(1e3), 60 if kappa is None else 20)):
+            cons = wc.MomentConstraints(float(m2), kappa)
+            chi = wc.critical_value(cons, 0.05).chi
+            assert wc.worst_noncoverage(cons, chi) <= 0.05, m2
+            assert wc.worst_noncoverage(cons, chi - 1e-8) > 0.05, m2
+            assert chi == pytest.approx(wc.critical_values(m2, kappa, 0.05)[0], abs=1e-8)
+
     def test_nearby_m2_solved_separately(self):
         # 0.9999996 and 1.0000004 agree to six decimals but not in chi
         wc.critical_value(wc.MomentConstraints(0.9999996), 0.05)
