@@ -1,9 +1,11 @@
-"""Discretized worst-case moment problems as linear programs.
+"""Discretized worst-case moment problems.
 
 The general worst case maximizes an expected reward over all distributions on
-a grid subject to moment equalities.  This is the computational engine behind
-the nonlinear interval calibrations and the independent check on the closed
-forms in :mod:`shrinkci.worstcase`.
+a grid subject to moment equalities.  ``envelope_value`` solves it as a
+concave envelope and is the engine behind the nonlinear interval
+calibrations; ``solve_moment_lp`` solves it as a linear program and is the
+independent check on the envelope and on the closed forms in
+:mod:`shrinkci.worstcase`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from shrinkci import _solve
 from shrinkci.worstcase import DiscreteDistribution, _log_excess
@@ -24,12 +27,18 @@ __all__ = [
     "LPSolverError",
     "CalibrationError",
     "solve_moment_lp",
+    "envelope_value",
     "calibrate_chi",
     "default_squared_bias_grid",
 ]
 
 # equality constraints are relaxed to this band to absorb floating-point drift
 EQ_BAND = 1e-9
+# support weights at or below this are artifacts of the band or of rounding
+_MIN_WEIGHT = 1e-9
+# a hull facet is an upper facet when the reward component of its unit
+# normal exceeds this; vertical facets over duplicate moments sit at rounding
+_UPPER_NORMAL = 1e-12
 
 
 class InfeasibleMomentsError(ValueError):
@@ -118,12 +127,6 @@ def solve_moment_lp(problem: MomentProblem) -> MomentLPResult:
         )
     if res.status != 0:
         raise LPSolverError(f"LP solver failed (status {res.status}): {res.message}")
-    weights = np.asarray(res.x)
-    # weights at the scale of the equality band are artifacts of the relaxation
-    keep = weights > 1e-9
-    pts = problem.grid[keep]
-    pr = weights[keep]
-    pr = pr / pr.sum()
     # dual certificate: marginals of the band rows combine into one
     # multiplier per moment, the equality marginal is the constant
     ub_marg = np.asarray(res.ineqlin.marginals)
@@ -131,10 +134,62 @@ def solve_moment_lp(problem: MomentProblem) -> MomentLPResult:
     dual_constant = -float(res.eqlin.marginals[0])
     return MomentLPResult(
         value=float(-res.fun),
-        solution=DiscreteDistribution(tuple(pts), tuple(pr)),
+        solution=_distribution(problem.grid, np.asarray(res.x)),
         dual_constant=dual_constant,
         dual_moments=dual_moments,
     )
+
+
+def envelope_value(problem: MomentProblem) -> MomentLPResult:
+    """Solve the discretized worst-case problem as a concave envelope.
+
+    The worst case over grid distributions with moments m is the upper
+    concave envelope of the lifted points (g(x_k), reward_k) at m (Smith,
+    Operations Research 43(5), 1995): the lowest plane of the upper facets of
+    their convex hull.  The minimizing facet's grid points, weighted by the
+    barycentric coordinates of m in its projection, are a worst-case
+    distribution with at most p+1 points, and its plane is the dual
+    certificate in the sense of ``solve_moment_lp``.  The targets are taken
+    exactly, not relaxed to a band.  Raises InfeasibleMomentsError when no
+    distribution on the minimizing facet matches the targets to within
+    ``EQ_BAND``, which covers every target more than ``EQ_BAND`` outside the
+    hull of the moment points.
+    """
+    moments, targets = problem.moments, problem.targets
+    p = targets.size
+    # a point below the centroid keeps the hull full-dimensional when the
+    # reward is constant; no upper facet can contain it
+    sentinel = np.append(moments.mean(axis=1), problem.reward.min() - 1.0)
+    hull = ConvexHull(np.vstack([np.column_stack([moments.T, problem.reward]), sentinel]))
+    normal, offset = hull.equations[:, :-1], hull.equations[:, -1]
+    upper = np.flatnonzero(normal[:, p] > _UPPER_NORMAL)
+    planes = -(normal[upper, :p] @ targets + offset[upper]) / normal[upper, p]
+    best = upper[np.argmin(planes)]
+    dual_moments = -normal[best, :p] / normal[best, p]
+    dual_constant = float(-offset[best] / normal[best, p])
+    # barycentric weights of the targets in the facet's projection
+    vertices = np.sort(hull.simplices[best])
+    at = moments[:, vertices]
+    weights = np.linalg.solve(np.vstack([np.ones(p + 1), at]), np.append(1.0, targets))
+    if weights.min() < 0.0:
+        weights = np.maximum(weights, 0.0)
+        weights /= weights.sum()
+        if np.max(np.abs(at @ weights - targets)) > EQ_BAND:
+            raise InfeasibleMomentsError(
+                f"no grid distribution matches the target moments {targets}"
+            )
+    return MomentLPResult(
+        value=float(dual_constant + dual_moments @ targets),
+        solution=_distribution(problem.grid[vertices], weights),
+        dual_constant=dual_constant,
+        dual_moments=dual_moments,
+    )
+
+
+def _distribution(points: np.ndarray, weights: np.ndarray) -> DiscreteDistribution:
+    keep = weights > _MIN_WEIGHT
+    pr = weights[keep]
+    return DiscreteDistribution(tuple(points[keep]), tuple(pr / pr.sum()))
 
 
 def calibrate_chi(
@@ -148,12 +203,13 @@ def calibrate_chi(
     """Smallest chi (to within tol) whose worst case is at most alpha.
 
     ``family`` maps a candidate chi to the discretized problem for that chi;
-    the caller guarantees the worst-case value is nonincreasing in chi.
-    Returns ``lo`` when its worst case is at most alpha.  Otherwise ``hi`` is
-    doubled until its worst case is, and the bracket is narrowed by the ITP
-    root search of :mod:`shrinkci._solve` on log(value / alpha); the result
-    is the upper end of a final bracket at most ``tol`` wide, so its worst
-    case is at most alpha and the worst case ``tol`` below it exceeds alpha.
+    the caller guarantees the worst-case value is nonincreasing in chi.  Each
+    worst case is the ``envelope_value`` of that problem.  Returns ``lo`` when
+    its worst case is at most alpha.  Otherwise ``hi`` is doubled until its
+    worst case is, and the bracket is narrowed by the ITP root search of
+    :mod:`shrinkci._solve` on log(value / alpha); the result is the upper end
+    of a final bracket at most ``tol`` wide, so its worst case is at most
+    alpha and the worst case ``tol`` below it exceeds alpha.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -161,7 +217,7 @@ def calibrate_chi(
         raise ValueError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    excess = lambda chi: float(_log_excess(solve_moment_lp(family(chi)).value, alpha))
+    excess = lambda chi: float(_log_excess(envelope_value(family(chi)).value, alpha))
     f_lo = excess(lo)
     if f_lo <= 0.0:
         return lo

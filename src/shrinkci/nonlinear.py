@@ -5,8 +5,8 @@ thresholding estimator under a Laplace baseline prior, gamma-posterior-style
 intervals for Poisson rates, and linear-shrinkage intervals that retain
 average coverage conditional on the raw estimate falling in a selection
 window.  Each family is indexed by a tuning parameter chi that widens the
-sets, and is calibrated by inverting a discretized worst-case moment problem
-from :mod:`shrinkci.momentlp`.
+sets, and is calibrated by inverting a discretized worst-case moment problem,
+solved as a concave envelope by :mod:`shrinkci.momentlp`.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import erfcx, gammaincinv, gammaln, ndtr, ndtri, roots_legendre
 
 from shrinkci import _solve
 from shrinkci import momentlp as mlp
+from shrinkci.worstcase import _log_excess
 
 __all__ = [
     "SoftThresholdConfig",
@@ -211,20 +211,27 @@ def soft_threshold_ebci(cfg: SoftThresholdConfig) -> tuple[float, float]:
     """Calibrated tuning parameters (chi_robust, chi_parametric).
 
     The robust value inverts the worst case over all effect distributions on
-    the grid with second moment mu2; the parametric value makes the average
-    non-coverage under the Laplace baseline itself equal to alpha.
+    the grid with second moment mu2; the parametric value is the smallest chi,
+    to within 1e-6, whose average non-coverage under the Laplace baseline
+    itself is at most alpha.
     """
     family = lambda chi: _soft_threshold_problem(cfg, chi)
     chi_robust = mlp.calibrate_chi(family, cfg.alpha, lo=0.0, hi=2.0)
 
-    obj = lambda chi: _laplace_average_noncoverage(cfg, chi) - cfg.alpha
-    hi = 2.0
-    for _ in range(40):
-        if obj(hi) <= 0:
-            break
-        hi *= 2.0
-    chi_parametric = float(brentq(obj, 0.0, hi, xtol=1e-6))
-    return chi_robust, chi_parametric
+    # the doubling's values are kept, so the bracket's lower end is not
+    # evaluated twice
+    seen = {}
+
+    def excess(chi, idx):
+        for c in chi:
+            if c not in seen:
+                seen[c] = float(_log_excess(_laplace_average_noncoverage(cfg, c), cfg.alpha))
+        return np.array([seen[c] for c in chi])
+
+    hi, f_hi = _solve.expand_upper(excess, [2.0])
+    lo = hi / 2.0 if hi[0] > 2.0 else np.zeros(1)
+    chi_parametric = _solve.bracketed_root(excess, lo, hi, excess(lo, None), f_hi, 1e-6)
+    return chi_robust, float(chi_parametric[0])
 
 
 def _soft_threshold_problem(cfg: SoftThresholdConfig, chi: float) -> mlp.MomentProblem:
@@ -236,7 +243,7 @@ def _soft_threshold_problem(cfg: SoftThresholdConfig, chi: float) -> mlp.MomentP
 
 def soft_threshold_worst_noncoverage(cfg: SoftThresholdConfig, chi: float) -> float:
     """Worst-case non-coverage at chi over grid distributions matching mu2."""
-    return mlp.solve_moment_lp(_soft_threshold_problem(cfg, chi)).value
+    return mlp.envelope_value(_soft_threshold_problem(cfg, chi)).value
 
 
 def soft_threshold_expected_length(cfg: SoftThresholdConfig, chi: float) -> float:

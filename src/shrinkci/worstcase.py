@@ -140,15 +140,17 @@ def noncoverage_sq_d1(t, chi):
     rewritten through sinh for small chi*sqrt(t) to avoid cancellation; the
     t -> 0 limit is chi*phi(chi).
     """
-    t = np.asarray(t, dtype=float)
-    chi = np.asarray(chi, dtype=float)
+    t, chi = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(chi, dtype=float))
     u = np.sqrt(t)
     a = chi * u
     safe_u = np.where(u > 0, u, 1.0)
     small = a < 30.0
-    sinh_form = _phi(chi) * np.exp(-0.5 * t) * np.sinh(np.where(small, a, 0.0)) / safe_u
-    direct = (_phi(u - chi) - _phi(u + chi)) / (2.0 * safe_u)
-    out = np.where(small, sinh_form, direct)
+    out = np.asarray(_phi(chi) * np.exp(-0.5 * t) * np.sinh(np.where(small, a, 0.0)) / safe_u)
+    # the direct form only where sinh would overflow
+    large = ~small
+    if large.any():
+        ul, cl = u[large], chi[large]
+        out[large] = (_phi(ul - cl) - _phi(ul + cl)) / (2.0 * safe_u[large])
     return np.where(u == 0, chi * _phi(chi), out)
 
 

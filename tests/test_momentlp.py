@@ -102,7 +102,7 @@ class TestCalibrate:
     )
     def test_rejects_bad_bracket_or_tol_before_solving(self, monkeypatch, lo, hi, tol):
         solves = []
-        monkeypatch.setattr(mlp, "solve_moment_lp", lambda prob: solves.append(prob))
+        monkeypatch.setattr(mlp, "envelope_value", lambda prob: solves.append(prob))
         family = lambda chi: make_problem(1.0, max(chi, 1.0), size=200)
         with pytest.raises(ValueError):
             mlp.calibrate_chi(family, 0.05, lo=lo, hi=hi, tol=tol)
@@ -110,8 +110,9 @@ class TestCalibrate:
 
 
 def _counted_calibration(monkeypatch, family, alpha, lo, hi, tol=1e-4):
-    """calibrate_chi with every LP solve recorded as (chi, value), in order."""
-    solve = mlp.solve_moment_lp
+    """calibrate_chi with every worst-case solve recorded as (chi, value), in
+    order."""
+    solve = mlp.envelope_value
     chis, trail = [], []
 
     def counted_family(chi):
@@ -123,9 +124,9 @@ def _counted_calibration(monkeypatch, family, alpha, lo, hi, tol=1e-4):
         trail.append((chis[-1], res.value))
         return res
 
-    monkeypatch.setattr(mlp, "solve_moment_lp", counted_solve)
+    monkeypatch.setattr(mlp, "envelope_value", counted_solve)
     chi = mlp.calibrate_chi(counted_family, alpha, lo=lo, hi=hi, tol=tol)
-    monkeypatch.setattr(mlp, "solve_moment_lp", solve)
+    monkeypatch.setattr(mlp, "envelope_value", solve)
     assert len(trail) == len(chis)
     return chi, trail
 
@@ -211,13 +212,141 @@ def _nonlinear_problems():
     return [pytest.param(build, id=name) for name, build in cases]
 
 
+# (route, dual objective tolerance, slack tolerance): the LP's band and its
+# solver tolerances against the envelope's plane, exact at the target
+_ROUTES = [
+    pytest.param(mlp.solve_moment_lp, 1e-8, 1e-9, id="lp"),
+    pytest.param(mlp.envelope_value, 0.0, 1e-12, id="envelope"),
+]
+
+
+@pytest.mark.parametrize("solve, objective_tol, slack_tol", _ROUTES)
 @pytest.mark.parametrize("build", _nonlinear_problems())
-def test_nonlinear_dual_certificate(build):
+def test_nonlinear_dual_certificate(build, solve, objective_tol, slack_tol):
     # weak duality on the grid: the dual is feasible (reward under the
-    # dual function everywhere) and its objective matches the LP value
+    # dual function everywhere) and its objective matches the value
     prob = build()
-    res = mlp.solve_moment_lp(prob)
+    res = solve(prob)
     dual_objective = res.dual_constant + res.dual_moments @ prob.targets
     slack = res.dual_constant + res.dual_moments @ prob.moments - prob.reward
-    assert abs(dual_objective - res.value) <= 1e-8
-    assert slack.min() >= -1e-9
+    assert abs(dual_objective - res.value) <= objective_tol
+    assert slack.min() >= -slack_tol
+
+
+def _family_problems():
+    """Every soft-threshold, Poisson and selection config of the tests, at
+    chi across the calibration brackets."""
+    cases = []
+    for mu2 in (0.05, 0.2, 0.3, 1.0):
+        cfg = nl.SoftThresholdConfig(mu2=mu2)
+        cases += [(f"soft-{mu2}-{c}", lambda cfg=cfg, c=c: nl._soft_threshold_problem(cfg, c))
+                  for c in (0.5, 1.5, 3.0)]
+    for shape, scale in ((1.0, 0.3), (1.0, 2.0), (2.0, 1.0), (0.5, 4.0)):
+        cfg = nl.PoissonConfig(shape=shape, scale=scale)
+        mean, second = shape * scale, shape * (shape + 1.0) * scale**2
+        cases += [(f"poisson-{shape}-{scale}-{c}",
+                   lambda cfg=cfg, c=c, m=mean, s=second: nl._poisson_problem(cfg, c, m, s))
+                  for c in (0.0, 0.5, 2.0)]
+    grid = np.linspace(-8.0, 8.0, 1001)
+    window = nl.SelectionWindow(0.0, math.inf)
+    for w in (0.3, 0.5, 0.7):
+        cases += [(f"selection-{w}-{c}",
+                   lambda w=w, c=c: nl._selection_problem(grid, c, window, w, 1.0, 1.0))
+                  for c in (1.0, 3.0, 8.0)]
+    return [pytest.param(build, id=name) for name, build in cases]
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("build", _family_problems())
+    def test_matches_lp(self, build, monkeypatch):
+        prob = build()
+        env = mlp.envelope_value(prob).value
+        assert env == pytest.approx(mlp.solve_moment_lp(prob).value, abs=1e-8)
+        # the whole gap is the LP's band: without it the two routes agree
+        monkeypatch.setattr(mlp, "EQ_BAND", 0.0)
+        assert env == pytest.approx(mlp.solve_moment_lp(prob).value, abs=1e-11)
+
+    @pytest.mark.parametrize("m2, chi", [(0.5, 2.0), (2.0, 3.0), (8.0, 2.5), (1.0, 1.0)])
+    def test_matches_lp_on_linear_shrinkage(self, m2, chi):
+        prob = make_problem(m2, chi)
+        res = mlp.envelope_value(prob)
+        assert res.value == pytest.approx(mlp.solve_moment_lp(prob).value, abs=1e-8)
+        assert len(res.solution.points) <= 2
+        assert res.solution.moment(1) == pytest.approx(m2, rel=1e-9)
+        assert res.solution.expectation(lambda t: wc.noncoverage_sq(t, chi)) == pytest.approx(
+            res.value, abs=1e-12
+        )
+
+    def test_zero_reward(self):
+        grid = np.linspace(0.0, 4.0, 50)
+        res = mlp.envelope_value(mlp.MomentProblem(grid, np.zeros(50), grid[None, :], [1.0]))
+        assert res.value == 0.0
+        assert res.solution.moment(1) == pytest.approx(1.0, abs=1e-12)
+
+    def test_single_feasible_point(self):
+        # mean m2 with zero variance: the target lies on the hull's boundary
+        m2, chi = 1.5, 2.0
+        grid = np.array([0.5, 1.5, 3.0, 30.0])
+        reward = wc.noncoverage_sq(grid, chi)
+        prob = mlp.MomentProblem(grid, reward, np.vstack([grid, grid**2]), [m2, m2 * m2])
+        res = mlp.envelope_value(prob)
+        assert res.value == pytest.approx(float(wc.noncoverage_sq(m2, chi)), abs=1e-12)
+        assert res.solution.points == (1.5,)
+
+    @pytest.mark.parametrize("target", [1.0, 9.0, 0.0])
+    def test_duplicate_moments(self, target):
+        # theta and -theta share theta^2 but not the reward; the extreme
+        # targets sit on the vertical hull edges over the duplicates
+        theta = np.linspace(-3.0, 3.0, 61)
+        reward = np.clip(0.3 + 0.1 * theta - 0.02 * theta**2, 0.0, 1.0)
+        prob = mlp.MomentProblem(theta, reward, theta[None, :] ** 2, [target])
+        res = mlp.envelope_value(prob)
+        assert res.value == pytest.approx(mlp.solve_moment_lp(prob).value, abs=1e-8)
+        if target == 9.0:
+            assert res.solution.points == (3.0,) and res.value == pytest.approx(0.42, abs=1e-12)
+
+    def test_target_on_grid_point(self):
+        grid = np.linspace(0.0, 4.0, 50)
+        prob = mlp.MomentProblem(grid, wc.noncoverage_sq(grid, 1.0), grid[None, :], [grid[7]])
+        res = mlp.envelope_value(prob)
+        # noncoverage_sq(., 1) is concave, so its envelope is the point itself
+        assert res.solution.points == (grid[7],)
+        assert res.value == pytest.approx(float(wc.noncoverage_sq(grid[7], 1.0)), abs=1e-12)
+
+    @pytest.mark.parametrize("target", [5.0, 4.0 + 2e-9, -2e-9])
+    def test_infeasible_target(self, target):
+        grid = np.linspace(0.0, 4.0, 50)
+        prob = mlp.MomentProblem(grid, wc.noncoverage_sq(grid, 1.0), grid[None, :], [target])
+        with pytest.raises(mlp.InfeasibleMomentsError):
+            mlp.envelope_value(prob)
+        with pytest.raises(mlp.InfeasibleMomentsError):
+            mlp.solve_moment_lp(prob)
+
+    def test_infeasible_second_moment(self):
+        grid = np.array([0.5, 1.5, 3.0, 30.0])
+        prob = mlp.MomentProblem(
+            grid, wc.noncoverage_sq(grid, 2.0), np.vstack([grid, grid**2]), [1.5, 2.0]
+        )
+        with pytest.raises(mlp.InfeasibleMomentsError):
+            mlp.envelope_value(prob)
+
+    @pytest.mark.parametrize("target", [4.0 + 5e-10, -5e-10])
+    def test_band_outside_hull_accepted_like_lp(self, target):
+        grid = np.linspace(0.0, 4.0, 50)
+        prob = mlp.MomentProblem(grid, wc.noncoverage_sq(grid, 1.0), grid[None, :], [target])
+        assert mlp.envelope_value(prob).value == pytest.approx(
+            mlp.solve_moment_lp(prob).value, abs=1e-8
+        )
+
+
+def test_no_lp_in_a_calibration(monkeypatch):
+    def no_lp(prob):
+        raise AssertionError("LP solved inside a calibration")
+
+    monkeypatch.setattr(mlp, "solve_moment_lp", no_lp)
+    chi_r, chi_p = nl.soft_threshold_ebci(nl.SoftThresholdConfig(mu2=0.2))
+    assert chi_r > chi_p > 0.0
+    assert nl.poisson_ebci(nl.PoissonConfig(shape=1.0, scale=0.3)) > 0.0
+    grid = np.linspace(-8.0, 8.0, 1001)
+    window = nl.SelectionWindow(0.0, math.inf)
+    assert nl.selection_critical_value(1.0, window, 0.5, 1.0, 0.05, grid) > 0.0

@@ -145,6 +145,30 @@ class TestDerivatives:
         d2 = float(wc.noncoverage_sq_d2(t, chi))
         assert d2 == pytest.approx(fd, rel=2e-5, abs=1e-10)
 
+    def test_first_derivative_matches_both_branch_formula(self):
+        # the direct form is evaluated only past the switch at chi*sqrt(t) =
+        # 30; the result is bit-identical to evaluating both forms everywhere
+        def both_branches(t, chi):
+            phi = lambda x: np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi)
+            u = np.sqrt(t)
+            a = chi * u
+            safe_u = np.where(u > 0, u, 1.0)
+            small = a < 30.0
+            sinh_form = phi(chi) * np.exp(-0.5 * t) * np.sinh(np.where(small, a, 0.0)) / safe_u
+            direct = (phi(u - chi) - phi(u + chi)) / (2.0 * safe_u)
+            return np.where(u == 0, chi * phi(chi), np.where(small, sinh_form, direct))
+
+        chi = np.array([0.0, 1e-3, 0.5, 1.96, 5.0, 12.0, 40.0])
+        switch = (30.0 / chi[1:]) ** 2
+        t = np.concatenate([[0.0, 1e-300], np.geomspace(1e-8, 1e6, 400), switch,
+                            np.nextafter(switch, 0.0), np.nextafter(switch, np.inf)])
+        ts, cs = np.meshgrid(t, chi)
+        large = cs * np.sqrt(ts) >= 30.0
+        assert large.any() and (~large).any()
+        np.testing.assert_array_equal(wc.noncoverage_sq_d1(ts, cs), both_branches(ts, cs))
+        for t0, c0 in ((0.0, 2.0), (4.0, 2.0), (1e4, 3.0)):
+            assert wc.noncoverage_sq_d1(t0, c0) == both_branches(np.float64(t0), c0)
+
     def test_first_derivative_nonnegative(self):
         ts = np.geomspace(1e-8, 200, 200)
         for chi in (0.3, 1.0, 2.5, 8.0):
