@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from shrinkci import _solve
@@ -51,6 +50,22 @@ KAPPA_UNCONSTRAINED = 1e6
 
 def _phi(x):
     return np.exp(-0.5 * np.square(x)) / _SQRT2PI
+
+
+def _checked(name, x):
+    """``x`` as a float array; ValueError unless it is finite and >= 0."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x) & (x >= 0)):
+        raise ValueError(f"{name} must be finite and >= 0")
+    return x
+
+
+def _checked_kappa(kappa):
+    """``kappa`` as a float array; ValueError unless >= 1 (inf allowed)."""
+    kap = np.asarray(kappa, dtype=float)
+    if not np.all(kap >= 1.0):
+        raise ValueError("kappa must be >= 1 and not NaN")
+    return kap
 
 
 # ---------------------------------------------------------------------------
@@ -220,40 +235,22 @@ def majorant_kink(chi: float) -> float:
     Zero for chi <= sqrt(3); otherwise the unique positive root of
     ``noncoverage_sq(0) - noncoverage_sq(t) + t * d/dt noncoverage_sq(t)``.
     Below t0 the majorant is the chord from t=0; above it the two agree.
-    Just above sqrt(3) the root lies within roundoff of the lower bracket
-    end chi^2 - 3, which is then returned.
+    A length-1 call of ``_majorant_kink_batch``.
     """
-    if chi < 0:
-        raise ValueError("chi must be >= 0")
-    if chi <= _SQRT3:
-        return 0.0
-    # objective is positive on (0, t0), negative beyond; chi^2 - 3 lies below
-    # the inflection point and hence below t0, while the objective at
-    # (chi + 5)^2 is dominated by -noncoverage_sq ~ -1.
-    r0 = float(noncoverage_sq(0.0, chi))
-    lo = max(chi * chi - 3.0, 1e-12)
-    hi = (chi + 5.0) ** 2
-    f_lo, f_hi = _kink_objective(lo, chi, r0), _kink_objective(hi, chi, r0)
-    if not f_hi < 0 < f_lo:
-        if f_hi < 0 and abs(f_lo) <= _kink_floor(r0):
-            return lo
-        raise RuntimeError(
-            f"majorant kink bracket failed at chi={chi}: f(lo)={f_lo}, f(hi)={f_hi}"
-        )
-    t0 = brentq(_kink_objective, lo, hi, args=(chi, r0), xtol=1e-12, rtol=8.9e-16)
-    resid = _kink_objective(t0, chi, r0)
-    if abs(resid) > 1e-9:
-        raise RuntimeError(f"majorant kink residual {resid} at chi={chi}")
-    return float(t0)
+    return float(_majorant_kink_batch(_checked("chi", chi)))
 
 
 def _majorant_kink_batch(chi: np.ndarray) -> np.ndarray:
-    """Vectorized ``majorant_kink`` by safeguarded Newton.
+    """Majorant kinks of an array of chi by safeguarded Newton.
 
     Newton steps on the kink objective g, with g'(t) = t r''(t), inside the
-    bracket of ``majorant_kink``; a step leaving the bracket is replaced by
-    bisection.  Each entry stops once its relative step is at most 1e-12 or
-    its residual reaches the roundoff floor.
+    bracket [max(chi^2 - 3, 1e-12), (chi + 5)^2]: g is positive on (0, t0)
+    and negative beyond, chi^2 - 3 lies below the inflection point and hence
+    below t0, and g at (chi + 5)^2 is dominated by -noncoverage_sq ~ -1.  A
+    step leaving the bracket is replaced by bisection.  Each entry stops
+    once its relative step is at most 1e-12 or its residual reaches the
+    roundoff floor, which just above sqrt(3) holds near the lower end.
+    Entries at or below sqrt(3) are zero.
     """
     chi = np.asarray(chi, dtype=float)
     out = np.zeros(chi.size)
@@ -287,6 +284,13 @@ def _majorant_kink_batch(chi: np.ndarray) -> np.ndarray:
 # worst-case non-coverage
 
 
+def _worst_noncoverage(m2, kappa, chi):
+    """Validated ``_worst_noncoverage_batch`` on scalars or broadcast arrays."""
+    m2, chi = np.broadcast_arrays(_checked("m2", m2), _checked("chi", chi))
+    kap = None if kappa is None else np.broadcast_to(_checked_kappa(kappa), m2.shape)
+    return _worst_noncoverage_batch(m2, kap, chi)
+
+
 def worst_noncoverage_second(m2, chi):
     """Worst-case non-coverage when only E[b^2] = m2 is imposed.
 
@@ -294,14 +298,8 @@ def worst_noncoverage_second(m2, chi):
     chord value from t=0 to the kink below it, the function itself above.
     Accepts scalars or arrays (broadcast against each other).
     """
-    m2 = np.asarray(m2, dtype=float)
-    chi = np.asarray(chi, dtype=float)
-    if np.any(m2 < 0) or np.any(chi < 0):
-        raise ValueError("m2 and chi must be >= 0")
-    scalar = m2.ndim == 0 and chi.ndim == 0
-    m2, chi = np.broadcast_arrays(m2, chi)
-    out = _worst_noncoverage_batch(m2, None, chi)
-    return float(out) if scalar else out
+    out = _worst_noncoverage(m2, None, chi)
+    return float(out) if out.ndim == 0 else out
 
 
 def _feasible_pair_value(x0, m2, kappa, chi):
@@ -321,6 +319,12 @@ def _feasible_pair_value(x0, m2, kappa, chi):
     return np.where(np.isnan(val), -np.inf, val)
 
 
+def _binding(m2, kap, t0):
+    """Where the kurtosis bound binds: the second-moment solution violates it
+    and kappa lies strictly between 1 + 1e-9 and ``KAPPA_UNCONSTRAINED``."""
+    return (m2 > 0) & (kap > 1.0 + 1e-9) & (kap < KAPPA_UNCONSTRAINED) & (kap * m2 < t0)
+
+
 def _fourth_binding_batch(m2, kappa, chi, t0, grid_size=49, golden_iters=48):
     """Solve the binding fourth-moment problem for arrays of inputs.
 
@@ -334,6 +338,14 @@ def _fourth_binding_batch(m2, kappa, chi, t0, grid_size=49, golden_iters=48):
     )
     x = m2 * (kappa * m2 - x0) / (m2 - x0)
     return val, x0, x
+
+
+def _binding_pair(m2, kappa, chi, t0):
+    """(x0, x) of the binding two-point pair at one key, None where slack."""
+    if kappa is None or not _binding(m2, kappa, t0):
+        return None
+    _, x0, x = _fourth_binding_batch(*(np.array([v], dtype=float) for v in (m2, kappa, chi, t0)))
+    return float(x0[0]), float(x[0])
 
 
 def worst_noncoverage_fourth(m2: float, kappa: float, chi: float):
@@ -350,38 +362,12 @@ def worst_noncoverage_fourth(m2: float, kappa: float, chi: float):
         raise ValueError(f"kappa must be > 1, got {kappa}")
     if not m2 > 0:
         raise ValueError(f"m2 must be > 0, got {m2}")
-    val, _, _, _ = _fourth_with_solution(m2, kappa, chi)
-    return val
-
-
-def _fourth_with_solution(m2, kappa, chi):
-    """Returns (value, x0, x, binding) for the fourth-moment problem."""
-    t0 = majorant_kink(chi)
-    if t0 == 0.0 or m2 >= t0:
-        return float(noncoverage_sq(m2, chi)), m2, m2, False
-    if kappa <= 1.0 + 1e-9:
-        # essentially zero variance of the squared bias: point mass at m2
-        return float(noncoverage_sq(m2, chi)), m2, m2, False
-    if kappa >= KAPPA_UNCONSTRAINED or kappa >= t0 / m2:
-        return float(worst_noncoverage_second(m2, chi)), 0.0, t0, False
-    arr = lambda v: np.asarray([v], dtype=float)
-    val, x0, x = _fourth_binding_batch(
-        arr(m2), arr(kappa), arr(chi), arr(t0), grid_size=129, golden_iters=64
-    )
-    return float(val[0]), float(x0[0]), float(x[0]), True
+    return float(_worst_noncoverage(m2, kappa, chi))
 
 
 def worst_noncoverage(constraints: MomentConstraints, chi: float) -> float:
     """Worst-case non-coverage under the given moment constraints."""
-    m2, kappa = constraints.m2, constraints.kappa
-    if m2 == 0.0:
-        return float(noncoverage_sq(0.0, chi))
-    if kappa is None:
-        return float(worst_noncoverage_second(m2, chi))
-    if kappa <= 1.0 + 1e-9:
-        # only the symmetric two-point distribution is feasible
-        return float(noncoverage_sq(m2, chi))
-    return worst_noncoverage_fourth(m2, kappa, chi)
+    return float(_worst_noncoverage(constraints.m2, constraints.kappa, chi))
 
 
 # ---------------------------------------------------------------------------
@@ -394,62 +380,32 @@ _CHI_TOL = 1e-8
 _NEWTON_HALF_WIDTH = 1e-9
 
 
-def _cva_bracket(m2, alpha):
-    z = float(ndtri(1.0 - alpha / 2.0))
-    hi = z * math.sqrt((1.0 + m2) / alpha) + 1.0
-    return z, hi
-
-
 def _cva_scalar(m2: float, kappa: float | None, alpha: float) -> float:
-    """Scalar critical value through ``worst_noncoverage``.
-
-    Like ``critical_values``, returns the upper end of a bracket of width at
-    most ``_CHI_TOL`` around the root, so the worst case there is at most
-    alpha.
-    """
-    z = float(ndtri(1.0 - alpha / 2.0))
-    if m2 == 0.0:
-        return z
-    cons = MomentConstraints(m2, kappa)
-    f = lambda chi, idx: _log_excess(
-        np.array([worst_noncoverage(cons, float(c)) for c in chi]), alpha
-    )
-    lo, hi = _cva_bracket(m2, alpha)
-    hi, f_hi = _solve.expand_upper(f, [hi])
-    return float(_solve.bracketed_root(f, [lo], hi, f([lo], None), f_hi, _CHI_TOL)[0])
+    """Critical value of one (m2, kappa) key: ``critical_values`` at length 1."""
+    return float(critical_values(m2, kappa, alpha)[0])
 
 
 def critical_value(constraints: MomentConstraints, alpha: float) -> CriticalValueResult:
     """Smallest chi whose worst-case non-coverage is at most alpha.
 
-    Monotone inversion of ``worst_noncoverage`` in chi.  The result carries
+    The chi of ``critical_values`` for this one key.  The result carries
     the least favorable squared-bias distribution and solver diagnostics
     (majorant kink; dual touch points and quadratic coefficient when the
     kurtosis constraint binds).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    chi = _cva_scalar(constraints.m2, constraints.kappa, alpha)
+    m2, kappa = constraints.m2, constraints.kappa
+    chi = _cva_scalar(m2, kappa, alpha)
     lf = least_favorable(constraints, chi)
     attained = lf.expectation(lambda t: noncoverage_sq(t, chi))
-    diag = {"t0": majorant_kink(chi)}
-    if constraints.kappa is not None and constraints.m2 > 0:
-        _, x0, x, binding = _fourth_with_solution(constraints.m2, constraints.kappa, chi)
-        if binding:
-            diag.update(
-                x0=x0,
-                x=x,
-                lambda2=float(
-                    0.5 * noncoverage_sq_d2(x0, chi)
-                    if abs(x - x0) < 1e-9
-                    else (
-                        noncoverage_sq(x, chi)
-                        - noncoverage_sq(x0, chi)
-                        - (x - x0) * noncoverage_sq_d1(x0, chi)
-                    )
-                    / (x - x0) ** 2
-                ),
-            )
+    t0 = majorant_kink(chi)
+    diag = {"t0": t0}
+    pair = _binding_pair(m2, kappa, chi, t0)
+    if pair is not None:
+        x0, x = pair
+        dx = x - x0
+        gap = noncoverage_sq(x, chi) - noncoverage_sq(x0, chi) - dx * noncoverage_sq_d1(x0, chi)
+        lambda2 = 0.5 * noncoverage_sq_d2(x0, chi) if abs(dx) < 1e-9 else gap / dx**2
+        diag.update(x0=x0, x=x, lambda2=float(lambda2))
     return CriticalValueResult(chi=chi, noncoverage=attained, lf=lf, diagnostics=diag)
 
 
@@ -582,23 +538,19 @@ def critical_values(m2, kappa=None, alpha: float = 0.05) -> np.ndarray:
 
     ``kappa`` may be None (second moment only), a scalar, or an array
     broadcast against ``m2``.  Each entry is the upper end of a bracket of
-    width at most 1e-8 around the root, so its worst case is at most alpha;
-    it matches ``critical_value(...)`` to that tolerance.  Used by the batch
-    pipeline and the simulation harness, where one inversion per unit would
-    be too slow.  Each distinct (m2, kappa) pair is solved once.
+    width at most 1e-8 around the root, so its worst case is at most alpha.
+    The scalar ``critical_value`` is this function at length 1.  Each
+    distinct (m2, kappa) pair is solved once.  A non-finite m2 or a NaN
+    kappa raises ValueError; kappa = inf means no kurtosis bound.
     """
-    m2 = np.atleast_1d(np.asarray(m2, dtype=float))
-    if np.any(m2 < 0):
-        raise ValueError("m2 must be >= 0")
+    m2 = np.atleast_1d(_checked("m2", m2))
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if kappa is None:
         uniq, inv = np.unique(m2, return_inverse=True)
         chi = _cva_second_batch_newton(uniq, alpha)
     else:
-        kap = np.broadcast_to(np.asarray(kappa, dtype=float), m2.shape)
-        if np.any(kap < 1.0):
-            raise ValueError("kappa must be >= 1")
+        kap = np.broadcast_to(_checked_kappa(kappa), m2.shape)
         # one exact key per (m2, kappa) pair; sorts far faster than unique(axis=0)
         key = m2.astype(complex)
         key.imag = kap
@@ -618,7 +570,7 @@ def _worst_noncoverage_batch(m2, kap, chi):
         t0c = t0[chord]
         out[chord] = r00 + (m2[chord] / t0c) * (noncoverage_sq(t0c, chi[chord]) - r00)
     if kap is not None:
-        binding = chord & (kap > 1.0 + 1e-9) & (kap < KAPPA_UNCONSTRAINED) & (kap * m2 < t0)
+        binding = _binding(m2, kap, t0)
         if binding.any():
             val, _, _ = _fourth_binding_batch(
                 m2[binding], kap[binding], chi[binding], t0[binding]
@@ -642,18 +594,17 @@ def least_favorable(constraints: MomentConstraints, chi: float) -> DiscreteDistr
     vanishing mass escaping to infinity).
     """
     m2, kappa = constraints.m2, constraints.kappa
+    t0 = majorant_kink(chi)
     if m2 == 0.0:
         return DiscreteDistribution((0.0,), (1.0,))
-    t0 = majorant_kink(chi)
-    if m2 >= t0 or t0 == 0.0 or (kappa is not None and kappa <= 1.0 + 1e-9):
+    if m2 >= t0 or (kappa is not None and kappa <= 1.0 + 1e-9):
         return DiscreteDistribution((m2,), (1.0,))
-    if kappa is None or kappa >= KAPPA_UNCONSTRAINED or kappa >= t0 / m2:
+    pair = _binding_pair(m2, kappa, chi, t0)
+    if pair is None:
         share = m2 / t0
         return DiscreteDistribution((0.0, t0), (1.0 - share, share))
-    _, x0, x, _ = _fourth_with_solution(m2, kappa, chi)
+    x0, x = pair
     if x - x0 < 1e-12:
         return DiscreteDistribution((m2,), (1.0,))
     p = (x - m2) / (x - x0)
-    if x0 <= 0.0:
-        return DiscreteDistribution((0.0, x), (p, 1.0 - p))
-    return DiscreteDistribution((x0, x), (p, 1.0 - p))
+    return DiscreteDistribution((max(x0, 0.0), x), (p, 1.0 - p))

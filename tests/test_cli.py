@@ -1,8 +1,12 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from oracles import cva_scalar
 from scipy.special import ndtri
 
 from shrinkci import cli
@@ -186,12 +190,9 @@ class TestCvaCommand:
         out = tmp_path / "cva.csv"
         assert cli.main(["cva", "--m2", "0,1,4", "--output", str(out)]) == 0
         _, rows = read_output(str(out))
-        from shrinkci import worstcase as wc
         for r in rows:
             m2 = float(r["m2"])
-            assert float(r["cva"]) == pytest.approx(
-                wc._cva_scalar(m2, None, 0.05), abs=1e-7
-            )
+            assert float(r["cva"]) == pytest.approx(cva_scalar(m2, None, 0.05), abs=1e-7)
             assert float(r["noncoverage"]) <= 0.05 + 1e-5
 
 
@@ -252,3 +253,15 @@ class TestPowerCommand:
         assert any(d > 0.01 for d in diffs)
         assert any(d < -0.01 for d in diffs)
         assert all(0 <= float(r["power_robust"]) <= 1 for r in rows)
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    # scipy.optimize costs about a quarter second at start-up; only the
+    # nonlinear calibrations (through momentlp) need it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, shrinkci.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -207,6 +207,18 @@ class TestHeteroskedasticDesign:
         assert 0.8 <= row.coverage <= 1.0
         assert math.isnan(row.rel_length)  # no oracle benchmark for this design
 
+    @pytest.mark.parametrize("snr", [0.05, 0.5, 4.0])
+    def test_replication_moments_match_estimate_moments(self, snr):
+        # _simulate_rep keeps its own PMT copy for speed; pin it to the library
+        d = self.make(snr)
+        for rep in range(3):
+            _, y, sigma, _, delta, mu2_hat, kappa_hat = sim._simulate_rep((d, 0, rep, 5))
+            records = [mom.UnitRecord(y=float(a), sigma=float(b)) for a, b in zip(y, sigma)]
+            est = mom.estimate_moments(records, variant="pmt", weights="inverse_variance")
+            assert delta == pytest.approx(float(est.delta[0]), rel=1e-12)
+            assert mu2_hat == pytest.approx(est.mu2, rel=1e-12)
+            assert kappa_hat == pytest.approx(est.kappa, rel=1e-12)
+
     def test_csv_loader_roundtrip(self, tmp_path):
         path = tmp_path / "calib.csv"
         path.write_text("theta_hat,se\n0.1,0.5\n-0.2,0.7\n0.05,0.2\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import cva_scalar, kink_brentq
 from scipy.optimize import brentq
 from shrinkci import momentlp as mlp
 from shrinkci import worstcase as wc
@@ -198,6 +199,42 @@ class TestDerivatives:
             assert d2 == pytest.approx(fd, rel=5e-3, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: wc.critical_values([math.nan, 1.0]),
+        lambda: wc.critical_values([1.0], kappa=math.nan),
+        lambda: wc.critical_values([1.0, 2.0], kappa=[3.0, math.nan]),
+        lambda: wc.critical_values([math.inf]),
+        lambda: wc.worst_noncoverage_second(0.5, math.nan),
+        lambda: wc.worst_noncoverage_second(math.inf, 2.0),
+        lambda: wc.worst_noncoverage_fourth(0.5, math.nan, 2.0),
+        lambda: wc.worst_noncoverage_fourth(0.5, 3.0, math.inf),
+        lambda: wc.worst_noncoverage(wc.MomentConstraints(1.0, 3.0), math.nan),
+        lambda: wc.least_favorable(wc.MomentConstraints(1.0), math.inf),
+        lambda: wc.majorant_kink(math.nan),
+        lambda: wc.majorant_kink(math.inf),
+        lambda: wc.majorant_kink(-1.0),
+    ],
+    ids=[
+        "cva-nan-m2", "cva-nan-kappa", "cva-nan-kappa-entry", "cva-inf-m2",
+        "second-nan-chi", "second-inf-m2", "fourth-nan-kappa", "fourth-inf-chi",
+        "worst-nan-chi", "lf-inf-chi", "kink-nan", "kink-inf", "kink-negative",
+    ],
+)
+def test_rejects_non_finite_inputs(call):
+    # a NaN must not turn into z, a dropped kurtosis bound or a solver crash
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_infinite_kappa_means_no_kurtosis_bound():
+    assert wc.critical_values([1.0], kappa=math.inf)[0] == pytest.approx(
+        wc.critical_values([1.0])[0], abs=1e-8
+    )
+    assert wc.worst_noncoverage_fourth(0.5, math.inf, 3.0) == wc.worst_noncoverage_second(0.5, 3.0)
+
+
 class TestMajorantKink:
     def test_zero_below_sqrt3(self):
         assert wc.majorant_kink(1.0) == 0.0
@@ -233,7 +270,7 @@ class TestMajorantKink:
         )
         batch = wc._majorant_kink_batch(chis)
         for c, t in zip(chis, batch):
-            assert t == pytest.approx(wc.majorant_kink(float(c)), rel=1e-10, abs=1e-10)
+            assert t == pytest.approx(kink_brentq(float(c)), rel=1e-10, abs=1e-10)
 
     def test_batch_newton_iteration_bound(self, monkeypatch):
         # one second-derivative call per lockstep Newton iteration
@@ -257,7 +294,7 @@ class TestMajorantKink:
         batch = wc._majorant_kink_batch(chis)
         r0 = wc.noncoverage_sq(0.0, chis)
         assert np.all(np.abs(wc._kink_objective(batch, chis, r0)) <= wc._kink_floor(r0))
-        scalar = np.array([wc.majorant_kink(float(c)) for c in chis])
+        scalar = np.array([kink_brentq(float(c)) for c in chis])
         m2 = 0.5 * np.minimum(batch, scalar)
         chord = lambda t: r0 + (m2 / t) * (wc.noncoverage_sq(t, chis) - r0)
         np.testing.assert_allclose(chord(batch), chord(scalar), rtol=0, atol=1e-15)
@@ -406,13 +443,13 @@ class TestCriticalValue:
             np.testing.assert_allclose(batch, ref, atol=1e-7)
             for i in (0, 5, 17):
                 assert batch[i] == pytest.approx(
-                    wc._cva_scalar(float(m2[i]), None, alpha), abs=1e-6
+                    cva_scalar(float(m2[i]), None, alpha), abs=1e-6
                 )
         kap = rng.uniform(1.2, 20, m2.size)
         batch4 = wc.critical_values(m2, kappa=kap, alpha=0.05)
         for i in (1, 7, 23):
             assert batch4[i] == pytest.approx(
-                wc._cva_scalar(float(m2[i]), float(kap[i]), 0.05), abs=1e-6
+                cva_scalar(float(m2[i]), float(kap[i]), 0.05), abs=1e-6
             )
 
     @pytest.mark.parametrize(
@@ -422,7 +459,7 @@ class TestCriticalValue:
     def test_second_moment_rejects_spurious_newton_root(self, m2, alpha):
         # the chord Newton system has a root with t below m2 at these inputs
         chi = wc.critical_values([m2], None, alpha)[0]
-        assert chi == pytest.approx(wc._cva_scalar(m2, None, alpha), abs=1e-8)
+        assert chi == pytest.approx(cva_scalar(m2, None, alpha), abs=1e-8)
 
     def test_coverage_guarantee(self):
         # every chi is the upper end of a bracket of width 1e-8 around the root
@@ -460,6 +497,20 @@ class TestCriticalValue:
             assert wc.worst_noncoverage(cons, chi) <= 0.05, m2
             assert wc.worst_noncoverage(cons, chi - 1e-8) > 0.05, m2
             assert chi == pytest.approx(wc.critical_values(m2, kappa, 0.05)[0], abs=1e-8)
+
+    def test_binding_diagnostics_are_the_least_favorable_pair(self):
+        rng = np.random.default_rng(12)
+        binding = 0
+        for _ in range(40):
+            m2 = float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0))))
+            kappa = 1.0 + float(np.exp(rng.uniform(np.log(1e-3), np.log(50.0))))
+            alpha = float(rng.choice([0.01, 0.05, 0.1]))
+            res = wc.critical_value(wc.MomentConstraints(m2, kappa), alpha)
+            if "x0" in res.diagnostics:
+                binding += 1
+                assert res.lf.points == (res.diagnostics["x0"], res.diagnostics["x"])
+                assert math.isfinite(res.diagnostics["lambda2"])
+        assert binding > 0
 
     def test_nearby_m2_solved_separately(self):
         # 0.9999996 and 1.0000004 agree to six decimals but not in chi
