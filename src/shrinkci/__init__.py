@@ -1,15 +1,13 @@
 """Robust empirical Bayes confidence intervals for normal-means problems."""
 
-from shrinkci.moments import MomentEstimates, UnitRecord, estimate_moments
+from shrinkci.moments import MomentEstimates, UnitError, Units, estimate_moments
 from shrinkci.pipeline import (
     EbciOutput,
     FitResult,
     average_power,
     fit,
     optimal_shrinkage,
-    parametric_interval,
     parametric_worst_noncoverage,
-    unshrunk_interval,
 )
 from shrinkci.worstcase import (
     CriticalValueResult,

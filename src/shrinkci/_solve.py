@@ -41,8 +41,9 @@ def bracketed_root(f, lo, hi, f_lo, f_hi, tol: float):
     """Root of a decreasing ``f`` by the ITP method, per entry.
 
     Requires ``f_hi <= 0``.  Each entry stops once its bracket is at most
-    ``tol`` wide and returns the bracket's upper end, so ``f`` is
-    non-positive there and positive ``tol`` below it; an entry with
+    ``tol`` wide, or its ends are adjacent floats, and returns the bracket's
+    upper end, so ``f`` is non-positive there and positive ``tol`` below it
+    (or at the next float below it); an entry with
     ``f_lo <= 0`` returns ``lo``.  Steps interpolate (regula falsi,
     truncated and projected toward the midpoint; Oliveira & Takahashi 2020,
     ACM TOMS 47(1)) but never exceed one more than bisection would need.
@@ -78,7 +79,8 @@ def bracketed_root(f, lo, hi, f_lo, f_hi, tol: float):
         hi = np.where(low, hi, x)
         f_hi = np.where(low, f_hi, fx)
         steps_left -= 1.0
-        done = hi - lo <= tol
+        # adjacent floats end a bracket that rounding keeps wider than tol
+        done = (hi - lo <= tol) | (np.nextafter(lo, np.inf) >= hi)
         out[idx[done]] = hi[done]
         keep = ~done
         idx, lo, hi, f_lo, f_hi = idx[keep], lo[keep], hi[keep], f_lo[keep], f_hi[keep]

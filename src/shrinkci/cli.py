@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import os
 import sys
@@ -78,45 +79,54 @@ def _apply_config_defaults(args: argparse.Namespace, argv: list[str]):
             setattr(args, key, value)
 
 
-def _read_units_csv(path: str) -> list[mom.UnitRecord]:
+def _number(path: str, lineno: int, col: str, raw: str | None) -> float:
+    if raw is None or raw == "":
+        raise SchemaError(f"{path}: line {lineno}: missing value in column '{col}'")
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        return float(raw)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: line {lineno}: column '{col}': not a number: {raw!r}") from exc
+
+
+def _read_units_csv(path: str) -> mom.Units:
+    """Units from a CSV with columns y, se and optionally x1..xk and weight.
+
+    Lines starting with '#' are comments; error messages name the physical
+    line of the offending row.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = [(n, line) for n, line in enumerate(fh, start=1) if not line.startswith("#")]
     except OSError as exc:
         raise SchemaError(f"cannot open input file {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        cols = reader.fieldnames or []
-        for required in ("y", "se"):
-            if required not in cols:
-                raise SchemaError(f"{path}: missing required column '{required}'")
-        xcols = sorted(
-            (c for c in cols if c.startswith("x") and c[1:].isdigit()),
-            key=lambda c: int(c[1:]),
-        )
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            def grab(col):
-                raw = row.get(col)
-                if raw is None or raw == "":
-                    raise SchemaError(f"{path}: line {lineno}: missing value in column '{col}'")
-                try:
-                    return float(raw)
-                except ValueError as exc:
-                    raise SchemaError(
-                        f"{path}: line {lineno}: column '{col}': not a number: {raw!r}"
-                    ) from exc
-
-            x = (1.0, *(grab(c) for c in xcols))
-            omega = grab("weight") if "weight" in cols else 1.0
-            try:
-                records.append(
-                    mom.UnitRecord(y=grab("y"), sigma=grab("se"), x=x, omega=omega)
-                )
-            except ValueError as exc:
-                raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
-    if not records:
+    reader = csv.DictReader(line for _, line in lines)
+    cols = reader.fieldnames or []
+    for required in ("y", "se"):
+        if required not in cols:
+            raise SchemaError(f"{path}: missing required column '{required}'")
+    xcols = sorted(
+        (c for c in cols if c.startswith("x") and c[1:].isdigit()),
+        key=lambda c: int(c[1:]),
+    )
+    names = ["y", "se", *xcols, *(["weight"] if "weight" in cols else [])]
+    rows, linenos = [], []
+    for row in reader:
+        lineno = lines[reader.line_num - 1][0]
+        rows.append([_number(path, lineno, c, row.get(c)) for c in names])
+        linenos.append(lineno)
+    if not rows:
         raise SchemaError(f"{path}: no data rows")
-    return records
+    table = np.array(rows)
+    k = 2 + len(xcols)
+    try:
+        return mom.Units(
+            y=table[:, 0],
+            sigma=table[:, 1],
+            X=np.column_stack([np.ones(len(rows)), table[:, 2:k]]),
+            omega=table[:, k] if "weight" in cols else None,
+        )
+    except mom.UnitError as exc:
+        raise SchemaError(f"{path}: line {linenos[exc.index]}: {exc}") from exc
 
 
 def _write_csv(path: str, header_comments: list[str], colnames: list[str], rows):
@@ -134,8 +144,12 @@ def _fmt_array(arr) -> str:
 
 
 def cmd_fit(args) -> int:
+    if args.nn_j is not None and args.moments != "nn":
+        raise ConfigError("--nn-j applies only with --moments nn")
     data = _read_units_csv(args.input)
-    weights = "record" if any(u.omega != 1.0 for u in data) else args.weights
+    if args.nn_j is not None and not 2 <= args.nn_j <= len(data):
+        raise ConfigError(f"--nn-j must be in [2, {len(data)}] (the unit count), got {args.nn_j}")
+    weights = "record" if np.any(data.omega != 1.0) else args.weights
     res = pl.fit(
         data,
         alpha=args.alpha,
@@ -155,34 +169,12 @@ def cmd_fit(args) -> int:
     ]
     if est.neighbors is not None:
         header.append(f"nn_j={est.neighbors}")
-    cols = [
-        "theta_hat",
-        "w_eb",
-        "cva",
-        "lower",
-        "upper",
-        "half_length",
-        "method",
-        "param_max_noncov",
-        "rule_of_thumb_ok",
-        "error",
-    ]
-    rows = [
-        [
-            o.theta_hat,
-            o.w_eb,
-            o.cva,
-            o.lower,
-            o.upper,
-            o.half_length,
-            o.method,
-            o.param_max_noncov,
-            int(o.rule_of_thumb_ok),
-            o.error or "",
-        ]
-        for o in res.outputs
-    ]
-    _write_csv(args.output, header, cols, rows)
+    columns = {f.name: getattr(res, f.name) for f in dataclasses.fields(pl.EbciOutput)}
+    columns["method"] = np.full(len(data), res.method)
+    columns["rule_of_thumb_ok"] = columns["rule_of_thumb_ok"].astype(int)
+    # tolist: Python floats, whose repr is the plain round-trip literal
+    rows = zip(*(col.tolist() for col in columns.values()))
+    _write_csv(args.output, header, list(columns), rows)
     return EXIT_OK
 
 

@@ -21,7 +21,8 @@ import numpy as np
 from scipy.special import ndtr
 
 __all__ = [
-    "UnitRecord",
+    "Units",
+    "UnitError",
     "MomentEstimates",
     "RankDeficientError",
     "wls_delta",
@@ -54,25 +55,64 @@ def _exact_dot(a: np.ndarray, b: np.ndarray) -> float:
     return math.fsum(a * b)
 
 
-@dataclass(frozen=True)
-class UnitRecord:
-    """One observation: unshrunk estimate, its standard error, covariates,
-    and the weight used in the moment estimation steps."""
+class UnitError(ValueError):
+    """A unit fails validation; ``index`` is its position in the input."""
 
-    y: float
-    sigma: float
-    x: tuple[float, ...] = (1.0,)
-    omega: float = 1.0
+    def __init__(self, index: int, message: str):
+        self.index = index
+        super().__init__(f"unit {index}: {message}")
+
+
+@dataclass(frozen=True, eq=False)
+class Units:
+    """The observations as columns: unshrunk estimates ``y``, their standard
+    errors ``sigma``, covariates ``X`` (one row per unit; default an
+    intercept column) and the weights ``omega`` used in the moment
+    estimation steps (default ones).
+
+    Validated once on construction; a ``UnitError`` names the first unit
+    that fails.  The stored arrays are read-only float copies.
+    """
+
+    y: np.ndarray
+    sigma: np.ndarray
+    X: np.ndarray | None = None
+    omega: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.y) and np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"need finite y and sigma > 0, got y={self.y}, sigma={self.sigma}")
-        if not (np.isfinite(self.omega) and self.omega >= 0):
-            raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
-        x = tuple(float(v) for v in self.x)
-        if not all(np.isfinite(v) for v in x):
-            raise ValueError("covariates must be finite")
-        object.__setattr__(self, "x", x)
+        y = np.array(self.y, dtype=float)
+        n = y.size
+        if n == 0:
+            raise ValueError("need at least one unit")
+        cols = {
+            "y": y,
+            "sigma": np.array(self.sigma, dtype=float),
+            "X": np.ones((n, 1)) if self.X is None else np.array(self.X, dtype=float),
+            "omega": np.ones(n) if self.omega is None else np.array(self.omega, dtype=float),
+        }
+        for name, col in cols.items():
+            ndim = 2 if name == "X" else 1
+            if col.ndim != ndim:
+                raise ValueError(f"{name} must be {ndim}-D, got shape {col.shape}")
+            if len(col) != n:
+                raise UnitError(min(len(col), n), f"{name} has {len(col)} rows for {n} units")
+        sigma, X, omega = cols["sigma"], cols["X"], cols["omega"]
+        checks = (
+            (np.isfinite(y), "y must be finite", y),
+            (np.isfinite(sigma) & (sigma > 0), "sigma must be finite and > 0", sigma),
+            (np.isfinite(omega) & (omega >= 0), "omega must be finite and >= 0", omega),
+            (np.isfinite(X).all(axis=1), "covariates must be finite", X),
+        )
+        bad = [(int(np.argmin(ok)), msg, col) for ok, msg, col in checks if not ok.all()]
+        if bad:
+            i, msg, col = min(bad, key=lambda b: b[0])
+            raise UnitError(i, f"{msg}, got {col[i].tolist()!r}")
+        for name, col in cols.items():
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    def __len__(self) -> int:
+        return self.y.size
 
 
 @dataclass
@@ -87,15 +127,6 @@ class MomentEstimates:
     neighbors: int | None = None
     fplib_fallback: bool = False
     extras: dict = field(default_factory=dict)
-
-
-def as_arrays(data: Sequence[UnitRecord]):
-    """Unpack records into (y, sigma, X, omega) arrays."""
-    y = np.array([u.y for u in data], dtype=float)
-    sigma = np.array([u.sigma for u in data], dtype=float)
-    X = np.array([u.x for u in data], dtype=float)
-    omega = np.array([u.omega for u in data], dtype=float)
-    return y, sigma, X, omega
 
 
 def wls_delta(y: np.ndarray, X: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -300,7 +331,7 @@ def cv_select_neighbors(
 
 
 def estimate_moments(
-    data: Sequence[UnitRecord],
+    data: Units,
     variant: str = "pmt",
     weights: str | np.ndarray = "uniform",
     neighbors: int | None = None,
@@ -310,7 +341,7 @@ def estimate_moments(
     """Full moment-estimation step: regression, raw moments, truncation.
 
     ``weights`` is "uniform" (omega = 1/n), "inverse_variance"
-    (omega = 1/sigma^2), "record" (take omegas from the records), or an
+    (omega = 1/sigma^2), "record" (take ``data.omega``), or an
     explicit array.  ``variant`` is "uc", "pmt", "fplib", or "nn"; the
     nearest-neighbor variant also reports global PMT values, which the
     pipeline uses for the shrinkage weight.  ``split_weights`` switches the
@@ -318,21 +349,21 @@ def estimate_moments(
     that become optimal at low signal-to-noise ratios, keeping the supplied
     weights for the regression step only.
     """
-    y, sigma, X, omega_rec = as_arrays(data)
-    n = len(y)
+    y, sigma, X = data.y, data.sigma, data.X
+    n = len(data)
     if isinstance(weights, str):
         if weights == "uniform":
             omega = np.full(n, 1.0 / n)
         elif weights == "inverse_variance":
             omega = sigma**-2.0
         elif weights == "record":
-            omega = omega_rec
+            omega = data.omega
         else:
             raise ValueError(f"unknown weights option {weights!r}")
     else:
         omega = np.asarray(weights, dtype=float)
         if omega.shape != (n,):
-            raise ValueError("explicit weights must have one entry per record")
+            raise ValueError("explicit weights must have one entry per unit")
     delta = wls_delta(y, X, omega)
     residuals = y - X @ delta
     om2 = sigma**-4.0 if split_weights else omega

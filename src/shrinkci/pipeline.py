@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -27,8 +26,6 @@ __all__ = [
     "FitResult",
     "METHODS",
     "fit",
-    "parametric_interval",
-    "unshrunk_interval",
     "parametric_worst_noncoverage",
     "optimal_shrinkage",
     "average_power",
@@ -61,12 +58,33 @@ class EbciOutput:
     error: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
-    outputs: tuple[EbciOutput, ...]
+    """Per-unit columns in input order (the fields of ``EbciOutput`` other
+    than ``method``), plus the moments and settings of the run."""
+
+    theta_hat: np.ndarray
+    w_eb: np.ndarray
+    cva: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    half_length: np.ndarray
+    param_max_noncov: np.ndarray
+    rule_of_thumb_ok: np.ndarray
+    error: np.ndarray  # object array: None, or why the unit failed
     moments: mom.MomentEstimates
     alpha: float
     method: str
+
+    @property
+    def outputs(self) -> tuple[EbciOutput, ...]:
+        """The same results as one ``EbciOutput`` per unit, built on each call."""
+        method = [self.method] * len(self.theta_hat)
+        cols = [
+            method if f.name == "method" else getattr(self, f.name).tolist()
+            for f in dataclasses.fields(EbciOutput)
+        ]
+        return tuple(EbciOutput(*row) for row in zip(*cols))
 
 
 def _z(alpha: float) -> float:
@@ -74,7 +92,7 @@ def _z(alpha: float) -> float:
 
 
 def fit(
-    data: Sequence[mom.UnitRecord],
+    data: mom.Units,
     alpha: float = 0.05,
     method: str = "robust_mu2_kappa",
     moment_variant: str = "pmt",
@@ -85,8 +103,8 @@ def fit(
     """Batch pipeline: estimate moments, shrink, and build intervals.
 
     ``moment_estimates`` short-circuits the estimation step, which is how
-    oracle-moment runs are done.  A failing unit is flagged in its output row
-    rather than aborting the batch.
+    oracle-moment runs are done.  A failing unit is flagged in the ``error``
+    column rather than aborting the batch.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -95,8 +113,8 @@ def fit(
     est = moment_estimates
     if est is None:
         est = mom.estimate_moments(data, variant=moment_variant, weights=weights, neighbors=neighbors)
-    y, sigma, X, _ = mom.as_arrays(data)
-    center0 = X @ est.delta
+    y, sigma = data.y, data.sigma
+    center0 = data.X @ est.delta
     w = est.mu2 / (est.mu2 + sigma**2)
     z = _z(alpha)
 
@@ -127,28 +145,21 @@ def fit(
         chi = wc.critical_values(m2, kappa, alpha)
         half = chi * w_out * sigma
     noncov_kappa = est.kappa if method == "robust_mu2_kappa" else None
-    param_noncov = _param_noncov_batch(w, alpha, noncov_kappa)
-    outputs = []
-    for i in range(len(y)):
-        row = EbciOutput(
-            theta_hat=float(theta[i]),
-            w_eb=float(w_out[i]),
-            cva=float(chi[i]),
-            lower=float(theta[i] - half[i]),
-            upper=float(theta[i] + half[i]),
-            half_length=float(half[i]),
-            method=method,
-            param_max_noncov=float(param_noncov[i]),
-            rule_of_thumb_ok=bool(w[i] >= RULE_OF_THUMB_W),
-        )
-        if not (
-            math.isfinite(row.theta_hat)
-            and math.isfinite(row.half_length)
-            and row.half_length >= 0
-        ):
-            row = dataclasses.replace(row, error="non-finite interval")
-        outputs.append(row)
-    return FitResult(outputs=tuple(outputs), moments=est, alpha=alpha, method=method)
+    ok = np.isfinite(theta) & np.isfinite(half) & (half >= 0)
+    return FitResult(
+        theta_hat=theta,
+        w_eb=w_out,
+        cva=chi,
+        lower=theta - half,
+        upper=theta + half,
+        half_length=half,
+        param_max_noncov=_param_noncov_batch(w, alpha, noncov_kappa),
+        rule_of_thumb_ok=w >= RULE_OF_THUMB_W,
+        error=np.where(ok, None, "non-finite interval"),
+        moments=est,
+        alpha=alpha,
+        method=method,
+    )
 
 
 def _param_noncov_batch(w: np.ndarray, alpha: float, kappa: float | None) -> np.ndarray:
@@ -157,51 +168,6 @@ def _param_noncov_batch(w: np.ndarray, alpha: float, kappa: float | None) -> np.
     chi = z / np.sqrt(w)
     kap = None if kappa is None else np.full_like(w, kappa)
     return wc._worst_noncoverage_batch(m2, kap, chi)
-
-
-def parametric_interval(
-    unit: mom.UnitRecord, mu2: float, alpha: float = 0.05, center: float = 0.0
-) -> EbciOutput:
-    """Interval that treats the effects as exactly Gaussian with variance mu2.
-
-    Half-length z * sqrt(w) * sigma around the shrunk estimate; its marginal
-    coverage is exactly 1 - alpha when the Gaussian assumption holds and can
-    fall as low as 1 - 1/max(z^2, 1) when it does not.
-    """
-    if not mu2 > 0:
-        raise ValueError("mu2 must be > 0")
-    z = _z(alpha)
-    w = mu2 / (mu2 + unit.sigma**2)
-    theta = center + w * (unit.y - center)
-    half = z * math.sqrt(w) * unit.sigma
-    return EbciOutput(
-        theta_hat=theta,
-        w_eb=w,
-        cva=z / math.sqrt(w),
-        lower=theta - half,
-        upper=theta + half,
-        half_length=half,
-        method="parametric",
-        param_max_noncov=parametric_worst_noncoverage(w, alpha),
-        rule_of_thumb_ok=w >= RULE_OF_THUMB_W,
-    )
-
-
-def unshrunk_interval(unit: mom.UnitRecord, alpha: float = 0.05) -> EbciOutput:
-    """The usual interval around the raw estimate, half-length z * sigma."""
-    z = _z(alpha)
-    half = z * unit.sigma
-    return EbciOutput(
-        theta_hat=unit.y,
-        w_eb=1.0,
-        cva=z,
-        lower=unit.y - half,
-        upper=unit.y + half,
-        half_length=half,
-        method="unshrunk",
-        param_max_noncov=float(wc.noncoverage_sq(0.0, z)),
-        rule_of_thumb_ok=True,
-    )
 
 
 def parametric_worst_noncoverage(

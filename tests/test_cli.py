@@ -60,8 +60,7 @@ class TestFitCommand:
         code = cli.main(["fit", "--input", str(inp), "--output", str(out)])
         assert code == 0
         header, rows = read_output(str(out))
-        data = [mom.UnitRecord(y=float(y[i]), sigma=float(se[i])) for i in range(n)]
-        res = pl.fit(data)
+        res = pl.fit(mom.Units(y, se))
         assert float(header["mu2"]) == res.moments.mu2
         assert float(header["kappa"]) == res.moments.kappa
         assert len(rows) == n
@@ -110,6 +109,61 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "line 3" in err and "'y'" in err
 
+    def test_bad_number_after_comments_names_physical_line(self, tmp_path, capsys):
+        inp = tmp_path / "in.csv"
+        inp.write_text("# a comment\n# another\ny,se\n1.0,0.5\nNOPE,0.7\n")
+        out = tmp_path / "out.csv"
+        assert cli.main(["fit", "--input", str(inp), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "line 5" in err and "'y'" in err
+
+    def test_invalid_unit_after_comments_names_physical_line(self, tmp_path, capsys):
+        inp = tmp_path / "in.csv"
+        inp.write_text("# a comment\ny,se\n1.0,0.5\n# mid-file comment\n2.0,0.7\n3.0,0\n")
+        out = tmp_path / "out.csv"
+        assert cli.main(["fit", "--input", str(inp), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "line 6" in err and "sigma" in err
+
+    def test_nn_j_without_nn_moments_exit_4(self, tmp_path, capsys):
+        inp = tmp_path / "in.csv"
+        write_units(str(inp), np.linspace(-1, 1, 40), np.ones(40))
+        assert cli.main([
+            "fit", "--input", str(inp), "--output", str(tmp_path / "o.csv"), "--nn-j", "10",
+        ]) == 4
+        assert "--nn-j" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nn_j", ["1", "41"])
+    def test_nn_j_outside_unit_range_exit_4(self, tmp_path, capsys, nn_j):
+        inp = tmp_path / "in.csv"
+        write_units(str(inp), np.linspace(-1, 1, 40), np.ones(40))
+        assert cli.main([
+            "fit", "--input", str(inp), "--output", str(tmp_path / "o.csv"),
+            "--moments", "nn", "--nn-j", nn_j,
+        ]) == 4
+        assert "[2, 40]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["robust_mu2", "robust_mu2_kappa"])
+    def test_one_huge_standard_error_keeps_the_batch(self, tmp_path, method):
+        # m2 = se^2 / mu2 near 1e18 for the outlier: its chi lies beyond 2**26,
+        # where the float spacing exceeds the inversion's 1e-8 bracket width
+        rng = np.random.default_rng(7)
+        se = np.ones(200)
+        se[17] = 1e9
+        y = rng.normal(0, 1.5, 200) + se * rng.standard_normal(200)
+        inp = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        write_units(str(inp), y, se)
+        assert cli.main([
+            "fit", "--input", str(inp), "--output", str(out), "--method", method,
+            "--weights", "inverse_variance",
+        ]) == 0
+        _, rows = read_output(str(out))
+        assert len(rows) == 200
+        for r in rows:
+            assert r["error"] == ""
+            assert all(math.isfinite(float(r[c])) for c in ("theta_hat", "cva", "lower", "upper"))
+
     def test_alpha_out_of_range_exit_4(self, tmp_path, capsys):
         inp = tmp_path / "in.csv"
         inp.write_text("y,se\n1.0,0.5\n")
@@ -129,11 +183,7 @@ class TestFitCommand:
         write_units(str(inp), y, se, weight=weight)
         assert cli.main(["fit", "--input", str(inp), "--output", str(out)]) == 0
         header, _ = read_output(str(out))
-        data = [
-            mom.UnitRecord(y=float(y[i]), sigma=float(se[i]), omega=float(weight[i]))
-            for i in range(n)
-        ]
-        res = pl.fit(data, weights="record")
+        res = pl.fit(mom.Units(y, se, omega=weight), weights="record")
         assert float(header["mu2"]) == res.moments.mu2
 
     def test_config_file_defaults_and_flag_precedence(self, tmp_path):

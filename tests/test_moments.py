@@ -6,14 +6,51 @@ import pytest
 from shrinkci import moments as mom
 
 
-def make_records(y, sigma, x=None, omega=None):
-    n = len(y)
-    x = x if x is not None else [(1.0,)] * n
-    omega = omega if omega is not None else [1.0] * n
-    return [
-        mom.UnitRecord(y=float(y[i]), sigma=float(sigma[i]), x=tuple(x[i]), omega=float(omega[i]))
-        for i in range(n)
-    ]
+
+
+class TestUnits:
+    def test_defaults_and_len(self):
+        units = mom.Units([1.0, 2.0, 3.0], [1.0, 0.5, 2.0])
+        assert len(units) == 3
+        np.testing.assert_array_equal(units.X, np.ones((3, 1)))
+        np.testing.assert_array_equal(units.omega, np.ones(3))
+        assert not units.y.flags.writeable
+
+    @pytest.mark.parametrize(
+        "kwargs, index, message",
+        [
+            (dict(y=[0.0, math.nan, 1.0, math.inf]), 1, "y must be finite"),
+            (dict(y=[0.0, 1.0, 2.0, -math.inf]), 3, "y must be finite"),
+            (dict(sigma=[1.0, 1.0, 0.0, 1.0]), 2, "sigma"),
+            (dict(sigma=[1.0, -1.0, 1.0, 1.0]), 1, "sigma"),
+            (dict(sigma=[1.0, 1.0, 1.0, math.nan]), 3, "sigma"),
+            (dict(omega=[1.0, 1.0, -0.5, 1.0]), 2, "omega"),
+            (dict(omega=[math.inf, 1.0, 1.0, 1.0]), 0, "omega"),
+            (dict(X=[[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, math.nan]]), 3, "covariates"),
+            # the first bad unit wins across columns
+            (dict(y=[0.0, 0.0, math.nan, 0.0], sigma=[1.0, 0.0, 1.0, 1.0]), 1, "sigma"),
+            (dict(sigma=[1.0, 1.0, 1.0]), 3, "sigma has 3 rows for 4 units"),
+            (dict(omega=[1.0] * 5), 4, "omega has 5 rows for 4 units"),
+            (dict(X=np.ones((2, 1))), 2, "X has 2 rows for 4 units"),
+        ],
+    )
+    def test_rejects_bad_unit_naming_first_index(self, kwargs, index, message):
+        args = dict(y=np.zeros(4), sigma=np.ones(4)) | kwargs
+        with pytest.raises(mom.UnitError, match=message) as exc:
+            mom.Units(**args)
+        assert exc.value.index == index
+        assert str(exc.value).startswith(f"unit {index}: ")
+
+    def test_rejects_one_dimensional_x(self):
+        with pytest.raises(ValueError, match="X must be 2-D"):
+            mom.Units(np.zeros(4), np.ones(4), X=np.ones(4))
+
+    def test_rejects_empty_and_non_vector_y(self):
+        with pytest.raises(ValueError, match="need at least one unit"):
+            mom.Units([], [])
+        for y in ([[1.0, 2.0]], 1.0):
+            with pytest.raises(ValueError, match="y must be 1-D"):
+                mom.Units(y, [1.0])
 
 
 class TestWls:
@@ -132,7 +169,7 @@ class TestFplib:
         theta = rng.normal(0, 1.0, n)
         sigma = rng.uniform(0.5, 1.5, n)
         y = theta + sigma * rng.standard_normal(n)
-        data = make_records(y, sigma)
+        data = mom.Units(y, sigma)
         est_f = mom.estimate_moments(data, variant="fplib")
         est_p = mom.estimate_moments(data, variant="pmt")
         assert not est_f.fplib_fallback
@@ -146,7 +183,7 @@ class TestNearestNeighbor:
         n = 50
         y = rng.normal(0, 1, n)
         sigma = rng.uniform(0.5, 2.0, n)
-        data = make_records(y, sigma)
+        data = mom.Units(y, sigma)
         est = mom.estimate_moments(data, variant="nn", neighbors=n)
         glob = mom.estimate_moments(data, variant="pmt")
         np.testing.assert_allclose(est.mu2_per_unit, glob.mu2, rtol=1e-10)
@@ -161,7 +198,7 @@ class TestNearestNeighbor:
         mu2_true = np.concatenate([np.full(half, 0.25), np.full(half, 4.0)])
         theta = rng.normal(0, np.sqrt(mu2_true))
         y = theta + sigma * rng.standard_normal(n)
-        data = make_records(y, sigma)
+        data = mom.Units(y, sigma)
         est = mom.estimate_moments(data, variant="nn", neighbors=200)
         lo = est.mu2_per_unit[:half].mean()
         hi = est.mu2_per_unit[half:].mean()
@@ -169,7 +206,7 @@ class TestNearestNeighbor:
         assert hi == pytest.approx(4.0, abs=0.8)
 
     def test_rejects_bad_neighbor_count(self):
-        data = make_records(np.zeros(5) + 1.0, np.ones(5))
+        data = mom.Units(np.zeros(5) + 1.0, np.ones(5))
         with pytest.raises(ValueError):
             mom.nn_moments(np.zeros(5), np.ones(5), np.ones((5, 1)), np.ones(5), 1)
 
@@ -227,7 +264,7 @@ class TestSplitWeights:
         n = 300
         y = rng.normal(0, 1, n)
         sigma = np.full(n, 1.3)
-        data = make_records(y, sigma)
+        data = mom.Units(y, sigma)
         shared = mom.estimate_moments(data, variant="pmt")
         split = mom.estimate_moments(data, variant="pmt", split_weights=True)
         assert split.mu2 == pytest.approx(shared.mu2, rel=1e-12)
@@ -239,7 +276,7 @@ class TestSplitWeights:
         theta = rng.normal(0, math.sqrt(0.4), n)
         sigma = rng.uniform(0.5, 2.0, n)
         y = theta + sigma * rng.standard_normal(n)
-        data = make_records(y, sigma)
+        data = mom.Units(y, sigma)
         for variant in ("pmt", "fplib"):
             est = mom.estimate_moments(data, variant=variant, split_weights=True)
             assert est.mu2 == pytest.approx(0.4, abs=0.05)
@@ -253,8 +290,8 @@ class TestScaleEquivariance:
         y = rng.normal(0, 1, n)
         sigma = rng.uniform(0.5, 1.5, n)
         c = 3.7
-        base = mom.estimate_moments(make_records(y, sigma), variant="uc")
-        scaled = mom.estimate_moments(make_records(c * y, c * sigma), variant="uc")
+        base = mom.estimate_moments(mom.Units(y, sigma), variant="uc")
+        scaled = mom.estimate_moments(mom.Units(c * y, c * sigma), variant="uc")
         assert scaled.mu2 == pytest.approx(c * c * base.mu2, rel=1e-12)
 
     def test_pmt_scales_consistently(self):
@@ -263,7 +300,7 @@ class TestScaleEquivariance:
         y = rng.normal(0, 1, n)
         sigma = rng.uniform(0.5, 1.5, n)
         c = 0.4
-        base = mom.estimate_moments(make_records(y, sigma), variant="pmt")
-        scaled = mom.estimate_moments(make_records(c * y, c * sigma), variant="pmt")
+        base = mom.estimate_moments(mom.Units(y, sigma), variant="pmt")
+        scaled = mom.estimate_moments(mom.Units(c * y, c * sigma), variant="pmt")
         assert scaled.mu2 == pytest.approx(c * c * base.mu2, rel=1e-12)
         assert scaled.kappa == pytest.approx(base.kappa, rel=1e-12)

@@ -12,37 +12,43 @@ from shrinkci import worstcase as wc
 Z975 = float(ndtri(0.975))
 
 
-def simulate_records(rng, n, mu2, sigma_range=(0.5, 2.0), delta=0.0):
+def simulate_units(rng, n, mu2, sigma_range=(0.5, 2.0), delta=0.0):
     theta = rng.normal(delta, math.sqrt(mu2), n)
     sigma = rng.uniform(*sigma_range, n)
     y = theta + sigma * rng.standard_normal(n)
-    data = [mom.UnitRecord(y=float(y[i]), sigma=float(sigma[i])) for i in range(n)]
-    return data, theta
+    return mom.Units(y, sigma), theta
+
+
+def given_moments(mu2):
+    """Oracle moments, shrinking toward 0, for ``fit(..., moment_estimates=...)``."""
+    return mom.MomentEstimates(
+        delta=np.array([0.0]), mu2=mu2, kappa=3.0, variant="pmt", residuals=np.zeros(1)
+    )
 
 
 class TestFit:
     def test_shrinks_toward_fitted_value(self):
         rng = np.random.default_rng(0)
-        data, _ = simulate_records(rng, 80, 1.0)
+        data, _ = simulate_units(rng, 80, 1.0)
         res = pl.fit(data)
         delta = res.moments.delta[0]
         mu2 = res.moments.mu2
-        for unit, out in zip(data, res.outputs):
-            w = mu2 / (mu2 + unit.sigma**2)
+        for y, sigma, out in zip(data.y, data.sigma, res.outputs):
+            w = mu2 / (mu2 + sigma**2)
             assert out.w_eb == pytest.approx(w, rel=1e-12)
-            assert out.theta_hat == pytest.approx(delta + w * (unit.y - delta), rel=1e-10)
+            assert out.theta_hat == pytest.approx(delta + w * (y - delta), rel=1e-10)
             assert out.lower <= out.theta_hat <= out.upper
-            assert out.half_length == pytest.approx(out.cva * w * unit.sigma, rel=1e-12)
+            assert out.half_length == pytest.approx(out.cva * w * sigma, rel=1e-12)
             assert out.cva >= Z975
 
     def test_no_shrinkage_limit(self):
         # enormous mu2 makes w -> 1 and the interval unshrunk
-        unit = mom.UnitRecord(y=2.0, sigma=1.0)
+        unit = mom.Units([2.0], [1.0])
         est = mom.MomentEstimates(
             delta=np.array([0.0]), mu2=1e8, kappa=3.0, variant="pmt",
             residuals=np.array([2.0]),
         )
-        res = pl.fit([unit], moment_estimates=est, method="robust_mu2")
+        res = pl.fit(unit, moment_estimates=est, method="robust_mu2")
         out = res.outputs[0]
         assert out.w_eb == pytest.approx(1.0, abs=1e-6)
         assert out.cva == pytest.approx(Z975, abs=1e-3)
@@ -50,13 +56,13 @@ class TestFit:
 
     def test_homoskedastic_zero_covariate_form(self):
         # with known moments and sigma = 1 the interval is w*y +- cva(1/mu2)*w
-        unit = mom.UnitRecord(y=1.3, sigma=1.0)
+        unit = mom.Units([1.3], [1.0])
         mu2 = 0.5
         est = mom.MomentEstimates(
             delta=np.array([0.0]), mu2=mu2, kappa=1e7, variant="pmt",
             residuals=np.array([1.3]),
         )
-        res = pl.fit([unit], moment_estimates=est, method="robust_mu2")
+        res = pl.fit(unit, moment_estimates=est, method="robust_mu2")
         out = res.outputs[0]
         w = mu2 / (mu2 + 1.0)
         assert out.theta_hat == pytest.approx(w * 1.3, rel=1e-12)
@@ -65,10 +71,10 @@ class TestFit:
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(1)
-        data, _ = simulate_records(rng, 40, 0.6)
+        data, _ = simulate_units(rng, 40, 0.6)
         perm = rng.permutation(40)
         res = pl.fit(data)
-        res_p = pl.fit([data[i] for i in perm])
+        res_p = pl.fit(mom.Units(data.y[perm], data.sigma[perm]))
         for k, i in enumerate(perm):
             assert res_p.outputs[k] == res.outputs[i]
 
@@ -91,25 +97,41 @@ class TestFit:
 
     def test_nn_variant_uses_per_unit_moments(self):
         rng = np.random.default_rng(3)
-        data, _ = simulate_records(rng, 60, 1.0)
+        data, _ = simulate_units(rng, 60, 1.0)
         res = pl.fit(data, method="robust_mu2_kappa", moment_variant="nn", neighbors=30)
         est = res.moments
-        for unit, out in zip(data, res.outputs):
-            w = est.mu2 / (est.mu2 + unit.sigma**2)
+        for sigma, out in zip(data.sigma, res.outputs):
+            w = est.mu2 / (est.mu2 + sigma**2)
             assert out.w_eb == pytest.approx(w, rel=1e-12)
         # critical values differ across units with identical sigma ordering
         assert est.mu2_per_unit is not None
 
+    def test_columns_match_rows_and_flag_failing_units(self):
+        # the second unit's fitted value overflows; only its row is flagged
+        units = mom.Units([0.5, 0.5], [1.0, 1.0], X=[[1.0, 0.0], [1.0, 1e308]])
+        est = mom.MomentEstimates(
+            delta=np.array([0.0, 10.0]), mu2=1.0, kappa=3.0, variant="pmt",
+            residuals=np.zeros(2),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = pl.fit(units, method="parametric", moment_estimates=est)
+        assert res.error.tolist() == [None, "non-finite interval"]
+        rows = res.outputs
+        assert [r.error for r in rows] == [None, "non-finite interval"]
+        assert rows[0].theta_hat == res.theta_hat[0] == 0.25
+        assert rows[0].method == "parametric" and rows[0].rule_of_thumb_ok is True
+        assert type(rows[0].cva) is float
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
-            pl.fit([mom.UnitRecord(y=0.0, sigma=1.0)], method="bogus")
+            pl.fit(mom.Units([0.0], [1.0]), method="bogus")
 
     def test_tiny_m2_unit_keeps_worst_case_coverage(self):
         # huge effects make m2 = sigma^2 / mu2 about 1.2e-7; the critical
         # value must still hold worst-case non-coverage at alpha
         rng = np.random.default_rng(0)
         y = 3000.0 * rng.standard_normal(200)
-        res = pl.fit([mom.UnitRecord(y=float(v), sigma=1.0) for v in y], method="robust_mu2")
+        res = pl.fit(mom.Units(y, np.ones_like(y)), method="robust_mu2")
         m2 = 1.0 / res.moments.mu2
         assert 0.0 < m2 < 1e-6
         for out in res.outputs:
@@ -119,24 +141,24 @@ class TestFit:
     @pytest.mark.parametrize("method", ["robust_mu2", "robust_mu2_kappa"])
     def test_robust_cva_matches_scalar_route(self, method):
         rng = np.random.default_rng(5)
-        data, _ = simulate_records(rng, 2000, 1.0)
+        data, _ = simulate_units(rng, 2000, 1.0)
         res = pl.fit(data, method=method)
         mu2 = res.moments.mu2
         kappa = res.moments.kappa if method == "robust_mu2_kappa" else None
         for i in rng.choice(len(data), 25, replace=False):
-            ref = cva_scalar(data[i].sigma**2 / mu2, kappa, 0.05)
-            assert res.outputs[i].cva == pytest.approx(ref, abs=1e-8)
+            ref = cva_scalar(data.sigma[i] ** 2 / mu2, kappa, 0.05)
+            assert res.cva[i] == pytest.approx(ref, abs=1e-8)
 
 
 class TestParametricInterval:
     def test_w_one_limit_is_unshrunk(self):
-        unit = mom.UnitRecord(y=1.0, sigma=1.0)
-        out = pl.parametric_interval(unit, mu2=1e12, alpha=0.05)
+        unit = mom.Units([1.0], [1.0])
+        out = pl.fit(unit, method="parametric", moment_estimates=given_moments(1e12)).outputs[0]
         assert out.half_length == pytest.approx(Z975, rel=1e-6)
 
     def test_half_length_formula(self):
-        unit = mom.UnitRecord(y=0.0, sigma=1.0)
-        out = pl.parametric_interval(unit, mu2=1.0, alpha=0.05)  # w = 0.5
+        unit = mom.Units([0.0], [1.0])  # w = 0.5
+        out = pl.fit(unit, method="parametric", moment_estimates=given_moments(1.0)).outputs[0]
         assert out.half_length == pytest.approx(Z975 / math.sqrt(2), rel=1e-12)
 
     def test_exact_marginal_coverage_under_gaussian_effects(self):
@@ -151,7 +173,8 @@ class TestParametricInterval:
 
 class TestUnshrunk:
     def test_half_length(self):
-        out = pl.unshrunk_interval(mom.UnitRecord(y=0.3, sigma=1.0), 0.05)
+        unit = mom.Units([0.3], [1.0])
+        out = pl.fit(unit, method="unshrunk", moment_estimates=given_moments(1.0)).outputs[0]
         assert out.half_length == pytest.approx(Z975, rel=1e-12)
         assert out.lower < out.upper
 

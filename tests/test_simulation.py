@@ -115,11 +115,7 @@ class TestRunStudy:
         for rep in range(3):
             rng = sim._rep_rng(11, 0, rep)
             y, sigma, theta, _ = d.simulate(rng)
-            data = [
-                mom.UnitRecord(y=float(y[i]), sigma=float(sigma[i]))
-                for i in range(d.n)
-            ]
-            res = pl.fit(data, alpha=0.05, method="robust_mu2_kappa")
+            res = pl.fit(mom.Units(y, sigma), alpha=0.05, method="robust_mu2_kappa")
             hits = [
                 out.lower <= theta[i] <= out.upper
                 for i, out in enumerate(res.outputs)
@@ -213,8 +209,8 @@ class TestHeteroskedasticDesign:
         d = self.make(snr)
         for rep in range(3):
             _, y, sigma, _, delta, mu2_hat, kappa_hat = sim._simulate_rep((d, 0, rep, 5))
-            records = [mom.UnitRecord(y=float(a), sigma=float(b)) for a, b in zip(y, sigma)]
-            est = mom.estimate_moments(records, variant="pmt", weights="inverse_variance")
+            units = mom.Units(y, sigma)
+            est = mom.estimate_moments(units, variant="pmt", weights="inverse_variance")
             assert delta == pytest.approx(float(est.delta[0]), rel=1e-12)
             assert mu2_hat == pytest.approx(est.mu2, rel=1e-12)
             assert kappa_hat == pytest.approx(est.kappa, rel=1e-12)

@@ -475,6 +475,16 @@ class TestCriticalValue:
                 assert np.all(below > alpha), (kappa, alpha, m2[below <= alpha])
 
     @pytest.mark.parametrize("kappa", [None, 3.0])
+    @pytest.mark.parametrize("m2", [1e15, 1e16, 1e20, 1e100])
+    def test_very_large_m2(self, m2, kappa):
+        # beyond chi = 2**26 the float spacing exceeds the 1e-8 bracket width,
+        # so the inversion has to stop at adjacent floats
+        chi = wc.critical_values([m2], kappa, 0.05)
+        kap = None if kappa is None else np.array([kappa])
+        assert np.all(np.isfinite(chi))
+        assert wc._worst_noncoverage_batch(np.array([m2]), kap, chi)[0] <= 0.05
+
+    @pytest.mark.parametrize("kappa", [None, 3.0])
     def test_chi_just_above_sqrt3(self, kappa):
         # z is within 1e-6 of sqrt(3), where the kink root is ill-conditioned
         alpha = 0.08326433863159476
