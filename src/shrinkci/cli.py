@@ -57,26 +57,37 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _apply_config_defaults(args: argparse.Namespace, argv: list[str]):
-    """Config-file values fill in anything the flags left at default."""
+def _option_actions(parser: argparse.ArgumentParser, command: str) -> dict:
+    """The subcommand's options by destination name."""
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in subparsers.choices[command]._actions if a.option_strings}
+
+
+def _apply_config_defaults(args: argparse.Namespace, argv: list[str], actions: dict):
+    """Config-file values fill in anything the flags left at default.
+
+    Each value is converted and checked as its flag's value would be, by
+    the option's ``type`` and ``choices``.
+    """
     if not getattr(args, "config", None):
         return
     values = _read_config_file(args.config)
     given = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
     for key, value in values.items():
-        if not hasattr(args, key):
+        action = actions.get(key)
+        if action is None or key in ("config", "help"):
             raise ConfigError(f"unknown config key {key!r}")
         if key in given:
             continue  # explicit flags win
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            setattr(args, key, value.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(args, key, int(value))
-        elif isinstance(current, float):
-            setattr(args, key, float(value))
-        else:
-            setattr(args, key, value)
+        try:
+            converted = value if action.type is None else action.type(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config key {key!r}: invalid value {value!r}") from exc
+        if action.choices is not None and converted not in action.choices:
+            raise ConfigError(
+                f"config key {key!r}: {value!r} is not one of {', '.join(map(str, action.choices))}"
+            )
+        setattr(args, key, converted)
 
 
 def _number(path: str, lineno: int, col: str, raw: str | None) -> float:
@@ -342,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(argv)
     try:
-        _apply_config_defaults(args, argv)
+        _apply_config_defaults(args, argv, _option_actions(parser, args.command))
         if not 0.0 < args.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {args.alpha}")
         if getattr(args, "workers", None) is None and hasattr(args, "workers"):

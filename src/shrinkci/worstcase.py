@@ -240,7 +240,7 @@ def majorant_kink(chi: float) -> float:
     return float(_majorant_kink_batch(_checked("chi", chi)))
 
 
-def _majorant_kink_batch(chi: np.ndarray) -> np.ndarray:
+def _majorant_kink_batch(chi: np.ndarray, t_start=None) -> np.ndarray:
     """Majorant kinks of an array of chi by safeguarded Newton.
 
     Newton steps on the kink objective g, with g'(t) = t r''(t), inside the
@@ -250,7 +250,9 @@ def _majorant_kink_batch(chi: np.ndarray) -> np.ndarray:
     step leaving the bracket is replaced by bisection.  Each entry stops
     once its relative step is at most 1e-12 or its residual reaches the
     roundoff floor, which just above sqrt(3) holds near the lower end.
-    Entries at or below sqrt(3) are zero.
+    Entries at or below sqrt(3) are zero.  ``t_start`` (broadcast against
+    chi) replaces the default starting point where it is finite, for a
+    caller that already holds the kink of a nearby chi.
     """
     chi = np.asarray(chi, dtype=float)
     out = np.zeros(chi.size)
@@ -261,6 +263,9 @@ def _majorant_kink_batch(chi: np.ndarray) -> np.ndarray:
     lo = np.maximum(c * c - 3.0, 1e-12)
     hi = (c + 5.0) ** 2
     t = np.clip(np.minimum(2.5 * (c * c - 3.0), (c + 1.0) ** 2), lo, hi)
+    if t_start is not None:
+        s = np.broadcast_to(np.asarray(t_start, dtype=float), chi.shape).ravel()[pos]
+        t = np.where(np.isfinite(s), np.clip(s, lo, hi), t)
     for _ in range(100):
         g = _kink_objective(t, c, r0)
         above = g <= 0
@@ -302,21 +307,57 @@ def worst_noncoverage_second(m2, chi):
     return float(out) if out.ndim == 0 else out
 
 
-def _feasible_pair_value(x0, m2, kappa, chi):
+def _pair(one, m2, kappa):
+    """Points and masses of the pair with lower point m2 * (1 - one).
+
+    The pair matching E[t] = m2 and E[t^2] = kappa * m2^2 has upper point
+    m2 * (1 + (kappa - 1) / one) and puts mass (kappa - 1) / (one^2 +
+    kappa - 1) on the lower point.  No product reaches m2^2, so the pair
+    stays finite for m2 up to the float range.  Returns (a, b, p, 1 - p).
+    """
+    k1 = kappa - 1.0
+    den = one * one + k1
+    return m2 * (1.0 - one), m2 * (1.0 + k1 / one), k1 / den, one * one / den
+
+
+def _feasible_pair_value(xi, m2, kappa, chi):
     """Objective of the two-point distribution matching both moments.
 
-    Support {x0, x} on the squared-bias scale with x chosen so that
-    E[t] = m2 and E[t^2] = kappa * m2^2 hold exactly; x0 ranges over
-    [0, m2*(t0 - kappa*m2)/(t0 - m2)] so that x stays within the kink.
-    Where that upper end rounds to m2 (kappa within ~1e-6 of 1 and m2 far
-    below t0) the pair at x0 = m2 is undefined; it scores -inf, so the
-    maximization skips it rather than returning NaN.
+    Support {m2 * xi, x} on the squared-bias scale with x chosen so that
+    E[t] = m2 and E[t^2] = kappa * m2^2 hold exactly (``_pair``); xi ranges
+    over [0, (tau - kappa) / (tau - 1)] with tau = t0 / m2, so that x stays
+    within the kink t0.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = m2 * (kappa * m2 - x0) / (m2 - x0)
-        p = (x - m2) / (x - x0)
-        val = p * noncoverage_sq(x0, chi) + (1.0 - p) * noncoverage_sq(x, chi)
-    return np.where(np.isnan(val), -np.inf, val)
+    return _pair_slopes(1.0 - xi, m2, kappa, chi, order=0)
+
+
+def _pair_slopes(one, m2, kappa, chi, order=2):
+    """The pair value F, and its first ``order`` derivatives in xi = 1 - one.
+
+    F = p r(a) + q r(b) with a, b, p, q from ``_pair`` and
+    r = noncoverage_sq(., chi).  Since q * db/dxi = m2 * p,
+    F' = p' (r(a) - r(b)) + m2 p (r'(a) + r'(b)) and
+    F'' = p'' (r(a) - r(b)) + p' (2 m2 r'(a) + (m2 - b') r'(b))
+    + m2 p (m2 r''(a) + b' r''(b)).  Returns F alone at order 0.
+    """
+    a, b, p, q = _pair(one, m2, kappa)
+    ra, rb = noncoverage_sq(a, chi), noncoverage_sq(b, chi)
+    f = p * ra + q * rb
+    if order == 0:
+        return f
+    k1 = kappa - 1.0
+    den = one * one + k1
+    da, db = noncoverage_sq_d1(a, chi), noncoverage_sq_d1(b, chi)
+    diff = ra - rb
+    p1 = 2.0 * k1 * one / (den * den)
+    f1 = p1 * diff + m2 * p * (da + db)
+    if order == 1:
+        return f, f1
+    d2a, d2b = noncoverage_sq_d2(a, chi), noncoverage_sq_d2(b, chi)
+    p2 = 2.0 * k1 * (4.0 * one * one - den) / den**3
+    b1 = m2 * (k1 / (one * one))
+    f2 = p2 * diff + p1 * (2.0 * m2 * da + (m2 - b1) * db) + m2 * p * (m2 * d2a + b1 * d2b)
+    return f, f1, f2
 
 
 def _binding(m2, kap, t0):
@@ -325,19 +366,136 @@ def _binding(m2, kap, t0):
     return (m2 > 0) & (kap > 1.0 + 1e-9) & (kap < KAPPA_UNCONSTRAINED) & (kap * m2 < t0)
 
 
-def _fourth_binding_batch(m2, kappa, chi, t0, grid_size=49, golden_iters=48):
+# the span of sqrt(x) below the kink that gets four of the nine points of
+# the grid bracketing an interior maximum; the maximum usually lies there
+_PAIR_WINDOW = 3.0
+# Newton iterations before an entry falls back to grid plus golden section
+_PAIR_NEWTON_ITERS = 6
+
+
+def _fourth_binding_batch(m2, kappa, chi, t0):
     """Solve the binding fourth-moment problem for arrays of inputs.
 
-    Maximizes the two-point feasible-family objective by coarse grid plus
-    golden-section refinement.  Returns (value, x0, x).
+    Maximizes the pair value of ``_feasible_pair_value`` over the lower
+    point x0 = m2 * xi, xi in [0, xi_max].  An entry whose slope dF/dxi at
+    xi = 0 is strictly negative takes the corner, the pair {0, kappa * m2},
+    from that one evaluation.  A slope that underflows to exactly 0 does
+    not count: far in the Gaussian tail (kappa = 3, m2 above about 3e3) the
+    corner's value and slope are both 0 while the maximum sits near xi_max.
+    The other entries run ``_interior_pair_max``.  Returns (value, x0, x).
     """
-    x0max = m2 * (t0 - kappa * m2) / (t0 - m2)
-    grid = np.linspace(0.0, 1.0, grid_size)[:, None] * x0max[None, :]
-    x0, val = _solve.grid_golden_max(
-        lambda x0: _feasible_pair_value(x0, m2, kappa, chi), grid, golden_iters
-    )
-    x = m2 * (kappa * m2 - x0) / (m2 - x0)
+    one = np.ones(m2.shape)
+    val, slope = _pair_slopes(one, m2, kappa, chi, order=1)
+    inner = np.flatnonzero(~(slope < 0))
+    if inner.size:
+        one[inner], val[inner] = _interior_pair_max(
+            m2[inner], kappa[inner], chi[inner], t0[inner], val[inner]
+        )
+    x0, x, _, _ = _pair(one, m2, kappa)
     return val, x0, x
+
+
+def _pair_grid(m2, kappa, t0):
+    """(9, n) grid in v = log(x / m2 - 1), the corner first.
+
+    x is the upper point, so v runs from log(kappa - 1) at the corner to
+    log(t0 / m2 - 1) at the kink.  Where the kink lies more than
+    ``_PAIR_WINDOW`` above sqrt(kappa * m2) on the sqrt(x) scale, four
+    points split v below that window evenly and four split the window
+    evenly in sqrt(x); otherwise eight split the whole range in sqrt(x).
+    """
+    k1 = kappa - 1.0
+    # w = sqrt(x / m2): at the corner, at the kink, at the window's foot
+    w_lo, w_hi = np.sqrt(kappa), np.sqrt(t0 / m2)
+    w_win = np.maximum(w_lo, w_hi - _PAIR_WINDOW / np.sqrt(m2))
+    to_v = lambda w: np.log(np.maximum(w * w - 1.0, k1))
+    v_lo, v_win = np.log(k1), to_v(w_win)
+    q4 = np.arange(1, 5)[:, None] / 4.0
+    q8 = np.arange(1, 9)[:, None] / 8.0
+    split = np.vstack([v_lo + (v_win - v_lo) * q4, to_v(w_win + (w_hi - w_win) * q4)])
+    grid = np.where(w_win > w_lo, split, to_v(w_lo + (w_hi - w_lo) * q8))
+    grid[-1] = np.log(t0 / m2 - 1.0)
+    return np.vstack([v_lo, grid])
+
+
+def _parabola_vertex(x, f):
+    """Vertex of the parabola through three points (x[i], f[i])."""
+    (x1, x2, x3), (f1, f2, f3) = x, f
+    num = (x2 - x1) ** 2 * (f2 - f3) - (x2 - x3) ** 2 * (f2 - f1)
+    den = (x2 - x1) * (f2 - f3) - (x2 - x3) * (f2 - f1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return x2 - 0.5 * num / den
+
+
+def _interior_pair_max(m2, kappa, chi, t0, f0):
+    """Maximize the pair value where the corner test fails; f0 = F at xi = 0.
+
+    Works in v = log(x / m2 - 1), the log excess of the upper point x, on
+    which 1 - xi = (kappa - 1) exp(-v).  Near the kink, v follows sqrt(x),
+    the scale of the Gaussian tail on which the maximum is smooth; near the
+    corner it follows log(1 - xi).  (On xi itself the maximum is squeezed
+    against xi_max as kappa approaches 1, and Newton needs many more steps.)
+
+    The grid of ``_pair_grid`` brackets the maximum between the best grid
+    point's neighbors.  Safeguarded Newton on dF/dv, with the derivatives
+    of ``_pair_slopes``, starts at the vertex of the parabola through the
+    best grid point and its two neighbors (at an end, the end's three
+    points); a step leaving the bracket, or taken where d2F/dv2 >= 0, is
+    replaced by bisection.  An entry stops, keeping its current iterate,
+    once its Newton step would gain at most 1e-14 F, or once |dF/dv| times
+    the bracket width is at most 1e-15 F (the objective is flat to
+    roundoff there).  The larger of the Newton value and the best grid
+    value is returned; entries still running after ``_PAIR_NEWTON_ITERS``
+    steps go to ``_solve.grid_golden_max`` on xi.  Returns (1 - xi, F).
+    """
+    k1 = kappa - 1.0
+    one_of = lambda v, k: np.minimum(k * np.exp(-v), 1.0)
+    grid = _pair_grid(m2, kappa, t0)
+    ones = one_of(grid, k1)
+    ones[0] = 1.0
+    vals = np.vstack([f0, _pair_slopes(ones[1:], m2, kappa, chi, order=0)])
+    last = grid.shape[0] - 1
+    j = np.argmax(vals, axis=0)
+    idx = np.arange(m2.size)
+    best_one, best_f = ones[j, idx], vals[j, idx]
+    lo = grid[np.maximum(j - 1, 0), idx]
+    hi = grid[np.minimum(j + 1, last), idx]
+    mid = np.clip(j, 1, last - 1)
+    rows = (mid - 1, mid, mid + 1)
+    v = _parabola_vertex([grid[r, idx] for r in rows], [vals[r, idx] for r in rows])
+    v = np.where((v >= lo) & (v <= hi), v, grid[j, idx])
+
+    act = idx
+    for _ in range(_PAIR_NEWTON_ITERS):
+        one = one_of(v, k1[act])
+        # a non-finite slope (kernel under- or overflow at extreme m2) turns
+        # into a bisection step below
+        with np.errstate(all="ignore"):
+            f, g1, g2 = _pair_slopes(one, m2[act], kappa[act], chi[act])
+            # from xi to v: dxi/dv = one and d2xi/dv2 = -one
+            f1 = g1 * one
+            f2 = (g2 * one - g1) * one
+            step = v - f1 / f2
+        lo = np.where(f1 > 0, v, lo)
+        hi = np.where(f1 < 0, v, hi)
+        bad = ~((f2 < 0) & (step > lo) & (step < hi))
+        step = np.where(bad, 0.5 * (lo + hi), step)
+        flat = np.abs(f1) * (hi - lo) <= 1e-15 * f
+        done = flat | (~bad & (np.abs(f1 * (step - v)) <= 1e-14 * f))
+        take = done & (f > best_f[act])
+        best_one[act[take]], best_f[act[take]] = one[take], f[take]
+        keep = ~done
+        act, v, lo, hi = act[keep], step[keep], lo[keep], hi[keep]
+        if not act.size:
+            return best_one, best_f
+    m, k, c = m2[act], kappa[act], chi[act]
+    xi_max = 1.0 - (k - 1.0) / (t0[act] / m - 1.0)
+    xi, f = _solve.grid_golden_max(
+        lambda x: _feasible_pair_value(x, m, k, c), np.linspace(0.0, 1.0, 49)[:, None] * xi_max, 48
+    )
+    take = f > best_f[act]
+    best_one[act[take]], best_f[act[take]] = 1.0 - xi[take], f[take]
+    return best_one, best_f
 
 
 def _binding_pair(m2, kappa, chi, t0):
@@ -355,8 +513,9 @@ def worst_noncoverage_fourth(m2: float, kappa: float, chi: float):
     kappa = t0/m2 it is slack (the second-moment solution already satisfies
     it, up to mass escaping to infinity) and the second-moment bound is
     returned.  In the binding range the optimum is attained by a two-point
-    distribution matching both moments, located by grid search plus
-    golden-section refinement.
+    distribution matching both moments: the pair {0, kappa * m2} where the
+    objective falls away from it, otherwise the pair that safeguarded Newton
+    finds from a short grid (``_fourth_binding_batch``).
     """
     if not kappa > 1.0:
         raise ValueError(f"kappa must be > 1, got {kappa}")
@@ -455,8 +614,10 @@ def _cva_second_batch_newton(m2: np.ndarray, alpha: float) -> np.ndarray:
         ok &= (t_n > mc) & (chi_n >= chi_pc)
         g = np.flatnonzero(ok)
         if g.size:
+            # the kinks at the ends start from the kink Newton already holds
             ends = np.concatenate([chi_n[g] - _NEWTON_HALF_WIDTH, chi_n[g] + _NEWTON_HALF_WIDTH])
-            f_ends = _worst_noncoverage_batch(np.tile(mc[g], 2), None, ends) - alpha
+            t_ends = np.tile(t_n[g], 2)
+            f_ends = _worst_noncoverage_batch(np.tile(mc[g], 2), None, ends, t_ends) - alpha
             ok[g] = (f_ends[: g.size] > 0) & (f_ends[g.size :] <= 0)
         chi_c = chi_n + _NEWTON_HALF_WIDTH
         if not ok.all():
@@ -559,10 +720,13 @@ def critical_values(m2, kappa=None, alpha: float = 0.05) -> np.ndarray:
     return chi[inv].reshape(m2.shape)
 
 
-def _worst_noncoverage_batch(m2, kap, chi):
-    """Vectorized worst-case non-coverage; kap is None or an array."""
+def _worst_noncoverage_batch(m2, kap, chi, t_start=None):
+    """Vectorized worst-case non-coverage; kap is None or an array.
+
+    ``t_start`` is passed to ``_majorant_kink_batch`` as its starting point.
+    """
     chi = np.broadcast_to(np.asarray(chi, dtype=float), m2.shape)
-    t0 = _majorant_kink_batch(chi)
+    t0 = _majorant_kink_batch(chi, t_start)
     out = np.array(noncoverage_sq(m2, chi), dtype=float, copy=True)
     chord = (m2 > 0) & (m2 < t0)
     if chord.any():

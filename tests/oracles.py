@@ -1,9 +1,11 @@
 """Scalar reference routes for the worst-case solvers.
 
 Independent of the batch engines in ``shrinkci.worstcase``: the majorant
-kink by brentq on its defining equation, the binding fourth-moment pair on
-a finer grid (129 points, 64 golden-section steps), and the critical value
-by inverting that scalar worst case one chi at a time.
+kink by brentq on its defining equation, the binding fourth-moment pair by
+grid plus golden-section search over xi = x0 / m2 (129 points, 64 steps;
+it shares only the pair's objective with the production solver, which
+takes the corner test and Newton), and the critical value by inverting
+that scalar worst case one chi at a time.
 """
 
 import math
@@ -48,10 +50,23 @@ def worst_scalar(m2, kappa, chi):
         r0 = float(wc.noncoverage_sq(0.0, chi))
         return r0 + (m2 / t0) * (float(wc.noncoverage_sq(t0, chi)) - r0)
     arr = lambda v: np.asarray([v], dtype=float)
-    val, _, _ = wc._fourth_binding_batch(
-        arr(m2), arr(kappa), arr(chi), arr(t0), grid_size=129, golden_iters=64
+    return float(binding_pair_value(arr(m2), arr(kappa), arr(chi), arr(t0))[0])
+
+
+def binding_pair_value(m2, kappa, chi, t0):
+    """Binding fourth-moment worst case by grid plus golden section on xi.
+
+    Maximizes ``wc._feasible_pair_value`` over xi in [0, xi_max], with
+    xi_max = (tau - kappa) / (tau - 1) and tau = t0 / m2, per entry: 129
+    grid points, then 64 golden-section steps.
+    """
+    tau = t0 / m2
+    xi_max = (tau - kappa) / (tau - 1.0)
+    grid = np.linspace(0.0, 1.0, 129)[:, None] * xi_max
+    _, val = _solve.grid_golden_max(
+        lambda xi: wc._feasible_pair_value(xi, m2, kappa, chi), grid, 64
     )
-    return float(val[0])
+    return val
 
 
 def cva_scalar(m2, kappa, alpha):

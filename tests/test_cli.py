@@ -212,6 +212,56 @@ class TestFitCommand:
         assert header2["alpha"] == "0.05"
 
 
+class TestConfigFile:
+    """Config-file values go through their option's own type and choices."""
+
+    @staticmethod
+    def base_args(tmp_path, command):
+        if command == "fit":
+            rng = np.random.default_rng(8)
+            se = rng.uniform(0.5, 2.0, 60)
+            inp = tmp_path / "in.csv"
+            write_units(str(inp), rng.normal(0, 1.5, 60), se, x=rng.normal(0, 1, 60))
+            return ["--input", str(inp)]
+        if command == "cva":
+            return ["--m2", "0.5,2"]
+        return list(TestSimulateCommand.ARGS)
+
+    @pytest.mark.parametrize(
+        "command,config,flags",
+        [
+            ("fit", "moments=nn\nnn_j=30\n", ["--moments", "nn", "--nn-j", "30"]),
+            ("cva", "kappa=3\n", ["--kappa", "3"]),
+            ("simulate", "workers=2\n", ["--workers", "2"]),
+        ],
+        ids=["fit-nn-j", "cva-kappa", "simulate-workers"],
+    )
+    def test_config_file_gives_the_flags_csv(self, tmp_path, command, config, flags):
+        # these options default to None, so no current value gives their type
+        base = self.base_args(tmp_path, command)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        by_cfg, by_flags = tmp_path / "cfg.csv", tmp_path / "flags.csv"
+        assert cli.main([command, *base, "--output", str(by_cfg), "--config", str(cfg)]) == 0
+        assert cli.main([command, *base, "--output", str(by_flags), *flags]) == 0
+        assert by_cfg.read_bytes() == by_flags.read_bytes()
+
+    @pytest.mark.parametrize(
+        "command,config",
+        [("fit", "nn_j=abc\n"), ("fit", "moments=zz\n"), ("cva", "kappa=three\n"),
+         ("simulate", "workers=1.5\n"), ("cva", "func=x\n")],
+        ids=["int", "choice", "float", "int-workers", "not-an-option"],
+    )
+    def test_bad_config_value_exit_4(self, tmp_path, capsys, command, config):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "o.csv"
+        args = [command, *self.base_args(tmp_path, command), "--output", str(out), "--config", str(cfg)]
+        assert cli.main(args) == 4
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCurvesCommand:
     def test_curve_properties(self, tmp_path):
         out = tmp_path / "curves.csv"

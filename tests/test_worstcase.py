@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cva_scalar, kink_brentq
+from oracles import binding_pair_value, cva_scalar, kink_brentq
 from scipy.optimize import brentq
+from shrinkci import _solve
 from shrinkci import momentlp as mlp
 from shrinkci import worstcase as wc
 
@@ -398,6 +399,94 @@ class TestWorstNoncoverageFourth:
             wc.worst_noncoverage_fourth(0.5, 0.5, 2.0)
 
 
+def seeded_binding_keys(seed=21, n=400):
+    """Binding (m2, kappa, chi, t0) keys: m2 log-uniform in [1e-3, 1e9] and
+    kappa - 1 in [1e-3, 50], each at its own cva (alpha = 0.05) and at
+    chi -+ 10%."""
+    rng = np.random.default_rng(seed)
+    m2 = np.exp(rng.uniform(np.log(1e-3), np.log(1e9), n))
+    kappa = 1.0 + np.exp(rng.uniform(np.log(1e-3), np.log(50.0), n))
+    chi = wc.critical_values(m2, kappa, 0.05)
+    m2, kappa = np.tile(m2, 3), np.tile(kappa, 3)
+    chi = np.concatenate([chi, 0.9 * chi, 1.1 * chi])
+    t0 = wc._majorant_kink_batch(chi)
+    binding = wc._binding(m2, kappa, t0)
+    return tuple(v[binding] for v in (m2, kappa, chi, t0))
+
+
+class TestBindingPair:
+    @pytest.fixture(scope="class")
+    def keys(self):
+        return seeded_binding_keys()
+
+    def test_matches_grid_golden_oracle(self, keys):
+        val, _, _ = wc._fourth_binding_batch(*keys)
+        assert keys[0].size > 500
+        np.testing.assert_allclose(val, binding_pair_value(*keys), rtol=1e-12, atol=0)
+
+    def test_never_below_dense_scan(self, keys):
+        m2, kappa, chi, t0 = keys
+        val, _, _ = wc._fourth_binding_batch(*keys)
+        tau = t0 / m2
+        xi_max = (tau - kappa) / (tau - 1.0)
+        scan = np.full(m2.shape, -np.inf)
+        for block in np.array_split(np.linspace(0.0, 1.0, 4001), 8):
+            vals = wc._feasible_pair_value(block[:, None] * xi_max, m2, kappa, chi)
+            scan = np.maximum(scan, vals.max(axis=0))
+        assert np.all(val >= scan * (1.0 - 1e-12))
+
+    def test_returned_pair_matches_moments_and_value(self, keys):
+        m2, kappa, chi, _ = keys
+        val, x0, x = wc._fourth_binding_batch(*keys)
+        p = (x - m2) / (x - x0)
+        assert np.all((x0 >= 0) & (x0 < m2) & (x > m2))
+        np.testing.assert_allclose(p * x0 + (1 - p) * x, m2, rtol=1e-12)
+        attained = p * wc.noncoverage_sq(x0, chi) + (1 - p) * wc.noncoverage_sq(x, chi)
+        np.testing.assert_allclose(attained, val, rtol=1e-12, atol=1e-300)
+
+    def test_sweeps_per_solve_and_rare_fallback(self, keys, monkeypatch):
+        # one sweep evaluates the kernel at both points of one pair: the
+        # corner test is one, an interior key adds the grid and Newton steps
+        fallback, evals = [], []
+        golden, kernel = _solve.grid_golden_max, wc.noncoverage_sq
+
+        def counted_golden(f, grid, iters):
+            fallback.append(grid.shape[1])
+            return golden(f, grid, iters)
+
+        def counted_kernel(t, chi):
+            evals.append(np.broadcast(t, chi).size)
+            return kernel(t, chi)
+
+        monkeypatch.setattr(_solve, "grid_golden_max", counted_golden)
+        monkeypatch.setattr(wc, "noncoverage_sq", counted_kernel)
+        wc._fourth_binding_batch(*keys)
+        assert sum(fallback) < 0.05 * keys[0].size
+        sweeps = []
+        for i in range(0, keys[0].size, 5):
+            fallback.clear()
+            evals.clear()
+            wc._fourth_binding_batch(*(v[i : i + 1] for v in keys))
+            if not fallback:
+                sweeps.append(sum(evals) // 2)
+        # a corner key costs 1; an interior key 1 + 8 grid points + Newton
+        assert set(sweeps) <= {1} | set(range(10, 16))
+        assert sweeps.count(1) > 0 and len(sweeps) > 0.95 * len(range(0, keys[0].size, 5))
+
+    @pytest.mark.parametrize("m2", [3162.0, 1e4, 1e6])
+    def test_underflowed_corner_slope_is_not_a_corner(self, m2):
+        # at kappa = 3 the corner's value and slope underflow to exactly 0
+        # while the maximum sits near the kink; taking the corner there
+        # returned chi 135.8 instead of 147.9 at m2 = 3162
+        chi = wc.critical_values([m2], 3.0, 0.05)
+        m, k = np.array([m2]), np.array([3.0])
+        f, slope = wc._pair_slopes(np.ones(1), m, k, chi, order=1)
+        assert f[0] == 0.0 and slope[0] == 0.0
+        assert chi[0] == pytest.approx(cva_scalar(m2, 3.0, 0.05), abs=1e-8)
+        assert wc._worst_noncoverage_batch(m, k, chi)[0] <= 0.05
+        assert wc._worst_noncoverage_batch(m, k, chi - 1e-8)[0] > 0.05
+
+
 class TestCriticalValue:
     def test_zero_moment_gives_z_quantile(self):
         res = wc.critical_value(wc.MomentConstraints(0.0), 0.05)
@@ -475,14 +564,16 @@ class TestCriticalValue:
                 assert np.all(below > alpha), (kappa, alpha, m2[below <= alpha])
 
     @pytest.mark.parametrize("kappa", [None, 3.0])
-    @pytest.mark.parametrize("m2", [1e15, 1e16, 1e20, 1e100])
+    @pytest.mark.parametrize("m2", [1e15, 1e16, 1e20, 1e100, 1e200, 1e300])
     def test_very_large_m2(self, m2, kappa):
         # beyond chi = 2**26 the float spacing exceeds the 1e-8 bracket width,
-        # so the inversion has to stop at adjacent floats
+        # so the inversion has to stop at adjacent floats; the worst case
+        # must be a finite value in [0, alpha], not an overflowed -inf
         chi = wc.critical_values([m2], kappa, 0.05)
         kap = None if kappa is None else np.array([kappa])
         assert np.all(np.isfinite(chi))
-        assert wc._worst_noncoverage_batch(np.array([m2]), kap, chi)[0] <= 0.05
+        worst = wc._worst_noncoverage_batch(np.array([m2]), kap, chi)[0]
+        assert np.isfinite(worst) and 0.0 <= worst <= 0.05
 
     @pytest.mark.parametrize("kappa", [None, 3.0])
     def test_chi_just_above_sqrt3(self, kappa):
