@@ -1,9 +1,10 @@
 """Vectorized one-dimensional solvers run in lockstep across array entries.
 
-The batch solvers of ``worstcase`` and ``pipeline`` reduce to three
-problems: grow an upper bracket until a decreasing function turns
-non-positive, find the root of a bracketed decreasing function, or maximize
-a function along each column of a grid.  Root functions are called as
+The batch solvers of ``worstcase``, ``pipeline``, ``nonlinear`` and
+``momentlp`` reduce to three problems: invert a nonincreasing worst case at
+level alpha (``invert``, which brackets and then calls ``bracketed_root``),
+find the root of a bracketed decreasing function, or maximize a function
+along each column of a grid.  Per-entry functions are called as
 ``f(x, idx)``, where ``idx`` holds the positions of the entries in ``x``, so
 that entries which have converged drop out of the evaluation.
 """
@@ -20,21 +21,47 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SHRUNK = 1.0 - 1e-6
 
 
-def expand_upper(f, hi):
-    """Double each entry of ``hi`` until ``f(hi) <= 0`` there.
+class BracketError(RuntimeError):
+    """``invert`` found no upper end at which the worst case is at most alpha."""
 
-    Returns the grown ``hi`` and ``f`` at it.
+
+def log_excess(worst, alpha):
+    """log(worst / alpha), with the sign of worst - alpha kept exact.
+
+    ``invert`` interpolates on this scale, on which the worst case's
+    Gaussian and power-law tails in chi are close to linear.
     """
+    v = np.log(np.maximum(worst, 1e-300) / alpha)
+    return np.where(worst > alpha, np.maximum(v, 1e-300), np.minimum(v, 0.0))
+
+
+def invert(worst, alpha: float, lo, hi, tol: float):
+    """Smallest x, per entry, at which a nonincreasing ``worst(x, idx)`` is
+    at most alpha.
+
+    ``worst`` is evaluated at ``lo`` first, and an entry whose worst case is
+    at most alpha there returns ``lo``.  For the others ``hi`` doubles until
+    its worst case is at most alpha, ``lo`` moving up to each ``hi`` that
+    fails; BracketError after 40 doublings.  ``bracketed_root`` then searches
+    the bracket on ``log_excess``, reusing the values at both ends, and
+    returns its upper end: the worst case there is at most alpha, and ``tol``
+    below it exceeds alpha.
+    """
+    f = lambda x, idx: log_excess(worst(x, idx), alpha)
+    lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    f_hi = np.empty_like(hi)
-    idx = np.arange(hi.size)
+    f_lo = f(lo, np.arange(lo.size))
+    f_hi = np.zeros_like(f_lo)
+    idx = np.flatnonzero(f_lo > 0)
     for _ in range(40):
-        f_hi[idx] = f(hi[idx], idx)
-        idx = idx[f_hi[idx] > 0]
-        if idx.size == 0:
-            return hi, f_hi
+        if idx.size:
+            f_hi[idx] = f(hi[idx], idx)
+            idx = idx[f_hi[idx] > 0]
+        if not idx.size:
+            return bracketed_root(f, lo, hi, f_lo, f_hi, tol)
+        lo[idx], f_lo[idx] = hi[idx], f_hi[idx]
         hi[idx] *= 2.0
-    raise RuntimeError("bracket expansion failed")
+    raise BracketError(f"worst case exceeds alpha={alpha} up to {0.5 * hi.max()}")
 
 
 def bracketed_root(f, lo, hi, f_lo, f_hi, tol: float):

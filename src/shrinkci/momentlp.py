@@ -18,7 +18,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from shrinkci import _solve
-from shrinkci.worstcase import DiscreteDistribution, _log_excess
+from shrinkci.worstcase import DiscreteDistribution
 
 __all__ = [
     "MomentProblem",
@@ -198,18 +198,17 @@ def calibrate_chi(
     lo: float = 0.0,
     hi: float = 1.0,
     tol: float = 1e-4,
-    max_doublings: int = 40,
 ) -> float:
     """Smallest chi (to within tol) whose worst case is at most alpha.
 
     ``family`` maps a candidate chi to the discretized problem for that chi;
     the caller guarantees the worst-case value is nonincreasing in chi.  Each
-    worst case is the ``envelope_value`` of that problem.  Returns ``lo`` when
-    its worst case is at most alpha.  Otherwise ``hi`` is doubled until its
-    worst case is, and the bracket is narrowed by the ITP root search of
-    :mod:`shrinkci._solve` on log(value / alpha); the result is the upper end
-    of a final bracket at most ``tol`` wide, so its worst case is at most
-    alpha and the worst case ``tol`` below it exceeds alpha.
+    worst case is the ``envelope_value`` of that problem, and the inversion
+    is ``_solve.invert``: ``lo`` is returned when its worst case is at most
+    alpha; otherwise ``hi`` is doubled until its worst case is, and the
+    result is the upper end of a final bracket at most ``tol`` wide, so its
+    worst case is at most alpha and the worst case ``tol`` below it exceeds
+    alpha.  Raises ``CalibrationError`` when 40 doublings do not reach it.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -217,23 +216,11 @@ def calibrate_chi(
         raise ValueError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    excess = lambda chi: float(_log_excess(envelope_value(family(chi)).value, alpha))
-    f_lo = excess(lo)
-    if f_lo <= 0.0:
-        return lo
-    for _ in range(max_doublings):
-        f_hi = excess(hi)
-        if f_hi <= 0.0:
-            break
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-    else:
-        raise CalibrationError(
-            f"worst case exceeds alpha={alpha} up to chi={hi}; calibration failed"
-        )
-    f = lambda chi, idx: np.array([excess(c) for c in chi])
-    root = _solve.bracketed_root(f, [lo], [hi], np.array([f_lo]), np.array([f_hi]), tol)
-    return float(root[0])
+    worst = lambda chi, idx: np.array([envelope_value(family(c)).value for c in chi])
+    try:
+        return float(_solve.invert(worst, alpha, [lo], [hi], tol)[0])
+    except _solve.BracketError as exc:
+        raise CalibrationError(f"{exc}; calibration failed") from exc
 
 
 def default_squared_bias_grid(m2: float, t0: float, size: int = 1000) -> np.ndarray:

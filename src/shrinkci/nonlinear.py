@@ -19,7 +19,6 @@ from scipy.special import erfcx, gammaincinv, gammaln, ndtr, ndtri, roots_legend
 
 from shrinkci import _solve
 from shrinkci import momentlp as mlp
-from shrinkci.worstcase import _log_excess
 
 __all__ = [
     "SoftThresholdConfig",
@@ -218,19 +217,8 @@ def soft_threshold_ebci(cfg: SoftThresholdConfig) -> tuple[float, float]:
     family = lambda chi: _soft_threshold_problem(cfg, chi)
     chi_robust = mlp.calibrate_chi(family, cfg.alpha, lo=0.0, hi=2.0)
 
-    # the doubling's values are kept, so the bracket's lower end is not
-    # evaluated twice
-    seen = {}
-
-    def excess(chi, idx):
-        for c in chi:
-            if c not in seen:
-                seen[c] = float(_log_excess(_laplace_average_noncoverage(cfg, c), cfg.alpha))
-        return np.array([seen[c] for c in chi])
-
-    hi, f_hi = _solve.expand_upper(excess, [2.0])
-    lo = hi / 2.0 if hi[0] > 2.0 else np.zeros(1)
-    chi_parametric = _solve.bracketed_root(excess, lo, hi, excess(lo, None), f_hi, 1e-6)
+    laplace = lambda chi, idx: np.array([_laplace_average_noncoverage(cfg, c) for c in chi])
+    chi_parametric = _solve.invert(laplace, cfg.alpha, [0.0], [2.0], 1e-6)
     return chi_robust, float(chi_parametric[0])
 
 

@@ -114,36 +114,12 @@ def fit(
     if est is None:
         est = mom.estimate_moments(data, variant=moment_variant, weights=weights, neighbors=neighbors)
     y, sigma = data.y, data.sigma
-    center0 = data.X @ est.delta
     w = est.mu2 / (est.mu2 + sigma**2)
-    z = _z(alpha)
-
-    if method == "unshrunk":
-        theta = y
-        w_out = np.ones_like(y)
-        chi = np.full_like(y, z)
-        half = z * sigma
-    elif method == "parametric":
-        theta = center0 + w * (y - center0)
-        w_out = w
-        chi = z / np.sqrt(w)
-        half = z * np.sqrt(w) * sigma
-    elif method == "optimal_robust":
-        snr = est.mu2 / sigma**2
-        w_out, chi = _optimal_shrinkage_batch(snr, est.kappa, alpha)
-        theta = center0 + w_out * (y - center0)
-        half = chi * w_out * sigma
-    else:
-        theta = center0 + w * (y - center0)
-        w_out = w
-        kappa = est.kappa if method == "robust_mu2_kappa" else None
-        if est.variant == "nn" and est.mu2_per_unit is not None:
-            m2 = (1.0 - 1.0 / w) ** 2 * est.mu2_per_unit / sigma**2
-            kappa = est.kappa_per_unit if method == "robust_mu2_kappa" else None
-        else:
-            m2 = sigma**2 / est.mu2
-        chi = wc.critical_values(m2, kappa, alpha)
-        half = chi * w_out * sigma
+    m2, kappa = None, est.kappa
+    if est.variant == "nn" and est.mu2_per_unit is not None and method.startswith("robust"):
+        m2 = (1.0 - 1.0 / w) ** 2 * est.mu2_per_unit / sigma**2
+        kappa = est.kappa_per_unit
+    theta, w_out, chi, half = _intervals(method, y, sigma, data.X @ est.delta, est.mu2, kappa, alpha, m2)
     noncov_kappa = est.kappa if method == "robust_mu2_kappa" else None
     ok = np.isfinite(theta) & np.isfinite(half) & (half >= 0)
     return FitResult(
@@ -160,6 +136,30 @@ def fit(
         alpha=alpha,
         method=method,
     )
+
+
+def _intervals(method, y, sigma, center, mu2, kappa, alpha: float, m2=None):
+    """(theta, w, chi, half) of each unit's interval under ``method``.
+
+    ``center`` is the shrinkage target; ``mu2`` and ``kappa`` are the
+    moments, scalars or per-unit arrays.  ``m2`` replaces sigma^2 / mu2 as
+    the normalized second moment of the robust methods.  ``kappa`` applies
+    to robust_mu2_kappa and optimal_robust only.
+    """
+    z = _z(alpha)
+    if method == "unshrunk":
+        return y, np.ones_like(y), np.full_like(y, z), z * sigma
+    w = mu2 / (mu2 + sigma**2)
+    if method == "parametric":
+        chi, half = z / np.sqrt(w), z * np.sqrt(w) * sigma
+    else:
+        if method == "optimal_robust":
+            w, chi = _optimal_shrinkage_batch(mu2 / sigma**2, kappa, alpha)
+        else:
+            m2 = sigma**2 / mu2 if m2 is None else m2
+            chi = wc.critical_values(m2, kappa if method == "robust_mu2_kappa" else None, alpha)
+        half = chi * w * sigma
+    return center + w * (y - center), w, chi, half
 
 
 def _param_noncov_batch(w: np.ndarray, alpha: float, kappa: float | None) -> np.ndarray:
@@ -181,9 +181,11 @@ def parametric_worst_noncoverage(
     """
     if not 0.0 < w_eb < 1.0:
         raise ValueError(f"w_eb must be in (0, 1), got {w_eb}")
-    z = _z(alpha)
-    constraints = wc.MomentConstraints(1.0 / w_eb - 1.0, kappa)
-    return wc.worst_noncoverage(constraints, z / math.sqrt(w_eb))
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if kappa is not None:
+        wc._checked_kappa(kappa)
+    return float(_param_noncov_batch(np.array([w_eb], dtype=float), alpha, kappa)[0])
 
 
 def _scaled_half_lengths(w: np.ndarray, snr: np.ndarray, kappa, alpha: float):

@@ -13,6 +13,7 @@ Replication r of design d draws from a dedicated generator seeded by
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -23,6 +24,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtri
 
+from shrinkci import pipeline as pl
 from shrinkci import worstcase as wc
 
 __all__ = [
@@ -280,33 +282,9 @@ class CoverageReport:
         buf = io.StringIO()
         buf.write(f"# master_seed={self.master_seed}\n")
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "design",
-                "design_index",
-                "method",
-                "coverage",
-                "coverage_se",
-                "avg_length",
-                "rel_length",
-                "reps",
-                "n",
-            ]
-        )
+        writer.writerow(f.name for f in dataclasses.fields(ReportRow))
         for r in self.rows:
-            writer.writerow(
-                [
-                    r.design,
-                    r.design_index,
-                    r.method,
-                    repr(r.coverage),
-                    repr(r.coverage_se),
-                    repr(r.avg_length),
-                    repr(r.rel_length),
-                    r.reps,
-                    r.n,
-                ]
-            )
+            writer.writerow(repr(v) if isinstance(v, float) else v for v in dataclasses.astuple(r))
         return buf.getvalue()
 
     def row(self, design_index: int, method: str) -> ReportRow:
@@ -344,43 +322,23 @@ def _simulate_rep(args):
 
 
 def _method_coverage(results, method, oracle, alpha, reps):
-    """Per-rep average coverage and length arrays for one method."""
-    z = float(ndtri(1.0 - alpha / 2.0))
-    base = method[len("oracle_"):] if method.startswith("oracle_") else method
-    use_oracle = method.startswith("oracle_")
-    cov = np.empty(reps)
-    length = np.empty(reps)
+    """Per-rep average coverage and length arrays for one method.
 
-    chi_flat = None
-    if base in ("robust_mu2_kappa", "robust_mu2"):
-        m2_parts, kap_parts = [], []
-        for _, y, sigma, theta, delta, mu2_hat, kappa_hat in results:
-            mu2, kappa = oracle if use_oracle else (mu2_hat, kappa_hat)
-            sig = np.ones_like(sigma) if use_oracle else sigma
-            m2_parts.append(sig**2 / mu2)
-            kap_parts.append(np.full(y.size, kappa))
-        m2_flat = np.concatenate(m2_parts)
-        kap_flat = np.concatenate(kap_parts) if base == "robust_mu2_kappa" else None
-        chi_flat = wc.critical_values(m2_flat, kap_flat, alpha)
-
-    offset = 0
-    for rep, y, sigma, theta, delta, mu2_hat, kappa_hat in results:
-        mu2, _ = oracle if use_oracle else (mu2_hat, kappa_hat)
-        sig = np.ones_like(sigma) if use_oracle else sigma
-        if base == "unshrunk":
-            center, half = y, z * sig
-        else:
-            w = mu2 / (mu2 + sig**2)
-            center = delta + w * (y - delta)
-            if base == "parametric":
-                half = z * np.sqrt(w) * sig
-            else:
-                chi = chi_flat[offset : offset + y.size]
-                half = chi * w * sig
-        offset += y.size
-        cov[rep] = np.mean(np.abs(theta - center) <= half)
-        length[rep] = np.mean(2.0 * half)
-    return cov, length
+    All replications go through ``pipeline._intervals`` in one call, with
+    each replication's moments repeated over its units.
+    """
+    base = method.removeprefix("oracle_")
+    n = results[0][1].size
+    units = lambda k: np.concatenate([r[k] for r in results])
+    per_rep = lambda k: np.repeat([r[k] for r in results], n)
+    y, theta = units(1), units(3)
+    if base != method:
+        sigma, (mu2, kappa) = np.ones_like(y), oracle
+    else:
+        sigma, mu2, kappa = units(2), per_rep(5), per_rep(6)
+    center, _, _, half = pl._intervals(base, y, sigma, per_rep(4), mu2, kappa, alpha)
+    cov = (np.abs(theta - center) <= half).reshape(reps, n).mean(axis=1)
+    return cov, (2.0 * half).reshape(reps, n).mean(axis=1)
 
 
 def run_study(

@@ -568,16 +568,6 @@ def critical_value(constraints: MomentConstraints, alpha: float) -> CriticalValu
     return CriticalValueResult(chi=chi, noncoverage=attained, lf=lf, diagnostics=diag)
 
 
-def _log_excess(worst, alpha):
-    """log(worst / alpha), with the sign of worst - alpha kept exact.
-
-    The bracketed inversions interpolate on this scale, on which the worst
-    case's Gaussian and power-law tails in chi are close to linear.
-    """
-    v = np.log(np.maximum(worst, 1e-300) / alpha)
-    return np.where(worst > alpha, np.maximum(v, 1e-300), np.minimum(v, 0.0))
-
-
 def _cva_second_batch_newton(m2: np.ndarray, alpha: float) -> np.ndarray:
     """Second-moment-only critical values, vectorized.
 
@@ -599,10 +589,10 @@ def _cva_second_batch_newton(m2: np.ndarray, alpha: float) -> np.ndarray:
     # regime split: invert the point-mass branch first.  With u = sqrt(m2),
     # Phi(u - chi) <= noncoverage_sq(m2, chi) <= 2 Phi(u - chi) brackets it.
     u = np.sqrt(m)
-    point = lambda chi, i: _log_excess(noncoverage_sq(m[i], chi), alpha)
-    lo = np.maximum(z, u + ndtri(1.0 - alpha))
-    hi, f_hi = _solve.expand_upper(point, u + z)
-    chi_point = _solve.bracketed_root(point, lo, hi, point(lo, slice(None)), f_hi, _CHI_TOL)
+    chi_point = _solve.invert(
+        lambda chi, i: noncoverage_sq(m[i], chi),
+        alpha, np.maximum(z, u + ndtri(1.0 - alpha)), u + z, _CHI_TOL,
+    )
     t0_at_point = _majorant_kink_batch(chi_point)
     chord = m < t0_at_point
 
@@ -633,7 +623,8 @@ def _chord_newton(m2, alpha, chi0, t0_init, max_iter=40):
     Solves ``kink_objective(t, chi) = 0`` jointly with ``chord value = alpha``.
     The starting point (chi0 from the point-mass branch, its kink) lies below
     the solution in both coordinates.  Each entry stops once both residuals
-    are below 1e-13.  Returns (chi, t, converged); a converged entry can
+    are below 1e-13, and stops unconverged once an iterate is not finite,
+    which it then stays.  Returns (chi, t, converged); a converged entry can
     still be a root of the system outside the chord regime.
     """
     t_out = np.maximum(t0_init, 1e-8)
@@ -671,7 +662,7 @@ def _chord_newton(m2, alpha, chi0, t0_init, max_iter=40):
         tol = 1e-10 if it == max_iter - 1 else 1e-13
         done = (np.abs(f1) < tol) & (np.abs(f2) < tol)
         ok[act[done]] = True
-        keep = ~done
+        keep = ~done & np.isfinite(t) & np.isfinite(chi)
         act, t, chi, m2 = act[keep], t[keep], chi[keep], m2[keep]
         if not act.size:
             break
@@ -685,12 +676,10 @@ def _critical_values_bracketed(m2, kap, alpha):
     each root, so the worst case there is at most alpha.
     """
     z = float(ndtri(1.0 - alpha / 2.0))
-    f = lambda chi, i: _log_excess(
-        _worst_noncoverage_batch(m2[i], None if kap is None else kap[i], chi), alpha
+    worst = lambda chi, i: _worst_noncoverage_batch(m2[i], None if kap is None else kap[i], chi)
+    chi = _solve.invert(
+        worst, alpha, np.full(m2.shape, z), z * np.sqrt((1.0 + m2) / alpha) + 1.0, _CHI_TOL
     )
-    lo = np.full(m2.shape, z)
-    hi, f_hi = _solve.expand_upper(f, z * np.sqrt((1.0 + m2) / alpha) + 1.0)
-    chi = _solve.bracketed_root(f, lo, hi, f(lo, slice(None)), f_hi, _CHI_TOL)
     return np.where(m2 == 0.0, z, chi)
 
 

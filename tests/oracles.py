@@ -78,8 +78,6 @@ def cva_scalar(m2, kappa, alpha):
     z = float(ndtri(1.0 - alpha / 2.0))
     if m2 == 0.0:
         return z
-    f = lambda chi, idx: wc._log_excess(
-        np.array([worst_scalar(m2, kappa, float(c)) for c in chi]), alpha
-    )
-    hi, f_hi = _solve.expand_upper(f, [z * math.sqrt((1.0 + m2) / alpha) + 1.0])
-    return float(_solve.bracketed_root(f, [z], hi, f([z], None), f_hi, 1e-8)[0])
+    worst = lambda chi, idx: np.array([worst_scalar(m2, kappa, float(c)) for c in chi])
+    hi = z * math.sqrt((1.0 + m2) / alpha) + 1.0
+    return float(_solve.invert(worst, alpha, [z], [hi], 1e-8)[0])

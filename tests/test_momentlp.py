@@ -93,7 +93,7 @@ class TestCalibrate:
             grid, np.ones(50), grid[None, :], [1.0]
         )
         with pytest.raises(mlp.CalibrationError):
-            mlp.calibrate_chi(family, 0.05, lo=0.0, hi=1.0, max_doublings=5)
+            mlp.calibrate_chi(family, 0.05, lo=0.0, hi=1.0)
 
     @pytest.mark.parametrize(
         "lo, hi, tol",

@@ -202,6 +202,20 @@ class TestParametricWorstNoncoverage:
         with_k = pl.parametric_worst_noncoverage(0.2, 0.05, kappa=3.0)
         assert with_k <= base + 1e-12
 
+    @pytest.mark.parametrize(
+        "w, alpha, kappa",
+        [(0.0, 0.05, None), (1.0, 0.05, None), (math.nan, 0.05, None),
+         (0.3, 0.0, None), (0.3, 1.5, None), (0.3, 0.05, 0.5), (0.3, 0.05, math.nan)],
+    )
+    def test_rejects_bad_input(self, w, alpha, kappa):
+        with pytest.raises(ValueError):
+            pl.parametric_worst_noncoverage(w, alpha, kappa)
+
+    def test_infinite_kappa_means_no_bound(self):
+        assert pl.parametric_worst_noncoverage(0.2, 0.05, math.inf) == (
+            pl.parametric_worst_noncoverage(0.2, 0.05)
+        )
+
 
 class TestOptimalShrinkage:
     def test_high_snr_no_shrinkage(self):

@@ -76,7 +76,7 @@ class TestBracketedRoot:
             m2 = np.array([1e-4, 0.05, 0.7, 3.0, 40.0, 900.0])
             kap = np.full(m2.shape, 1.0 + 1e-6)
             alpha = 1e-3
-            f = lambda x, i: wc._log_excess(wc._worst_noncoverage_batch(m2[i], kap[i], x), alpha)
+            f = lambda x, i: _solve.log_excess(wc._worst_noncoverage_batch(m2[i], kap[i], x), alpha)
             lo = np.full(m2.shape, ndtri(1.0 - alpha / 2.0))
             hi = lo * np.sqrt((1.0 + m2) / alpha) + 1.0
         else:
@@ -105,15 +105,50 @@ class TestBracketedRoot:
         assert 1.0 <= out[2] <= 1.0 + 1e-8
 
 
-class TestExpandUpper:
-    def test_doubles_until_nonpositive(self):
+class TestInvert:
+    @staticmethod
+    def _invert_traced(roots, lo, hi, tol=1e-8):
+        """invert on worst(x) = 0.5 * 2**(roots - x) at alpha 0.5, with each
+        evaluation recorded as (entry, x), in order."""
+        trail = []
+
+        def worst(x, idx):
+            trail.extend(zip(np.asarray(idx).tolist(), np.asarray(x).tolist()))
+            return 0.5 * np.exp2(roots[idx] - x)
+
+        return _solve.invert(worst, 0.5, lo, hi, tol), trail
+
+    def test_lower_end_returned_where_it_holds(self):
+        roots = np.array([0.5, 3.0, 1.0])
+        out, trail = self._invert_traced(roots, np.array([1.0, 1.0, 1.0]), np.full(3, 4.0))
+        assert out[0] == 1.0 and out[2] == 1.0
+        assert 3.0 <= out[1] <= 3.0 + 1e-8
+        # the lower end first, for every entry; the upper end only where needed
+        assert trail[:3] == [(0, 1.0), (1, 1.0), (2, 1.0)]
+        assert all(i == 1 for i, _ in trail[3:])
+
+    def test_bracket_moves_up_with_the_doubling(self):
         roots = np.array([0.5, 3.0, 100.0])
-        f = lambda x, i: roots[i] - x
-        hi, f_hi = _solve.expand_upper(f, np.ones(3))
-        np.testing.assert_array_equal(hi, [1.0, 4.0, 128.0])
-        np.testing.assert_array_equal(f_hi, roots - hi)
+        tol = 1e-8
+        out, trail = self._invert_traced(roots, np.zeros(3), np.ones(3), tol)
+        assert np.all(0.5 * np.exp2(roots - out) <= 0.5)
+        assert np.all(0.5 * np.exp2(roots - (out - tol)) > 0.5)
+        # the failing upper ends 1, 2, ..., 64 of entry 2, then 128, then a
+        # search inside [64, 128] only
+        xs = [x for i, x in trail if i == 2]
+        assert xs[:9] == [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]
+        assert all(64.0 < x < 128.0 for x in xs[9:])
+        assert len(xs) - 9 <= np.ceil(np.log2(64.0 / tol)) + 1
 
-    def test_raises_when_no_bracket(self):
-        with pytest.raises(RuntimeError, match="bracket expansion failed"):
-            _solve.expand_upper(lambda x, i: np.ones_like(x), np.ones(2))
+    def test_raises_after_forty_doublings(self):
+        calls = []
 
+        def worst(x, idx):
+            calls.append(x.copy())
+            return np.ones_like(x)
+
+        with pytest.raises(RuntimeError, match="exceeds alpha"):
+            _solve.invert(worst, 0.5, np.zeros(2), np.ones(2), 1e-8)
+        # the lower end, then 40 upper ends
+        assert len(calls) == 41
+        np.testing.assert_array_equal(calls[-1], np.full(2, 2.0**39))

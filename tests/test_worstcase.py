@@ -556,7 +556,8 @@ class TestCriticalValue:
         m2 = np.concatenate([[1e-8, 1e-4], np.exp(rng.uniform(np.log(1e-3), np.log(1e4), 40)), [1e6]])
         for kappa in (None, 1.0 + 1e-6, 1.5, 3.0, 12.0, 1e5):
             kap = None if kappa is None else np.full(m2.shape, kappa)
-            for alpha in (1e-3, 0.01, 0.05, 0.3):
+            # at alpha 0.6 and 0.9, z < 1 and the bracket's upper end has to double
+            for alpha in (1e-3, 0.01, 0.05, 0.3, 0.6, 0.9):
                 chi = wc.critical_values(m2, kappa, alpha)
                 at = wc._worst_noncoverage_batch(m2, kap, chi)
                 below = wc._worst_noncoverage_batch(m2, kap, chi - 1e-8)
