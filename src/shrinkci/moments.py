@@ -8,6 +8,12 @@ two finite-sample corrections are provided: a posterior-mean truncation (PMT)
 and the flat-prior limited-information Bayes estimate (FPLIB) it
 approximates.  Nearest-neighbor versions estimate the moments per unit when
 moment independence from the covariates is in doubt.
+
+Every sum is ``math.fsum`` of its terms, computed by ``_row_sums``, so
+permuting the units permutes the outputs exactly.  One kernel, ``_pmt_rows``,
+gives the raw and PMT moments of each row of (groups, members) arrays: one
+row for the global estimate, one per nearest-neighbor neighborhood, one per
+simulated replication.  Neighbor orders come in row blocks, never n x n.
 """
 
 from __future__ import annotations
@@ -45,14 +51,69 @@ class RankDeficientError(ValueError):
         super().__init__(f"design matrix is rank deficient at column {column}")
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """Correctly rounded sum, so results do not depend on summation order
-    and permuting the input rows permutes the outputs exactly."""
-    return math.fsum(values)
+# coordinate differences per neighbor block; it also keeps a block's
+# (rows, neighbors) summands small enough for the cache
+_NN_BLOCK_ELEMENTS = 1 << 17
 
 
-def _exact_dot(a: np.ndarray, b: np.ndarray) -> float:
-    return math.fsum(a * b)
+def _two_sum(a, b):
+    """Knuth's error-free sum: a + b == s + e exactly, with s = fl(a + b)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _row_sums(a) -> np.ndarray:
+    """``math.fsum`` of each row of ``a`` (its last axis), vectorized.
+
+    Each row is padded with zeros to a power of two, and a TwoSum tree adds
+    halves, so ``hi`` plus the errors of every level is the row sum exactly.
+    The errors are summed into ``lo``, whose error is at most
+    ``bound = 4 m ceil(log2(m + 1)) u^2 sum|a|`` (Ogita, Rump & Oishi, SIAM
+    J. Sci. Comput. 26(6), 2005).  ``r = fl(hi + lo)`` is kept where its
+    TwoSum residual plus the bound is under half the smaller float gap
+    around r, so r is the correctly rounded sum.  Every other row goes to
+    ``math.fsum``: ties, overflow, heavy cancellation and all-zero rows.
+    """
+    a = np.asarray(a, dtype=float)
+    lead, m = a.shape[:-1], a.shape[-1]
+    a = a.reshape(math.prod(lead), m)
+    # members run down the first axis, so each half is one contiguous block
+    s = np.zeros((1 << max(m - 1, 0).bit_length(), len(a)))
+    s[:m] = a.T
+    lo = np.zeros((1, len(a)))
+    # a row that overflows or holds inf or nan fails the certificate
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(s) > 1:
+            h = len(s) // 2
+            x, y = s[:h], s[h:]
+            s = x + y
+            # the TwoSum error (x - (s - bb)) + (y - bb), bb = s - x, in place;
+            # past the first level it adds the pairs of errors so far
+            e = s - x
+            y -= e
+            np.subtract(s, e, out=e)
+            np.subtract(x, e, out=e)
+            e += y
+            if len(lo) == 2 * h:
+                e += lo[:h]
+                e += lo[h:]
+            lo = e
+        r, t = _two_sum(s[0], lo[0])
+        asum = np.abs(a).sum(axis=1)
+        bound = 4.0 * m * m.bit_length() * 2.0**-106 * asum  # u^2 = 2**-106
+        ar = np.abs(r)
+        half = 0.5 * np.minimum(ar - np.nextafter(ar, 0.0), np.nextafter(ar, np.inf) - ar)
+        # a subnormal bound is not relative, and past 2**1023 a partial sum may overflow
+        ok = (np.abs(t) + bound < half) & (bound >= np.finfo(float).tiny) & (asum < 2.0**1023)
+    for i in np.flatnonzero(~ok):
+        r[i] = math.fsum(a[i])
+    return r.reshape(lead)
+
+
+def _sums(*arrays) -> list[float]:
+    """Exact sums of 1-D arrays, as Python floats."""
+    return [float(_row_sums(x)) for x in arrays]
 
 
 class UnitError(ValueError):
@@ -132,10 +193,9 @@ class MomentEstimates:
 def wls_delta(y: np.ndarray, X: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Weighted least squares coefficients of y on X."""
     p = X.shape[1]
-    gram = np.array(
-        [[_exact_dot(omega * X[:, i], X[:, j]) for j in range(p)] for i in range(p)]
-    )
-    rhs = np.array([_exact_dot(omega * X[:, i], y) for i in range(p)])
+    wx = (omega[:, None] * X).T
+    sums = _row_sums(np.concatenate([wx[:, None, :] * X.T, (wx * y)[:, None, :]], axis=1))
+    gram, rhs = sums[:, :p], sums[:, p]
     # locate the first column that adds no rank, for a useful error message
     if np.linalg.matrix_rank(gram) < p:
         for k in range(1, p + 1):
@@ -145,42 +205,70 @@ def wls_delta(y: np.ndarray, X: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, rhs)
 
 
+def _signals(resid, sigma):
+    """Per-unit unbiased summands w2 = eps^2 - sigma^2 of mu2 and
+    w4 = eps^4 - 6 sigma^2 eps^2 + 3 sigma^4 of mu4."""
+    w2 = resid**2 - sigma**2
+    w4 = resid**4 - 6.0 * sigma**2 * resid**2 + 3.0 * sigma**4
+    return w2, w4
+
+
+def _floor_terms(sigma, om2, om4):
+    """Summands of the four sums behind the PMT floors."""
+    return [om2**2 * sigma**4, om2 * sigma**2, om4**2 * sigma**8, om4 * sigma**4]
+
+
+def _truncate(mu2_uc, mu4_uc, total2, total4, c2, d2, c4, d4):
+    """PMT moments from the raw ones and the sums of ``_floor_terms``:
+    mu2 is floored at 2 sum(om2^2 sigma^4) / (sum om2 sum(om2 sigma^2)) and
+    kappa at 1 + 32 sum(om4^2 sigma^8) / (mu2^2 sum om4 sum(om4 sigma^4))."""
+    floor = 2.0 * c2 / (total2 * d2)
+    mu2 = np.where(floor > mu2_uc, floor, mu2_uc)
+    mu2_sq = np.float_power(mu2, 2)  # libm pow, as float ** 2; np.square may differ
+    kappa_floor = 1.0 + 32.0 * c4 / (mu2_sq * total4 * d4)
+    kappa = mu4_uc / mu2_sq
+    return mu2, np.where(kappa_floor > kappa, kappa_floor, kappa)
+
+
+def _pmt_rows(resid, sigma, om2, om4, members=None):
+    """Raw and PMT moments of each row of (groups, members) arrays.
+
+    Returns (mu2_uc, mu4_uc, mu2, kappa), one entry per row: mu2_uc is the
+    om2-weighted average of w2 and mu4_uc the om4-weighted average of w4
+    (see ``_signals``), and (mu2, kappa) are floored at the PMT bounds.
+    Every sum is an exact ``_row_sums`` over the members.  With an index
+    array ``members`` the inputs are per unit, and row k is over the units
+    ``members[k]``; each summand is computed once per unit and gathered.
+    """
+    w2, w4 = _signals(resid, sigma)
+    terms = [om2, om2 * w2, om4, om4 * w4, *_floor_terms(sigma, om2, om4)]
+    if members is not None:
+        terms = [x[members] for x in terms]
+    total2, a2, total4, a4, *floors = map(_row_sums, terms)
+    if not ((total2 > 0).all() and (total4 > 0).all()):
+        raise ValueError("weights must not all be zero")
+    mu2_uc, mu4_uc = a2 / total2, a4 / total4
+    return (mu2_uc, mu4_uc, *_truncate(mu2_uc, mu4_uc, total2, total4, *floors))
+
+
 def moments_uc(residuals: np.ndarray, sigma: np.ndarray, omega: np.ndarray):
     """Unconstrained moment estimates of mu2 and mu4.
 
     Returns (mu2_uc, mu4_uc, w2, w4) where w2 = eps^2 - sigma^2 and
     w4 = eps^4 - 6 sigma^2 eps^2 + 3 sigma^4 are the per-unit unbiased
-    summands.  Either average may be negative.
+    summands.  Either average may be negative.  A one-row ``_pmt_rows``.
     """
-    total = _exact_sum(omega)
-    if total <= 0:
-        raise ValueError("weights must not all be zero")
-    w2 = residuals**2 - sigma**2
-    w4 = residuals**4 - 6.0 * sigma**2 * residuals**2 + 3.0 * sigma**4
-    return _exact_dot(omega, w2) / total, _exact_dot(omega, w4) / total, w2, w4
-
-
-def _pmt_floors(sigma: np.ndarray, omega: np.ndarray, mu2: float):
-    total = _exact_sum(omega)
-    mu2_floor = 2.0 * _exact_dot(omega**2, sigma**4) / (total * _exact_dot(omega, sigma**2))
-    kappa_floor = 1.0 + 32.0 * _exact_dot(omega**2, sigma**8) / (
-        mu2**2 * total * _exact_dot(omega, sigma**4)
-    )
-    return mu2_floor, kappa_floor
+    mu2_uc, mu4_uc, _, _ = _pmt_rows(residuals, sigma, omega, omega)
+    return float(mu2_uc), float(mu4_uc), *_signals(residuals, sigma)
 
 
 def pmt(sigma: np.ndarray, omega: np.ndarray, mu2_uc: float, mu4_uc: float):
     """Posterior-mean-truncation estimates: raw moments floored at strictly
-    positive bounds derived from the sampling variance of the raw estimates."""
-    return _pmt_split(sigma, omega, omega, mu2_uc, mu4_uc)
-
-
-def _pmt_split(sigma, om2, om4, mu2_uc, mu4_uc):
-    mu2_floor, _ = _pmt_floors(sigma, om2, 1.0)
-    mu2_hat = max(mu2_uc, mu2_floor)
-    _, kappa_floor = _pmt_floors(sigma, om4, mu2_hat)
-    kappa_hat = max(mu4_uc / mu2_hat**2, kappa_floor)
-    return mu2_hat, kappa_hat
+    positive bounds derived from the sampling variance of the raw estimates.
+    The truncation step of a one-row ``_pmt_rows``."""
+    total, *floors = _sums(omega, *_floor_terms(sigma, omega, omega))
+    mu2, kappa = _truncate(mu2_uc, mu4_uc, total, total, *floors)
+    return float(mu2), float(kappa)
 
 
 def _posterior_mean_positive(m_hat: float, v: float) -> float:
@@ -201,12 +289,12 @@ def _posterior_mean_positive(m_hat: float, v: float) -> float:
 
 def _unbiased_mean_variance(z: np.ndarray, omega: np.ndarray) -> float:
     """Unbiased variance estimate of the weighted mean of independent z's."""
-    total = _exact_sum(omega)
-    m_hat = _exact_dot(omega, z) / total
-    denom = total**2 - _exact_sum(omega**2)
+    total, wz, total_sq = _sums(omega, omega * z, omega**2)
+    m_hat = wz / total
+    denom = total**2 - total_sq
     if denom <= 0:
         return -1.0
-    return _exact_dot(omega**2, z**2 - m_hat**2) / denom
+    return _sums(omega**2 * (z**2 - m_hat**2))[0] / denom
 
 
 def fplib(sigma, omega, mu2_uc, mu4_uc, w2, w4):
@@ -216,20 +304,22 @@ def fplib(sigma, omega, mu2_uc, mu4_uc, w2, w4):
     underlying moment average is nonpositive, which can happen under
     pathological weights.
     """
-    return _fplib_split(sigma, omega, omega, mu2_uc, mu4_uc, w2, w4)
+    return _fplib_split(omega, omega, mu2_uc, mu4_uc, w2, w4, pmt(sigma, omega, mu2_uc, mu4_uc))
 
 
-def _fplib_split(sigma, om2, om4, mu2_uc, mu4_uc, w2, w4):
+def _fplib_split(om2, om4, mu2_uc, mu4_uc, w2, w4, pmt_moments):
+    """FPLIB with the second- and fourth-moment weights apart; returns
+    ``pmt_moments`` (mu2, kappa) with a flag when it falls back."""
     v2 = _unbiased_mean_variance(w2, om2)
     if v2 < 0:
         warnings.warn("FPLIB variance estimate nonpositive; falling back to PMT")
-        return (*_pmt_split(sigma, om2, om4, mu2_uc, mu4_uc), True)
+        return (*pmt_moments, True)
     mu2_hat = _posterior_mean_positive(mu2_uc, v2)
     z4 = w4 - 2.0 * mu2_hat * w2
     v4 = _unbiased_mean_variance(z4, om4)
     if v4 < 0:
         warnings.warn("FPLIB variance estimate nonpositive; falling back to PMT")
-        return (*_pmt_split(sigma, om2, om4, mu2_uc, mu4_uc), True)
+        return (*pmt_moments, True)
     excess = _posterior_mean_positive(mu4_uc - mu2_uc**2, v4)
     kappa_hat = 1.0 + excess / mu2_hat**2
     return mu2_hat, kappa_hat, False
@@ -238,33 +328,33 @@ def _fplib_split(sigma, om2, om4, mu2_uc, mu4_uc, w2, w4):
 def _standardized_coords(X: np.ndarray, sigma: np.ndarray):
     """Covariates and sigma scaled by their sample standard deviations.
 
-    Constant coordinates (the intercept, typically) carry no distance
-    information and are dropped with a warning when anything else remains.
+    Constant coordinates (the intercept, typically) add zero to every
+    distance and are dropped when anything else remains.
     """
     coords = np.column_stack([X, sigma])
     sds = coords.std(axis=0, ddof=1)
     keep = sds > 0
-    if not keep.all():
-        dropped = np.flatnonzero(~keep)
-        warnings.warn(
-            f"dropping constant coordinates {dropped.tolist()} from the "
-            "nearest-neighbor distance"
-        )
     if not keep.any():
         # all-constant: every unit is at distance zero from every other
         return np.zeros((coords.shape[0], 1))
     return coords[:, keep] / sds[keep]
 
 
-def _neighbor_order(coords: np.ndarray) -> np.ndarray:
-    """Indices of all units sorted by distance from each unit.
+def _neighbor_blocks(coords: np.ndarray):
+    """Neighbor orders in row blocks: yields (rows, order), where row k of
+    ``order`` lists all units sorted by distance from unit ``rows[k]``.
 
-    Ties are broken by unit index so results do not depend on sort
-    internals.  Each unit is its own nearest neighbor (distance zero).
+    Ties are broken by unit index (a stable sort), so results do not depend
+    on sort internals; each unit is its own nearest neighbor (distance
+    zero).  A block holds about ``_NN_BLOCK_ELEMENTS`` coordinate
+    differences, so memory is O(block * n), never n x n.
     """
-    d2 = np.sum((coords[:, None, :] - coords[None, :, :]) ** 2, axis=2)
-    n = coords.shape[0]
-    return np.lexsort((np.broadcast_to(np.arange(n), (n, n)), d2), axis=1)
+    n, d = coords.shape
+    step = max(1, _NN_BLOCK_ELEMENTS // (n * d))
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        d2 = np.sum((coords[rows, None, :] - coords[None, :, :]) ** 2, axis=2)
+        yield rows, np.argsort(d2, axis=1, kind="stable")
 
 
 def nn_moments(
@@ -277,18 +367,16 @@ def nn_moments(
     """Per-unit PMT moment estimates from each unit's nearest neighborhood.
 
     Neighborhoods are the ``neighbors`` closest units (including the unit
-    itself) in Euclidean distance on standardized (X, sigma).
+    itself) in Euclidean distance on standardized (X, sigma).  Each block of
+    neighborhoods is one ``_pmt_rows`` call, one row per unit.
     """
     n = len(residuals)
     if not 2 <= neighbors <= n:
         raise ValueError(f"neighbor count must be in [2, {n}], got {neighbors}")
-    order = _neighbor_order(_standardized_coords(X, sigma))
     mu2 = np.empty(n)
     kappa = np.empty(n)
-    for i in range(n):
-        idx = order[i, :neighbors]
-        m2u, m4u, _, _ = moments_uc(residuals[idx], sigma[idx], omega[idx])
-        mu2[i], kappa[i] = pmt(sigma[idx], omega[idx], m2u, m4u)
+    for rows, order in _neighbor_blocks(_standardized_coords(X, sigma)):
+        _, _, mu2[rows], kappa[rows] = _pmt_rows(residuals, sigma, omega, omega, order[:, :neighbors])
     return mu2, kappa
 
 
@@ -313,15 +401,21 @@ def cv_select_neighbors(
     if grid[0] < 2 or grid[-1] > n - 1:
         raise ValueError(f"neighbor grid must lie within [2, {n - 1}]")
     w2 = residuals**2 - sigma**2
-    order = _neighbor_order(_standardized_coords(X, sigma))
-    # exclude self (column of own index) from each neighbor list
-    others = np.array([row[row != i] for i, row in enumerate(order)])
-    cum = np.cumsum(w2[others], axis=1)
+    top = grid[-1]
+    sq_err = {j: np.empty(n) for j in grid}
+    for rows, order in _neighbor_blocks(_standardized_coords(X, sigma)):
+        head = order[:, : top + 1]
+        # exclude self from each neighbor list; where more than ``top`` units
+        # tie at distance zero, self may lie beyond the head instead
+        others = head != rows[:, None]
+        others[others.all(axis=1), top] = False
+        cum = np.cumsum(w2[head[others].reshape(-1, top)], axis=1)
+        for j in grid:
+            sq_err[j][rows] = (w2[rows] - cum[:, j - 1] / j) ** 2
     best_j, best_err = None, math.inf
     errors = {}
     for j in grid:
-        pred = cum[:, j - 1] / j
-        err = float(omega @ (w2 - pred) ** 2)
+        err = float(omega @ sq_err[j])
         errors[j] = err
         if err < best_err - 1e-12 * max(1.0, abs(best_err)) or best_j is None:
             best_j, best_err = j, err
@@ -368,8 +462,7 @@ def estimate_moments(
     residuals = y - X @ delta
     om2 = sigma**-4.0 if split_weights else omega
     om4 = sigma**-8.0 if split_weights else omega
-    mu2_uc, _, w2, w4 = moments_uc(residuals, sigma, om2)
-    _, mu4_uc, _, _ = moments_uc(residuals, sigma, om4)
+    mu2_uc, mu4_uc, mu2_pmt, kappa_pmt = (float(v) for v in _pmt_rows(residuals, sigma, om2, om4))
     fallback = False
     mu2_i = kappa_i = None
     j_used = None
@@ -377,11 +470,12 @@ def estimate_moments(
     if variant == "uc":
         mu2, kappa = mu2_uc, mu4_uc / mu2_uc**2 if mu2_uc > 0 else math.nan
     elif variant == "pmt":
-        mu2, kappa = _pmt_split(sigma, om2, om4, mu2_uc, mu4_uc)
+        mu2, kappa = mu2_pmt, kappa_pmt
     elif variant == "fplib":
-        mu2, kappa, fallback = _fplib_split(sigma, om2, om4, mu2_uc, mu4_uc, w2, w4)
+        w2, w4 = _signals(residuals, sigma)
+        mu2, kappa, fallback = _fplib_split(om2, om4, mu2_uc, mu4_uc, w2, w4, (mu2_pmt, kappa_pmt))
     elif variant == "nn":
-        mu2, kappa = _pmt_split(sigma, om2, om4, mu2_uc, mu4_uc)
+        mu2, kappa = mu2_pmt, kappa_pmt
         if neighbors is None:
             if neighbor_grid is None:
                 neighbor_grid = _default_neighbor_grid(n)

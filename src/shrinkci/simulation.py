@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtri
 
+from shrinkci import moments as mom
 from shrinkci import pipeline as pl
 from shrinkci import worstcase as wc
 
@@ -301,44 +302,41 @@ def _rep_rng(master_seed: int, design_index: int, rep: int) -> np.random.Generat
 
 
 def _simulate_rep(args):
+    """One replication's draw: (y, sigma, theta, omega), omega None for
+    uniform weights."""
     design, design_index, rep, master_seed = args
-    rng = _rep_rng(master_seed, design_index, rep)
-    y, sigma, theta, omega = design.simulate(rng)
-    n = y.size
-    if omega is None:
-        omega = np.full(n, 1.0 / n)
-    omega = omega / omega.sum()
-    delta = float(omega @ y)
-    resid = y - delta
-    mu2_uc = float(omega @ (resid**2 - sigma**2))
-    mu4_uc = float(omega @ (resid**4 - 6.0 * sigma**2 * resid**2 + 3.0 * sigma**4))
-    mu2_floor = 2.0 * float(np.sum(omega**2 * sigma**4)) / float(omega @ sigma**2)
-    mu2_hat = max(mu2_uc, mu2_floor)
-    kappa_floor = 1.0 + 32.0 * float(np.sum(omega**2 * sigma**8)) / (
-        mu2_hat**2 * float(omega @ sigma**4)
-    )
-    kappa_hat = max(mu4_uc / mu2_hat**2, kappa_floor)
-    return rep, y, sigma, theta, delta, mu2_hat, kappa_hat
+    return design.simulate(_rep_rng(master_seed, design_index, rep))
 
 
-def _method_coverage(results, method, oracle, alpha, reps):
+def _replications(results):
+    """The draws stacked one row per replication, with each row's weighted
+    mean delta and PMT (mu2, kappa) from ``moments._pmt_rows``: the values of
+    ``estimate_moments`` with an intercept-only design and weights omega."""
+    y, sigma, theta = (np.stack([r[k] for r in results]) for k in range(3))
+    n = y.shape[1]
+    omega = np.stack([np.full(n, 1.0 / n) if r[3] is None else r[3] for r in results])
+    delta = mom._row_sums(omega * y) / mom._row_sums(omega)
+    _, _, mu2, kappa = mom._pmt_rows(y - delta[:, None], sigma, omega, omega)
+    return dict(y=y, sigma=sigma, theta=theta, delta=delta, mu2=mu2, kappa=kappa)
+
+
+def _method_coverage(reps, method, oracle, alpha):
     """Per-rep average coverage and length arrays for one method.
 
     All replications go through ``pipeline._intervals`` in one call, with
     each replication's moments repeated over its units.
     """
     base = method.removeprefix("oracle_")
-    n = results[0][1].size
-    units = lambda k: np.concatenate([r[k] for r in results])
-    per_rep = lambda k: np.repeat([r[k] for r in results], n)
-    y, theta = units(1), units(3)
+    n_reps, n = reps["y"].shape
+    per_rep = lambda k: np.repeat(reps[k], n)
+    y, theta = reps["y"].ravel(), reps["theta"].ravel()
     if base != method:
         sigma, (mu2, kappa) = np.ones_like(y), oracle
     else:
-        sigma, mu2, kappa = units(2), per_rep(5), per_rep(6)
-    center, _, _, half = pl._intervals(base, y, sigma, per_rep(4), mu2, kappa, alpha)
-    cov = (np.abs(theta - center) <= half).reshape(reps, n).mean(axis=1)
-    return cov, (2.0 * half).reshape(reps, n).mean(axis=1)
+        sigma, mu2, kappa = reps["sigma"].ravel(), per_rep("mu2"), per_rep("kappa")
+    center, _, _, half = pl._intervals(base, y, sigma, per_rep("delta"), mu2, kappa, alpha)
+    cov = (np.abs(theta - center) <= half).reshape(n_reps, n).mean(axis=1)
+    return cov, (2.0 * half).reshape(n_reps, n).mean(axis=1)
 
 
 def run_study(
@@ -368,12 +366,10 @@ def run_study(
                 results = list(pool.map(_simulate_rep, tasks, chunksize=max(1, reps // (4 * workers))))
         else:
             results = [_simulate_rep(t) for t in tasks]
-        results.sort(key=lambda r: r[0])
+        stacked = _replications(results)
         oracle = design.theta.moments() if isinstance(design, PanelDesign) else None
-        per_method: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         wanted = [m for m in dict.fromkeys([*methods, _ORACLE_BASELINE]) if oracle or not m.startswith("oracle_")]
-        for method in wanted:
-            per_method[method] = _method_coverage(results, method, oracle, alpha, reps)
+        per_method = {m: _method_coverage(stacked, m, oracle, alpha) for m in wanted}
         base_len = (
             float(np.mean(per_method[_ORACLE_BASELINE][1]))
             if _ORACLE_BASELINE in per_method

@@ -193,10 +193,12 @@ def noncoverage_sq_d2(t, chi):
     t, chi = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(chi, dtype=float))
     u = np.sqrt(t)
     safe_t = np.where(t > 0, t, 1.0)
-    out = np.asarray(
-        (_phi(chi - u) * (chi * u - t - 1.0) + _phi(chi + u) * (chi * u + t + 1.0))
-        / (4.0 * safe_t ** 1.5)
-    )
+    # t ** 1.5 overflows past t ~ 3e205, where the true value underflows to 0 = x / inf
+    with np.errstate(over="ignore"):
+        out = np.asarray(
+            (_phi(chi - u) * (chi * u - t - 1.0) + _phi(chi + u) * (chi * u + t + 1.0))
+            / (4.0 * safe_t ** 1.5)
+        )
     # the series only where the direct form cancels
     small = 2.0 * chi * u < 0.5
     if small.any():
@@ -271,7 +273,9 @@ def _majorant_kink_batch(chi: np.ndarray, t_start=None) -> np.ndarray:
         above = g <= 0
         lo = np.where(above, lo, t)
         hi = np.where(above, t, hi)
-        t_new = t - g / (t * noncoverage_sq_d2(t, c))
+        # where r'' underflows to 0 the step is inf or NaN, and bisection replaces it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_new = t - g / (t * noncoverage_sq_d2(t, c))
         bad = ~((t_new >= lo) & (t_new <= hi))
         t_new = np.where(bad, 0.5 * (lo + hi), t_new)
         flat = np.abs(g) <= floor
@@ -623,16 +627,18 @@ def _chord_newton(m2, alpha, chi0, t0_init, max_iter=40):
     Solves ``kink_objective(t, chi) = 0`` jointly with ``chord value = alpha``.
     The starting point (chi0 from the point-mass branch, its kink) lies below
     the solution in both coordinates.  Each entry stops once both residuals
-    are below 1e-13, and stops unconverged once an iterate is not finite,
-    which it then stays.  Returns (chi, t, converged); a converged entry can
+    are below 1e-13, and stops unconverged once an iterate is not finite or
+    t is past 2**511.  Returns (chi, t, converged); a converged entry can
     still be a root of the system outside the chord regime.
     """
     t_out = np.maximum(t0_init, 1e-8)
     chi_out = chi0.copy()
     ok = np.zeros(m2.shape, dtype=bool)
-    act = np.arange(m2.size)
-    t, chi = t_out, chi_out
+    act = np.flatnonzero(t_out < 2.0**511)  # past it, t * t and t ** 1.5 overflow
+    t, chi, m2 = t_out[act], chi_out[act], m2[act]
     for it in range(max_iter):
+        if not act.size:
+            break
         u = np.sqrt(t)
         pm = _phi(u - chi)
         pp = _phi(u + chi)
@@ -662,10 +668,8 @@ def _chord_newton(m2, alpha, chi0, t0_init, max_iter=40):
         tol = 1e-10 if it == max_iter - 1 else 1e-13
         done = (np.abs(f1) < tol) & (np.abs(f2) < tol)
         ok[act[done]] = True
-        keep = ~done & np.isfinite(t) & np.isfinite(chi)
+        keep = ~done & (t < 2.0**511) & np.isfinite(chi)
         act, t, chi, m2 = act[keep], t[keep], chi[keep], m2[keep]
-        if not act.size:
-            break
     return chi_out, t_out, ok & np.isfinite(chi_out)
 
 

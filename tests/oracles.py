@@ -1,4 +1,4 @@
-"""Scalar reference routes for the worst-case solvers.
+"""Scalar reference routes for the worst-case solvers and the moments.
 
 Independent of the batch engines in ``shrinkci.worstcase``: the majorant
 kink by brentq on its defining equation, the binding fourth-moment pair by
@@ -6,6 +6,10 @@ grid plus golden-section search over xi = x0 / m2 (129 points, 64 steps;
 it shares only the pair's objective with the production solver, which
 takes the corner test and Newton), and the critical value by inverting
 that scalar worst case one chi at a time.
+
+Independent of ``shrinkci.moments``' blocked kernels: the full n x n
+neighbor order by lexsort, and the nearest-neighbor moments and
+cross-validation errors by a per-unit loop over it with ``math.fsum``.
 """
 
 import math
@@ -81,3 +85,42 @@ def cva_scalar(m2, kappa, alpha):
     worst = lambda chi, idx: np.array([worst_scalar(m2, kappa, float(c)) for c in chi])
     hi = z * math.sqrt((1.0 + m2) / alpha) + 1.0
     return float(_solve.invert(worst, alpha, [z], [hi], 1e-8)[0])
+
+
+def neighbor_order_full(coords):
+    """All units sorted by distance from each unit, ties by index, from the
+    full (n, n, d) difference tensor."""
+    d2 = np.sum((coords[:, None, :] - coords[None, :, :]) ** 2, axis=2)
+    n = coords.shape[0]
+    return np.lexsort((np.broadcast_to(np.arange(n), (n, n)), d2), axis=1)
+
+
+def pmt_scalar(resid, sigma, omega):
+    """Raw moments of one neighborhood by ``math.fsum``, floored at the PMT
+    bounds in Python float arithmetic."""
+    total = math.fsum(omega)
+    mu2_uc = math.fsum(omega * (resid**2 - sigma**2)) / total
+    mu4_uc = math.fsum(omega * (resid**4 - 6.0 * sigma**2 * resid**2 + 3.0 * sigma**4)) / total
+    mu2_floor = 2.0 * math.fsum(omega**2 * sigma**4) / (total * math.fsum(omega * sigma**2))
+    mu2 = max(mu2_uc, mu2_floor)
+    kappa_floor = 1.0 + 32.0 * math.fsum(omega**2 * sigma**8) / (
+        mu2**2 * total * math.fsum(omega * sigma**4)
+    )
+    return mu2, max(mu4_uc / mu2**2, kappa_floor)
+
+
+def nn_moments_loop(resid, sigma, coords, omega, neighbors):
+    """Per-unit PMT moments of each unit's ``neighbors`` nearest units."""
+    order = neighbor_order_full(coords)
+    out = [pmt_scalar(resid[i], sigma[i], omega[i]) for i in order[:, :neighbors]]
+    return np.array(out).T
+
+
+def cv_errors_full(resid, sigma, coords, omega, grid):
+    """Leave-one-out prediction error of the J-neighbor mean of w2 for each
+    J in ``grid``, with the unit itself removed from its full neighbor row."""
+    w2 = resid**2 - sigma**2
+    order = neighbor_order_full(coords)
+    others = np.array([row[row != i] for i, row in enumerate(order)])
+    cum = np.cumsum(w2[others], axis=1)
+    return {j: float(omega @ (w2 - cum[:, j - 1] / j) ** 2) for j in sorted(grid)}

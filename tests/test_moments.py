@@ -2,10 +2,83 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from shrinkci import moments as mom
 
+_MAX = np.finfo(float).max
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0**-53, -(2.0**-53), 2.0**-54, 2.0**-1074, -(2.0**-1074),
+            2.0**-1022, 2.0**-1022 - 2.0**-1074, _MAX, -_MAX, 1e308, -1e308]
+_value = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_SPECIAL))
 
+
+def _fsum_or_error(row):
+    try:
+        return math.fsum(row)
+    except OverflowError:
+        return OverflowError
+
+
+@st.composite
+def _rows(draw):
+    """Rows of mixed floats, some cancelling exactly (a row and its
+    negation) and some half-ulp ties such as [1.0, 2**-53]."""
+    row = draw(st.lists(_value, max_size=40))
+    kind = draw(st.sampled_from(["plain", "cancel", "tie"]))
+    if kind == "cancel":
+        row = row + [-v for v in draw(st.permutations(row))] + draw(st.lists(_value, max_size=2))
+    elif kind == "tie":
+        x = draw(st.floats(min_value=2.0**-900, max_value=2.0**900))
+        k = draw(st.integers(0, 3))
+        row = row + [x, math.ulp(x) / 2.0 * draw(st.sampled_from([1.0, -1.0])), *[0.0] * k]
+    return row
+
+
+class TestRowSums:
+    @given(st.lists(_rows(), min_size=1, max_size=6))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_fsum_bit_for_bit(self, rows):
+        width = max(len(r) for r in rows)
+        want = [_fsum_or_error(r) for r in rows]
+        # zeros pad every row to one width; they change no sum
+        ok = [r + [0.0] * (width - len(r)) for r, w in zip(rows, want) if isinstance(w, float)]
+        if ok:
+            got = mom._row_sums(np.array(ok, dtype=float).reshape(len(ok), width))
+            assert [v.hex() for v in got.tolist()] == [w.hex() for w in want if isinstance(w, float)]
+        for r, w in zip(rows, want):
+            if not isinstance(w, float):
+                with pytest.raises(w):
+                    mom._row_sums(np.array([r]))
+
+    @pytest.mark.parametrize("row", [[1.0, 2.0**-53], [1.0, -(2.0**-54)], [2.0**-53, 1.0, 2.0**-105],
+                                     [1e16, 1.0, -1e16], [], [-0.0, -0.0]])
+    def test_adversarial_rows(self, row):
+        got = mom._row_sums(np.array(row, dtype=float)[None, :])
+        assert got.shape == (1,) and got[0].hex() == math.fsum(row).hex()
+
+    def test_permutation_invariant(self):
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((200, 301)) * np.exp(rng.uniform(-30, 30, (200, 301)))
+        perm = rng.permuted(a, axis=1)
+        np.testing.assert_array_equal(mom._row_sums(perm), mom._row_sums(a))
+        np.testing.assert_array_equal(mom._row_sums(a[:, ::-1]), mom._row_sums(a))
+
+    def test_leading_axes_kept(self):
+        a = np.arange(24.0).reshape(2, 3, 4)
+        np.testing.assert_array_equal(mom._row_sums(a), a.sum(axis=-1))
+        assert mom._row_sums(np.arange(5.0)) == 10.0
+
+    def test_normal_sample_needs_no_fallback(self, monkeypatch):
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda row: calls.append(1) or fsum(row))
+        a = np.random.default_rng(32).standard_normal((500, 1522))
+        got = mom._row_sums(a)
+        assert calls == []
+        monkeypatch.undo()
+        assert got.tolist() == [math.fsum(row) for row in a]
 
 
 class TestUnits:
@@ -205,10 +278,71 @@ class TestNearestNeighbor:
         assert lo == pytest.approx(0.25, abs=0.08)
         assert hi == pytest.approx(4.0, abs=0.8)
 
+    def test_zero_weight_neighborhood_rejected(self):
+        X = np.column_stack([np.ones(6), np.arange(6.0)])
+        omega = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="weights must not all be zero"):
+            mom.nn_moments(np.zeros(6), np.ones(6), X, omega, 2)
+
     def test_rejects_bad_neighbor_count(self):
         data = mom.Units(np.zeros(5) + 1.0, np.ones(5))
         with pytest.raises(ValueError):
             mom.nn_moments(np.zeros(5), np.ones(5), np.ones((5, 1)), np.ones(5), 1)
+
+
+class TestBlockedNeighbors:
+    """The blocked neighbor order, CV errors and nn moments against the full
+    n x n references in ``tests/oracles.py``, bit for bit, on tied
+    integer-valued covariates and with at least three blocks."""
+
+    N = 50
+
+    @pytest.fixture
+    def data(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        n = self.N
+        X = np.column_stack([np.ones(n), rng.integers(0, 3, n)])
+        sigma = rng.choice([0.5, 2.0], n)
+        resid = rng.normal(0.0, 1.5, n)
+        omega = rng.uniform(0.5, 1.5, n)
+        coords = mom._standardized_coords(X, sigma)
+        # 16 rows a block: blocks of 16, 16, 16 and 2 rows
+        monkeypatch.setattr(mom, "_NN_BLOCK_ELEMENTS", 16 * n * coords.shape[1])
+        return resid, sigma, X, omega, coords
+
+    def test_blocked_order_equals_full_lexsort(self, data):
+        coords = data[4]
+        blocks = list(mom._neighbor_blocks(coords))
+        assert len(blocks) >= 3 and 0 < len(blocks[-1][0]) < len(blocks[0][0])
+        np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), np.arange(self.N))
+        np.testing.assert_array_equal(np.vstack([b[1] for b in blocks]), oracles.neighbor_order_full(coords))
+
+    @pytest.mark.parametrize("grid", [[2, 3], [2, 7, 20, 49]])
+    def test_cv_errors_equal_reference(self, data, grid):
+        resid, sigma, X, omega, coords = data
+        _, errors = mom.cv_select_neighbors(resid, sigma, X, omega, grid)
+        assert errors == oracles.cv_errors_full(resid, sigma, coords, omega, grid)
+
+    @pytest.mark.parametrize("neighbors", [2, 17, 50])
+    def test_nn_moments_equal_reference(self, data, neighbors):
+        resid, sigma, X, omega, coords = data
+        mu2, kappa = mom.nn_moments(resid, sigma, X, omega, neighbors)
+        mu2_ref, kappa_ref = oracles.nn_moments_loop(resid, sigma, coords, omega, neighbors)
+        np.testing.assert_array_equal(mu2, mu2_ref)
+        np.testing.assert_array_equal(kappa, kappa_ref)
+
+    def test_estimate_moments_with_cv_equals_reference(self, data):
+        resid, sigma, X, omega, coords = data
+        rng = np.random.default_rng(22)
+        units = mom.Units(rng.normal(0.0, 1.5, self.N), sigma, X)
+        est = mom.estimate_moments(units, variant="nn")
+        r = est.residuals
+        assert est.extras["cv_errors"] == oracles.cv_errors_full(
+            r, sigma, coords, np.full(self.N, 1.0 / self.N), est.extras["cv_errors"]
+        )
+        mu2_ref, kappa_ref = oracles.nn_moments_loop(r, sigma, coords, np.full(self.N, 1.0 / self.N), est.neighbors)
+        np.testing.assert_array_equal(est.mu2_per_unit, mu2_ref)
+        np.testing.assert_array_equal(est.kappa_per_unit, kappa_ref)
 
 
 class TestCvSelect:

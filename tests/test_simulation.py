@@ -203,17 +203,24 @@ class TestHeteroskedasticDesign:
         assert 0.8 <= row.coverage <= 1.0
         assert math.isnan(row.rel_length)  # no oracle benchmark for this design
 
-    @pytest.mark.parametrize("snr", [0.05, 0.5, 4.0])
-    def test_replication_moments_match_estimate_moments(self, snr):
-        # _simulate_rep keeps its own PMT copy for speed; pin it to the library
-        d = self.make(snr)
+    @pytest.mark.parametrize(
+        "snr, weights",
+        [(snr, "inverse_variance") for snr in (0.05, 0.5, 4.0)]
+        + [(snr, "uniform") for snr in (0.1, 2.0)],
+    )
+    def test_replication_moments_match_estimate_moments(self, snr, weights):
+        # the uniform-weight case is a panel design, whose omega is None
+        if weights == "uniform":
+            d = sim.PanelDesign(n=80, t=5, err="chi2", snr=snr, theta=sim.ThetaDistribution("normal", snr))
+        else:
+            d = self.make(snr)
+        reps = sim._replications([sim._simulate_rep((d, 0, rep, 5)) for rep in range(3)])
         for rep in range(3):
-            _, y, sigma, _, delta, mu2_hat, kappa_hat = sim._simulate_rep((d, 0, rep, 5))
-            units = mom.Units(y, sigma)
-            est = mom.estimate_moments(units, variant="pmt", weights="inverse_variance")
-            assert delta == pytest.approx(float(est.delta[0]), rel=1e-12)
-            assert mu2_hat == pytest.approx(est.mu2, rel=1e-12)
-            assert kappa_hat == pytest.approx(est.kappa, rel=1e-12)
+            units = mom.Units(reps["y"][rep], reps["sigma"][rep])
+            est = mom.estimate_moments(units, variant="pmt", weights=weights)
+            assert reps["delta"][rep] == est.delta[0]
+            assert reps["mu2"][rep] == est.mu2
+            assert reps["kappa"][rep] == est.kappa
 
     def test_csv_loader_roundtrip(self, tmp_path):
         path = tmp_path / "calib.csv"
