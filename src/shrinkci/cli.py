@@ -12,9 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import math
 import os
 import sys
+from operator import itemgetter
 
 import numpy as np
 from scipy.special import ndtri
@@ -30,6 +32,10 @@ EXIT_NUMERIC = 3
 EXIT_CONFIG = 4
 
 WORKERS_ENV = "SHRINKCI_WORKERS"
+
+# rows converted or formatted at a time: bounds the strings alive at once,
+# so CSV I/O needs little memory beyond the float columns themselves
+_CSV_BLOCK_ROWS = 4096
 
 
 class SchemaError(Exception):
@@ -102,52 +108,114 @@ def _number(path: str, lineno: int, col: str, raw: str | None) -> float:
 def _read_units_csv(path: str) -> mom.Units:
     """Units from a CSV with columns y, se and optionally x1..xk and weight.
 
-    Lines starting with '#' are comments; error messages name the physical
-    line of the offending row.
+    The grammar is ``csv.DictReader``'s over the lines not starting with
+    '#' (comments): the first row is the header, blank rows are skipped, a
+    duplicated column name takes its last occurrence, extra fields are
+    ignored and a short row has missing values.  Rows are converted column
+    by column, ``_CSV_BLOCK_ROWS`` at a time; error messages name the
+    physical line of the offending row.
     """
+    lineno = 0
+
+    def data_lines(fh):
+        nonlocal lineno
+        for n, line in enumerate(fh, start=1):
+            if not line.startswith("#"):
+                lineno = n  # the last line handed to csv, not a comment read past it
+                yield line
+
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            lines = [(n, line) for n, line in enumerate(fh, start=1) if not line.startswith("#")]
+            reader = csv.reader(data_lines(fh))
+            try:
+                cols = next(reader, [])
+                for required in ("y", "se"):
+                    if required not in cols:
+                        raise SchemaError(f"{path}: missing required column '{required}'")
+                xcols = sorted(
+                    (c for c in cols if c.startswith("x") and c[1:].isdigit()),
+                    key=lambda c: int(c[1:]),
+                )
+                names = ["y", "se", *xcols, *(["weight"] if "weight" in cols else [])]
+                last = {c: i for i, c in enumerate(cols)}
+                index = [last[c] for c in names]
+                blocks, rows, linenos = [], [], []
+                for fields in reader:
+                    if not fields:
+                        continue
+                    rows.append(fields)
+                    linenos.append(lineno)
+                    if len(rows) == _CSV_BLOCK_ROWS:
+                        blocks.append(_float_block(path, rows, linenos[-len(rows):], names, index))
+                        rows = []
+            except csv.Error as exc:
+                raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
+            if rows:
+                blocks.append(_float_block(path, rows, linenos[-len(rows):], names, index))
     except OSError as exc:
         raise SchemaError(f"cannot open input file {path}: {exc}") from exc
-    reader = csv.DictReader(line for _, line in lines)
-    cols = reader.fieldnames or []
-    for required in ("y", "se"):
-        if required not in cols:
-            raise SchemaError(f"{path}: missing required column '{required}'")
-    xcols = sorted(
-        (c for c in cols if c.startswith("x") and c[1:].isdigit()),
-        key=lambda c: int(c[1:]),
-    )
-    names = ["y", "se", *xcols, *(["weight"] if "weight" in cols else [])]
-    rows, linenos = [], []
-    for row in reader:
-        lineno = lines[reader.line_num - 1][0]
-        rows.append([_number(path, lineno, c, row.get(c)) for c in names])
-        linenos.append(lineno)
-    if not rows:
+    if not blocks:
         raise SchemaError(f"{path}: no data rows")
-    table = np.array(rows)
-    k = 2 + len(xcols)
+    y, se, *rest = (np.concatenate(col) for col in zip(*blocks))
+    k = len(xcols)
     try:
         return mom.Units(
-            y=table[:, 0],
-            sigma=table[:, 1],
-            X=np.column_stack([np.ones(len(rows)), table[:, 2:k]]),
-            omega=table[:, k] if "weight" in cols else None,
+            y=y,
+            sigma=se,
+            X=np.column_stack([np.ones(len(y)), *rest[:k]]),
+            omega=rest[k] if "weight" in cols else None,
         )
     except mom.UnitError as exc:
         raise SchemaError(f"{path}: line {linenos[exc.index]}: {exc}") from exc
 
 
-def _write_csv(path: str, header_comments: list[str], colnames: list[str], rows):
+def _float_block(
+    path: str, rows: list[list[str]], linenos: list[int], names: list[str], index: list[int]
+) -> list[np.ndarray]:
+    """One float array per column ``names[j]``, field ``index[j]`` of each row.
+
+    A block that does not convert is checked again row by row and column by
+    column, so the ``SchemaError`` names the first bad value in file order.
+    """
+    try:
+        return [np.fromiter(map(float, map(itemgetter(i), rows)), float, len(rows)) for i in index]
+    except (ValueError, IndexError):
+        for fields, lineno in zip(rows, linenos):
+            for col, i in zip(names, index):
+                _number(path, lineno, col, fields[i] if i < len(fields) else None)
+        raise
+
+
+def _csv_field(value) -> str:
+    """``value`` as ``csv.writer`` spells it as one field of a row (None as '')."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([value, None])
+    return buf.getvalue()[: -len(",\n")]
+
+
+def _cells(block: np.ndarray):
+    """The CSV fields of one block of a column: floats as their shortest
+    round-trip ``repr``, anything else through ``_csv_field`` once per
+    distinct value."""
+    values = block.tolist()
+    if block.dtype.kind == "f":
+        return map(float.__repr__, values)
+    spelled = {v: _csv_field(v) for v in set(values)}
+    return map(spelled.__getitem__, values)
+
+
+def _write_csv(path: str, header_comments: list[str], columns: dict[str, np.ndarray]):
+    """Write '# ' comment lines, a header row and the equal-length columns
+    of ``columns``, ``_CSV_BLOCK_ROWS`` rows at a time."""
+    n = len(next(iter(columns.values())))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for line in header_comments:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(colnames)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        csv.writer(fh, lineterminator="\n").writerow(list(columns))
+        for start in range(0, n, _CSV_BLOCK_ROWS):
+            stop = start + _CSV_BLOCK_ROWS
+            cells = [_cells(col[start:stop]) for col in columns.values()]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _fmt_array(arr) -> str:
@@ -183,9 +251,7 @@ def cmd_fit(args) -> int:
     columns = {f.name: getattr(res, f.name) for f in dataclasses.fields(pl.EbciOutput)}
     columns["method"] = np.full(len(data), res.method)
     columns["rule_of_thumb_ok"] = columns["rule_of_thumb_ok"].astype(int)
-    # tolist: Python floats, whose repr is the plain round-trip literal
-    rows = zip(*(col.tolist() for col in columns.values()))
-    _write_csv(args.output, header, list(columns), rows)
+    _write_csv(args.output, header, columns)
     return EXIT_OK
 
 
@@ -196,11 +262,16 @@ def cmd_cva(args) -> int:
         raise ConfigError(f"--m2 expects comma-separated numbers: {exc}") from exc
     if not m2_values:
         raise ConfigError("--m2 must list at least one value")
-    rows = []
-    for m2 in m2_values:
-        res = wc.critical_value(wc.MomentConstraints(m2, args.kappa), args.alpha)
-        rows.append([m2, args.kappa if args.kappa is not None else math.inf, res.chi, res.noncoverage])
-    _write_csv(args.output, [f"alpha={args.alpha}"], ["m2", "kappa", "cva", "noncoverage"], rows)
+    results = [
+        wc.critical_value(wc.MomentConstraints(m2, args.kappa), args.alpha) for m2 in m2_values
+    ]
+    columns = {
+        "m2": np.array(m2_values),
+        "kappa": np.full(len(m2_values), args.kappa if args.kappa is not None else math.inf),
+        "cva": np.array([res.chi for res in results]),
+        "noncoverage": np.array([res.noncoverage for res in results]),
+    }
+    _write_csv(args.output, [f"alpha={args.alpha}"], columns)
     return EXIT_OK
 
 
@@ -209,30 +280,26 @@ def cmd_curves(args) -> int:
     m2_grid = np.geomspace(args.m2_min, args.m2_max, args.points)
     m2_grid = np.concatenate([[0.0], m2_grid])
     z = float(ndtri(1.0 - args.alpha / 2.0))
-    rows = []
-    for kap in [*kappas, None]:
-        chi = wc.critical_values(m2_grid, kappa=kap, alpha=args.alpha)
-        for m2, c in zip(m2_grid, chi):
-            rows.append(
-                [
-                    float(m2),
-                    kap if kap is not None else math.inf,
-                    float(c),
-                    z * math.sqrt(1.0 + m2),
-                ]
-            )
-    _write_csv(
-        args.output,
-        [f"alpha={args.alpha}"],
-        ["m2", "kappa", "cva", "cva_parametric"],
-        rows,
-    )
+    curves = [*kappas, None]
+    m2 = np.tile(m2_grid, len(curves))
+    columns = {
+        "m2": m2,
+        "kappa": np.repeat([kap if kap is not None else math.inf for kap in curves], len(m2_grid)),
+        "cva": np.concatenate(
+            [wc.critical_values(m2_grid, kappa=kap, alpha=args.alpha) for kap in curves]
+        ),
+        "cva_parametric": z * np.sqrt(1.0 + m2),
+    }
+    _write_csv(args.output, [f"alpha={args.alpha}"], columns)
     return EXIT_OK
 
 
 def _build_designs(args) -> list:
     if args.het_input:
-        th, se = sim.load_calibration_csv(args.het_input)
+        try:
+            th, se = sim.load_calibration_csv(args.het_input)
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from exc
         snrs = [float(v) for v in args.snr.split(",") if v]
         return [sim.HeteroskedasticDesign(th, se, snr, n=args.n) for snr in snrs]
     kinds = [k for k in args.theta_kinds.split(",") if k]
@@ -272,16 +339,20 @@ def cmd_simulate(args) -> int:
 def cmd_power(args) -> int:
     ds = np.linspace(0.0, args.d_max, args.d_steps)
     ws = np.linspace(args.w_min, args.w_max, args.w_steps)
-    rows = []
-    for w in ws:
-        robust, ztest = pl.average_power(ds, float(w), args.alpha)
-        for d, r, zt in zip(ds.tolist(), robust.tolist(), ztest.tolist()):
-            rows.append([d, float(w), r, zt, r - zt])
+    results = [pl.average_power(ds, float(w), args.alpha) for w in ws]
+    robust = np.array([r for r, _ in results]).ravel()
+    ztest = np.array([zt for _, zt in results]).ravel()
+    columns = {
+        "d": np.tile(ds, len(ws)),
+        "w_eb": np.repeat(ws, len(ds)),
+        "power_robust": robust,
+        "power_ztest": ztest,
+        "power_difference": robust - ztest,
+    }
     _write_csv(
         args.output,
         [f"alpha={args.alpha}", "power of robust-interval test vs z-test"],
-        ["d", "w_eb", "power_robust", "power_ztest", "power_difference"],
-        rows,
+        columns,
     )
     return EXIT_OK
 

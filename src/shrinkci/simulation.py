@@ -242,18 +242,36 @@ class HeteroskedasticDesign:
 
 
 def load_calibration_csv(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Read the (theta_hat, se) columns for the heteroskedastic design."""
+    """Read the (theta_hat, se) columns for the heteroskedastic design.
+
+    Lines starting with '#' are comments and blank rows are skipped.  A
+    ``ValueError`` names the column and the physical line of a bad value.
+    """
+    lineno = 0
+
+    def data_lines(fh):
+        nonlocal lineno
+        for n, line in enumerate(fh, start=1):
+            if not line.startswith("#"):
+                lineno = n  # the last line handed to csv, not a comment read past it
+                yield line
+
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        if reader.fieldnames is None or not {"theta_hat", "se"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: need columns theta_hat, se")
+        reader = csv.DictReader(data_lines(fh))
         th, se = [], []
-        for line, row in enumerate(reader, start=2):
-            try:
-                th.append(float(row["theta_hat"]))
-                se.append(float(row["se"]))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: bad number on line {line}") from exc
+        try:
+            if reader.fieldnames is None or not {"theta_hat", "se"} <= set(reader.fieldnames):
+                raise ValueError(f"{path}: need columns theta_hat, se")
+            for row in reader:
+                for col, values in (("theta_hat", th), ("se", se)):
+                    raw = row[col]
+                    try:
+                        values.append(float(raw))
+                    except (TypeError, ValueError) as exc:
+                        what = "missing value" if raw in (None, "") else f"not a number: {raw!r}"
+                        raise ValueError(f"{path}: line {lineno}: column '{col}': {what}") from exc
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return tuple(th), tuple(se)
 
 

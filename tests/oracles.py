@@ -10,8 +10,13 @@ that scalar worst case one chi at a time.
 Independent of ``shrinkci.moments``' blocked kernels: the full n x n
 neighbor order by lexsort, and the nearest-neighbor moments and
 cross-validation errors by a per-unit loop over it with ``math.fsum``.
+
+Independent of the CLI's blocked columnar CSV layer: the row-at-a-time
+reader (a ``csv.DictReader`` dict per row) and writer (``csv.writer``, one
+``writerow`` per row) it replaced.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -19,6 +24,8 @@ from scipy.optimize import brentq
 from scipy.special import ndtri
 
 from shrinkci import _solve
+from shrinkci import cli
+from shrinkci import moments as mom
 from shrinkci import worstcase as wc
 
 
@@ -124,3 +131,62 @@ def cv_errors_full(resid, sigma, coords, omega, grid):
     others = np.array([row[row != i] for i, row in enumerate(order)])
     cum = np.cumsum(w2[others], axis=1)
     return {j: float(omega @ (w2 - cum[:, j - 1] / j) ** 2) for j in sorted(grid)}
+
+
+def _number(path, lineno, col, raw):
+    if raw is None or raw == "":
+        raise cli.SchemaError(f"{path}: line {lineno}: missing value in column '{col}'")
+    try:
+        return float(raw)
+    except ValueError as exc:
+        raise cli.SchemaError(f"{path}: line {lineno}: column '{col}': not a number: {raw!r}") from exc
+
+
+def read_units_csv_reference(path):
+    """``Units`` from a units CSV, one ``csv.DictReader`` dict per row; the
+    same grammar and messages as ``cli._read_units_csv``."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = [(n, line) for n, line in enumerate(fh, start=1) if not line.startswith("#")]
+    except OSError as exc:
+        raise cli.SchemaError(f"cannot open input file {path}: {exc}") from exc
+    reader = csv.DictReader(line for _, line in lines)
+    cols = reader.fieldnames or []
+    for required in ("y", "se"):
+        if required not in cols:
+            raise cli.SchemaError(f"{path}: missing required column '{required}'")
+    xcols = sorted(
+        (c for c in cols if c.startswith("x") and c[1:].isdigit()),
+        key=lambda c: int(c[1:]),
+    )
+    names = ["y", "se", *xcols, *(["weight"] if "weight" in cols else [])]
+    rows, linenos = [], []
+    for row in reader:
+        lineno = lines[reader.line_num - 1][0]
+        rows.append([_number(path, lineno, c, row.get(c)) for c in names])
+        linenos.append(lineno)
+    if not rows:
+        raise cli.SchemaError(f"{path}: no data rows")
+    table = np.array(rows)
+    k = 2 + len(xcols)
+    try:
+        return mom.Units(
+            y=table[:, 0],
+            sigma=table[:, 1],
+            X=np.column_stack([np.ones(len(rows)), table[:, 2:k]]),
+            omega=table[:, k] if "weight" in cols else None,
+        )
+    except mom.UnitError as exc:
+        raise cli.SchemaError(f"{path}: line {linenos[exc.index]}: {exc}") from exc
+
+
+def write_csv_reference(path, header_comments, colnames, rows):
+    """Comment lines, a header row and one ``writerow`` per row, floats as
+    their ``repr``; the same bytes as ``cli._write_csv`` on the columns."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        for line in header_comments:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(colnames)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])

@@ -3,10 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import cva_scalar
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import cva_scalar, read_units_csv_reference, write_csv_reference
 from scipy.special import ndtri
 
 from shrinkci import cli
@@ -329,6 +332,15 @@ class TestSimulateCommand:
             "--het-input", str(tmp_path / "missing.csv"), "--reps", "2",
         ]) == 2
 
+    def test_bad_het_input_names_physical_line_and_column_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# calibration draws\ntheta_hat,se\n0.1,0.5\n\n-0.2,0.7\n0.3,oops\n")
+        assert cli.main([
+            "simulate", "--output", str(tmp_path / "o.csv"), "--het-input", str(bad), "--reps", "2",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "line 6" in err and "column 'se'" in err and "'oops'" in err
+
     def test_workers_env_var_honored_and_flag_wins(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.WORKERS_ENV, "2")
         out_env = tmp_path / "env.csv"
@@ -353,6 +365,136 @@ class TestPowerCommand:
         assert any(d > 0.01 for d in diffs)
         assert any(d < -0.01 for d in diffs)
         assert all(0 <= float(r["power_robust"]) <= 1 for r in rows)
+
+
+def _quoted(field):
+    return '"' + field.replace('"', '""') + '"'
+
+
+_NAMES = ("y", "se", "x1", "x2", "x10", "x01", "weight", "z", "")
+_TOKENS = (
+    "1_000", "nan", "inf", "-inf", "", " ", " 1.5 ", "-0.0", "0", "abc", "1e999",
+    "1,5", 'a"b', "2\n3", "4\n# not a comment",
+)
+_GOOD = st.floats(0.1, 10.0).map(repr)
+_ANY = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(_TOKENS),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=3),
+)
+
+
+@st.composite
+def units_files(draw):
+    """Text of a units CSV: comment lines, blank lines, quoted fields,
+    duplicated column names, short and long rows, and bad tokens."""
+    names = draw(st.lists(st.sampled_from(_NAMES), max_size=5))
+    if draw(st.integers(0, 9)):
+        names += ["y", "se"]
+    names = draw(st.permutations(names))
+    rarely = lambda: draw(st.integers(0, 19)) == 0
+
+    def row(fields):
+        quote = lambda f: any(c in f for c in ',"\n') or rarely()
+        return ",".join(_quoted(f) if quote(f) else f for f in fields)
+
+    def data_row():
+        width = len(names) + (draw(st.integers(-2, 2)) if rarely() else 0)
+        return row([draw(_ANY if rarely() else _GOOD) for _ in range(max(0, width))])
+
+    comment = st.sampled_from(["# comment", "#", "#y,se"])
+    other = st.one_of(comment, st.sampled_from(["", " "]))
+    lines = [draw(comment) for _ in range(draw(st.integers(0, 2)))] + [row(names)]
+    for _ in range(draw(st.integers(0, 12))):
+        lines.append(draw(other) if rarely() or rarely() else data_row())
+    text = "".join(line + draw(st.sampled_from(["\n", "\n", "\r\n"])) for line in lines)
+    return text if draw(st.booleans()) else text[:-1]
+
+
+def _read_outcome(read, path):
+    """The arrays of the ``Units`` read, bit for bit, or the error raised."""
+    try:
+        units = read(path)
+    except Exception as exc:  # compare whatever the reference raises
+        return type(exc).__name__, str(exc)
+    return tuple((a.shape, a.tobytes()) for a in (units.y, units.sigma, units.X, units.omega))
+
+
+_SPECIAL_FLOATS = (
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+    1e-5, 9.999999999999999e-06, 1e-4, 1e16, 9999999999999998.0, 1e15, 0.1, -1.5,
+)
+_COLUMNS = st.sampled_from(["float", "object", "str", "int"])
+_TEXT = st.text(st.sampled_from(["a", " ", ",", '"', "\n", "\r", "#", "é"]), max_size=4)
+
+
+def _column(draw, kind, n):
+    if kind == "float":
+        values = [draw(st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))) for _ in range(n)]
+        return np.array(values, dtype=float)
+    if kind == "object":
+        values = [draw(st.one_of(st.none(), st.just(""), _TEXT)) for _ in range(n)]
+        return np.array(values, dtype=object)
+    if kind == "str":
+        return np.full(n, draw(_TEXT))
+    return np.array([draw(st.integers(0, 1)) for _ in range(n)])
+
+
+class TestCsvLayer:
+    """The blocked columnar reader and writer against the row-at-a-time
+    references in ``tests/oracles.py``, with three rows to a block so that
+    files span full and partial blocks."""
+
+    @pytest.fixture(scope="class")
+    def csv_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("csv")
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=units_files())
+    def test_reader_matches_dictreader_reference(self, csv_dir, text):
+        path = csv_dir / "units.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with mock.patch.object(cli, "_CSV_BLOCK_ROWS", 3):
+            got = _read_outcome(cli._read_units_csv, str(path))
+        assert got == _read_outcome(read_units_csv_reference, str(path))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 11), kinds=st.lists(_COLUMNS, min_size=2, max_size=5), data=st.data())
+    def test_writer_matches_row_writer(self, csv_dir, n, kinds, data):
+        columns = {f"c{j}": _column(data.draw, kind, n) for j, kind in enumerate(kinds)}
+        comments = ["alpha=0.05", "a note"]
+        with mock.patch.object(cli, "_CSV_BLOCK_ROWS", 3):
+            cli._write_csv(str(csv_dir / "new.csv"), comments, columns)
+        rows = zip(*(col.tolist() for col in columns.values()))
+        write_csv_reference(str(csv_dir / "ref.csv"), comments, list(columns), rows)
+        assert (csv_dir / "new.csv").read_bytes() == (csv_dir / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("method", pl.METHODS)
+    def test_fit_output_parses_to_library_columns(self, tmp_path, monkeypatch, method):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 16)
+        rng = np.random.default_rng(11)
+        n = 40
+        y, se, x = rng.normal(0, 1.5, n), rng.uniform(0.5, 2.0, n), rng.normal(0, 1, n)
+        inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        write_units(str(inp), y, se, x=x)
+        assert cli.main(["fit", "--input", str(inp), "--output", str(out), "--method", method]) == 0
+        _, rows = read_output(str(out))
+        res = pl.fit(mom.Units(y, se, X=np.column_stack([np.ones(n), x])), method=method)
+        assert len(rows) == n
+        for name in ("theta_hat", "w_eb", "cva", "lower", "upper", "half_length", "param_max_noncov"):
+            parsed = np.array([float(r[name]) for r in rows])
+            assert parsed.tobytes() == getattr(res, name).tobytes(), name
+        assert [r["rule_of_thumb_ok"] for r in rows] == [str(int(v)) for v in res.rule_of_thumb_ok]
+        assert {r["method"] for r in rows} == {method}
+        assert [r["error"] for r in rows] == ["" if e is None else e for e in res.error]
+
+    def test_unclosed_quote_exit_2(self, tmp_path, capsys):
+        # the quote swallows the rest of the file into one field, beyond
+        # csv's field size limit
+        inp = tmp_path / "in.csv"
+        inp.write_text('y,se\n"1.0,0.5\n' + "2.0,0.7\n" * 20_000)
+        assert cli.main(["fit", "--input", str(inp), "--output", str(tmp_path / "o.csv")]) == 2
+        assert "field larger than field limit" in capsys.readouterr().err
 
 
 def test_cli_import_does_not_load_scipy_optimize():
