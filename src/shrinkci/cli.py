@@ -58,7 +58,7 @@ def _read_config_file(path: str) -> dict[str, str]:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, value = line.split("=", 1)
                 out[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return out
 
@@ -115,18 +115,10 @@ def _read_units_csv(path: str) -> mom.Units:
     by column, ``_CSV_BLOCK_ROWS`` at a time; error messages name the
     physical line of the offending row.
     """
-    lineno = 0
-
-    def data_lines(fh):
-        nonlocal lineno
-        for n, line in enumerate(fh, start=1):
-            if not line.startswith("#"):
-                lineno = n  # the last line handed to csv, not a comment read past it
-                yield line
-
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(data_lines(fh))
+            lines = sim.DataLines(fh, path, SchemaError)
+            reader = csv.reader(lines)
             try:
                 cols = next(reader, [])
                 for required in ("y", "se"):
@@ -144,12 +136,12 @@ def _read_units_csv(path: str) -> mom.Units:
                     if not fields:
                         continue
                     rows.append(fields)
-                    linenos.append(lineno)
+                    linenos.append(lines.lineno)
                     if len(rows) == _CSV_BLOCK_ROWS:
                         blocks.append(_float_block(path, rows, linenos[-len(rows):], names, index))
                         rows = []
             except csv.Error as exc:
-                raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
+                raise SchemaError(f"{path}: line {lines.lineno}: {exc}") from exc
             if rows:
                 blocks.append(_float_block(path, rows, linenos[-len(rows):], names, index))
     except OSError as exc:

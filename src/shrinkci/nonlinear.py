@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfcx, gammaincinv, gammaln, ndtr, ndtri, roots_legendre
+from scipy.special import erfcx, expit, gammaincinv, gammaln, ndtr, ndtri, roots_legendre
 
 from shrinkci import _solve
 from shrinkci import momentlp as mlp
@@ -41,8 +41,10 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-# width of the bracket around each edge of a covered run in y
+# Newton step, or bracket width, at which an edge of a covered run in y is final
 _EDGE_TOL = 1e-12
+# Newton steps before an edge goes to the bracketed fallback (near-tangent runs)
+_NEWTON_STEPS = 40
 # Gauss-Legendre rule of the Laplace-baseline average, computed once
 _LEGENDRE_NODES, _LEGENDRE_WEIGHTS = roots_legendre(200)
 
@@ -97,19 +99,32 @@ def soft_threshold(y, mu2: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _posterior_log_const(y, cfg: SoftThresholdConfig):
+def _posterior_log_const(y, cfg: SoftThresholdConfig, slope: bool = False):
     """c(y) such that the posterior density is
     exp(c(y) - t^2/(2 sigma^2) + y t / sigma^2 - |t| sqrt(2/mu2)).
 
-    Uses the scaled complementary error function, so no overflow for any
-    argument the truncated grids produce.
+    -c(y) is, up to a constant, the log of erfcx(a_minus) + erfcx(a_plus),
+    summed on the log scale: erfcx overflows below -26.6, which the
+    truncated grids reach once sigma is small (|y| > 3.8 at sigma = 0.1).
+    With ``slope`` also returns c'(y), from erfcx'(x) = 2x erfcx(x) - 2/sqrt(pi)
+    with the erfcx terms as softmax weights, so -sigma^2 c'(y) = E[t | y].
     """
     y = np.asarray(y, dtype=float)
     s = cfg.sigma
     root = math.sqrt(s * s / cfg.mu2)
     a_minus = root - y / (s * math.sqrt(2.0))
     a_plus = root + y / (s * math.sqrt(2.0))
-    return 0.5 * math.log(2.0 / (math.pi * s * s)) - np.log(erfcx(a_minus) + erfcx(a_plus))
+    l_minus, l_plus = _log_erfcx(a_minus), _log_erfcx(a_plus)
+    c = 0.5 * math.log(2.0 / (math.pi * s * s)) - np.logaddexp(l_minus, l_plus)
+    if not slope:
+        return c
+    w_minus, w_plus = expit(l_minus - l_plus), expit(l_plus - l_minus)
+    return c, (math.sqrt(2.0) / s) * (a_minus * w_minus - a_plus * w_plus)
+
+
+def _log_erfcx(a):
+    # below -26 erfcx(a) = exp(a^2) (2 - erfc(-a)) with erfc(-a) < 1e-295
+    return np.where(a > -26.0, np.log(erfcx(np.maximum(a, -26.0))), a * a + math.log(2.0))
 
 
 def hpd_interval(y: float, cfg: SoftThresholdConfig, chi: float) -> tuple[float, float]:
@@ -129,67 +144,124 @@ def hpd_interval(y: float, cfg: SoftThresholdConfig, chi: float) -> tuple[float,
 
 
 def _hpd_or_none(y: float, cfg: SoftThresholdConfig, chi: float):
+    lo, hi, ok = _hpd_bounds(y, cfg, chi)
+    return (float(lo), float(hi)) if ok else None
+
+
+def _hpd_bounds(y, cfg: SoftThresholdConfig, chi: float):
+    """(lo, hi, nonempty) of the HPD sets at each y: the intersection of the
+    solution sets of two upward quadratics in t."""
+    y = np.asarray(y, dtype=float)
     s2 = cfg.sigma**2
-    level = chi + float(_posterior_log_const(y, cfg))
+    level = chi + _posterior_log_const(y, cfg)
     lam = math.sqrt(2.0 / cfg.mu2)
-    lo, hi = -math.inf, math.inf
+    lo, hi = np.full(y.shape, -np.inf), np.full(y.shape, np.inf)
+    ok = np.full(y.shape, True)
     for c in (y / s2 - lam, y / s2 + lam):
         disc = s2 * s2 * c * c + 2.0 * s2 * level
-        if disc < 0:
-            return None
-        root = math.sqrt(disc)
-        lo = max(lo, s2 * c - root)
-        hi = min(hi, s2 * c + root)
-    if lo > hi:
-        return None
-    return lo, hi
+        ok &= disc >= 0
+        root = np.sqrt(np.where(ok, disc, 0.0))
+        lo = np.maximum(lo, s2 * c - root)
+        hi = np.minimum(hi, s2 * c + root)
+    return lo, hi, ok & (lo <= hi)
 
 
-def _covered_margin(theta, y, cfg: SoftThresholdConfig, chi: float):
+def _covered_margin(theta, y, cfg: SoftThresholdConfig, chi: float, slope: bool = False):
     """Margin whose sign says whether theta lies in the HPD set at y.
 
     Positive iff both quadratic inequalities hold; vectorized over a theta
-    column and a y row.  The terms in y alone and in theta alone are summed
-    before they are broadcast, so a scan builds one full matrix.
+    column and a y row, or elementwise over equal shapes.  The terms in y
+    alone and in theta alone are summed before they are broadcast, so a
+    scan over both builds one full matrix.  With ``slope`` also returns the
+    y-derivative (theta - E[t | y]) / sigma^2.
     """
     s2 = cfg.sigma**2
     lam = math.sqrt(2.0 / cfg.mu2)
+    c = _posterior_log_const(y, cfg, slope)
     out = theta * (y / s2)
-    out += chi + _posterior_log_const(y, cfg)
+    out += chi + (c[0] if slope else c)
     out -= theta * theta / (2.0 * s2) + np.abs(theta) * lam
-    return out
+    return (out, theta / s2 + c[1]) if slope else out
 
 
 def soft_threshold_noncoverage(theta, cfg: SoftThresholdConfig, chi: float) -> np.ndarray:
     """P(theta not in HPD set | theta) for each theta, by integration over y.
 
-    The coverage region in y is located by a sign scan of the membership
-    margin on 2001 points.  Every sign flip of every theta is refined to
-    1e-12 in one lockstep root search, and the covered mass is a signed sum
-    of normal probabilities at the edges of the covered runs.  y is truncated
-    per the config, and mass outside the truncation counts as non-covered.
+    The margin is concave in y (-c(y) is the log of a normalizer, a
+    cumulant generating function), so each theta is covered on one
+    y-interval, found by a Newton solve from each end of the truncation in
+    lockstep.  Started where the margin is <= 0, Newton on a concave function
+    climbs monotonically to the edge without crossing it; the run is empty
+    once an iterate passes the maximum or the far end with the margin still
+    <= 0.  Entries still running after ``_NEWTON_STEPS`` (near-tangent runs)
+    are bracketed from the argmax, which lies within sqrt(2/mu2) sigma^2 of
+    theta (Tweedie's formula).  y is truncated per the config, and mass
+    outside the truncation counts as non-covered.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    n = theta.size
     y_lo, y_hi = cfg.y_truncation
-    ys = np.linspace(y_lo, y_hi, 2001)
-    margin = _covered_margin(theta[:, None], ys[None, :], cfg, chi)
-    covered = margin > 0
-    # flat indices: far faster than a 2-d nonzero on a sparse boolean matrix
-    rows, cols = np.divmod(np.flatnonzero(covered[:, :-1] != covered[:, 1:]), ys.size - 1)
-    # +1 where a covered run ends, -1 where one starts: the signed margin
-    # then decreases through zero in every bracket
-    sign = np.where(covered[rows, cols], 1.0, -1.0)
-    th = theta[rows]
-    f = lambda y, i: sign[i] * _covered_margin(th[i], y, cfg, chi)
-    edges = _solve.bracketed_root(
-        f, ys[cols], ys[cols + 1],
-        sign * margin[rows, cols], sign * margin[rows, cols + 1], _EDGE_TOL,
-    )
+    # entries [0, n) start at the lower end and step up, [n, 2n) the reverse;
+    # an empty run gets the far end as its edge, so that right <= left
+    th = np.concatenate([theta, theta])
+    d = np.repeat([1.0, -1.0], n)
+    far = np.repeat([y_hi, y_lo], n)
+    y = np.repeat([y_lo, y_hi], n)
+    m, dm = _covered_margin(th, y, cfg, chi, slope=True)
+    edge = np.where((m <= 0) & (d * dm <= 0), far, y)
+    idx = np.flatnonzero((m <= 0) & (d * dm > 0))
+    y, m, dm = y[idx], m[idx], dm[idx]
+    for _ in range(_NEWTON_STEPS):
+        step = -m / dm
+        y = y + step
+        # past the far end the tangent, and so the margin, is <= 0 on the whole range
+        beyond = d[idx] * (y - far[idx]) > 0
+        done = beyond | (np.abs(step) <= _EDGE_TOL)
+        edge[idx[done]] = np.where(beyond, far[idx], y)[done]
+        idx, y = idx[~done], y[~done]
+        if not idx.size:
+            break
+        m, dm = _covered_margin(th[idx], y, cfg, chi, slope=True)
+        # past the maximum with the margin still <= 0 nothing is covered;
+        # a positive margin is the edge, reached up to rounding
+        past = (m <= 0) & (d[idx] * dm <= 0)
+        stop = past | (m > 0)
+        edge[idx[stop]] = np.where(past, far[idx], y)[stop]
+        idx, y, m, dm = idx[~stop], y[~stop], m[~stop], dm[~stop]
+    if idx.size:
+        edge[idx] = _edges_from_argmax(th[idx], d[idx], far[idx], y, cfg, chi)
+    left, right = edge[:n], edge[n:]
     s = cfg.sigma
-    mass = np.where(covered[:, -1], ndtr((y_hi - theta) / s), 0.0)
-    mass -= np.where(covered[:, 0], ndtr((y_lo - theta) / s), 0.0)
-    np.add.at(mass, rows, sign * ndtr((edges - th) / s))
+    mass = np.where(right > left, ndtr((right - theta) / s) - ndtr((left - theta) / s), 0.0)
     return 1.0 - mass
+
+
+def _edges_from_argmax(theta, d, far, y, cfg: SoftThresholdConfig, chi: float):
+    """Edges, as in ``soft_threshold_noncoverage``, for iterates y that lie
+    outside the run on the side -d of the argmax.
+
+    The argmax is bracketed between y and theta + d sqrt(2/mu2) sigma^2
+    (clipped to the truncation), and the edge between y and the argmax.
+    """
+    margin = lambda x, i: _covered_margin(theta[i], x, cfg, chi)
+    slope = lambda x, i: _covered_margin(theta[i], x, cfg, chi, slope=True)[1]
+
+    def root(f, a, b, keep):
+        # root of f, decreasing in x, between a and b for the entries keep
+        g = lambda x, j: f(x, keep[j])
+        lo, hi = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
+        j = np.arange(keep.size)
+        return _solve.bracketed_root(g, lo, hi, g(lo, j), g(hi, j), _EDGE_TOL)
+
+    every = np.arange(y.size)
+    top = np.clip(theta + d * math.sqrt(2.0 / cfg.mu2) * cfg.sigma**2, *cfg.y_truncation)
+    # the slope can keep its sign up to a clipped bound: the maximum is the bound
+    inner = np.flatnonzero(d * slope(top, every) <= 0)
+    top[inner] = root(slope, y, top, inner)
+    covered = np.flatnonzero(margin(top, every) > 0)
+    edge = far.copy()
+    edge[covered] = root(lambda x, i: -d[i] * margin(x, i), y, top, covered)
+    return edge
 
 
 def _laplace_pdf(theta, mu2):
@@ -238,10 +310,8 @@ def soft_threshold_expected_length(cfg: SoftThresholdConfig, chi: float) -> floa
     """Expected HPD length under the Laplace baseline marginal of y."""
     y_lo, y_hi = cfg.y_truncation
     ys = np.linspace(y_lo, y_hi, 4001)
-    lengths = np.empty(ys.size)
-    for i, y in enumerate(ys):
-        iv = _hpd_or_none(float(y), cfg, chi)
-        lengths[i] = 0.0 if iv is None else iv[1] - iv[0]
+    lo, hi, ok = _hpd_bounds(ys, cfg, chi)
+    lengths = np.where(ok, hi - lo, 0.0)
     # marginal density of y recovered from the posterior normalizer
     marg = (
         np.exp(-0.5 * (ys / cfg.sigma) ** 2 - _posterior_log_const(ys, cfg))
@@ -282,10 +352,22 @@ class PoissonConfig:
         object.__setattr__(self, "theta_grid", grid)
 
 
-def _gamma_quantile(q: float, shape: float, scale: float) -> float:
-    if shape <= 0:
-        return 0.0
-    return float(gammaincinv(shape, q)) * scale
+def _gamma_quantile(q: float, shape, scale: float):
+    """Gamma quantiles elementwise; 0 where the shape is not positive."""
+    shape = np.asarray(shape, dtype=float)
+    return np.where(shape > 0, gammaincinv(np.where(shape > 0, shape, 1.0), q), 0.0) * scale
+
+
+def _poisson_bounds(ys, cfg: PoissonConfig, chi: float):
+    """Ends (lo, hi) of the candidate interval at each count in ``ys``."""
+    ys = np.asarray(ys, dtype=float)
+    if chi < 0 or np.any(ys < 0):
+        raise ValueError("need y >= 0 and chi >= 0")
+    shrink = math.exp(-chi)
+    scale = cfg.scale / (shrink + cfg.scale)
+    lo = _gamma_quantile(cfg.alpha / 2.0, shrink * cfg.shape + ys, scale)
+    hi = _gamma_quantile(1.0 - cfg.alpha / 2.0, 1.0 + shrink * (cfg.shape - 1.0) + ys, scale)
+    return lo, hi
 
 
 def poisson_interval(y: int, cfg: PoissonConfig, chi: float) -> tuple[float, float]:
@@ -295,13 +377,8 @@ def poisson_interval(y: int, cfg: PoissonConfig, chi: float) -> tuple[float, flo
     chi = 0 recovers the credible interval exactly; chi -> infinity the
     classical exact (Garwood) interval.
     """
-    if y < 0 or chi < 0:
-        raise ValueError("need y >= 0 and chi >= 0")
-    shrink = math.exp(-chi)
-    scale = cfg.scale / (shrink + cfg.scale)
-    lo = _gamma_quantile(cfg.alpha / 2.0, shrink * cfg.shape + y, scale)
-    hi = _gamma_quantile(1.0 - cfg.alpha / 2.0, 1.0 + shrink * (cfg.shape - 1.0) + y, scale)
-    return lo, hi
+    lo, hi = _poisson_bounds(y, cfg, chi)
+    return float(lo), float(hi)
 
 
 def garwood_interval(y: int, alpha: float = 0.05) -> tuple[float, float]:
@@ -316,7 +393,7 @@ def garwood_interval(y: int, alpha: float = 0.05) -> tuple[float, float]:
         raise ValueError("alpha must be in (0, 1)")
     lo = _gamma_quantile(alpha / 2.0, float(y), 1.0)
     hi = _gamma_quantile(1.0 - alpha / 2.0, float(y) + 1.0, 1.0)
-    return lo, hi
+    return float(lo), float(hi)
 
 
 def _poisson_pmf_matrix(theta: np.ndarray, y_max: int) -> np.ndarray:
@@ -330,9 +407,9 @@ def _poisson_pmf_matrix(theta: np.ndarray, y_max: int) -> np.ndarray:
 def poisson_noncoverage(theta, cfg: PoissonConfig, chi: float) -> np.ndarray:
     """P(theta not in interval(Y) | theta) by exact summation over y <= y_max."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    bounds = np.array([poisson_interval(y, cfg, chi) for y in range(cfg.y_max + 1)])
+    lo, hi = _poisson_bounds(np.arange(cfg.y_max + 1), cfg, chi)
     pmf = _poisson_pmf_matrix(theta, cfg.y_max)
-    inside = (bounds[None, :, 0] <= theta[:, None]) & (theta[:, None] <= bounds[None, :, 1])
+    inside = (lo[None, :] <= theta[:, None]) & (theta[:, None] <= hi[None, :])
     return 1.0 - np.sum(pmf * inside, axis=1)
 
 

@@ -214,8 +214,8 @@ class HeteroskedasticDesign:
         se = tuple(float(v) for v in self.se)
         if len(th) != len(se) or len(th) < 2:
             raise ValueError("need at least two (theta_hat, se) pairs")
-        if any(s <= 0 for s in se):
-            raise ValueError("standard errors must be positive")
+        if not all(math.isfinite(s) and s > 0 for s in se):
+            raise ValueError("standard errors must be positive and finite")
         object.__setattr__(self, "theta_hat", th)
         object.__setattr__(self, "se", se)
         object.__setattr__(self, "n", self.n or len(th))
@@ -241,23 +241,41 @@ class HeteroskedasticDesign:
         return y, sigma, theta, sigma**-2.0
 
 
+class DataLines:
+    """The lines of a text file, opened as UTF-8, that do not start with '#'
+    (comments), for a ``csv`` reader.
+
+    ``lineno`` is the physical number of the last line handed out, not of a
+    comment read past it.  Input that is not UTF-8 raises ``error`` naming
+    the file but no line: the file is decoded in chunks, so the line being
+    read is not the one that failed.
+    """
+
+    def __init__(self, fh, path: str, error=ValueError):
+        self.lineno = 0
+        self._fh, self._path, self._error = fh, path, error
+
+    def __iter__(self):
+        try:
+            for n, line in enumerate(self._fh, start=1):
+                if not line.startswith("#"):
+                    self.lineno = n
+                    yield line
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start : exc.end]
+            raise self._error(f"{self._path}: not UTF-8 text ({exc.reason}: {bad!r})") from exc
+
+
 def load_calibration_csv(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Read the (theta_hat, se) columns for the heteroskedastic design.
 
     Lines starting with '#' are comments and blank rows are skipped.  A
-    ``ValueError`` names the column and the physical line of a bad value.
+    ``ValueError`` names the column and the physical line of a bad value,
+    including an ``se`` that is not positive and finite.
     """
-    lineno = 0
-
-    def data_lines(fh):
-        nonlocal lineno
-        for n, line in enumerate(fh, start=1):
-            if not line.startswith("#"):
-                lineno = n  # the last line handed to csv, not a comment read past it
-                yield line
-
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(data_lines(fh))
+        lines = DataLines(fh, path)
+        reader = csv.DictReader(lines)
         th, se = [], []
         try:
             if reader.fieldnames is None or not {"theta_hat", "se"} <= set(reader.fieldnames):
@@ -269,9 +287,13 @@ def load_calibration_csv(path: str) -> tuple[tuple[float, ...], tuple[float, ...
                         values.append(float(raw))
                     except (TypeError, ValueError) as exc:
                         what = "missing value" if raw in (None, "") else f"not a number: {raw!r}"
-                        raise ValueError(f"{path}: line {lineno}: column '{col}': {what}") from exc
+                        raise ValueError(f"{path}: line {lines.lineno}: column '{col}': {what}") from exc
+                if not (math.isfinite(se[-1]) and se[-1] > 0):
+                    raise ValueError(
+                        f"{path}: line {lines.lineno}: column 'se': not positive and finite: {row['se']!r}"
+                    )
         except csv.Error as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+            raise ValueError(f"{path}: line {lines.lineno}: {exc}") from exc
     return tuple(th), tuple(se)
 
 

@@ -14,6 +14,11 @@ cross-validation errors by a per-unit loop over it with ``math.fsum``.
 Independent of the CLI's blocked columnar CSV layer: the row-at-a-time
 reader (a ``csv.DictReader`` dict per row) and writer (``csv.writer``, one
 ``writerow`` per row) it replaced.
+
+Independent of ``shrinkci.nonlinear``'s vectorized intervals: the HPD set
+one y at a time and the expected HPD length by a loop over it, and the
+Poisson interval ends one count at a time, each as the scalar code they
+replaced.
 """
 
 import csv
@@ -21,11 +26,12 @@ import math
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import ndtri
+from scipy.special import gammaincinv, ndtri
 
 from shrinkci import _solve
 from shrinkci import cli
 from shrinkci import moments as mom
+from shrinkci import nonlinear as nl
 from shrinkci import worstcase as wc
 
 
@@ -190,3 +196,53 @@ def write_csv_reference(path, header_comments, colnames, rows):
         writer.writerow(colnames)
         for row in rows:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+
+
+def hpd_scalar(y, cfg, chi):
+    """HPD set at one y: two upward quadratics in t, intersected."""
+    s2 = cfg.sigma**2
+    level = chi + float(nl._posterior_log_const(y, cfg))
+    lam = math.sqrt(2.0 / cfg.mu2)
+    lo, hi = -math.inf, math.inf
+    for c in (y / s2 - lam, y / s2 + lam):
+        disc = s2 * s2 * c * c + 2.0 * s2 * level
+        if disc < 0:
+            return None
+        root = math.sqrt(disc)
+        lo = max(lo, s2 * c - root)
+        hi = min(hi, s2 * c + root)
+    if lo > hi:
+        return None
+    return lo, hi
+
+
+def expected_length_loop(cfg, chi):
+    """``nl.soft_threshold_expected_length`` with the HPD set one y at a time."""
+    y_lo, y_hi = cfg.y_truncation
+    ys = np.linspace(y_lo, y_hi, 4001)
+    lengths = np.empty(ys.size)
+    for i, y in enumerate(ys):
+        iv = hpd_scalar(float(y), cfg, chi)
+        lengths[i] = 0.0 if iv is None else iv[1] - iv[0]
+    marg = (
+        np.exp(-0.5 * (ys / cfg.sigma) ** 2 - nl._posterior_log_const(ys, cfg))
+        / (cfg.sigma * math.sqrt(2.0 * math.pi) * math.sqrt(2.0 * cfg.mu2))
+    )
+    return float(np.trapezoid(lengths * marg, ys))
+
+
+def poisson_bounds_scalar(cfg, chi):
+    """Ends of the Poisson candidate interval at y = 0..y_max, one count
+    and one ``gammaincinv`` call at a time."""
+
+    def quantile(q, shape, scale):
+        return 0.0 if shape <= 0 else float(gammaincinv(shape, q)) * scale
+
+    shrink = math.exp(-chi)
+    scale = cfg.scale / (shrink + cfg.scale)
+    out = []
+    for y in range(cfg.y_max + 1):
+        lo = quantile(cfg.alpha / 2.0, shrink * cfg.shape + y, scale)
+        hi = quantile(1.0 - cfg.alpha / 2.0, 1.0 + shrink * (cfg.shape - 1.0) + y, scale)
+        out.append((lo, hi))
+    return np.array(out)

@@ -112,6 +112,16 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "line 3" in err and "'y'" in err
 
+    @pytest.mark.parametrize("rows_before", [1, 5000], ids=["header_chunk", "later_chunk"])
+    def test_non_utf8_input_exit_2_names_file(self, tmp_path, capsys, rows_before):
+        # 5000 rows put the bad byte past the first decoded chunk and block
+        inp = tmp_path / "in.csv"
+        inp.write_bytes(b"y,se\n" + b"1.0,0.5\n" * rows_before + b"2.0,\xff0.7\n")
+        out = tmp_path / "out.csv"
+        assert cli.main(["fit", "--input", str(inp), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and str(inp) in err and "not UTF-8" in err
+
     def test_bad_number_after_comments_names_physical_line(self, tmp_path, capsys):
         inp = tmp_path / "in.csv"
         inp.write_text("# a comment\n# another\ny,se\n1.0,0.5\nNOPE,0.7\n")
@@ -217,6 +227,12 @@ class TestFitCommand:
 
 class TestConfigFile:
     """Config-file values go through their option's own type and choices."""
+
+    def test_non_utf8_config_file_exit_4(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"alpha=0.1\n\xff\n")
+        assert cli.main(["cva", "--output", str(tmp_path / "o.csv"), "--m2", "1", "--config", str(cfg)]) == 4
+        assert "config error" in capsys.readouterr().err
 
     @staticmethod
     def base_args(tmp_path, command):
@@ -340,6 +356,25 @@ class TestSimulateCommand:
         ]) == 2
         err = capsys.readouterr().err
         assert "line 6" in err and "column 'se'" in err and "'oops'" in err
+
+    def test_non_utf8_het_input_exit_2_names_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"theta_hat,se\n0.1,0.5\n0.2,\xff0.7\n")
+        assert cli.main([
+            "simulate", "--output", str(tmp_path / "o.csv"), "--het-input", str(bad), "--reps", "2",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and str(bad) in err and "not UTF-8" in err
+
+    @pytest.mark.parametrize("se", ["-1", "0", "nan", "inf"])
+    def test_bad_se_in_het_input_names_line_exit_2(self, tmp_path, capsys, se):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"theta_hat,se\n0.1,0.5\n# comment\n\n-0.2,{se}\n0.3,0.4\n")
+        assert cli.main([
+            "simulate", "--output", str(tmp_path / "o.csv"), "--het-input", str(bad), "--reps", "2",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "line 5" in err and "column 'se'" in err and repr(se) in err
 
     def test_workers_env_var_honored_and_flag_wins(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.WORKERS_ENV, "2")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.special import ndtr
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import poisson as poisson_dist
 
+import oracles
 from shrinkci import momentlp as mlp
 from shrinkci import nonlinear as nl
 from shrinkci import worstcase as wc
@@ -105,7 +107,7 @@ class TestSoftThresholdNoncoverage:
         assert np.all(r2 <= r1 + 1e-12)
 
     def test_step_halving_stability(self):
-        # the y-scan segment integration is insensitive to grid refinement
+        # the Newton edges agree with a brentq-refined scan on a finer grid
         cfg = nl.SoftThresholdConfig(mu2=0.3)
         theta = np.array([-2.0, -0.3, 0.0, 0.7, 2.5])
         base = nl.soft_threshold_noncoverage(theta, cfg, 1.5)
@@ -140,6 +142,113 @@ class TestSoftThresholdNoncoverage:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
 
+    @pytest.mark.parametrize("chi", [0.0, 0.5, 1.5, 3.0, 6.0])
+    @pytest.mark.parametrize("mu2", [0.05, 0.2, 1.0])
+    @pytest.mark.parametrize(
+        "sigma, truncation",
+        [(1.0, (-10.0, 10.0)), (2.0, (-10.0, 10.0)), (1.0, (-2.0, 2.0))],
+        ids=["default", "sigma2", "narrow"],
+    )
+    def test_matches_fine_scan_oracle(self, sigma, truncation, mu2, chi):
+        # every 4th theta keeps the 20001-point margin matrix at 20 MB
+        cfg = nl.SoftThresholdConfig(mu2=mu2, sigma=sigma, y_truncation=truncation)
+        theta = np.asarray(cfg.theta_grid)[::4]
+        got = nl.soft_threshold_noncoverage(theta, cfg, chi)
+        want = _noncoverage_refined(theta, cfg, chi, points=20001)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+    def test_even_in_theta(self):
+        cfg = nl.SoftThresholdConfig(mu2=0.2)
+        r = nl.soft_threshold_noncoverage(np.asarray(cfg.theta_grid), cfg, 1.5)
+        assert np.max(np.abs(r - r[::-1])) <= 1e-12
+
+    @pytest.mark.parametrize("theta", [1.0, 2.0, 3.0])
+    def test_narrow_run_against_brentq_oracle(self, theta):
+        # chi a hair above the level at which theta is first covered: the
+        # covered run is far narrower than a 0.01-spaced scan could resolve
+        cfg = nl.SoftThresholdConfig(mu2=0.05)
+        g = lambda y, chi: float(nl._covered_margin(theta, np.asarray(y), cfg, chi))
+        lam_s2 = math.sqrt(2.0 / cfg.mu2) * cfg.sigma**2
+        top = minimize_scalar(
+            lambda y: -g(y, 0.0), bounds=(theta - lam_s2, min(theta + lam_s2, 10.0)),
+            method="bounded", options={"xatol": 1e-12},
+        ).x
+        chi = -g(top, 0.0) + 1e-6
+        assert chi > 0
+        left = brentq(g, -10.0, top, args=(chi,), xtol=1e-14)
+        right = brentq(g, top, 10.0, args=(chi,), xtol=1e-14)
+        assert 0 < right - left < 0.01
+        want = 1.0 - (ndtr(right - theta) - ndtr(left - theta))
+        got = nl.soft_threshold_noncoverage(theta, cfg, chi)[0]
+        assert got < 1.0
+        assert got == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("steps", [0, 1, 3])
+    def test_bracketed_fallback_matches_newton(self, steps, monkeypatch):
+        # entries still running after the Newton cap go to the fallback; a
+        # tiny cap sends nearly all of them there
+        for mu2, sigma, truncation in [(0.2, 1.0, (-10.0, 10.0)), (1.0, 1.0, (-2.0, 2.0)), (0.05, 2.0, (-10.0, 10.0))]:
+            cfg = nl.SoftThresholdConfig(mu2=mu2, sigma=sigma, y_truncation=truncation)
+            theta = np.asarray(cfg.theta_grid)
+            for chi in (0.0, 1.5):
+                want = nl.soft_threshold_noncoverage(theta, cfg, chi)
+                with monkeypatch.context() as m:
+                    m.setattr(nl, "_NEWTON_STEPS", steps)
+                    got = nl.soft_threshold_noncoverage(theta, cfg, chi)
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+    def test_newton_settles_the_sweep_without_fallback(self, monkeypatch):
+        # an empty run must end where an iterate passes the maximum, not by
+        # running to the step cap
+        def fallback(*args):
+            raise AssertionError("bracketed fallback used")
+
+        monkeypatch.setattr(nl, "_edges_from_argmax", fallback)
+        for sigma, truncation in [(1.0, (-10.0, 10.0)), (2.0, (-10.0, 10.0)), (1.0, (-2.0, 2.0))]:
+            for mu2 in (0.05, 0.2, 1.0):
+                cfg = nl.SoftThresholdConfig(mu2=mu2, sigma=sigma, y_truncation=truncation)
+                for chi in (0.0, 0.5, 1.5, 3.0, 6.0):
+                    nl.soft_threshold_noncoverage(np.asarray(cfg.theta_grid), cfg, chi)
+
+    @pytest.mark.parametrize("chi", [0.0, 20.0])
+    @pytest.mark.parametrize("mu2", [1e-3, 1e3])
+    @pytest.mark.parametrize("sigma", [0.1, 10.0])
+    def test_extreme_configs_free_of_runtime_warnings(self, sigma, mu2, chi):
+        cfg = nl.SoftThresholdConfig(mu2=mu2, sigma=sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = nl.soft_threshold_noncoverage(np.asarray(cfg.theta_grid), cfg, chi)
+            length = nl.soft_threshold_expected_length(cfg, chi)
+        assert np.all((0.0 <= r) & (r <= 1.0))
+        assert math.isfinite(length) and length >= 0.0
+
+    def test_small_sigma_weak_prior_is_translation_invariant(self):
+        # sigma = 0.1 puts erfcx arguments below -26.6 once |y| > 3.8: the
+        # normalizer must be summed on the log scale, not overflow to a
+        # margin of -inf that marks every such theta as never covered
+        cfg = nl.SoftThresholdConfig(mu2=1e3, sigma=0.1)
+        r = nl.soft_threshold_noncoverage(np.array([2.0, 4.0, 8.0, 9.0]), cfg, 1.0)
+        np.testing.assert_allclose(r, r[0], rtol=0.0, atol=1e-9)
+        assert r[0] < 0.05
+
+    @pytest.mark.parametrize("sigma", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("mu2", [0.05, 1.0, 1e3])
+    def test_log_const_and_slope_match_quadrature(self, sigma, mu2):
+        # c(y) = -log of the normalizer, and -sigma^2 c'(y) = E[t | y];
+        # the integrand is centered at y so that quad sees no overflow
+        cfg = nl.SoftThresholdConfig(mu2=mu2, sigma=sigma)
+        lam, s2 = math.sqrt(2.0 / mu2), sigma**2
+        for y in (-9.0, 0.0, 0.5, 8.0):
+            dens = lambda t: math.exp(-((t - y) ** 2) / (2 * s2) - lam * abs(t))
+            pts = [0.0, y] if abs(y) < 20 * sigma else [0.0]
+            lim = (min(y, 0.0) - 40 * sigma, max(y, 0.0) + 40 * sigma)
+            z = quad(dens, *lim, points=pts, epsabs=0, epsrel=1e-12, limit=400)[0]
+            mean = quad(lambda t: t * dens(t), *lim, points=pts, epsabs=1e-12 * sigma * z, epsrel=1e-12, limit=400)[0] / z
+            c, dc = nl._posterior_log_const(y, cfg, slope=True)
+            assert float(c) == pytest.approx(-y * y / (2 * s2) - math.log(z), abs=1e-9)
+            assert -s2 * float(dc) == pytest.approx(mean, abs=1e-8 * max(1.0, sigma))
+
+
 def _noncoverage_refined(theta, cfg, chi, points):
     out = np.empty(len(theta))
     y_lo, y_hi = cfg.y_truncation
@@ -171,7 +280,45 @@ def _covered_mass(th, ys, margin_row, cfg, chi):
     return mass
 
 
+class TestHpdVectorized:
+    @pytest.mark.parametrize("chi", [0.0, 0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("mu2", [0.05, 0.2, 1.0])
+    def test_expected_length_equals_scalar_loop(self, mu2, chi):
+        cfg = nl.SoftThresholdConfig(mu2=mu2)
+        assert nl.soft_threshold_expected_length(cfg, chi) == oracles.expected_length_loop(cfg, chi)
+
+    @pytest.mark.parametrize("sigma", [0.1, 1.0, 2.0])
+    def test_hpd_sets_equal_scalar_quadratics(self, sigma):
+        cfg = nl.SoftThresholdConfig(mu2=0.2, sigma=sigma)
+        ys = np.linspace(-10.0, 10.0, 401)
+        for chi in (0.0, 0.5, 3.0):
+            lo, hi, ok = nl._hpd_bounds(ys, cfg, chi)
+            for y, a, b, nonempty in zip(ys, lo, hi, ok):
+                want = oracles.hpd_scalar(float(y), cfg, chi)
+                assert (want is None) == (not nonempty)
+                if want is not None:
+                    assert (a, b) == want
+
+
 class TestPoissonInterval:
+    @pytest.mark.parametrize(
+        "shape, scale", [(1.0, 2.0), (2.0, 1.0), (0.5, 4.0), (3.0, 0.3), (0.2, 7.0)]
+    )
+    def test_vectorized_bounds_equal_scalar(self, shape, scale):
+        cfg = nl.PoissonConfig(shape=shape, scale=scale)
+        ys = np.arange(cfg.y_max + 1)
+        for chi in np.linspace(0.0, 8.0, 41):
+            want = oracles.poisson_bounds_scalar(cfg, chi)
+            assert np.array_equal(np.column_stack(nl._poisson_bounds(ys, cfg, chi)), want)
+            assert np.array_equal([nl.poisson_interval(int(y), cfg, chi) for y in ys], want)
+
+    def test_negative_count_or_chi_rejected(self):
+        cfg = nl.PoissonConfig(shape=1.0, scale=1.0)
+        with pytest.raises(ValueError):
+            nl.poisson_interval(-1, cfg, 0.0)
+        with pytest.raises(ValueError):
+            nl.poisson_noncoverage([1.0], cfg, -0.5)
+
     def test_chi_zero_is_credible_interval(self):
         cfg = nl.PoissonConfig(shape=2.0, scale=0.7)
         for y in (0, 1, 4, 9):
