@@ -19,6 +19,7 @@ simulated replication.  Neighbor orders come in row blocks, never n x n.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -41,6 +42,8 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+# the largest sigma whose square is finite
+_SIGMA_MAX = math.sqrt(sys.float_info.max)
 
 
 class RankDeficientError(ValueError):
@@ -161,6 +164,7 @@ class Units:
         checks = (
             (np.isfinite(y), "y must be finite", y),
             (np.isfinite(sigma) & (sigma > 0), "sigma must be finite and > 0", sigma),
+            (sigma <= _SIGMA_MAX, "sigma^2 must be finite (sigma at most 1.34e154)", sigma),
             (np.isfinite(omega) & (omega >= 0), "omega must be finite and >= 0", omega),
             (np.isfinite(X).all(axis=1), "covariates must be finite", X),
         )
@@ -240,6 +244,9 @@ def _pmt_rows(resid, sigma, om2, om4, members=None):
     array ``members`` the inputs are per unit, and row k is over the units
     ``members[k]``; each summand is computed once per unit and gathered.
     """
+    shift = _scale_exponent(resid, sigma)
+    if shift:
+        resid, sigma = np.ldexp(resid, -shift), np.ldexp(sigma, -shift)
     w2, w4 = _signals(resid, sigma)
     terms = [om2, om2 * w2, om4, om4 * w4, *_floor_terms(sigma, om2, om4)]
     if members is not None:
@@ -248,7 +255,26 @@ def _pmt_rows(resid, sigma, om2, om4, members=None):
     if not ((total2 > 0).all() and (total4 > 0).all()):
         raise ValueError("weights must not all be zero")
     mu2_uc, mu4_uc = a2 / total2, a4 / total4
-    return (mu2_uc, mu4_uc, *_truncate(mu2_uc, mu4_uc, total2, total4, *floors))
+    mu2, kappa = _truncate(mu2_uc, mu4_uc, total2, total4, *floors)
+    if not shift:
+        return mu2_uc, mu4_uc, mu2, kappa
+    # mu4_uc of data near the float range may itself overflow
+    with np.errstate(over="ignore"):
+        return np.ldexp(mu2_uc, 2 * shift), np.ldexp(mu4_uc, 4 * shift), np.ldexp(mu2, 2 * shift), kappa
+
+
+def _scale_exponent(resid, sigma) -> int:
+    """0, or e where the largest |resid| or sigma lies in [2**(e-1), 2**e)
+    and |e| > 64.
+
+    Past 2**64 the PMT summands (up to sigma^8) overflow or underflow, so
+    ``_pmt_rows`` works on resid and sigma divided by 2**e.  Scaling by a
+    power of two is exact, and so are the moments scaled back, unless a
+    summand is subnormal on either route.
+    """
+    top = max(float(np.max(np.abs(resid))), float(np.max(sigma)))
+    e = int(np.frexp(top)[1])
+    return e if abs(e) > 64 else 0
 
 
 def moments_uc(residuals: np.ndarray, sigma: np.ndarray, omega: np.ndarray):

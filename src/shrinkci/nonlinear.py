@@ -404,11 +404,16 @@ def _poisson_pmf_matrix(theta: np.ndarray, y_max: int) -> np.ndarray:
     return np.exp(log_pmf)
 
 
-def poisson_noncoverage(theta, cfg: PoissonConfig, chi: float) -> np.ndarray:
-    """P(theta not in interval(Y) | theta) by exact summation over y <= y_max."""
+def poisson_noncoverage(theta, cfg: PoissonConfig, chi: float, pmf=None) -> np.ndarray:
+    """P(theta not in interval(Y) | theta) by exact summation over y <= y_max.
+
+    ``pmf`` is ``_poisson_pmf_matrix(theta, cfg.y_max)``, passed by a caller
+    that evaluates many chi on one grid; it does not depend on chi.
+    """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     lo, hi = _poisson_bounds(np.arange(cfg.y_max + 1), cfg, chi)
-    pmf = _poisson_pmf_matrix(theta, cfg.y_max)
+    if pmf is None:
+        pmf = _poisson_pmf_matrix(theta, cfg.y_max)
     inside = (lo[None, :] <= theta[:, None]) & (theta[:, None] <= hi[None, :])
     return 1.0 - np.sum(pmf * inside, axis=1)
 
@@ -431,16 +436,18 @@ def poisson_ebci(
         raise mlp.InfeasibleMomentsError(
             f"second moment {second_moment} below squared mean {mean**2}"
         )
-    family = lambda chi: _poisson_problem(cfg, chi, mean, second_moment)
+    pmf = _poisson_pmf_matrix(np.asarray(cfg.theta_grid), cfg.y_max)
+    family = lambda chi: _poisson_problem(cfg, chi, mean, second_moment, pmf)
     return mlp.calibrate_chi(family, cfg.alpha, lo=0.0, hi=2.0)
 
 
 def _poisson_problem(
-    cfg: PoissonConfig, chi: float, mean: float, second_moment: float
+    cfg: PoissonConfig, chi: float, mean: float, second_moment: float, pmf=None
 ) -> mlp.MomentProblem:
-    """Worst case at chi over grid rate distributions with the two moments."""
+    """Worst case at chi over grid rate distributions with the two moments;
+    ``pmf`` as in ``poisson_noncoverage``."""
     grid = np.asarray(cfg.theta_grid)
-    reward = np.clip(poisson_noncoverage(grid, cfg, chi), 0.0, 1.0)
+    reward = np.clip(poisson_noncoverage(grid, cfg, chi, pmf), 0.0, 1.0)
     return mlp.MomentProblem(
         grid, reward, np.vstack([grid, grid**2]), [mean, second_moment]
     )

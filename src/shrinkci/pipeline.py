@@ -138,13 +138,24 @@ def fit(
     )
 
 
-def _intervals(method, y, sigma, center, mu2, kappa, alpha: float, m2=None):
+def _cva_keys(method, sigma, mu2, kappa, m2=None):
+    """The (m2, kappa) critical-value keys of robust_mu2_kappa or robust_mu2.
+
+    ``m2`` defaults to sigma^2 / mu2; kappa is None for robust_mu2.
+    """
+    m2 = sigma**2 / mu2 if m2 is None else m2
+    return m2, (kappa if method == "robust_mu2_kappa" else None)
+
+
+def _intervals(method, y, sigma, center, mu2, kappa, alpha: float, m2=None, chi=None):
     """(theta, w, chi, half) of each unit's interval under ``method``.
 
     ``center`` is the shrinkage target; ``mu2`` and ``kappa`` are the
     moments, scalars or per-unit arrays.  ``m2`` replaces sigma^2 / mu2 as
     the normalized second moment of the robust methods.  ``kappa`` applies
-    to robust_mu2_kappa and optimal_robust only.
+    to robust_mu2_kappa and optimal_robust only.  A robust_mu2* caller that
+    has already solved the critical values of ``_cva_keys`` passes them as
+    ``chi`` (any shape that broadcasts against the units).
     """
     z = _z(alpha)
     if method == "unshrunk":
@@ -155,9 +166,8 @@ def _intervals(method, y, sigma, center, mu2, kappa, alpha: float, m2=None):
     else:
         if method == "optimal_robust":
             w, chi = _optimal_shrinkage_batch(mu2 / sigma**2, kappa, alpha)
-        else:
-            m2 = sigma**2 / mu2 if m2 is None else m2
-            chi = wc.critical_values(m2, kappa if method == "robust_mu2_kappa" else None, alpha)
+        elif chi is None:
+            chi = wc.critical_values(*_cva_keys(method, sigma, mu2, kappa, m2), alpha)
         half = chi * w * sigma
     return center + w * (y - center), w, chi, half
 

@@ -360,23 +360,56 @@ def _replications(results):
     return dict(y=y, sigma=sigma, theta=theta, delta=delta, mu2=mu2, kappa=kappa)
 
 
-def _method_coverage(reps, method, oracle, alpha):
-    """Per-rep average coverage and length arrays for one method.
+def _study_coverage(reps, methods, oracle, alpha):
+    """Per-rep average coverage and length arrays of each method, by method.
 
-    All replications go through ``pipeline._intervals`` in one call, with
-    each replication's moments repeated over its units.
+    All replications of a method go through ``pipeline._intervals`` in one
+    call, with each replication's moments repeated over its units.  The
+    critical values come first, from ``_study_critical_values``.
     """
-    base = method.removeprefix("oracle_")
     n_reps, n = reps["y"].shape
     per_rep = lambda k: np.repeat(reps[k], n)
-    y, theta = reps["y"].ravel(), reps["theta"].ravel()
-    if base != method:
-        sigma, (mu2, kappa) = np.ones_like(y), oracle
-    else:
-        sigma, mu2, kappa = reps["sigma"].ravel(), per_rep("mu2"), per_rep("kappa")
-    center, _, _, half = pl._intervals(base, y, sigma, per_rep("delta"), mu2, kappa, alpha)
-    cov = (np.abs(theta - center) <= half).reshape(n_reps, n).mean(axis=1)
-    return cov, (2.0 * half).reshape(n_reps, n).mean(axis=1)
+    y, theta, center = reps["y"].ravel(), reps["theta"].ravel(), per_rep("delta")
+    estimated = (reps["sigma"].ravel(), per_rep("mu2"), per_rep("kappa"))
+    ones = np.ones_like(y)
+    inputs = {
+        m: (m.removeprefix("oracle_"), ones, *oracle) if m.startswith("oracle_") else (m, *estimated)
+        for m in methods
+    }
+    chi = _study_critical_values(inputs, alpha)
+    out = {}
+    for m, (base, sigma, mu2, kappa) in inputs.items():
+        center_m, _, _, half = pl._intervals(base, y, sigma, center, mu2, kappa, alpha, chi=chi.get(m))
+        cov = (np.abs(theta - center_m) <= half).reshape(n_reps, n).mean(axis=1)
+        out[m] = cov, (2.0 * half).reshape(n_reps, n).mean(axis=1)
+    return out
+
+
+def _study_critical_values(inputs, alpha):
+    """The chi of every robust method in ``inputs``, by method.
+
+    One ``critical_values`` call per kappa mode takes the keys of all its
+    methods.  An oracle method's moments are scalars, so its one key enters
+    once and its chi is broadcast over the units.  Every solver behind
+    ``critical_values`` runs elementwise, so each key's chi does not depend
+    on the rest of the batch.
+    """
+    chi = {}
+    for mode in ("robust_mu2_kappa", "robust_mu2"):
+        group = [m for m, (base, *_) in inputs.items() if base == mode]
+        if not group:
+            continue
+        keys = []
+        for m in group:
+            _, sigma, mu2, kappa = inputs[m]
+            keys.append(pl._cva_keys(mode, sigma[:1] if np.ndim(mu2) == 0 else sigma, mu2, kappa))
+        m2 = np.concatenate([k for k, _ in keys])
+        kap = None
+        if mode == "robust_mu2_kappa":
+            kap = np.concatenate([np.broadcast_to(k, m.shape) for m, k in keys])
+        values = wc.critical_values(m2, kap, alpha)
+        chi.update(zip(group, np.split(values, np.cumsum([m.size for m, _ in keys])[:-1])))
+    return chi
 
 
 def run_study(
@@ -409,7 +442,7 @@ def run_study(
         stacked = _replications(results)
         oracle = design.theta.moments() if isinstance(design, PanelDesign) else None
         wanted = [m for m in dict.fromkeys([*methods, _ORACLE_BASELINE]) if oracle or not m.startswith("oracle_")]
-        per_method = {m: _method_coverage(stacked, m, oracle, alpha) for m in wanted}
+        per_method = _study_coverage(stacked, wanted, oracle, alpha)
         base_len = (
             float(np.mean(per_method[_ORACLE_BASELINE][1]))
             if _ORACLE_BASELINE in per_method

@@ -242,13 +242,25 @@ def majorant_kink(chi: float) -> float:
     return float(_majorant_kink_batch(_checked("chi", chi)))
 
 
+# chi from which the kink's bracket and start follow its asymptote, and from
+# which it is the square of the next float above chi
+_KINK_FAR = 1e6
+_KINK_HUGE = 2.0**56
+
+
 def _majorant_kink_batch(chi: np.ndarray, t_start=None) -> np.ndarray:
     """Majorant kinks of an array of chi by safeguarded Newton.
 
     Newton steps on the kink objective g, with g'(t) = t r''(t), inside the
     bracket [max(chi^2 - 3, 1e-12), (chi + 5)^2]: g is positive on (0, t0)
     and negative beyond, chi^2 - 3 lies below the inflection point and hence
-    below t0, and g at (chi + 5)^2 is dominated by -noncoverage_sq ~ -1.  A
+    below t0, and g at (chi + 5)^2 is dominated by -noncoverage_sq ~ -1.
+    The root is (chi + x)^2 with x near sqrt(2 log(chi / (2 sqrt(2 pi)))),
+    which passes 5 at chi = 1.3e6: from ``_KINK_FAR`` on, the upper end is
+    (chi + 40)^2, where phi underflows, and Newton starts at that x.  From
+    ``_KINK_HUGE`` on, x is below the float spacing of chi, and the kink is
+    the square of the next float above chi (inf past the float range), so
+    that r(t0) is 1 and not the 0.5 of t0 = chi^2.  A
     step leaving the bracket is replaced by bisection.  Each entry stops
     once its relative step is at most 1e-12 or its residual reaches the
     roundoff floor, which just above sqrt(3) holds near the lower end.
@@ -260,11 +272,19 @@ def _majorant_kink_batch(chi: np.ndarray, t_start=None) -> np.ndarray:
     out = np.zeros(chi.size)
     pos = np.flatnonzero(chi > _SQRT3)
     c = chi.ravel()[pos]
+    huge = c >= _KINK_HUGE
+    if huge.any():
+        with np.errstate(over="ignore"):
+            out[pos[huge]] = np.nextafter(c[huge], np.inf) ** 2
+        pos, c = pos[~huge], c[~huge]
     r0 = noncoverage_sq(0.0, c)
     floor = _kink_floor(r0)
+    far = c >= _KINK_FAR
     lo = np.maximum(c * c - 3.0, 1e-12)
-    hi = (c + 5.0) ** 2
+    hi = (c + np.where(far, 40.0, 5.0)) ** 2
     t = np.clip(np.minimum(2.5 * (c * c - 3.0), (c + 1.0) ** 2), lo, hi)
+    if far.any():
+        t[far] = (c[far] + np.sqrt(2.0 * np.log(c[far] / (2.0 * _SQRT2PI)))) ** 2
     if t_start is not None:
         s = np.broadcast_to(np.asarray(t_start, dtype=float), chi.shape).ravel()[pos]
         t = np.where(np.isfinite(s), np.clip(s, lo, hi), t)
@@ -367,7 +387,9 @@ def _pair_slopes(one, m2, kappa, chi, order=2):
 def _binding(m2, kap, t0):
     """Where the kurtosis bound binds: the second-moment solution violates it
     and kappa lies strictly between 1 + 1e-9 and ``KAPPA_UNCONSTRAINED``."""
-    return (m2 > 0) & (kap > 1.0 + 1e-9) & (kap < KAPPA_UNCONSTRAINED) & (kap * m2 < t0)
+    # a kappa * m2 past the float range is slack
+    with np.errstate(over="ignore"):
+        return (m2 > 0) & (kap > 1.0 + 1e-9) & (kap < KAPPA_UNCONSTRAINED) & (kap * m2 < t0)
 
 
 # the span of sqrt(x) below the kink that gets four of the nine points of
@@ -681,9 +703,10 @@ def _critical_values_bracketed(m2, kap, alpha):
     """
     z = float(ndtri(1.0 - alpha / 2.0))
     worst = lambda chi, i: _worst_noncoverage_batch(m2[i], None if kap is None else kap[i], chi)
-    chi = _solve.invert(
-        worst, alpha, np.full(m2.shape, z), z * np.sqrt((1.0 + m2) / alpha) + 1.0, _CHI_TOL
-    )
+    # z sqrt((1 + m2) / alpha) + 1, with the quotient kept finite; where the
+    # cap binds, ``invert`` doubles the upper end
+    top = np.minimum(1.0 + m2, alpha * np.finfo(float).max) / alpha
+    chi = _solve.invert(worst, alpha, np.full(m2.shape, z), z * np.sqrt(top) + 1.0, _CHI_TOL)
     return np.where(m2 == 0.0, z, chi)
 
 
@@ -713,12 +736,29 @@ def critical_values(m2, kappa=None, alpha: float = 0.05) -> np.ndarray:
     return chi[inv].reshape(m2.shape)
 
 
+# chi from which the worst case is evaluated at (m2 / 4**k, chi / 2**k), with
+# chi / 2**k in [2**45, 2**46).  Up there it depends on m2 / chi^2 and kappa
+# alone, to a relative 1e-13, so the kink and the pair points stay finite,
+# while the float grid still resolves r(t) = noncoverage_sq(t, chi) near
+# t = chi^2 (past chi = 2**56 it is a step from 0 through 0.5 to 1)
+_CHI_RESCALE = 2.0**46
+
+
 def _worst_noncoverage_batch(m2, kap, chi, t_start=None):
     """Vectorized worst-case non-coverage; kap is None or an array.
 
     ``t_start`` is passed to ``_majorant_kink_batch`` as its starting point.
     """
     chi = np.broadcast_to(np.asarray(chi, dtype=float), m2.shape)
+    big = chi >= _CHI_RESCALE
+    if big.any():
+        shift = np.frexp(chi[big] / _CHI_RESCALE)[1]
+        chi, m2 = chi.copy(), m2.copy()
+        chi[big] = np.ldexp(chi[big], -shift)
+        m2[big] = np.ldexp(np.ldexp(m2[big], -shift), -shift)
+        if t_start is not None:
+            # a kink of the unscaled chi is no start for the scaled one
+            t_start = np.where(big, np.nan, t_start)
     t0 = _majorant_kink_batch(chi, t_start)
     out = np.array(noncoverage_sq(m2, chi), dtype=float, copy=True)
     chord = (m2 > 0) & (m2 < t0)

@@ -177,6 +177,31 @@ class TestFitCommand:
             assert r["error"] == ""
             assert all(math.isfinite(float(r[c])) for c in ("theta_hat", "cva", "lower", "upper"))
 
+    @pytest.mark.parametrize("method", ["parametric", "robust_mu2", "robust_mu2_kappa"])
+    @pytest.mark.parametrize("se_big", [1e70, 1e80, 1e155])
+    def test_one_extreme_standard_error(self, tmp_path, capsys, method, se_big):
+        # the PMT moments are taken on data scaled by a power of two, so
+        # sigma^4 and sigma^8 do not overflow; a unit whose se^2 overflows
+        # is rejected, naming its line (header plus 18 rows)
+        rng = np.random.default_rng(0)
+        y, se = rng.normal(size=200), np.ones(200)
+        se[17] = se_big
+        y[17] *= se_big
+        inp = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        write_units(str(inp), y, se)
+        code = cli.main(["fit", "--input", str(inp), "--output", str(out), "--method", method])
+        if se_big > 1e154:
+            assert code == 2
+            assert "line 19" in capsys.readouterr().err
+            return
+        assert code == 0
+        _, rows = read_output(str(out))
+        assert len(rows) == 200
+        for r in rows:
+            assert r["error"] == ""
+            assert all(math.isfinite(float(r[c])) for c in ("theta_hat", "cva", "lower", "upper"))
+
     def test_alpha_out_of_range_exit_4(self, tmp_path, capsys):
         inp = tmp_path / "in.csv"
         inp.write_text("y,se\n1.0,0.5\n")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from shrinkci import moments as mom
+from shrinkci import pipeline as pl
 
 _MAX = np.finfo(float).max
 _SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0**-53, -(2.0**-53), 2.0**-54, 2.0**-1074, -(2.0**-1074),
@@ -438,3 +439,46 @@ class TestScaleEquivariance:
         scaled = mom.estimate_moments(mom.Units(c * y, c * sigma), variant="pmt")
         assert scaled.mu2 == pytest.approx(c * c * base.mu2, rel=1e-12)
         assert scaled.kappa == pytest.approx(base.kappa, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [-300, -70, 30, 70, 300])
+    def test_pmt_power_of_two_scale_exact(self, k):
+        # past 2**64 the moments are taken on data scaled by a power of two,
+        # so data scaled by 2**k give the moments scaled by 4**k, bit for bit
+        rng = np.random.default_rng(14)
+        y = rng.normal(0, 1, 300)
+        sigma = rng.uniform(0.5, 1.5, 300)
+        base = mom._pmt_rows(y - y.mean(), sigma, np.full(300, 1 / 300), np.full(300, 1 / 300))
+        ys, ss = np.ldexp(y, k), np.ldexp(sigma, k)
+        scaled = mom._pmt_rows(ys - ys.mean(), ss, np.full(300, 1 / 300), np.full(300, 1 / 300))
+        mu2_uc, mu4_uc, mu2, kappa = (float(v) for v in base)
+        assert float(scaled[0]) == math.ldexp(mu2_uc, 2 * k)
+        assert float(scaled[2]) == math.ldexp(mu2, 2 * k)
+        assert float(scaled[3]) == kappa
+        if abs(4 * k) < 1000:
+            assert float(scaled[1]) == math.ldexp(mu4_uc, 4 * k)
+
+
+class TestExtremeStandardErrors:
+    """One unit's se far above the rest must not spoil the batch."""
+
+    def units(self, se_big):
+        rng = np.random.default_rng(0)
+        y, se = rng.normal(size=200), np.ones(200)
+        se[17] = se_big
+        y[17] *= se_big
+        return mom.Units(y, se)
+
+    @pytest.mark.parametrize("se_big", [1e70, 1e80, 1e154])
+    def test_moments_and_fit_finite(self, se_big):
+        est = mom.estimate_moments(self.units(se_big))
+        # the outlier dominates: mu2 is of order se_big^2 / n, kappa finite
+        assert math.isfinite(est.mu2) and est.mu2 > 1e-3 * se_big**2 / 200
+        assert math.isfinite(est.kappa) and est.kappa >= 1.0
+        for method in ("parametric", "robust_mu2", "robust_mu2_kappa"):
+            res = pl.fit(self.units(se_big), method=method)
+            assert all(e is None for e in res.error), method
+            assert np.all(np.isfinite(res.lower) & np.isfinite(res.upper)), method
+
+    def test_square_overflow_rejected(self):
+        with pytest.raises(mom.UnitError, match="unit 17: sigma\\^2 must be finite"):
+            self.units(1e155)

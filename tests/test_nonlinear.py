@@ -394,6 +394,21 @@ class TestPoissonEbci:
         with pytest.raises(mlp.InfeasibleMomentsError):
             nl.poisson_ebci(cfg, mean=1.0, second_moment=0.5)
 
+    def test_pmf_built_once_per_calibration(self, monkeypatch):
+        # the pmf depends on the grid, not on chi; the reward is still
+        # called through the module, and chi is that of a fresh pmf per call
+        cfg = nl.PoissonConfig(shape=2.0, scale=0.5)
+        mean, second = 1.0, 1.5
+        rebuilt = lambda chi: nl._poisson_problem(cfg, chi, mean, second)
+        want = mlp.calibrate_chi(rebuilt, cfg.alpha, lo=0.0, hi=2.0)
+        builds, rewards = [], []
+        build, reward = nl._poisson_pmf_matrix, nl.poisson_noncoverage
+        monkeypatch.setattr(nl, "_poisson_pmf_matrix", lambda *a: builds.append(1) or build(*a))
+        monkeypatch.setattr(nl, "poisson_noncoverage", lambda *a: rewards.append(1) or reward(*a))
+        got = nl.poisson_ebci(cfg)
+        assert repr(got) == repr(want)
+        assert len(builds) == 1 and len(rewards) > 10
+
 
 class TestSelectionNoncoverage:
     def test_infinite_window_reduces_to_unconditional(self):

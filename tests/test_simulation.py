@@ -6,6 +6,7 @@ import pytest
 from shrinkci import moments as mom
 from shrinkci import pipeline as pl
 from shrinkci import simulation as sim
+from shrinkci import worstcase as wc
 
 
 class TestThetaDistributions:
@@ -169,6 +170,68 @@ class TestRunStudy:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             sim.run_study([self.make_design()], methods=("bogus",), reps=2)
+
+
+def _method_by_method(design, d_idx, reps, seed, methods, alpha=0.05):
+    """The report's numbers by the route without batching: each method on its
+    own through ``pipeline._intervals``, every unit's key entered."""
+    stacked = sim._replications([sim._simulate_rep((design, d_idx, r, seed)) for r in range(reps)])
+    n = design.n
+    per_rep = lambda k: np.repeat(stacked[k], n)
+    y, theta = stacked["y"].ravel(), stacked["theta"].ravel()
+    out = {}
+    for method in methods:
+        base = method.removeprefix("oracle_")
+        if base != method:
+            sigma, (mu2, kappa) = np.ones_like(y), design.theta.moments()
+        else:
+            sigma, mu2, kappa = stacked["sigma"].ravel(), per_rep("mu2"), per_rep("kappa")
+        center, _, _, half = pl._intervals(base, y, sigma, per_rep("delta"), mu2, kappa, alpha)
+        cov = (np.abs(theta - center) <= half).reshape(reps, n).mean(axis=1)
+        length = (2.0 * half).reshape(reps, n).mean(axis=1)
+        out[method] = (float(np.mean(cov)), float(np.std(cov, ddof=1) / math.sqrt(reps)), float(np.mean(length)))
+    return out
+
+
+class TestCriticalValueBatching:
+    """run_study solves each design's critical values in one call per kappa
+    mode, and the report equals the method-by-method route bit for bit."""
+
+    def designs(self):
+        rng = np.random.default_rng(8)
+        het = sim.HeteroskedasticDesign(
+            tuple(rng.normal(0.06, 0.1, 120)), tuple(rng.uniform(0.05, 0.6, 120)), 0.5, n=60
+        )
+        panel = sim.PanelDesign(n=50, t=math.inf, err="normal", snr=0.5, theta=sim.ThetaDistribution("normal", 0.5))
+        return [panel, het]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_call_per_kappa_mode_and_bit_identical(self, monkeypatch, workers):
+        reps, seed = 12, 21
+        calls = []
+        solve = wc.critical_values
+
+        def counted(m2, kappa=None, alpha=0.05):
+            calls.append((np.size(m2), kappa is None))
+            return solve(m2, kappa, alpha)
+
+        monkeypatch.setattr(wc, "critical_values", counted)
+        designs = self.designs()
+        report = sim.run_study(designs, reps=reps, workers=workers, master_seed=seed)
+        monkeypatch.undo()
+        # panel: robust_mu2_kappa with its oracle, then robust_mu2 with its
+        # oracle, each oracle key entered once; het: no oracle methods
+        units = [reps * d.n for d in designs]
+        assert calls == [(units[0] + 1, False), (units[0] + 1, True), (units[1], False), (units[1], True)]
+        for d_idx, design in enumerate(designs):
+            methods = [m for m in sim.SIM_METHODS if hasattr(design, "theta") or not m.startswith("oracle_")]
+            ref = _method_by_method(design, d_idx, reps, seed, methods)
+            base = ref.get("oracle_robust_mu2_kappa", (0, 0, math.nan))[2]
+            for method, (cov, cov_se, length) in ref.items():
+                row = report.row(d_idx, method)
+                assert (row.coverage, row.coverage_se, row.avg_length) == (cov, cov_se, length), method
+                assert row.rel_length == length / base or math.isnan(base), method
+            assert {r.method for r in report.rows if r.design_index == d_idx} == set(ref)
 
 
 class TestHeteroskedasticDesign:

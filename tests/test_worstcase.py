@@ -565,7 +565,7 @@ class TestCriticalValue:
                 assert np.all(below > alpha), (kappa, alpha, m2[below <= alpha])
 
     @pytest.mark.parametrize("kappa", [None, 3.0])
-    @pytest.mark.parametrize("m2", [1e15, 1e16, 1e20, 1e100, 1e200, 1e300])
+    @pytest.mark.parametrize("m2", [1e15, 1e16, 1e20, 1e100, 1e200, 1e300, 1e307, 1e308])
     def test_very_large_m2(self, m2, kappa):
         # beyond chi = 2**26 the float spacing exceeds the 1e-8 bracket width,
         # so the inversion has to stop at adjacent floats; the worst case
@@ -575,6 +575,32 @@ class TestCriticalValue:
         assert np.all(np.isfinite(chi))
         worst = wc._worst_noncoverage_batch(np.array([m2]), kap, chi)[0]
         assert np.isfinite(worst) and 0.0 <= worst <= 0.05
+
+    @pytest.mark.parametrize("m2", [1e14, 1e20, 1e40, 1e100, 1e300, 1e307, 1.7e308])
+    def test_very_large_m2_limits(self, m2):
+        # chi / sqrt(m2) tends to 1 / sqrt(alpha) under the second moment
+        # alone (Markov on t = b^2 at its kink, just above chi^2), and to
+        # sqrt(1 + sqrt((kappa - 1) (1 / alpha - 1))) with kappa = 3 (Cantelli)
+        alpha = 0.05
+        markov = 1.0 / math.sqrt(alpha)
+        cantelli = math.sqrt(1.0 + math.sqrt(2.0 * (1.0 / alpha - 1.0)))
+        chi2 = wc.critical_values([m2], None, alpha)[0] / math.sqrt(m2)
+        chi4 = wc.critical_values([m2], 3.0, alpha)[0] / math.sqrt(m2)
+        assert chi2 == pytest.approx(markov, rel=1e-6)
+        assert chi4 == pytest.approx(cantelli, rel=1e-6 if m2 > 1e20 else 1e-3)
+
+    def test_kink_far_and_huge_chi(self):
+        # past chi = 1e6 the root leaves (chi + 5)^2, and past 2**56 it sits
+        # below the next float above chi; the chord slope r(t0) / t0 is
+        # checked against the asymptote: r(t0) -> 1 and t0 / chi^2 -> 1
+        chis = np.array([2e6, 1e8, 1e12, 1e16, 1e18, 1e40, 1e150, 2.0**500])
+        t0 = wc._majorant_kink_batch(chis)
+        slope = wc.noncoverage_sq(t0, chis) * (chis / t0) * chis
+        np.testing.assert_allclose(slope, 1.0, rtol=0, atol=1e-5)
+        assert np.all(t0 > chis * chis)
+        with np.errstate(over="raise"):
+            assert wc.majorant_kink(1e154) > 1e308
+            assert wc.majorant_kink(2e154) == math.inf
 
     @pytest.mark.parametrize("kappa", [None, 3.0])
     def test_chi_just_above_sqrt3(self, kappa):
