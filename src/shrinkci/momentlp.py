@@ -6,10 +6,17 @@ concave envelope and is the engine behind the nonlinear interval
 calibrations; ``solve_moment_lp`` solves it as a linear program and is the
 independent check on the envelope and on the closed forms in
 :mod:`shrinkci.worstcase`.
+
+A calibration solves one problem per chi on a fixed grid, moment rows and
+targets; only the reward changes.  ``calibrate_chi`` therefore passes each
+solve's optimal basis (its p+1 support indices) to the next, which
+re-optimizes it by a few exact simplex pivots; the qhull hull is built once
+per calibration, and again only where the pivots cannot decide.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,6 +46,13 @@ _MIN_WEIGHT = 1e-9
 # a hull facet is an upper facet when the reward component of its unit
 # normal exceeds this; vertical facets over duplicate moments sit at rounding
 _UPPER_NORMAL = 1e-12
+# a warm basis is optimal once no reduced cost exceeds this
+_OPTIMAL = 1e-13
+# a warm basis weight below this means the targets left its simplex
+_NEGATIVE_WEIGHT = -1e-12
+# pivots of one warm solve before the qhull route takes over; a guard
+# against cycling on degenerate bases
+_MAX_PIVOTS = 50
 
 
 class InfeasibleMomentsError(ValueError):
@@ -94,6 +108,8 @@ class MomentLPResult:
     solution: DiscreteDistribution
     dual_constant: float
     dual_moments: np.ndarray
+    # grid indices of the p+1 basis points, in index order (envelope_value)
+    basis: tuple[int, ...] = ()
 
 
 def solve_moment_lp(problem: MomentProblem) -> MomentLPResult:
@@ -140,7 +156,7 @@ def solve_moment_lp(problem: MomentProblem) -> MomentLPResult:
     )
 
 
-def envelope_value(problem: MomentProblem) -> MomentLPResult:
+def envelope_value(problem: MomentProblem, start: tuple[int, ...] = ()) -> MomentLPResult:
     """Solve the discretized worst-case problem as a concave envelope.
 
     The worst case over grid distributions with moments m is the upper
@@ -154,7 +170,16 @@ def envelope_value(problem: MomentProblem) -> MomentLPResult:
     distribution on the minimizing facet matches the targets to within
     ``EQ_BAND``, which covers every target more than ``EQ_BAND`` outside the
     hull of the moment points.
+
+    ``start`` is a basis, p+1 grid indices, to re-optimize by simplex pivots
+    instead (``_pivot``); the result's ``basis`` holds the facet's indices,
+    or the pivots', for the next solve of the same grid and moments.  Where
+    the pivots cannot decide, the hull is built as without ``start``.
     """
+    if len(start):
+        warm = _pivot(problem, start)
+        if warm is not None:
+            return warm
     moments, targets = problem.moments, problem.targets
     p = targets.size
     # a point below the centroid keeps the hull full-dimensional when the
@@ -183,6 +208,60 @@ def envelope_value(problem: MomentProblem) -> MomentLPResult:
         solution=_distribution(problem.grid[vertices], weights),
         dual_constant=dual_constant,
         dual_moments=dual_moments,
+        basis=tuple(vertices.tolist()),
+    )
+
+
+def _pivot(problem: MomentProblem, start: tuple[int, ...]) -> MomentLPResult | None:
+    """``envelope_value`` by primal simplex from the basis ``start``, or None.
+
+    A basis's weights solve [1; G_B] w = [1; m] and do not depend on the
+    reward, so the basis of a neighbouring chi is still primal feasible;
+    pivots restore dual feasibility.  The plane y solves [1; G_B]^T y = r_B;
+    while some reduced cost r_k - y . [1; g_k] exceeds ``_OPTIMAL``, the
+    largest enters and the ratio test picks the point that leaves.  The
+    final plane is the dual certificate.  None when the start does not fit
+    the problem, is singular or infeasible (a weight below
+    ``_NEGATIVE_WEIGHT``), or the pivots do not settle within ``_MAX_PIVOTS``.
+    """
+    K, p = problem.grid.size, problem.targets.size
+    basis = np.array(start, dtype=np.intp)
+    if basis.shape != (p + 1,) or basis.min() < 0 or basis.max() >= K:
+        return None
+    moments, reward = problem.moments, problem.reward
+    rhs = np.append(1.0, problem.targets)
+    lifted = np.ones((p + 1, p + 1))  # [1; G_B]
+    for _ in range(_MAX_PIVOTS):
+        lifted[1:] = moments[:, basis]
+        try:
+            inverse = np.linalg.inv(lifted)
+        except np.linalg.LinAlgError:
+            return None
+        weights = inverse @ rhs
+        if not weights.min() >= _NEGATIVE_WEIGHT:
+            return None
+        plane = reward[basis] @ inverse
+        reduced = reward - plane[0] - plane[1:] @ moments
+        enter = int(np.argmax(reduced))
+        if reduced[enter] <= _OPTIMAL:
+            break
+        step = inverse[:, 0] + inverse[:, 1:] @ moments[:, enter]
+        ratios = [max(w, 0.0) / d if d > 0.0 else math.inf
+                  for w, d in zip(weights.tolist(), step.tolist())]
+        leave = min(range(p + 1), key=ratios.__getitem__)
+        if ratios[leave] == math.inf:
+            return None
+        basis[leave] = enter
+    else:
+        return None
+    order = np.argsort(basis)
+    dual_constant, dual_moments = float(plane[0]), plane[1:]
+    return MomentLPResult(
+        value=float(dual_constant + dual_moments @ problem.targets),
+        solution=_distribution(problem.grid[basis[order]], weights[order]),
+        dual_constant=dual_constant,
+        dual_moments=dual_moments,
+        basis=tuple(basis[order].tolist()),
     )
 
 
@@ -203,8 +282,11 @@ def calibrate_chi(
 
     ``family`` maps a candidate chi to the discretized problem for that chi;
     the caller guarantees the worst-case value is nonincreasing in chi.  Each
-    worst case is the ``envelope_value`` of that problem, and the inversion
-    is ``_solve.invert``: ``lo`` is returned when its worst case is at most
+    worst case is the ``envelope_value`` of that problem, started from the
+    basis of the previous chi's solve (the first solve builds the hull), so
+    a family whose grid and moments do not move with chi costs one hull per
+    calibration plus a few pivots per chi.  The inversion is
+    ``_solve.invert``: ``lo`` is returned when its worst case is at most
     alpha; otherwise ``hi`` is doubled until its worst case is, and the
     result is the upper end of a final bracket at most ``tol`` wide, so its
     worst case is at most alpha and the worst case ``tol`` below it exceeds
@@ -216,7 +298,16 @@ def calibrate_chi(
         raise ValueError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    worst = lambda chi, idx: np.array([envelope_value(family(c)).value for c in chi])
+    basis = ()
+
+    def worst(chi, idx):
+        nonlocal basis
+        values = np.empty(chi.size)
+        for k, c in enumerate(chi):
+            res = envelope_value(family(c), start=basis)
+            values[k], basis = res.value, res.basis
+        return values
+
     try:
         return float(_solve.invert(worst, alpha, [lo], [hi], tol)[0])
     except _solve.BracketError as exc:

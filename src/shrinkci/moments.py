@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-# the largest sigma whose square is finite
+# the largest sigma, or |y|, whose square is finite
 _SIGMA_MAX = math.sqrt(sys.float_info.max)
 
 
@@ -165,6 +165,7 @@ class Units:
             (np.isfinite(y), "y must be finite", y),
             (np.isfinite(sigma) & (sigma > 0), "sigma must be finite and > 0", sigma),
             (sigma <= _SIGMA_MAX, "sigma^2 must be finite (sigma at most 1.34e154)", sigma),
+            (np.abs(y) <= _SIGMA_MAX, "y^2 must be finite (|y| at most 1.34e154)", y),
             (np.isfinite(omega) & (omega >= 0), "omega must be finite and >= 0", omega),
             (np.isfinite(X).all(axis=1), "covariates must be finite", X),
         )
@@ -222,14 +223,24 @@ def _floor_terms(sigma, om2, om4):
     return [om2**2 * sigma**4, om2 * sigma**2, om4**2 * sigma**8, om4 * sigma**4]
 
 
-def _truncate(mu2_uc, mu4_uc, total2, total4, c2, d2, c4, d4):
+def _truncate(mu2_uc, mu4_uc, total2, total4, c2, d2, c4, d4, rel=0):
     """PMT moments from the raw ones and the sums of ``_floor_terms``:
     mu2 is floored at 2 sum(om2^2 sigma^4) / (sum om2 sum(om2 sigma^2)) and
-    kappa at 1 + 32 sum(om4^2 sigma^8) / (mu2^2 sum om4 sum(om4 sigma^4))."""
-    floor = 2.0 * c2 / (total2 * d2)
+    kappa at 1 + 32 sum(om4^2 sigma^8) / (mu2^2 sum om4 sum(om4 sigma^4)).
+
+    The floor sums may be taken on sigma scaled by 2**-rel against the data
+    of the raw moments: the mu2 floor is then scaled by 4**rel, and mu2 in
+    the kappa floor by 4**-rel.  Where that mu2 overflows, the kappa floor
+    is 1.
+    """
+    floor = np.ldexp(2.0 * c2 / (total2 * d2), 2 * rel)
     mu2 = np.where(floor > mu2_uc, floor, mu2_uc)
     mu2_sq = np.float_power(mu2, 2)  # libm pow, as float ** 2; np.square may differ
-    kappa_floor = 1.0 + 32.0 * c4 / (mu2_sq * total4 * d4)
+    floor_sq = mu2_sq
+    if rel:
+        with np.errstate(over="ignore"):
+            floor_sq = np.float_power(np.ldexp(mu2, -2 * rel), 2)
+    kappa_floor = 1.0 + 32.0 * c4 / (floor_sq * total4 * d4)
     kappa = mu4_uc / mu2_sq
     return mu2, np.where(kappa_floor > kappa, kappa_floor, kappa)
 
@@ -245,17 +256,21 @@ def _pmt_rows(resid, sigma, om2, om4, members=None):
     ``members[k]``; each summand is computed once per unit and gathered.
     """
     shift = _scale_exponent(resid, sigma)
+    # the floor sums depend on sigma alone and take a scale of their own, so
+    # that one huge residual does not flush every sigma^4 to zero
+    floor_shift = _scale_exponent(sigma)
+    floor_sigma = np.ldexp(sigma, -floor_shift) if floor_shift else sigma
     if shift:
         resid, sigma = np.ldexp(resid, -shift), np.ldexp(sigma, -shift)
     w2, w4 = _signals(resid, sigma)
-    terms = [om2, om2 * w2, om4, om4 * w4, *_floor_terms(sigma, om2, om4)]
+    terms = [om2, om2 * w2, om4, om4 * w4, *_floor_terms(floor_sigma, om2, om4)]
     if members is not None:
         terms = [x[members] for x in terms]
     total2, a2, total4, a4, *floors = map(_row_sums, terms)
     if not ((total2 > 0).all() and (total4 > 0).all()):
         raise ValueError("weights must not all be zero")
     mu2_uc, mu4_uc = a2 / total2, a4 / total4
-    mu2, kappa = _truncate(mu2_uc, mu4_uc, total2, total4, *floors)
+    mu2, kappa = _truncate(mu2_uc, mu4_uc, total2, total4, *floors, floor_shift - shift)
     if not shift:
         return mu2_uc, mu4_uc, mu2, kappa
     # mu4_uc of data near the float range may itself overflow
@@ -263,16 +278,16 @@ def _pmt_rows(resid, sigma, om2, om4, members=None):
         return np.ldexp(mu2_uc, 2 * shift), np.ldexp(mu4_uc, 4 * shift), np.ldexp(mu2, 2 * shift), kappa
 
 
-def _scale_exponent(resid, sigma) -> int:
-    """0, or e where the largest |resid| or sigma lies in [2**(e-1), 2**e)
-    and |e| > 64.
+def _scale_exponent(*arrays) -> int:
+    """0, or e where the largest magnitude in ``arrays`` lies in
+    [2**(e-1), 2**e) and |e| > 64.
 
     Past 2**64 the PMT summands (up to sigma^8) overflow or underflow, so
     ``_pmt_rows`` works on resid and sigma divided by 2**e.  Scaling by a
     power of two is exact, and so are the moments scaled back, unless a
     summand is subnormal on either route.
     """
-    top = max(float(np.max(np.abs(resid))), float(np.max(sigma)))
+    top = max(float(np.max(np.abs(a))) for a in arrays)
     e = int(np.frexp(top)[1])
     return e if abs(e) > 64 else 0
 

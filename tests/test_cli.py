@@ -202,6 +202,33 @@ class TestFitCommand:
             assert r["error"] == ""
             assert all(math.isfinite(float(r[c])) for c in ("theta_hat", "cva", "lower", "upper"))
 
+    @pytest.mark.parametrize("method", ["parametric", "robust_mu2", "robust_mu2_kappa"])
+    @pytest.mark.parametrize("y_big", [1e100, 1e200, 1e300])
+    def test_one_extreme_estimate(self, tmp_path, capsys, method, y_big):
+        # se = 1 throughout: the PMT floors keep a scale of their own, so the
+        # huge residual does not flush them to 0 / 0; a unit whose y^2
+        # overflows is rejected, naming its line (header plus 18 rows)
+        rng = np.random.default_rng(0)
+        y = rng.normal(size=200)
+        y[17] = y_big
+        inp = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        write_units(str(inp), y, np.ones(200))
+        code = cli.main([
+            "fit", "--input", str(inp), "--output", str(out), "--method", method,
+            "--moments", "pmt",
+        ])
+        if y_big > 1.34e154:
+            assert code == 2
+            assert "line 19" in capsys.readouterr().err
+            return
+        assert code == 0
+        _, rows = read_output(str(out))
+        assert len(rows) == 200
+        for r in rows:
+            assert r["error"] == ""
+            assert all(math.isfinite(float(r[c])) for c in ("theta_hat", "cva", "lower", "upper"))
+
     def test_alpha_out_of_range_exit_4(self, tmp_path, capsys):
         inp = tmp_path / "in.csv"
         inp.write_text("y,se\n1.0,0.5\n")
@@ -338,6 +365,19 @@ class TestCvaCommand:
             m2 = float(r["m2"])
             assert float(r["cva"]) == pytest.approx(cva_scalar(m2, None, 0.05), abs=1e-7)
             assert float(r["noncoverage"]) <= 0.05 + 1e-5
+
+
+def test_python_m_shrinkci_runs_the_cli(tmp_path):
+    # under PYTHONPATH=src, without an installed entry point
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    by_module, by_main = tmp_path / "m.csv", tmp_path / "main.csv"
+    subprocess.run(
+        [sys.executable, "-m", "shrinkci", "cva", "--m2", "0,1,4", "--output", str(by_module)],
+        env=env, check=True,
+    )
+    assert cli.main(["cva", "--m2", "0,1,4", "--output", str(by_main)]) == 0
+    assert by_module.read_bytes() == by_main.read_bytes()
 
 
 class TestSimulateCommand:

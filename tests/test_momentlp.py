@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -119,8 +120,8 @@ def _counted_calibration(monkeypatch, family, alpha, lo, hi, tol=1e-4):
         chis.append(chi)
         return family(chi)
 
-    def counted_solve(prob):
-        res = solve(prob)
+    def counted_solve(prob, **kwargs):
+        res = solve(prob, **kwargs)
         trail.append((chis[-1], res.value))
         return res
 
@@ -212,11 +213,19 @@ def _nonlinear_problems():
     return [pytest.param(build, id=name) for name, build in cases]
 
 
+def _warm_envelope(prob):
+    """``envelope_value`` pivoted from the far end: the basis of the best
+    case, the envelope of 1 - reward on the same grid and moments."""
+    best = mlp.envelope_value(dataclasses.replace(prob, reward=1.0 - prob.reward))
+    return mlp.envelope_value(prob, start=best.basis)
+
+
 # (route, dual objective tolerance, slack tolerance): the LP's band and its
 # solver tolerances against the envelope's plane, exact at the target
 _ROUTES = [
     pytest.param(mlp.solve_moment_lp, 1e-8, 1e-9, id="lp"),
     pytest.param(mlp.envelope_value, 0.0, 1e-12, id="envelope"),
+    pytest.param(_warm_envelope, 0.0, 1e-12, id="warm"),
 ]
 
 
@@ -233,27 +242,40 @@ def test_nonlinear_dual_certificate(build, solve, objective_tol, slack_tol):
     assert slack.min() >= -slack_tol
 
 
-def _family_problems():
-    """Every soft-threshold, Poisson and selection config of the tests, at
-    chi across the calibration brackets."""
-    cases = []
+def _families():
+    """Every soft-threshold, Poisson and selection config of the tests, as
+    (name, family of chi, chi across the calibration bracket)."""
+    families = []
     for mu2 in (0.05, 0.2, 0.3, 1.0):
         cfg = nl.SoftThresholdConfig(mu2=mu2)
-        cases += [(f"soft-{mu2}-{c}", lambda cfg=cfg, c=c: nl._soft_threshold_problem(cfg, c))
-                  for c in (0.5, 1.5, 3.0)]
+        families.append((f"soft-{mu2}", lambda c, cfg=cfg: nl._soft_threshold_problem(cfg, c),
+                         (0.5, 1.5, 3.0)))
     for shape, scale in ((1.0, 0.3), (1.0, 2.0), (2.0, 1.0), (0.5, 4.0)):
         cfg = nl.PoissonConfig(shape=shape, scale=scale)
         mean, second = shape * scale, shape * (shape + 1.0) * scale**2
-        cases += [(f"poisson-{shape}-{scale}-{c}",
-                   lambda cfg=cfg, c=c, m=mean, s=second: nl._poisson_problem(cfg, c, m, s))
-                  for c in (0.0, 0.5, 2.0)]
+        families.append((f"poisson-{shape}-{scale}",
+                         lambda c, cfg=cfg, m=mean, s=second: nl._poisson_problem(cfg, c, m, s),
+                         (0.0, 0.5, 2.0)))
     grid = np.linspace(-8.0, 8.0, 1001)
     window = nl.SelectionWindow(0.0, math.inf)
     for w in (0.3, 0.5, 0.7):
-        cases += [(f"selection-{w}-{c}",
-                   lambda w=w, c=c: nl._selection_problem(grid, c, window, w, 1.0, 1.0))
-                  for c in (1.0, 3.0, 8.0)]
-    return [pytest.param(build, id=name) for name, build in cases]
+        families.append((f"selection-{w}",
+                         lambda c, w=w: nl._selection_problem(grid, c, window, w, 1.0, 1.0),
+                         (1.0, 3.0, 8.0)))
+    return families
+
+
+def _family_problems():
+    """The problems of ``_families`` at each of their chi."""
+    return [pytest.param(lambda family=family, c=c: family(c), id=f"{name}-{c}")
+            for name, family, chis in _families() for c in chis]
+
+
+def _neighbour_problems():
+    """(problem, its neighbour at a larger chi) for each of ``_family_problems``."""
+    return [pytest.param(lambda family=family, c=c: (family(c), family(1.1 * c + 0.05)),
+                         id=f"{name}-{c}")
+            for name, family, chis in _families() for c in chis]
 
 
 class TestEnvelope:
@@ -337,6 +359,110 @@ class TestEnvelope:
         assert mlp.envelope_value(prob).value == pytest.approx(
             mlp.solve_moment_lp(prob).value, abs=1e-8
         )
+
+
+def _counted_hulls(monkeypatch):
+    """Every qhull build of ``momentlp``, recorded in the returned list."""
+    hulls = []
+    build = mlp.ConvexHull
+
+    def counted(points):
+        hulls.append(len(points))
+        return build(points)
+
+    monkeypatch.setattr(mlp, "ConvexHull", counted)
+    return hulls
+
+
+def _same_result(a, b):
+    return (a.value == b.value and a.dual_constant == b.dual_constant
+            and np.array_equal(a.dual_moments, b.dual_moments)
+            and a.solution == b.solution and a.basis == b.basis)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("build", _neighbour_problems())
+    def test_matches_cold_from_neighbouring_basis(self, build, monkeypatch):
+        prob, neighbour = build()
+        cold = mlp.envelope_value(prob)
+        start = mlp.envelope_value(neighbour).basis
+        hulls = _counted_hulls(monkeypatch)
+        warm = mlp.envelope_value(prob, start=start)
+        assert hulls == []  # settled by pivots alone
+        assert warm.value == pytest.approx(cold.value, abs=1e-12)
+        slack = warm.dual_constant + warm.dual_moments @ prob.moments - prob.reward
+        assert slack.min() >= -1e-12
+        assert sum(warm.solution.probs) == pytest.approx(1.0, abs=1e-12)
+        assert len(warm.basis) == prob.targets.size + 1
+
+    def test_solve_moment_lp_has_no_basis(self):
+        assert mlp.solve_moment_lp(make_problem(1.0, 2.5, size=200)).basis == ()
+
+    @staticmethod
+    def _fallbacks():
+        soft = nl._soft_threshold_problem(nl.SoftThresholdConfig(mu2=0.2), 1.5)
+        poisson = nl._poisson_problem(nl.PoissonConfig(shape=1.0, scale=0.3), 0.5, 0.3, 0.18)
+        theta = np.linspace(-3.0, 3.0, 61)
+        dup = mlp.MomentProblem(theta, np.clip(0.3 + 0.1 * theta - 0.02 * theta**2, 0.0, 1.0),
+                                theta[None, :] ** 2, [1.0])
+        grid = np.linspace(0.0, 4.0, 50)
+        band = lambda t: mlp.MomentProblem(grid, wc.noncoverage_sq(grid, 1.0), grid[None, :], [t])
+        return [
+            pytest.param(soft, mlp.envelope_value(poisson).basis, id="basis-of-another-problem"),
+            pytest.param(soft, (-1, 5), id="index-below-range"),
+            pytest.param(soft, (5, 500), id="index-above-range"),
+            pytest.param(dup, (10, 50), id="singular-duplicate-theta2"),
+            pytest.param(band(4.0 + 5e-10), (48, 49), id="band-above-hull"),
+            pytest.param(band(-5e-10), (0, 1), id="band-below-hull"),
+        ]
+
+    @pytest.mark.parametrize("prob, start", _fallbacks())
+    def test_fallback_returns_the_cold_result(self, prob, start, monkeypatch):
+        cold = mlp.envelope_value(prob)
+        hulls = _counted_hulls(monkeypatch)
+        assert _same_result(mlp.envelope_value(prob, start=start), cold)
+        assert len(hulls) == 1
+
+    def test_pivot_cap_falls_back(self, monkeypatch):
+        prob = nl._soft_threshold_problem(nl.SoftThresholdConfig(mu2=0.2), 1.5)
+        cold = mlp.envelope_value(prob)
+        far = mlp.envelope_value(dataclasses.replace(prob, reward=1.0 - prob.reward)).basis
+        monkeypatch.setattr(mlp, "_MAX_PIVOTS", 1)
+        hulls = _counted_hulls(monkeypatch)
+        assert _same_result(mlp.envelope_value(prob, start=far), cold)
+        assert len(hulls) == 1
+
+
+# the configs of the tests and of the benchmark's calibrate workload, whose
+# configs carry a 1% seeded jitter
+_SOFT_MU2 = (0.05, 0.0495, 0.2, 0.202, 0.3, 1.0, 1.01)
+_POISSON = ((1.0, 0.3), (1.0, 2.0), (1.01, 1.98), (2.0, 1.0), (1.98, 1.01), (0.5, 4.0), (0.495, 4.04))
+_SELECTION_M2 = (0.96, 1.0, 1.06)
+
+
+def test_one_hull_per_calibration(monkeypatch):
+    calibrations = []
+    calibrate = mlp.calibrate_chi
+
+    def counted(*args, **kwargs):
+        calibrations.append(args)
+        return calibrate(*args, **kwargs)
+
+    monkeypatch.setattr(mlp, "calibrate_chi", counted)
+    hulls = _counted_hulls(monkeypatch)
+    for mu2 in _SOFT_MU2:
+        nl.soft_threshold_ebci(nl.SoftThresholdConfig(mu2=mu2))
+        assert len(hulls) == len(calibrations), f"soft threshold, mu2 = {mu2}"
+    for shape, scale in _POISSON:
+        nl.poisson_ebci(nl.PoissonConfig(shape=shape, scale=scale))
+        assert len(hulls) == len(calibrations), f"Poisson ({shape}, {scale})"
+    grid = np.linspace(-8.0, 8.0, 1001)
+    window = nl.SelectionWindow(0.0, math.inf)
+    for m2 in _SELECTION_M2:
+        for w in (0.3, 0.5, 0.7):
+            nl.selection_critical_value(m2, window, w, 1.0, 0.05, grid)
+            assert len(hulls) == len(calibrations), f"selection, m2 = {m2}, w = {w}"
+    assert len(calibrations) == len(_SOFT_MU2) + len(_POISSON) + 3 * len(_SELECTION_M2)
 
 
 def test_no_lp_in_a_calibration(monkeypatch):

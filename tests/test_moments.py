@@ -482,3 +482,42 @@ class TestExtremeStandardErrors:
     def test_square_overflow_rejected(self):
         with pytest.raises(mom.UnitError, match="unit 17: sigma\\^2 must be finite"):
             self.units(1e155)
+
+
+class TestExtremeEstimates:
+    """One unit's y far above the rest, with ordinary standard errors."""
+
+    def units(self, y_big):
+        rng = np.random.default_rng(0)
+        y = rng.normal(size=200)
+        y[17] = y_big
+        return mom.Units(y, np.ones(200))
+
+    def test_moments_and_fit_finite(self):
+        # the PMT floors take their own power-of-two scale from sigma, so the
+        # scale of the huge residual no longer flushes every sigma^4 to zero
+        est = mom.estimate_moments(self.units(1e100))
+        assert est.mu2 == pytest.approx(1e200 / 200, rel=1e-2)
+        assert math.isfinite(est.kappa) and est.kappa >= 1.0
+        for method in ("parametric", "robust_mu2", "robust_mu2_kappa"):
+            res = pl.fit(self.units(1e100), method=method)
+            assert all(e is None for e in res.error), method
+            assert np.all(np.isfinite(res.lower) & np.isfinite(res.upper)), method
+
+    def test_own_floor_scale_exact(self):
+        # one residual at 2**70, sigma near 1: the floors are taken on
+        # sigma's scale and the rest on the residuals', and the moments match
+        # those of the same data scaled into range by 2**-10, bit for bit
+        rng = np.random.default_rng(3)
+        resid, sigma = rng.normal(size=50), rng.uniform(0.5, 1.5, 50)
+        resid[0] = 2.0**70
+        om = np.full(50, 1 / 50)
+        big = mom._pmt_rows(resid, sigma, om, om)
+        small = mom._pmt_rows(np.ldexp(resid, -10), np.ldexp(sigma, -10), om, om)
+        assert float(big[2]) == math.ldexp(float(small[2]), 20)
+        assert float(big[3]) == float(small[3])
+
+    @pytest.mark.parametrize("y_big", [1e200, 1e300, -1e200])
+    def test_square_overflow_rejected(self, y_big):
+        with pytest.raises(mom.UnitError, match="unit 17: y\\^2 must be finite"):
+            self.units(y_big)
