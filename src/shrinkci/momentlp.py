@@ -222,7 +222,8 @@ def _pivot(problem: MomentProblem, start: tuple[int, ...]) -> MomentLPResult | N
     largest enters and the ratio test picks the point that leaves.  The
     final plane is the dual certificate.  None when the start does not fit
     the problem, is singular or infeasible (a weight below
-    ``_NEGATIVE_WEIGHT``), or the pivots do not settle within ``_MAX_PIVOTS``.
+    ``_NEGATIVE_WEIGHT``), when no point can leave, or when the pivots do
+    not settle within ``_MAX_PIVOTS``.
     """
     K, p = problem.grid.size, problem.targets.size
     basis = np.array(start, dtype=np.intp)
