@@ -2,9 +2,11 @@
 
 The batch solvers of ``worstcase``, ``pipeline``, ``nonlinear`` and
 ``momentlp`` reduce to three problems: invert a nonincreasing worst case at
-level alpha (``invert``, which brackets and then calls ``bracketed_root``),
-find the root of a bracketed decreasing function, or maximize a function
-along each column of a grid.  Per-entry functions are called as
+level alpha (``invert``, which brackets and then calls ``bracketed_root``;
+``newton_invert`` first takes Newton steps where the worst case comes with
+its slope, and leaves ``invert`` the entries it does not settle), find the
+root of a bracketed decreasing function, or maximize a function along each
+column of a grid.  Per-entry functions are called as
 ``f(x, idx)``, where ``idx`` holds the positions of the entries in ``x``, so
 that entries which have converged drop out of the evaluation.
 """
@@ -62,6 +64,89 @@ def invert(worst, alpha: float, lo, hi, tol: float):
         lo[idx], f_lo[idx] = hi[idx], f_hi[idx]
         hi[idx] *= 2.0
     raise BracketError(f"worst case exceeds alpha={alpha} up to {0.5 * hi.max()}")
+
+
+# sweeps of newton_invert before an open entry goes to invert
+_NEWTON_SWEEPS = 8
+# a Newton step at most this long, or at most four floats, leaves an error far
+# below the pair's half-width, so the next estimate goes to the pair
+_NEAR = 1e-5
+
+
+def newton_invert(worst, alpha: float, x, lo, hi, tol: float):
+    """``invert`` by Newton steps from ``x``, for a worst case with a slope.
+
+    ``worst(x, idx)`` returns the worst case and its derivative in x > 0.
+    Newton steps on ``log_excess`` against log x, on which power-law tails
+    are straight lines, start at ``x`` inside ``invert``'s bracket [lo, hi].
+    Each value moves lo or hi to the point evaluated; a step that leaves the
+    bracket, or comes from a slope that is not negative and finite, is
+    replaced by bisection.  Once a step is at most ``_NEAR`` (or four floats)
+    long, the next estimate c is checked by the pair c -+ tol / 10, or c and
+    the next float where that pair rounds to one point, moved inside the
+    bracket.  An entry stops, as in ``bracketed_root``, once values have
+    shown both ends of a bracket at most ``tol`` wide, or with adjacent
+    floats as its ends, and returns the upper end.  Entries still
+    open after ``_NEWTON_SWEEPS`` sweeps go to ``invert`` with the bracket
+    they hold.
+    """
+    x = np.array(x, dtype=float)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    out = np.empty(x.size)
+    pos = np.arange(x.size)
+    # whether a value has shown lo above alpha, and hi at most alpha
+    lo_shown, hi_shown = np.zeros(x.size, dtype=bool), np.zeros(x.size, dtype=bool)
+    pair = np.full(x.size, np.nan)  # the pair's upper point, NaN where none
+    for _ in range(_NEWTON_SWEEPS):
+        two = np.flatnonzero(np.isfinite(pair))
+        one = np.arange(pos.size)
+        pts = np.concatenate([x, pair[two]])
+        w, dw = worst(pts, pos[np.concatenate([one, two])])
+        g = log_excess(w, alpha)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dg = dw / w
+        # each entry's evaluated points, as bracket ends
+        above = g > 0
+        ends_lo, ends_hi = np.where(above, pts, -np.inf), np.where(above, np.inf, pts)
+        bottom, top = ends_lo[one], ends_hi[one]
+        # Newton goes on from the point nearest the root: the pair's upper
+        # point where its value exceeds alpha, the other point otherwise
+        base = one.copy()
+        if two.size:
+            bottom[two] = np.maximum(bottom[two], ends_lo[pos.size :])
+            top[two] = np.minimum(top[two], ends_hi[pos.size :])
+            base[two[above[pos.size :]]] = pos.size + np.flatnonzero(above[pos.size :])
+        # a shown end replaces the caller's
+        lo = np.where(bottom > -np.inf, np.maximum(bottom, np.where(lo_shown, lo, -np.inf)), lo)
+        hi = np.where(top < np.inf, np.minimum(top, np.where(hi_shown, hi, np.inf)), hi)
+        lo_shown |= bottom > -np.inf
+        # rounding noise in the worst case can show an upper end at or below
+        # lo, which is then dropped; as in invert, an upper end not above lo
+        # doubles
+        hi_shown = (hi_shown | (top < np.inf)) & (hi > lo)
+        hi = np.where(hi_shown | (hi > lo), hi, 2.0 * lo)
+        done = lo_shown & hi_shown & ((hi - lo <= tol) | (np.nextafter(lo, np.inf) >= hi))
+        out[pos[done]] = hi[done]
+        keep = ~done
+        xb, gb, db = pts[base][keep], g[base][keep], dg[base][keep]
+        pos, lo, hi = pos[keep], lo[keep], hi[keep]
+        lo_shown, hi_shown = lo_shown[keep], hi_shown[keep]
+        if not pos.size:
+            return out
+        with np.errstate(all="ignore"):
+            c = xb * np.exp(-gb / (xb * db))
+        ok = (db > -np.inf) & (db < 0) & np.isfinite(c)
+        near = ok & (np.abs(c - xb) <= np.maximum(_NEAR, 4.0 * np.spacing(xb)))
+        # a step past an upper end not yet shown tries that end, as invert does
+        x = np.where(~hi_shown & ok & (c >= hi), hi, 0.5 * (lo + hi))
+        x = np.where(ok & (c > lo) & (c < hi), c, x)
+        # the pair inside the bracket, its upper point at least the next float
+        c = np.clip(c, np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf))
+        up = np.maximum(c + 0.1 * tol, np.nextafter(c, np.inf))
+        x = np.where(near, np.minimum(c - 0.1 * tol, np.nextafter(up, -np.inf)), x)
+        pair = np.where(near, up, np.nan)
+    out[pos] = invert(lambda x, idx: worst(x, pos[idx])[0], alpha, lo, hi, tol)
+    return out
 
 
 def bracketed_root(f, lo, hi, f_lo, f_hi, tol: float):

@@ -169,7 +169,9 @@ def _intervals(method, y, sigma, center, mu2, kappa, alpha: float, m2=None, chi=
         elif chi is None:
             chi = wc.critical_values(*_cva_keys(method, sigma, mu2, kappa, m2), alpha)
         half = chi * w * sigma
-    return center + w * (y - center), w, chi, half
+    # from y, not from center: at w = 1 this is y exactly, however large
+    # |center| is (center + w (y - center) loses y once |center| >> |y|)
+    return y - (1.0 - w) * (y - center), w, chi, half
 
 
 def _param_noncov_batch(w: np.ndarray, alpha: float, kappa: float | None) -> np.ndarray:

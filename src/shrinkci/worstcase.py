@@ -408,7 +408,8 @@ def _fourth_binding_batch(m2, kappa, chi, t0):
     from that one evaluation.  A slope that underflows to exactly 0 does
     not count: far in the Gaussian tail (kappa = 3, m2 above about 3e3) the
     corner's value and slope are both 0 while the maximum sits near xi_max.
-    The other entries run ``_interior_pair_max``.  Returns (value, x0, x).
+    The other entries run ``_interior_pair_max``.  Returns (value, x0, x,
+    p, q), the pair's points and masses as ``_pair`` gives them.
     """
     one = np.ones(m2.shape)
     val, slope = _pair_slopes(one, m2, kappa, chi, order=1)
@@ -417,8 +418,7 @@ def _fourth_binding_batch(m2, kappa, chi, t0):
         one[inner], val[inner] = _interior_pair_max(
             m2[inner], kappa[inner], chi[inner], t0[inner], val[inner]
         )
-    x0, x, _, _ = _pair(one, m2, kappa)
-    return val, x0, x
+    return (val, *_pair(one, m2, kappa))
 
 
 def _pair_grid(m2, kappa, t0):
@@ -528,7 +528,7 @@ def _binding_pair(m2, kappa, chi, t0):
     """(x0, x) of the binding two-point pair at one key, None where slack."""
     if kappa is None or not _binding(m2, kappa, t0):
         return None
-    _, x0, x = _fourth_binding_batch(*(np.array([v], dtype=float) for v in (m2, kappa, chi, t0)))
+    _, x0, x, _, _ = _fourth_binding_batch(*(np.array([v], dtype=float) for v in (m2, kappa, chi, t0)))
     return float(x0[0]), float(x[0])
 
 
@@ -602,8 +602,8 @@ def _cva_second_batch_newton(m2: np.ndarray, alpha: float) -> np.ndarray:
     suffices) and the chord regime, where chi and the kink t0 solve a smooth
     2x2 system handled by damped Newton.  A Newton root is kept only inside
     the chord regime and only once a bracket of width 2 * _NEWTON_HALF_WIDTH
-    around it certifies it; every other entry is inverted by bracketed root
-    finding.
+    around it certifies it; every other entry goes to
+    ``_critical_values_bracketed``.
     """
     z = float(ndtri(1.0 - alpha / 2.0))
     out = np.full(m2.shape, z)
@@ -696,17 +696,32 @@ def _chord_newton(m2, alpha, chi0, t0_init, max_iter=40):
 
 
 def _critical_values_bracketed(m2, kap, alpha):
-    """Reference bracketed inversion (also the kappa-constrained path).
+    """Critical values by Newton on the envelope slope (the kappa path).
 
-    Returns the upper end of a bracket of width at most ``_CHI_TOL`` around
-    each root, so the worst case there is at most alpha.
+    ``_solve.newton_invert`` on the worst case and its slope, in the bracket
+    [z, z sqrt((1 + m2) / alpha) + 1].  Newton starts at the largest of z,
+    sqrt(m2) + ndtri(1 - alpha), which lies below the root since the worst
+    case is at least Phi(sqrt(m2) - chi), and the limit of chi / sqrt(m2)
+    as m2 grows times sqrt(m2): sqrt(1 + sqrt((kappa - 1) (1 / alpha - 1)))
+    (Cantelli), or 1 / sqrt(alpha) (Markov) where that is smaller.  Returns
+    the upper end of a bracket of width at most ``_CHI_TOL`` (or of
+    adjacent floats) around each root, so the worst case there is at most
+    alpha.
     """
     z = float(ndtri(1.0 - alpha / 2.0))
-    worst = lambda chi, i: _worst_noncoverage_batch(m2[i], None if kap is None else kap[i], chi)
-    # z sqrt((1 + m2) / alpha) + 1, with the quotient kept finite; where the
-    # cap binds, ``invert`` doubles the upper end
+    worst = lambda chi, i: _worst_noncoverage_batch(
+        m2[i], None if kap is None else kap[i], chi, slope=True
+    )
+    # the quotient kept finite; where the cap binds, the upper end doubles
     top = np.minimum(1.0 + m2, alpha * np.finfo(float).max) / alpha
-    chi = _solve.invert(worst, alpha, np.full(m2.shape, z), z * np.sqrt(top) + 1.0, _CHI_TOL)
+    # no kurtosis bound: inf; a degenerate one (a point mass): 0
+    k1 = math.inf if kap is None else np.where(kap > 1.0 + 1e-9, kap - 1.0, 0.0)
+    limit = np.minimum(1.0 + np.sqrt(k1 * (1.0 / alpha - 1.0)), 1.0 / alpha)
+    u = np.sqrt(m2)
+    start = np.maximum(np.maximum(z, u + ndtri(1.0 - alpha)), u * np.sqrt(limit))
+    chi = _solve.newton_invert(
+        worst, alpha, start, np.full(m2.shape, z), z * np.sqrt(top) + 1.0, _CHI_TOL
+    )
     return np.where(m2 == 0.0, z, chi)
 
 
@@ -744,10 +759,40 @@ def critical_values(m2, kappa=None, alpha: float = 0.05) -> np.ndarray:
 _CHI_RESCALE = 2.0**46
 
 
-def _worst_noncoverage_batch(m2, kap, chi, t_start=None):
+def _noncoverage_sq_dchi(t, chi):
+    """Derivative of ``noncoverage_sq`` in chi: -phi(chi + sqrt(t)) - phi(sqrt(t) - chi)."""
+    u = np.sqrt(t)
+    return -_phi(chi + u) - _phi(u - chi)
+
+
+def _pair_dchi(m2, chi, x0, x, p, q):
+    """p dr(x0) + q dr(x), d = d/dchi, for the binding pair (x0, x, p, q).
+
+    At an interior pair (x0 > 0), r'(x) comes from the first-order
+    condition of ``_pair_slopes``, dF/dxi = p'(r(x0) - r(x)) + m2 p (r'(x0)
+    + r'(x)) = 0 with p' = 2 p q / (1 - xi), and gives phi(sqrt(x) - chi) =
+    2 sqrt(x) r'(x) + phi(sqrt(x) + chi).  Far in the tail the pair value is
+    flat to roundoff over a range of x, so phi(sqrt(x) - chi) itself would
+    depend on where in that range the maximization stopped.
+    """
+    dx = _noncoverage_sq_dchi(x, chi)
+    inner = x0 > 0
+    if inner.any():
+        m, c, a, b, w = m2[inner], chi[inner], x0[inner], x[inner], q[inner]
+        d1b = 2.0 * w * (noncoverage_sq(b, c) - noncoverage_sq(a, c)) / (m - a) - noncoverage_sq_d1(a, c)
+        u = np.sqrt(b)
+        dx[inner] = -2.0 * _phi(u + c) - 2.0 * u * d1b
+    return p * _noncoverage_sq_dchi(x0, chi) + q * dx
+
+
+def _worst_noncoverage_batch(m2, kap, chi, t_start=None, slope=False):
     """Vectorized worst-case non-coverage; kap is None or an array.
 
     ``t_start`` is passed to ``_majorant_kink_batch`` as its starting point.
+    With ``slope``, returns (worst, d worst / d chi).  The least favorable
+    distribution has at most two support points, so by Danskin's theorem
+    the slope is the chi-derivative of the objective at that support, held
+    fixed: the point mass, the chord {0, t0} or the binding pair.
     """
     chi = np.broadcast_to(np.asarray(chi, dtype=float), m2.shape)
     big = chi >= _CHI_RESCALE
@@ -761,22 +806,37 @@ def _worst_noncoverage_batch(m2, kap, chi, t_start=None):
             t_start = np.where(big, np.nan, t_start)
     t0 = _majorant_kink_batch(chi, t_start)
     out = np.array(noncoverage_sq(m2, chi), dtype=float, copy=True)
+    d = _noncoverage_sq_dchi(m2, chi) if slope else None
     chord = (m2 > 0) & (m2 < t0)
     if chord.any():
-        r00 = noncoverage_sq(0.0, chi[chord])
-        t0c = t0[chord]
-        out[chord] = r00 + (m2[chord] / t0c) * (noncoverage_sq(t0c, chi[chord]) - r00)
+        c, share, t0c = chi[chord], m2[chord] / t0[chord], t0[chord]
+        r00 = noncoverage_sq(0.0, c)
+        rise = noncoverage_sq(t0c, c) - r00
+        out[chord] = r00 + share * rise
+        if slope:
+            # phi(sqrt(t0) - chi) from the kink's equation, rise = t0 r'(t0):
+            # at large chi the rounding of sqrt(t0) - chi spoils it directly
+            u0 = np.sqrt(t0c)
+            d00 = _noncoverage_sq_dchi(0.0, c)
+            d[chord] = d00 + share * (-2.0 * _phi(c + u0) - 2.0 * rise / u0 - d00)
     if kap is not None:
         binding = _binding(m2, kap, t0)
         if binding.any():
-            val, _, _ = _fourth_binding_batch(
-                m2[binding], kap[binding], chi[binding], t0[binding]
-            )
-            out[binding] = val
+            c = chi[binding]
+            out[binding], x0, x, p, q = _fourth_binding_batch(m2[binding], kap[binding], c, t0[binding])
+            if slope:
+                d[binding] = _pair_dchi(m2[binding], c, x0, x, p, q)
         degenerate = (kap <= 1.0 + 1e-9) & (m2 > 0)
         if degenerate.any():
             out[degenerate] = noncoverage_sq(m2[degenerate], chi[degenerate])
-    return out
+            if slope:
+                d[degenerate] = _noncoverage_sq_dchi(m2[degenerate], chi[degenerate])
+    if not slope:
+        return out
+    if big.any():
+        # the worst case at chi is that at chi / 2**shift
+        d[big] = np.ldexp(d[big], -shift)
+    return out, d
 
 
 def least_favorable(constraints: MomentConstraints, chi: float) -> DiscreteDistribution:

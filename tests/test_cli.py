@@ -229,6 +229,23 @@ class TestFitCommand:
             assert r["error"] == ""
             assert all(math.isfinite(float(r[c])) for c in ("theta_hat", "cva", "lower", "upper"))
 
+    @pytest.mark.parametrize("method", ["parametric", "robust_mu2", "robust_mu2_kappa"])
+    def test_huge_center_keeps_each_estimate(self, tmp_path, method):
+        # one unit at se = 1e80, y = 3e80 puts the center near 1.5e78 and
+        # gives every other unit w_eb = 1, whose estimate is then its own y
+        # (the center cancelled it to 0.0 once)
+        rng = np.random.default_rng(0)
+        y = np.append(rng.normal(size=200), 3e80)
+        se = np.append(np.ones(200), 1e80)
+        inp = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        write_units(str(inp), y, se)
+        assert cli.main(["fit", "--input", str(inp), "--output", str(out), "--method", method]) == 0
+        _, rows = read_output(str(out))
+        ones = [(float(r["theta_hat"]), yi) for r, yi in zip(rows, y) if float(r["w_eb"]) == 1.0]
+        assert len(ones) == 200
+        assert all(theta == yi for theta, yi in ones)
+
     def test_alpha_out_of_range_exit_4(self, tmp_path, capsys):
         inp = tmp_path / "in.csv"
         inp.write_text("y,se\n1.0,0.5\n")

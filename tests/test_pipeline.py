@@ -122,6 +122,20 @@ class TestFit:
         assert rows[0].method == "parametric" and rows[0].rule_of_thumb_ok is True
         assert type(rows[0].cva) is float
 
+    @pytest.mark.parametrize("method", ["parametric", "robust_mu2", "robust_mu2_kappa"])
+    def test_huge_center_keeps_each_estimate(self, method):
+        # the center is near 1.5e78 and every ordinary unit has w_eb = 1:
+        # its estimate is its own y, and its interval is centered there
+        rng = np.random.default_rng(0)
+        y = np.append(rng.normal(size=200), 3e80)
+        se = np.append(np.ones(200), 1e80)
+        res = pl.fit(mom.Units(y, se), method=method)
+        ones = [(o, yi) for o, yi in zip(res.outputs, y) if o.w_eb == 1.0]
+        assert len(ones) == 200
+        for o, yi in ones:
+            assert o.theta_hat == yi
+            assert o.lower < yi < o.upper
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             pl.fit(mom.Units([0.0], [1.0]), method="bogus")

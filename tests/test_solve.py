@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -152,3 +154,83 @@ class TestInvert:
         # the lower end, then 40 upper ends
         assert len(calls) == 41
         np.testing.assert_array_equal(calls[-1], np.full(2, 2.0**39))
+
+
+class TestNewtonInvert:
+    @staticmethod
+    def _traced(worst, x, lo, hi, alpha=0.05, tol=1e-8):
+        """newton_invert with every sweep recorded (invert's too), and each
+        hand-over to invert as (entries, sweeps before it)."""
+        sweeps, handed = [], []
+        invert = _solve.invert
+
+        def counted(x, idx):
+            sweeps.append(np.asarray(idx).copy())
+            return worst(x, idx)
+
+        def recorded(value, alpha, lo, hi, tol):
+            handed.append((lo.size, len(sweeps)))
+            return invert(value, alpha, lo, hi, tol)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_solve, "invert", recorded)
+            out = _solve.newton_invert(counted, alpha, x, lo, hi, tol)
+        return out, sweeps, handed
+
+    def test_power_law_in_one_step(self):
+        # worst = alpha (r / x)^2 is a line in (log x, log worst): one Newton
+        # step lands on the root, where the value is at most alpha up to
+        # rounding, and the pair around the next estimate shows the lower end
+        roots = np.array([0.3, 2.0, 7.5, 1e3, 4e5])
+        worst = lambda x, i: (0.05 * (roots[i] / x) ** 2, -0.1 * roots[i] ** 2 / x**3)
+        n = roots.size
+        out, sweeps, handed = self._traced(worst, np.full(n, 0.1), np.full(n, 0.1), np.full(n, 1e7))
+        assert len(sweeps) == 3 and not handed
+        assert np.all((out >= roots) & (out <= roots + 1e-8))
+        assert np.all(worst(out, np.arange(n))[0] <= 0.05)
+        assert np.all(worst(out - 1e-8, np.arange(n))[0] > 0.05)
+
+    def test_adjacent_floats_past_the_tolerance(self):
+        # from about 1e8 on the float spacing exceeds tol / 10, and the pair
+        # is the estimate and the next float; each result is the smallest
+        # float whose worst case is at most alpha
+        roots = np.array([3e8, math.pi * 1e20, 7e150])
+        worst = lambda x, i: (0.05 * (roots[i] / x) ** 4, -0.2 * (roots[i] / x) ** 4 / x)
+        out, _, handed = self._traced(worst, roots / 3.0, roots / 3.0, roots * 10.0)
+        assert not handed
+        idx = np.arange(roots.size)
+        assert np.all(worst(out, idx)[0] <= 0.05)
+        assert np.all(worst(np.nextafter(out, -np.inf), idx)[0] > 0.05)
+
+    def test_upper_end_doubles_past_the_root(self):
+        # the caller's upper end, 2, lies below the roots 6 and 12: Newton
+        # steps past it try 2, 4 and 8 in turn, as invert's doubling does
+        roots = np.array([6.0, 12.0])
+        trail = []
+
+        def worst(x, i):
+            trail.extend(zip(np.asarray(i).tolist(), np.asarray(x).tolist()))
+            value = 0.5 * np.exp2(roots[i] - x)
+            return value, -np.log(2.0) * value
+
+        out, _, _ = self._traced(worst, np.ones(2), np.ones(2), np.full(2, 2.0), alpha=0.5)
+        assert [x for i, x in trail if i == 1][:4] == [1.0, 2.0, 4.0, 8.0]
+        assert np.all(0.5 * np.exp2(roots - out) <= 0.5)
+        assert np.all(0.5 * np.exp2(roots - (out - 1e-8)) > 0.5)
+
+    def test_useless_slope_goes_to_invert(self):
+        # a zero slope gives no Newton step: the entry bisects its bracket
+        # until the sweeps run out, then invert finishes it from there;
+        # the other entry has a true slope and stops on its own
+        roots = np.array([3.0, 3.0])
+        scale = np.array([1.0, 0.0])
+
+        def worst(x, i):
+            value = 0.5 * np.exp2(roots[i] - x)
+            return value, -np.log(2.0) * value * scale[i]
+
+        out, sweeps, handed = self._traced(worst, np.ones(2), np.ones(2), np.full(2, 10.0), alpha=0.5)
+        assert handed == [(1, _solve._NEWTON_SWEEPS)]
+        assert all(np.array_equal(idx, [1]) for idx in sweeps[_solve._NEWTON_SWEEPS :])
+        assert np.all(0.5 * np.exp2(roots - out) <= 0.5)
+        assert np.all(0.5 * np.exp2(roots - (out - 1e-8)) > 0.5)

@@ -8,6 +8,7 @@ from oracles import binding_pair_value, cva_scalar, kink_brentq
 from scipy.optimize import brentq
 from shrinkci import _solve
 from shrinkci import momentlp as mlp
+from shrinkci import simulation as sim
 from shrinkci import worstcase as wc
 
 Z975 = 1.959963984540054
@@ -420,13 +421,13 @@ class TestBindingPair:
         return seeded_binding_keys()
 
     def test_matches_grid_golden_oracle(self, keys):
-        val, _, _ = wc._fourth_binding_batch(*keys)
+        val, *_ = wc._fourth_binding_batch(*keys)
         assert keys[0].size > 500
         np.testing.assert_allclose(val, binding_pair_value(*keys), rtol=1e-12, atol=0)
 
     def test_never_below_dense_scan(self, keys):
         m2, kappa, chi, t0 = keys
-        val, _, _ = wc._fourth_binding_batch(*keys)
+        val, *_ = wc._fourth_binding_batch(*keys)
         tau = t0 / m2
         xi_max = (tau - kappa) / (tau - 1.0)
         scan = np.full(m2.shape, -np.inf)
@@ -437,7 +438,7 @@ class TestBindingPair:
 
     def test_returned_pair_matches_moments_and_value(self, keys):
         m2, kappa, chi, _ = keys
-        val, x0, x = wc._fourth_binding_batch(*keys)
+        val, x0, x, _, _ = wc._fourth_binding_batch(*keys)
         p = (x - m2) / (x - x0)
         assert np.all((x0 >= 0) & (x0 < m2) & (x > m2))
         np.testing.assert_allclose(p * x0 + (1 - p) * x, m2, rtol=1e-12)
@@ -485,6 +486,88 @@ class TestBindingPair:
         assert chi[0] == pytest.approx(cva_scalar(m2, 3.0, 0.05), abs=1e-8)
         assert wc._worst_noncoverage_batch(m, k, chi)[0] <= 0.05
         assert wc._worst_noncoverage_batch(m, k, chi - 1e-8)[0] > 0.05
+
+
+def _slope_and_difference(m2, kap, chi, h):
+    """The envelope slope of the worst case and its central difference."""
+    _, slope = wc._worst_noncoverage_batch(m2, kap, chi, slope=True)
+    diff = (
+        wc._worst_noncoverage_batch(m2, kap, chi + h) - wc._worst_noncoverage_batch(m2, kap, chi - h)
+    ) / (2.0 * h)
+    return slope, diff
+
+
+def _slope_regimes(m2, kap, chi):
+    """Each key's least favorable support, as ``_worst_noncoverage_batch``
+    picks it: point mass, chord {0, t0}, binding corner or binding interior."""
+    t0 = wc._majorant_kink_batch(chi)
+    point = (m2 >= t0) | (kap <= 1.0 + 1e-9)
+    binding = wc._binding(m2, kap, t0)
+    _, x0, _, _, _ = wc._fourth_binding_batch(m2[binding], kap[binding], chi[binding], t0[binding])
+    corner = np.zeros(m2.shape, dtype=bool)
+    corner[np.flatnonzero(binding)[x0 == 0.0]] = True
+    return {
+        "point": point & ~binding,
+        "chord": ~point & ~binding,
+        "corner": corner,
+        "interior": binding & ~corner,
+    }
+
+
+class TestEnvelopeSlope:
+    """d worst / d chi from the least favorable support (Danskin) against a
+    central difference of the worst case, in every regime."""
+
+    @pytest.mark.parametrize(
+        "kappa,regimes",
+        [
+            (None, ("point", "chord")),
+            (1.0, ("point",)),
+            (1.0 + 1e-10, ("point",)),
+            (1.5, ("chord", "corner", "interior")),
+            (3.0, ("chord", "corner", "interior")),
+            (20.0, ("chord", "corner", "interior")),
+            (wc.KAPPA_UNCONSTRAINED, ("point", "chord")),
+            (1e7, ("point", "chord")),
+        ],
+    )
+    def test_matches_central_difference(self, kappa, regimes):
+        # seeded keys within 3% of their cva and at 60% of it, where the
+        # worst case is neither flat at 1 nor underflowing; each regime
+        # listed has at least five of them
+        rng = np.random.default_rng(41)
+        m2 = np.exp(rng.uniform(np.log(1e-3), np.log(1e4), 300))
+        kap = np.full(m2.shape, math.inf if kappa is None else kappa)
+        cva = wc.critical_values(m2, None if kappa is None else kap, 0.05)
+        chi = np.concatenate([cva * rng.uniform(0.97, 1.03, m2.size), 0.6 * cva])
+        m2, kap = np.tile(m2, 2), np.tile(kap, 2)
+        slope, diff = _slope_and_difference(m2, None if kappa is None else kap, chi, 1e-6 * chi)
+        worst = wc._worst_noncoverage_batch(m2, None if kappa is None else kap, chi)
+        resolved = (worst > 1e-6) & (worst < 0.9)
+        np.testing.assert_allclose(slope[resolved], diff[resolved], rtol=1e-6)
+        found = _slope_regimes(m2, kap, chi)
+        assert all((found[name] & resolved).sum() >= 5 for name in regimes)
+
+    @pytest.mark.parametrize("kappa", [None, 3.0, 1.5])
+    def test_matches_central_difference_past_rescale(self, kappa):
+        # chi >= 2**46: the worst case is taken at (m2 / 4**k, chi / 2**k),
+        # and its slope is 2**-k times the slope there
+        m2 = np.repeat([1e30, 1e60, 1e100, 1e200, 1e300], 3)
+        kap = None if kappa is None else np.full(m2.shape, kappa)
+        chi = wc.critical_values(m2, kap, 0.05) * np.tile([0.97, 1.0, 1.03], 5)
+        assert np.all(chi >= 2.0**46)
+        slope, diff = _slope_and_difference(m2, kap, chi, 1e-6 * chi)
+        np.testing.assert_allclose(slope, diff, rtol=1e-6)
+
+    def test_point_mass_past_rescale(self):
+        # a point mass at m2 = 2**94 puts its cva near 2**47 + 1.64, where
+        # the float spacing is 2**-5
+        m2 = np.full(5, 2.0**94)
+        kap = np.ones(5)
+        chi = 2.0**47 + np.array([0.5, 1.0, 1.5, 2.0, 2.5])
+        slope, diff = _slope_and_difference(m2, kap, chi, 0.25)
+        np.testing.assert_allclose(slope, diff, rtol=1e-3)
+        assert np.all(slope < 0)
 
 
 class TestCriticalValue:
@@ -654,6 +737,87 @@ class TestCriticalValue:
             wc.critical_value(wc.MomentConstraints(1.0), 0.0)
         with pytest.raises(ValueError):
             wc.critical_value(wc.MomentConstraints(1.0), 1.0)
+
+
+def _certified(m2, kap, chi, alpha):
+    """worst(chi) <= alpha < worst(chi - 1e-8), or at the next float below
+    chi where 1e-8 is below its spacing."""
+    below = np.minimum(chi - 1e-8, np.nextafter(chi, -np.inf))
+    at_most = wc._worst_noncoverage_batch(m2, kap, chi) <= alpha
+    return at_most & (wc._worst_noncoverage_batch(m2, kap, below) > alpha)
+
+
+_KAPPAS = st.one_of(
+    st.none(),
+    st.sampled_from([1.0, 1.0 + 1e-9, wc.KAPPA_UNCONSTRAINED, 1e7]),
+    st.floats(0.0, math.log(1e7)).map(math.exp),
+)
+# keys around the one under test, for the batch check
+_BACKGROUND = np.exp(np.random.default_rng(5).uniform(np.log(1e-4), np.log(1e6), 30))
+
+
+class TestNewtonInversion:
+    """Critical values by Newton on the envelope slope: each chi is the upper
+    end of a two-point certificate, whatever the batch around it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(log_m2=st.floats(math.log(1e-8), math.log(1e300)), kappa=_KAPPAS)
+    def test_certified_and_independent_of_the_batch(self, log_m2, kappa):
+        m2 = np.array([math.exp(log_m2)])
+        chi = wc.critical_values(m2, kappa, 0.05)
+        kap = None if kappa is None else np.array([kappa])
+        assert _certified(m2, kap, chi, 0.05).all()
+        batch = wc.critical_values(np.concatenate([_BACKGROUND[:17], m2, _BACKGROUND[17:]]), kappa, 0.05)
+        assert batch[17] == chi[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_m2=st.floats(math.log(1e-8), math.log(1e10)), kappa=_KAPPAS)
+    def test_matches_scalar_oracle(self, log_m2, kappa):
+        # the oracle's kink bracket, (chi + 5)^2, holds up to chi of about
+        # 1.3e6, which its own bracket for the cva passes from m2 of 2e10 on
+        m2 = math.exp(log_m2)
+        chi = wc.critical_values([m2], kappa, 0.05)[0]
+        assert chi == pytest.approx(cva_scalar(m2, kappa, 0.05), abs=1e-8)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.001, 0.6])
+    @pytest.mark.parametrize("kappa", ["drawn", None])
+    def test_seeded_sweep_certified(self, kappa, alpha):
+        rng = np.random.default_rng(17)
+        m2 = np.exp(rng.uniform(np.log(1e-8), np.log(1e300), 10_000))
+        kap = np.exp(rng.uniform(0.0, np.log(1e7), m2.size)) if kappa else None
+        chi = wc.critical_values(m2, kap, alpha)
+        assert _certified(m2, kap, chi, alpha).all()
+
+    def test_rounding_noise_at_huge_m2(self):
+        # the last bits of the worst case are not monotone in chi here: a
+        # float whose worst case is at most alpha lies just below one whose
+        # worst case exceeds it, so the lower of the two cannot end a bracket
+        m2, kap = np.array([4.979577501831013e49]), np.array([8.338150244206348])
+        chi = wc.critical_values(m2, kap, 0.001)
+        assert _certified(m2, kap, chi, 0.001).all()
+
+    @pytest.mark.parametrize("kind,snr", [("normal", 0.1), ("scaled_chi2_1", 0.1), ("three_point", 2.0)])
+    def test_study_keys_take_few_sweeps(self, monkeypatch, kind, snr):
+        # one design's 50 replications, each with its own estimated (m2,
+        # kappa); se = 1 at t = inf, so m2 = 1 / mu2
+        design = sim.PanelDesign(
+            n=500, t=math.inf, err="normal", snr=snr, theta=sim.ThetaDistribution(kind, snr)
+        )
+        reps = sim._replications([sim._simulate_rep((design, 0, r, 3)) for r in range(50)])
+        sweeps, fallbacks = [], []
+        worst, invert = wc._worst_noncoverage_batch, _solve.invert
+
+        def counted(*args, **kwargs):
+            sweeps.append(1)
+            return worst(*args, **kwargs)
+
+        monkeypatch.setattr(wc, "_worst_noncoverage_batch", counted)
+        monkeypatch.setattr(_solve, "invert", lambda *a: fallbacks.append(a) or invert(*a))
+        chi = wc.critical_values(1.0 / reps["mu2"], reps["kappa"], 0.05)
+        monkeypatch.undo()
+        assert len(sweeps) <= 8
+        assert not fallbacks
+        assert _certified(1.0 / reps["mu2"], reps["kappa"], chi, 0.05).all()
 
 
 class TestLeastFavorable:
