@@ -2,16 +2,12 @@
 
 The general worst case maximizes an expected reward over all distributions on
 a grid subject to moment equalities.  ``envelope_value`` solves it as a
-concave envelope and is the engine behind the nonlinear interval
-calibrations; ``solve_moment_lp`` solves it as a linear program and is the
-independent check on the envelope and on the closed forms in
-:mod:`shrinkci.worstcase`.
-
-A calibration solves one problem per chi on a fixed grid, moment rows and
-targets; only the reward changes.  ``calibrate_chi`` therefore passes each
-solve's optimal basis (its p+1 support indices) to the next, which
-re-optimizes it by a few exact simplex pivots; the qhull hull is built once
-per calibration, and again only where the pivots cannot decide.
+concave envelope by exact simplex pivots and is the engine behind the
+nonlinear interval calibrations; ``solve_moment_lp`` solves it as a linear
+program and is the independent check on the envelope and on the closed forms
+in :mod:`shrinkci.worstcase`.  ``calibrate_chi`` passes each solve's optimal
+basis to the next chi's, which only changes the reward, so a calibration
+starts cold from a phase-1 basis once and then takes a few pivots per chi.
 """
 
 from __future__ import annotations
@@ -21,8 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
 
 from shrinkci import _solve
 from shrinkci.worstcase import DiscreteDistribution
@@ -43,15 +37,14 @@ __all__ = [
 EQ_BAND = 1e-9
 # support weights at or below this are artifacts of the band or of rounding
 _MIN_WEIGHT = 1e-9
-# a hull facet is an upper facet when the reward component of its unit
-# normal exceeds this; vertical facets over duplicate moments sit at rounding
-_UPPER_NORMAL = 1e-12
-# a warm basis is optimal once no reduced cost exceeds this
+# a basis is optimal once no reduced cost exceeds this, relative to the plane
 _OPTIMAL = 1e-13
-# a warm basis weight below this means the targets left its simplex
-_NEGATIVE_WEIGHT = -1e-12
-# pivots of one warm solve before the qhull route takes over; a guard
-# against cycling on degenerate bases
+# basis weights within this of 0 are rounding: below -it a start is
+# infeasible, and a step that cuts a weight at most it is degenerate
+_ROUNDING = 1e-12
+# a step entry at or below this is rounding; its point cannot leave
+_PIVOT = 1e-11
+# pivots after which a warm start goes cold, and a cold start gives up
 _MAX_PIVOTS = 50
 
 
@@ -60,7 +53,8 @@ class InfeasibleMomentsError(ValueError):
 
 
 class LPSolverError(RuntimeError):
-    """The LP solver failed for a reason other than infeasibility."""
+    """The LP solver or the envelope simplex failed for a reason other than
+    infeasibility."""
 
 
 class CalibrationError(RuntimeError):
@@ -108,7 +102,7 @@ class MomentLPResult:
     solution: DiscreteDistribution
     dual_constant: float
     dual_moments: np.ndarray
-    # grid indices of the p+1 basis points, in index order (envelope_value)
+    # grid indices of the final basis, in index order (envelope_value)
     basis: tuple[int, ...] = ()
 
 
@@ -119,40 +113,30 @@ def solve_moment_lp(problem: MomentProblem) -> MomentLPResult:
     solution with at most p+1 strictly positive weights.  Moment equalities
     are relaxed to a +-1e-9 band.
     """
-    K = problem.grid.size
-    p = problem.targets.size
+    # imported here: only this reference route needs scipy.optimize, whose
+    # import costs a few tenths of a second
+    from scipy.optimize import linprog
+
+    targets = problem.targets
     A_ub = np.vstack([problem.moments, -problem.moments])
-    b_ub = np.concatenate([problem.targets + EQ_BAND, -(problem.targets - EQ_BAND)])
-    A_eq = np.ones((1, K))
+    b_ub = np.concatenate([targets + EQ_BAND, -(targets - EQ_BAND)])
     res = linprog(
-        -problem.reward,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=[1.0],
-        bounds=(0.0, None),
-        method="highs-ds",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
+        -problem.reward, A_ub=A_ub, b_ub=b_ub, A_eq=np.ones((1, problem.grid.size)),
+        b_eq=[1.0], bounds=(0.0, None), method="highs-ds",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     if res.status == 2:
-        raise InfeasibleMomentsError(
-            f"no grid distribution matches the target moments {problem.targets}"
-        )
+        raise InfeasibleMomentsError(f"no grid distribution matches the target moments {targets}")
     if res.status != 0:
         raise LPSolverError(f"LP solver failed (status {res.status}): {res.message}")
     # dual certificate: marginals of the band rows combine into one
     # multiplier per moment, the equality marginal is the constant
     ub_marg = np.asarray(res.ineqlin.marginals)
-    dual_moments = -(ub_marg[:p] - ub_marg[p:])
-    dual_constant = -float(res.eqlin.marginals[0])
     return MomentLPResult(
         value=float(-res.fun),
         solution=_distribution(problem.grid, np.asarray(res.x)),
-        dual_constant=dual_constant,
-        dual_moments=dual_moments,
+        dual_constant=-float(res.eqlin.marginals[0]),
+        dual_moments=-(ub_marg[: targets.size] - ub_marg[targets.size :]),
     )
 
 
@@ -161,108 +145,123 @@ def envelope_value(problem: MomentProblem, start: tuple[int, ...] = ()) -> Momen
 
     The worst case over grid distributions with moments m is the upper
     concave envelope of the lifted points (g(x_k), reward_k) at m (Smith,
-    Operations Research 43(5), 1995): the lowest plane of the upper facets of
-    their convex hull.  The minimizing facet's grid points, weighted by the
-    barycentric coordinates of m in its projection, are a worst-case
-    distribution with at most p+1 points, and its plane is the dual
-    certificate in the sense of ``solve_moment_lp``.  The targets are taken
-    exactly, not relaxed to a band.  Raises InfeasibleMomentsError when no
-    distribution on the minimizing facet matches the targets to within
-    ``EQ_BAND``, which covers every target more than ``EQ_BAND`` outside the
-    hull of the moment points.
+    Operations Research 43(5), 1995).  Exact simplex pivots (``_simplex``)
+    find its plane at m, which lies on or above every lifted point and is
+    the dual certificate in the sense of ``solve_moment_lp``; the basis's
+    grid points, weighted by the solution of [1; G_B] w = [1; m], are a
+    worst-case distribution.  The targets are taken exactly, not relaxed to
+    a band.  Raises InfeasibleMomentsError when no distribution on the final
+    basis's grid points is within ``EQ_BAND`` of the targets.
 
-    ``start`` is a basis, p+1 grid indices, to re-optimize by simplex pivots
-    instead (``_pivot``); the result's ``basis`` holds the facet's indices,
-    or the pivots', for the next solve of the same grid and moments.  Where
-    the pivots cannot decide, the hull is built as without ``start``.
-    """
-    if len(start):
-        warm = _pivot(problem, start)
-        if warm is not None:
-            return warm
-    moments, targets = problem.moments, problem.targets
-    p = targets.size
-    # a point below the centroid keeps the hull full-dimensional when the
-    # reward is constant; no upper facet can contain it
-    sentinel = np.append(moments.mean(axis=1), problem.reward.min() - 1.0)
-    hull = ConvexHull(np.vstack([np.column_stack([moments.T, problem.reward]), sentinel]))
-    normal, offset = hull.equations[:, :-1], hull.equations[:, -1]
-    upper = np.flatnonzero(normal[:, p] > _UPPER_NORMAL)
-    planes = -(normal[upper, :p] @ targets + offset[upper]) / normal[upper, p]
-    best = upper[np.argmin(planes)]
-    dual_moments = -normal[best, :p] / normal[best, p]
-    dual_constant = float(-offset[best] / normal[best, p])
-    # barycentric weights of the targets in the facet's projection
-    vertices = np.sort(hull.simplices[best])
-    at = moments[:, vertices]
-    weights = np.linalg.solve(np.vstack([np.ones(p + 1), at]), np.append(1.0, targets))
-    if weights.min() < 0.0:
-        weights = np.maximum(weights, 0.0)
-        weights /= weights.sum()
-        if np.max(np.abs(at @ weights - targets)) > EQ_BAND:
-            raise InfeasibleMomentsError(
-                f"no grid distribution matches the target moments {targets}"
-            )
-    return MomentLPResult(
-        value=float(dual_constant + dual_moments @ targets),
-        solution=_distribution(problem.grid[vertices], weights),
-        dual_constant=dual_constant,
-        dual_moments=dual_moments,
-        basis=tuple(vertices.tolist()),
-    )
-
-
-def _pivot(problem: MomentProblem, start: tuple[int, ...]) -> MomentLPResult | None:
-    """``envelope_value`` by primal simplex from the basis ``start``, or None.
-
-    A basis's weights solve [1; G_B] w = [1; m] and do not depend on the
-    reward, so the basis of a neighbouring chi is still primal feasible;
-    pivots restore dual feasibility.  The plane y solves [1; G_B]^T y = r_B;
-    while some reduced cost r_k - y . [1; g_k] exceeds ``_OPTIMAL``, the
-    largest enters and the ratio test picks the point that leaves.  The
-    final plane is the dual certificate.  None when the start does not fit
-    the problem, is singular or infeasible (a weight below
-    ``_NEGATIVE_WEIGHT``), when no point can leave, or when the pivots do
-    not settle within ``_MAX_PIVOTS``.
+    ``start`` is a basis, p+1 grid indices, to pivot from; a start that does
+    not fit the problem, is singular or infeasible, or passes
+    ``_MAX_PIVOTS`` pivots gives way to ``_cold_start``.  The result's
+    ``basis`` is the final one, for the next solve.
     """
     K, p = problem.grid.size, problem.targets.size
     basis = np.array(start, dtype=np.intp)
-    if basis.shape != (p + 1,) or basis.min() < 0 or basis.max() >= K:
-        return None
-    moments, reward = problem.moments, problem.reward
+    if basis.shape == (p + 1,) and basis.min() >= 0 and basis.max() < K:
+        warm = _simplex(problem, basis)
+        if warm is not None:
+            return warm
+    return _cold_start(problem)
+
+
+def _cold_start(problem: MomentProblem) -> MomentLPResult:
+    """``envelope_value`` from a phase-1 basis: an artificial column equal
+    to the right-hand side [1; m], with reward -1, and the p grid points
+    nearest the target in the first moment that keep [1; G_B] nonsingular.
+    A basis that holds the artificial has weight 1 on it and value -1, and
+    no reward is negative, so the pivots drive it out whenever the target is
+    feasible, with no big-M constant.  LPSolverError past ``_MAX_PIVOTS``.
+    """
+    basis = [problem.grid.size]
+    for k in np.argsort(np.abs(problem.moments[0] - problem.targets[0]), kind="stable"):
+        if np.linalg.matrix_rank(_lifted(problem, basis + [k])) > len(basis):
+            basis.append(int(k))
+            if len(basis) > problem.targets.size:
+                break
+    else:
+        raise LPSolverError("the moment rows are affinely dependent on the grid")
+    res = _simplex(problem, np.array(basis, dtype=np.intp))
+    if res is None:
+        raise LPSolverError(f"the envelope simplex did not settle within {_MAX_PIVOTS} pivots")
+    return res
+
+
+def _simplex(problem: MomentProblem, basis: np.ndarray) -> MomentLPResult | None:
+    """``envelope_value`` by primal simplex pivots from ``basis``, or None.
+
+    Index K, the grid size, is ``_cold_start``'s artificial column.  The
+    weights solve [1; G_B] w = [1; m] and do not depend on the reward, so
+    the basis of a neighbouring chi is still feasible.  The plane y solves
+    [1; G_B]^T y = r_B; while a reduced cost r_k - y . [1; g_k] exceeds
+    ``_OPTIMAL``, the largest enters.  Its step d solves [1; G_B] d = [1; g_k],
+    so its entries sum to 1 and one is positive; the point with the least
+    weight per step entry above ``_PIVOT`` leaves, ties to the lowest index.
+    A step that would cut a zero weight takes Bland's rule instead (the
+    lowest index with a positive reduced cost enters), so pivots cannot
+    cycle.  None when the start is singular or infeasible, or when the
+    pivots pass ``_MAX_PIVOTS``.
+    """
+    moments, reward, K = problem.moments, problem.reward, problem.grid.size
+    values = np.append(reward, -1.0)
     rhs = np.append(1.0, problem.targets)
-    lifted = np.ones((p + 1, p + 1))  # [1; G_B]
-    for _ in range(_MAX_PIVOTS):
-        lifted[1:] = moments[:, basis]
+    for pivots in range(_MAX_PIVOTS + 1):
         try:
-            inverse = np.linalg.inv(lifted)
+            inverse = np.linalg.inv(_lifted(problem, basis))
         except np.linalg.LinAlgError:
             return None
         weights = inverse @ rhs
-        if not weights.min() >= _NEGATIVE_WEIGHT:
+        if pivots == 0 and basis.max() < K and not weights.min() >= -_ROUNDING:
             return None
-        plane = reward[basis] @ inverse
+        plane = values[basis] @ inverse
         reduced = reward - plane[0] - plane[1:] @ moments
+        reduced[basis[basis < K]] = 0.0
+        tol = _OPTIMAL * np.maximum(1.0, abs(plane[0]) + np.abs(plane[1:]) @ np.abs(moments))
+        reduced[reduced <= tol] = 0.0
         enter = int(np.argmax(reduced))
-        if reduced[enter] <= _OPTIMAL:
-            break
+        if reduced[enter] == 0.0:
+            return _result(problem, basis, plane)
         step = inverse[:, 0] + inverse[:, 1:] @ moments[:, enter]
-        ratios = [max(w, 0.0) / d if d > 0.0 else math.inf
+        if np.any((weights <= _ROUNDING) & (step > _PIVOT)):
+            enter = int(np.argmax(reduced > 0.0))
+            step = inverse[:, 0] + inverse[:, 1:] @ moments[:, enter]
+        ratios = [max(w, 0.0) / d if d > _PIVOT else math.inf
                   for w, d in zip(weights.tolist(), step.tolist())]
-        leave = min(range(p + 1), key=ratios.__getitem__)
-        if ratios[leave] == math.inf:
-            return None
-        basis[leave] = enter
-    else:
-        return None
-    order = np.argsort(basis)
+        basis[min(range(basis.size), key=lambda i: (ratios[i], basis[i]))] = enter
+    return None
+
+
+def _lifted(problem: MomentProblem, basis) -> np.ndarray:
+    """[1; G_B], the grid size standing for the artificial column [1; m]."""
+    points = np.column_stack([problem.moments, problem.targets])[:, basis]
+    return np.vstack([np.ones(len(basis)), points])
+
+
+def _result(problem, basis, plane) -> MomentLPResult:
+    """The final basis's grid points, weighted to come nearest the target,
+    and its plane.  With the artificial (index K) still in, the target is
+    outside the hull, and the value is the grid points', if in the band."""
+    targets = problem.targets
+    basis = np.sort(basis)
+    outside = basis[-1] == problem.grid.size
+    if outside:
+        basis = basis[:-1]
+    at = problem.moments[:, basis]
+    shift = np.linalg.lstsq(at[:, :-1] - at[:, -1:], targets - at[:, -1], rcond=None)[0]
+    weights = np.maximum(np.append(shift, 1.0 - shift.sum()), 0.0)
+    weights /= weights.sum()
+    if np.max(np.abs(at @ weights - targets)) > EQ_BAND:
+        raise InfeasibleMomentsError(f"no grid distribution matches the target moments {targets}")
     dual_constant, dual_moments = float(plane[0]), plane[1:]
     return MomentLPResult(
-        value=float(dual_constant + dual_moments @ problem.targets),
-        solution=_distribution(problem.grid[basis[order]], weights[order]),
+        value=float(problem.reward[basis] @ weights if outside
+                    else dual_constant + dual_moments @ targets),
+        solution=_distribution(problem.grid[basis], weights),
         dual_constant=dual_constant,
         dual_moments=dual_moments,
-        basis=tuple(basis[order].tolist()),
+        basis=tuple(basis.tolist()),
     )
 
 
@@ -284,14 +283,14 @@ def calibrate_chi(
     ``family`` maps a candidate chi to the discretized problem for that chi;
     the caller guarantees the worst-case value is nonincreasing in chi.  Each
     worst case is the ``envelope_value`` of that problem, started from the
-    basis of the previous chi's solve (the first solve builds the hull), so
-    a family whose grid and moments do not move with chi costs one hull per
-    calibration plus a few pivots per chi.  The inversion is
-    ``_solve.invert``: ``lo`` is returned when its worst case is at most
-    alpha; otherwise ``hi`` is doubled until its worst case is, and the
-    result is the upper end of a final bracket at most ``tol`` wide, so its
-    worst case is at most alpha and the worst case ``tol`` below it exceeds
-    alpha.  Raises ``CalibrationError`` when 40 doublings do not reach it.
+    basis of the previous chi's solve, so a family whose grid and moments do
+    not move with chi costs one cold start plus a few pivots per chi.  The
+    inversion is ``_solve.invert``: ``lo`` is returned when its worst case is
+    at most alpha; otherwise ``hi`` is doubled until its worst case is, and
+    the result is the upper end of a final bracket at most ``tol`` wide, so
+    its worst case is at most alpha and the worst case ``tol`` below it
+    exceeds alpha.  Raises ``CalibrationError`` when 40 doublings do not
+    reach it.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")

@@ -15,6 +15,10 @@ Independent of the CLI's blocked columnar CSV layer: the row-at-a-time
 reader (a ``csv.DictReader`` dict per row) and writer (``csv.writer``, one
 ``writerow`` per row) it replaced.
 
+Independent of ``shrinkci.momentlp``'s envelope simplex: the concave
+envelope as the lowest upper facet of a qhull convex hull, the route the
+simplex replaced.
+
 Independent of ``shrinkci.nonlinear``'s vectorized intervals: the HPD set
 one y at a time and the expected HPD length by a loop over it, and the
 Poisson interval ends one count at a time, each as the scalar code they
@@ -26,10 +30,12 @@ import math
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.spatial import ConvexHull
 from scipy.special import gammaincinv, ndtri
 
 from shrinkci import _solve
 from shrinkci import cli
+from shrinkci import momentlp as mlp
 from shrinkci import moments as mom
 from shrinkci import nonlinear as nl
 from shrinkci import worstcase as wc
@@ -39,13 +45,18 @@ def kink_brentq(chi):
     """Majorant kink t0(chi) by brentq on ``wc._kink_objective``.
 
     Just above sqrt(3) the root lies within roundoff of the lower bracket
-    end chi^2 - 3, which is then returned.
+    end chi^2 - 3, which is then returned.  The root is (chi + x)^2 with x
+    near sqrt(2 log(chi / (2 sqrt(2 pi)))), which passes 5 at chi = 1.3e6,
+    so from chi = 1e6 on the upper end is (chi + 40)^2.  There one float
+    step of sqrt(t) - chi moves the objective by about x ulp(chi), so the
+    residual is checked only below chi = 1e6; above it the bracket brentq
+    closes is the check.
     """
     if chi <= math.sqrt(3.0):
         return 0.0
     r0 = float(wc.noncoverage_sq(0.0, chi))
     lo = max(chi * chi - 3.0, 1e-12)
-    hi = (chi + 5.0) ** 2
+    hi = (chi + (40.0 if chi >= 1e6 else 5.0)) ** 2
     f_lo, f_hi = wc._kink_objective(lo, chi, r0), wc._kink_objective(hi, chi, r0)
     if not f_hi < 0 < f_lo:
         if f_hi < 0 and abs(f_lo) <= wc._kink_floor(r0):
@@ -53,13 +64,21 @@ def kink_brentq(chi):
         raise RuntimeError(f"kink bracket failed at chi={chi}: f(lo)={f_lo}, f(hi)={f_hi}")
     t0 = brentq(wc._kink_objective, lo, hi, args=(chi, r0), xtol=1e-12, rtol=8.9e-16)
     resid = wc._kink_objective(t0, chi, r0)
-    if abs(resid) > 1e-9:
+    if chi < 1e6 and abs(resid) > 1e-9:
         raise RuntimeError(f"kink residual {resid} at chi={chi}")
     return float(t0)
 
 
 def worst_scalar(m2, kappa, chi):
-    """Worst-case non-coverage at one (m2, kappa, chi), regime by regime."""
+    """Worst-case non-coverage at one (m2, kappa, chi), regime by regime.
+
+    From chi = 2^46 on it is evaluated at (m2 / 4^k, chi / 2^k), with
+    chi / 2^k in [2^45, 2^46): up there the worst case depends on m2 / chi^2
+    and kappa alone, and the kink (chi + x)^2 stays finite and resolved.
+    """
+    if chi >= 2.0**46:
+        k = math.frexp(chi / 2.0**46)[1]
+        m2, chi = math.ldexp(m2, -2 * k), math.ldexp(chi, -k)
     t0 = kink_brentq(chi)
     if m2 == 0.0 or m2 >= t0 or (kappa is not None and kappa <= 1.0 + 1e-9):
         return float(wc.noncoverage_sq(m2, chi))
@@ -98,6 +117,37 @@ def cva_scalar(m2, kappa, alpha):
     worst = lambda chi, idx: np.array([worst_scalar(m2, kappa, float(c)) for c in chi])
     hi = z * math.sqrt((1.0 + m2) / alpha) + 1.0
     return float(_solve.invert(worst, alpha, [z], [hi], 1e-8)[0])
+
+
+def envelope_hull(problem):
+    """``mlp.envelope_value`` as the lowest upper facet of the convex hull of
+    the lifted points (g(x_k), reward_k), as (value, sorted facet indices).
+
+    A point below the centroid keeps the hull full-dimensional when the
+    reward is constant; no upper facet can contain it.  A facet is upper
+    when the reward component of its unit normal exceeds 1e-12, which drops
+    the vertical facets over duplicate moments.  Barycentric weights of the
+    target below 0 are clipped and renormalized, and InfeasibleMomentsError
+    raised when the clipped weights miss the target by more than
+    ``mlp.EQ_BAND``.
+    """
+    moments, targets = problem.moments, problem.targets
+    p = targets.size
+    sentinel = np.append(moments.mean(axis=1), problem.reward.min() - 1.0)
+    hull = ConvexHull(np.vstack([np.column_stack([moments.T, problem.reward]), sentinel]))
+    normal, offset = hull.equations[:, :-1], hull.equations[:, -1]
+    upper = np.flatnonzero(normal[:, p] > 1e-12)
+    planes = -(normal[upper, :p] @ targets + offset[upper]) / normal[upper, p]
+    best = upper[np.argmin(planes)]
+    vertices = np.sort(hull.simplices[best])
+    at = moments[:, vertices]
+    weights = np.linalg.solve(np.vstack([np.ones(p + 1), at]), np.append(1.0, targets))
+    if weights.min() < 0.0:
+        weights = np.maximum(weights, 0.0)
+        weights /= weights.sum()
+        if np.max(np.abs(at @ weights - targets)) > mlp.EQ_BAND:
+            raise mlp.InfeasibleMomentsError(f"no grid distribution matches {targets}")
+    return float(planes.min()), tuple(vertices.tolist())
 
 
 def neighbor_order_full(coords):

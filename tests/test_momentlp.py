@@ -1,9 +1,16 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from shrinkci import momentlp as mlp
 from shrinkci import nonlinear as nl
 from shrinkci import worstcase as wc
@@ -361,17 +368,103 @@ class TestEnvelope:
         )
 
 
-def _counted_hulls(monkeypatch):
-    """Every qhull build of ``momentlp``, recorded in the returned list."""
-    hulls = []
-    build = mlp.ConvexHull
+def _edge_problems():
+    """The duplicate-theta^2, single-feasible-point and target-on-grid-point
+    problems of ``TestEnvelope``."""
+    theta = np.linspace(-3.0, 3.0, 61)
+    dup = lambda t: mlp.MomentProblem(theta, np.clip(0.3 + 0.1 * theta - 0.02 * theta**2, 0.0, 1.0),
+                                      theta[None, :] ** 2, [t])
+    four = np.array([0.5, 1.5, 3.0, 30.0])
+    grid = np.linspace(0.0, 4.0, 50)
+    cases = [(f"duplicate-theta2-{t}", lambda t=t: dup(t)) for t in (1.0, 9.0, 0.0)]
+    cases.append(("single-feasible-point", lambda: mlp.MomentProblem(
+        four, wc.noncoverage_sq(four, 2.0), np.vstack([four, four**2]), [1.5, 2.25])))
+    cases.append(("target-on-grid-point", lambda: mlp.MomentProblem(
+        grid, wc.noncoverage_sq(grid, 1.0), grid[None, :], [grid[7]])))
+    return [pytest.param(build, id=name) for name, build in cases]
 
-    def counted(points):
-        hulls.append(len(points))
-        return build(points)
 
-    monkeypatch.setattr(mlp, "ConvexHull", counted)
-    return hulls
+_LINEAR_SHRINKAGE = [(0.5, 2.0), (2.0, 3.0), (8.0, 2.5), (1.0, 1.0), (1.0, 2.5), (4.0, 0.5),
+                     (0.1, 2.0), (0.01, 1.96), (20.0, 4.0), (100.0, 6.0), (1.0, 1.9), (3.0, 2.2)]
+
+
+class TestHullOracle:
+    @pytest.mark.parametrize(
+        "build",
+        _family_problems() + _edge_problems()
+        + [pytest.param(lambda m2=m2, chi=chi: make_problem(m2, chi), id=f"linear-{m2}-{chi}")
+           for m2, chi in _LINEAR_SHRINKAGE],
+    )
+    def test_matches_hull(self, build):
+        prob = build()
+        value, _ = oracles.envelope_hull(prob)
+        assert mlp.envelope_value(prob).value == pytest.approx(value, abs=1e-12)
+
+
+@st.composite
+def _envelope_problems(draw):
+    """(problem, inside): a grid of 4 to 200 quarter-integers in [-25, 25]
+    with moments x, (x, x^2) or theta^2 (duplicates where x and -x both lie
+    on the grid); rewards in [0, 1] with ties; and a target at a random
+    convex combination of grid points, or 1e-6 outside the hull."""
+    kind = draw(st.sampled_from(["x", "x, x^2", "theta^2"]))
+    ints = draw(st.lists(st.integers(-100, 100), min_size=4, max_size=200, unique=True))
+    if kind == "theta^2":
+        ints += {-i for i in draw(st.lists(st.sampled_from(ints), max_size=20))} - set(ints)
+    grid = np.sort(np.array(ints, dtype=float)) / 4.0
+    levels = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                           min_size=grid.size, max_size=grid.size))
+    reward = np.array(levels)
+    moments = {"x": grid[None, :], "x, x^2": np.vstack([grid, grid**2]),
+               "theta^2": grid[None, :] ** 2}[kind]
+    inside = draw(st.booleans())
+    if inside:
+        support = draw(st.lists(st.integers(0, grid.size - 1), min_size=1, max_size=4, unique=True))
+        weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(support),
+                                         max_size=len(support))))
+        targets = moments[:, support] @ (weights / weights.sum())
+    elif kind == "x, x^2":
+        x = draw(st.floats(grid[0], grid[-1]))
+        top = grid[0] ** 2 + (x - grid[0]) * (grid[-1] + grid[0])
+        targets = np.array([x, draw(st.sampled_from([x * x - 1e-6, top + 1e-6]))])
+    else:
+        targets = np.array([draw(st.sampled_from([moments.min() - 1e-6, moments.max() + 1e-6]))])
+    return mlp.MomentProblem(grid, reward, moments, targets), inside
+
+
+@settings(max_examples=500, deadline=None)
+@given(drawn=_envelope_problems())
+def test_envelope_property(drawn):
+    prob, inside = drawn
+    if not inside:
+        with pytest.raises(mlp.InfeasibleMomentsError):
+            mlp.envelope_value(prob)
+        with pytest.raises(mlp.InfeasibleMomentsError):
+            mlp.solve_moment_lp(prob)
+        return
+    res = mlp.envelope_value(prob)
+    # the LP without its band, which alone moves the LP by 1e-8 on these
+    # grids: (x, x^2) at the midpoint of the chord from 0 to 0.25, reward 1
+    # at 0.5 and 0 elsewhere
+    with mock.patch.object(mlp, "EQ_BAND", 0.0):
+        lp = mlp.solve_moment_lp(prob).value
+    assert res.value == pytest.approx(lp, abs=1e-8)
+    assert res.value == res.dual_constant + res.dual_moments @ prob.targets
+    slack = res.dual_constant + res.dual_moments @ prob.moments - prob.reward
+    assert slack.min() >= -1e-12
+
+
+def _counted_cold_starts(monkeypatch):
+    """Every cold start of ``envelope_value``, recorded in the returned list."""
+    colds = []
+    cold_start = mlp._cold_start
+
+    def counted(problem):
+        colds.append(problem)
+        return cold_start(problem)
+
+    monkeypatch.setattr(mlp, "_cold_start", counted)
+    return colds
 
 
 def _same_result(a, b):
@@ -386,9 +479,9 @@ class TestWarmStart:
         prob, neighbour = build()
         cold = mlp.envelope_value(prob)
         start = mlp.envelope_value(neighbour).basis
-        hulls = _counted_hulls(monkeypatch)
+        colds = _counted_cold_starts(monkeypatch)
         warm = mlp.envelope_value(prob, start=start)
-        assert hulls == []  # settled by pivots alone
+        assert colds == []  # settled from the start alone
         assert warm.value == pytest.approx(cold.value, abs=1e-12)
         slack = warm.dual_constant + warm.dual_moments @ prob.moments - prob.reward
         assert slack.min() >= -1e-12
@@ -419,18 +512,35 @@ class TestWarmStart:
     @pytest.mark.parametrize("prob, start", _fallbacks())
     def test_fallback_returns_the_cold_result(self, prob, start, monkeypatch):
         cold = mlp.envelope_value(prob)
-        hulls = _counted_hulls(monkeypatch)
+        colds = _counted_cold_starts(monkeypatch)
         assert _same_result(mlp.envelope_value(prob, start=start), cold)
-        assert len(hulls) == 1
+        assert len(colds) == 1
 
-    def test_pivot_cap_falls_back(self, monkeypatch):
+    def test_pivot_cap_goes_cold(self, monkeypatch):
+        # the far start needs more than one pivot; the cold start runs
+        # under the full cap
         prob = nl._soft_threshold_problem(nl.SoftThresholdConfig(mu2=0.2), 1.5)
         cold = mlp.envelope_value(prob)
         far = mlp.envelope_value(dataclasses.replace(prob, reward=1.0 - prob.reward)).basis
+        colds = []
+        cold_start = mlp._cold_start
+
+        def uncapped(problem):
+            colds.append(problem)
+            with monkeypatch.context() as m:
+                m.setattr(mlp, "_MAX_PIVOTS", 50)
+                return cold_start(problem)
+
         monkeypatch.setattr(mlp, "_MAX_PIVOTS", 1)
-        hulls = _counted_hulls(monkeypatch)
+        monkeypatch.setattr(mlp, "_cold_start", uncapped)
         assert _same_result(mlp.envelope_value(prob, start=far), cold)
-        assert len(hulls) == 1
+        assert len(colds) == 1
+
+    def test_pivot_cap_on_a_cold_start_raises(self, monkeypatch):
+        prob = nl._soft_threshold_problem(nl.SoftThresholdConfig(mu2=0.2), 1.5)
+        monkeypatch.setattr(mlp, "_MAX_PIVOTS", 1)
+        with pytest.raises(mlp.LPSolverError, match="did not settle within 1 pivots"):
+            mlp.envelope_value(prob)
 
 
 # the configs of the tests and of the benchmark's calibrate workload, whose
@@ -440,7 +550,7 @@ _POISSON = ((1.0, 0.3), (1.0, 2.0), (1.01, 1.98), (2.0, 1.0), (1.98, 1.01), (0.5
 _SELECTION_M2 = (0.96, 1.0, 1.06)
 
 
-def test_one_hull_per_calibration(monkeypatch):
+def test_one_cold_start_per_calibration(monkeypatch):
     calibrations = []
     calibrate = mlp.calibrate_chi
 
@@ -449,19 +559,19 @@ def test_one_hull_per_calibration(monkeypatch):
         return calibrate(*args, **kwargs)
 
     monkeypatch.setattr(mlp, "calibrate_chi", counted)
-    hulls = _counted_hulls(monkeypatch)
+    colds = _counted_cold_starts(monkeypatch)
     for mu2 in _SOFT_MU2:
         nl.soft_threshold_ebci(nl.SoftThresholdConfig(mu2=mu2))
-        assert len(hulls) == len(calibrations), f"soft threshold, mu2 = {mu2}"
+        assert len(colds) == len(calibrations), f"soft threshold, mu2 = {mu2}"
     for shape, scale in _POISSON:
         nl.poisson_ebci(nl.PoissonConfig(shape=shape, scale=scale))
-        assert len(hulls) == len(calibrations), f"Poisson ({shape}, {scale})"
+        assert len(colds) == len(calibrations), f"Poisson ({shape}, {scale})"
     grid = np.linspace(-8.0, 8.0, 1001)
     window = nl.SelectionWindow(0.0, math.inf)
     for m2 in _SELECTION_M2:
         for w in (0.3, 0.5, 0.7):
             nl.selection_critical_value(m2, window, w, 1.0, 0.05, grid)
-            assert len(hulls) == len(calibrations), f"selection, m2 = {m2}, w = {w}"
+            assert len(colds) == len(calibrations), f"selection, m2 = {m2}, w = {w}"
     assert len(calibrations) == len(_SOFT_MU2) + len(_POISSON) + 3 * len(_SELECTION_M2)
 
 
@@ -476,3 +586,16 @@ def test_no_lp_in_a_calibration(monkeypatch):
     grid = np.linspace(-8.0, 8.0, 1001)
     window = nl.SelectionWindow(0.0, math.inf)
     assert nl.selection_critical_value(1.0, window, 0.5, 1.0, 0.05, grid) > 0.0
+
+
+def test_nonlinear_import_loads_neither_qhull_nor_the_lp():
+    # scipy.optimize, which imports scipy.spatial itself, costs a few tenths
+    # of a second at start-up; only the reference LP route needs it
+    src = os.path.dirname(os.path.dirname(mlp.__file__))
+    code = ("import sys, shrinkci.nonlinear; "
+            "print([m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -773,11 +773,18 @@ class TestNewtonInversion:
     @settings(max_examples=60, deadline=None)
     @given(log_m2=st.floats(math.log(1e-8), math.log(1e10)), kappa=_KAPPAS)
     def test_matches_scalar_oracle(self, log_m2, kappa):
-        # the oracle's kink bracket, (chi + 5)^2, holds up to chi of about
-        # 1.3e6, which its own bracket for the cva passes from m2 of 2e10 on
         m2 = math.exp(log_m2)
         chi = wc.critical_values([m2], kappa, 0.05)[0]
         assert chi == pytest.approx(cva_scalar(m2, kappa, 0.05), abs=1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_m2=st.floats(math.log(1e10), math.log(1e300)), kappa=_KAPPAS)
+    def test_matches_scalar_oracle_far(self, log_m2, kappa):
+        # chi runs from about 4e5 to 1e151; both routes stop within 1e-8 or
+        # at adjacent floats, which is below 1e-13 relative up there
+        m2 = math.exp(log_m2)
+        chi = wc.critical_values([m2], kappa, 0.05)[0]
+        assert chi == pytest.approx(cva_scalar(m2, kappa, 0.05), rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.001, 0.6])
     @pytest.mark.parametrize("kappa", ["drawn", None])
