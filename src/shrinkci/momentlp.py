@@ -39,11 +39,10 @@ EQ_BAND = 1e-9
 _MIN_WEIGHT = 1e-9
 # a basis is optimal once no reduced cost exceeds this, relative to the plane
 _OPTIMAL = 1e-13
-# basis weights within this of 0 are rounding: below -it a start is
-# infeasible, and a step that cuts a weight at most it is degenerate
+# weights and step entries within this of 0 are rounding: a start with a
+# weight below -it is infeasible, a point whose step entry is at most it
+# cannot leave, and a step that cuts a weight at most it is degenerate
 _ROUNDING = 1e-12
-# a step entry at or below this is rounding; its point cannot leave
-_PIVOT = 1e-11
 # pivots after which a warm start goes cold, and a cold start gives up
 _MAX_PIVOTS = 50
 
@@ -153,15 +152,14 @@ def envelope_value(problem: MomentProblem, start: tuple[int, ...] = ()) -> Momen
     a band.  Raises InfeasibleMomentsError when no distribution on the final
     basis's grid points is within ``EQ_BAND`` of the targets.
 
-    ``start`` is a basis, p+1 grid indices, to pivot from; a start that does
-    not fit the problem, is singular or infeasible, or passes
-    ``_MAX_PIVOTS`` pivots gives way to ``_cold_start``.  The result's
-    ``basis`` is the final one, for the next solve.
+    ``start`` is a basis, p+1 grid indices, to pivot from; one that does not
+    fit, is singular or infeasible, or passes ``_MAX_PIVOTS`` pivots gives
+    way to ``_cold_start``.  The result's ``basis`` is for the next solve.
     """
     K, p = problem.grid.size, problem.targets.size
     basis = np.array(start, dtype=np.intp)
     if basis.shape == (p + 1,) and basis.min() >= 0 and basis.max() < K:
-        warm = _simplex(problem, basis)
+        warm = _simplex(problem, basis, problem.moments, problem.reward)
         if warm is not None:
             return warm
     return _cold_start(problem)
@@ -175,92 +173,94 @@ def _cold_start(problem: MomentProblem) -> MomentLPResult:
     no reward is negative, so the pivots drive it out whenever the target is
     feasible, with no big-M constant.  LPSolverError past ``_MAX_PIVOTS``.
     """
-    basis = [problem.grid.size]
+    K, p = problem.grid.size, problem.targets.size
+    lifted = np.ones((p + 1, p + 1))
+    lifted[1:, 0] = problem.targets
+    basis = [K]
     for k in np.argsort(np.abs(problem.moments[0] - problem.targets[0]), kind="stable"):
-        if np.linalg.matrix_rank(_lifted(problem, basis + [k])) > len(basis):
+        lifted[1:, len(basis)] = problem.moments[:, k]
+        if np.linalg.matrix_rank(lifted[:, : len(basis) + 1]) > len(basis):
             basis.append(int(k))
-            if len(basis) > problem.targets.size:
+            if len(basis) > p:
                 break
     else:
         raise LPSolverError("the moment rows are affinely dependent on the grid")
-    res = _simplex(problem, np.array(basis, dtype=np.intp))
+    columns = np.column_stack([problem.moments, problem.targets])  # the artificial is K
+    res = _simplex(problem, np.array(basis), columns, np.append(problem.reward, -1.0))
     if res is None:
         raise LPSolverError(f"the envelope simplex did not settle within {_MAX_PIVOTS} pivots")
     return res
 
 
-def _simplex(problem: MomentProblem, basis: np.ndarray) -> MomentLPResult | None:
+def _simplex(problem: MomentProblem, basis, columns, values) -> MomentLPResult | None:
     """``envelope_value`` by primal simplex pivots from ``basis``, or None.
 
-    Index K, the grid size, is ``_cold_start``'s artificial column.  The
-    weights solve [1; G_B] w = [1; m] and do not depend on the reward, so
-    the basis of a neighbouring chi is still feasible.  The plane y solves
+    ``columns`` and ``values`` are the moment rows and rewards, with
+    ``_cold_start``'s artificial column appended as index K, the grid size.
+    The weights solve [1; G_B] w = [1; m] and do not depend on the reward,
+    so the basis of a neighbouring chi is still feasible.  The plane y solves
     [1; G_B]^T y = r_B; while a reduced cost r_k - y . [1; g_k] exceeds
     ``_OPTIMAL``, the largest enters.  Its step d solves [1; G_B] d = [1; g_k],
     so its entries sum to 1 and one is positive; the point with the least
-    weight per step entry above ``_PIVOT`` leaves, ties to the lowest index.
+    weight per step entry above ``_ROUNDING`` leaves, ties to the lowest index.
     A step that would cut a zero weight takes Bland's rule instead (the
     lowest index with a positive reduced cost enters), so pivots cannot
     cycle.  None when the start is singular or infeasible, or when the
     pivots pass ``_MAX_PIVOTS``.
     """
-    moments, reward, K = problem.moments, problem.reward, problem.grid.size
-    values = np.append(reward, -1.0)
-    rhs = np.append(1.0, problem.targets)
+    K, rhs = problem.grid.size, np.concatenate(([1.0], problem.targets))
+    lifted = np.ones((rhs.size, rhs.size))  # [1; G_B]
     for pivots in range(_MAX_PIVOTS + 1):
+        lifted[1:] = columns[:, basis]
         try:
-            inverse = np.linalg.inv(_lifted(problem, basis))
+            inverse = np.linalg.inv(lifted)
         except np.linalg.LinAlgError:
             return None
         weights = inverse @ rhs
-        if pivots == 0 and basis.max() < K and not weights.min() >= -_ROUNDING:
+        if pivots == 0 and not weights.min() >= -_ROUNDING and basis.max() < K:
             return None
         plane = values[basis] @ inverse
-        reduced = reward - plane[0] - plane[1:] @ moments
-        reduced[basis[basis < K]] = 0.0
-        tol = _OPTIMAL * np.maximum(1.0, abs(plane[0]) + np.abs(plane[1:]) @ np.abs(moments))
-        reduced[reduced <= tol] = 0.0
-        enter = int(np.argmax(reduced))
-        if reduced[enter] == 0.0:
-            return _result(problem, basis, plane)
-        step = inverse[:, 0] + inverse[:, 1:] @ moments[:, enter]
-        if np.any((weights <= _ROUNDING) & (step > _PIVOT)):
-            enter = int(np.argmax(reduced > 0.0))
-            step = inverse[:, 0] + inverse[:, 1:] @ moments[:, enter]
-        ratios = [max(w, 0.0) / d if d > _PIVOT else math.inf
-                  for w, d in zip(weights.tolist(), step.tolist())]
-        basis[min(range(basis.size), key=lambda i: (ratios[i], basis[i]))] = enter
+        reduced = values - plane[0] - plane[1:] @ columns
+        reduced[basis] = 0.0
+        entering = np.flatnonzero(reduced > _OPTIMAL)
+        if entering.size:  # the tolerance grows with the plane, as its rounding does
+            scale = abs(plane[0]) + np.abs(plane[1:]) @ np.abs(columns[:, entering])
+            entering = entering[reduced[entering] > _OPTIMAL * np.maximum(1.0, scale)]
+        if not entering.size:
+            return _result(problem, basis, weights, plane)
+        w = weights.tolist()
+        for enter in (entering[np.argmax(reduced[entering])], entering[0]):
+            step = (inverse[:, 0] + inverse[:, 1:] @ columns[:, enter]).tolist()
+            ratios = [max(a, 0.0) / d if d > _ROUNDING else math.inf for a, d in zip(w, step)]
+            leave = min(range(len(w)), key=lambda i: (ratios[i], basis[i]))
+            if w[leave] > _ROUNDING:
+                break  # the step moves the weights; a degenerate one takes Bland's rule
+        basis[leave] = enter
     return None
 
 
-def _lifted(problem: MomentProblem, basis) -> np.ndarray:
-    """[1; G_B], the grid size standing for the artificial column [1; m]."""
-    points = np.column_stack([problem.moments, problem.targets])[:, basis]
-    return np.vstack([np.ones(len(basis)), points])
-
-
-def _result(problem, basis, plane) -> MomentLPResult:
-    """The final basis's grid points, weighted to come nearest the target,
-    and its plane.  With the artificial (index K) still in, the target is
-    outside the hull, and the value is the grid points', if in the band."""
+def _result(problem, basis, weights, plane) -> MomentLPResult:
+    """The final basis's grid points and weights, and its plane.  With the
+    artificial (index K) still in, the target is out of the hull: the points
+    come as near it as they can, the value is theirs, and the plane phase 1's."""
     targets = problem.targets
-    basis = np.sort(basis)
-    outside = basis[-1] == problem.grid.size
-    if outside:
+    order = np.argsort(basis)
+    basis, weights = basis[order], weights[order]
+    value = float(plane[0] + plane[1:] @ targets)
+    if basis[-1] == problem.grid.size:
         basis = basis[:-1]
-    at = problem.moments[:, basis]
-    shift = np.linalg.lstsq(at[:, :-1] - at[:, -1:], targets - at[:, -1], rcond=None)[0]
-    weights = np.maximum(np.append(shift, 1.0 - shift.sum()), 0.0)
-    weights /= weights.sum()
-    if np.max(np.abs(at @ weights - targets)) > EQ_BAND:
-        raise InfeasibleMomentsError(f"no grid distribution matches the target moments {targets}")
-    dual_constant, dual_moments = float(plane[0]), plane[1:]
+        at = problem.moments[:, basis]
+        shift = np.linalg.lstsq(at[:, :-1] - at[:, -1:], targets - at[:, -1], rcond=None)[0]
+        weights = np.maximum(np.append(shift, 1.0 - shift.sum()), 0.0)
+        weights /= weights.sum()
+        if np.max(np.abs(at @ weights - targets)) > EQ_BAND:
+            raise InfeasibleMomentsError(f"no grid distribution matches the target moments {targets}")
+        value = float(problem.reward[basis] @ weights)
     return MomentLPResult(
-        value=float(problem.reward[basis] @ weights if outside
-                    else dual_constant + dual_moments @ targets),
+        value=value,
         solution=_distribution(problem.grid[basis], weights),
-        dual_constant=dual_constant,
-        dual_moments=dual_moments,
+        dual_constant=float(plane[0]),
+        dual_moments=plane[1:],
         basis=tuple(basis.tolist()),
     )
 

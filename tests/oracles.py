@@ -120,8 +120,8 @@ def cva_scalar(m2, kappa, alpha):
 
 
 def envelope_hull(problem):
-    """``mlp.envelope_value`` as the lowest upper facet of the convex hull of
-    the lifted points (g(x_k), reward_k), as (value, sorted facet indices).
+    """``mlp.envelope_value``'s value as the lowest upper facet of the convex
+    hull of the lifted points (g(x_k), reward_k).
 
     A point below the centroid keeps the hull full-dimensional when the
     reward is constant; no upper facet can contain it.  A facet is upper
@@ -139,15 +139,14 @@ def envelope_hull(problem):
     upper = np.flatnonzero(normal[:, p] > 1e-12)
     planes = -(normal[upper, :p] @ targets + offset[upper]) / normal[upper, p]
     best = upper[np.argmin(planes)]
-    vertices = np.sort(hull.simplices[best])
-    at = moments[:, vertices]
+    at = moments[:, hull.simplices[best]]
     weights = np.linalg.solve(np.vstack([np.ones(p + 1), at]), np.append(1.0, targets))
     if weights.min() < 0.0:
         weights = np.maximum(weights, 0.0)
         weights /= weights.sum()
         if np.max(np.abs(at @ weights - targets)) > mlp.EQ_BAND:
             raise mlp.InfeasibleMomentsError(f"no grid distribution matches {targets}")
-    return float(planes.min()), tuple(vertices.tolist())
+    return float(planes.min())
 
 
 def neighbor_order_full(coords):
