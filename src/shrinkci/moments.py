@@ -513,8 +513,15 @@ def estimate_moments(
     elif variant == "pmt":
         mu2, kappa = mu2_pmt, kappa_pmt
     elif variant == "fplib":
-        w2, w4 = _signals(residuals, sigma)
-        mu2, kappa, fallback = _fplib_split(om2, om4, mu2_uc, mu4_uc, w2, w4, (mu2_pmt, kappa_pmt))
+        # on the power-of-two scale of _pmt_rows, where no summand overflows:
+        # the posterior means scale with the data and kappa is scale-free
+        e = _scale_exponent(residuals, sigma)
+        r, s = np.ldexp(residuals, -e), np.ldexp(sigma, -e)
+        uc2, uc4 = (float(v) for v in _pmt_rows(r, s, om2, om4)[:2]) if e else (mu2_uc, mu4_uc)
+        mu2, kappa, fallback = _fplib_split(
+            om2, om4, uc2, uc4, *_signals(r, s), (math.ldexp(mu2_pmt, -2 * e), kappa_pmt)
+        )
+        mu2 = math.ldexp(mu2, 2 * e)
     elif variant == "nn":
         mu2, kappa = mu2_pmt, kappa_pmt
         if neighbors is None:

@@ -192,7 +192,10 @@ def noncoverage_sq_d2(t, chi):
     """
     t, chi = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(chi, dtype=float))
     u = np.sqrt(t)
-    safe_t = np.where(t > 0, t, 1.0)
+    # at or below t = 1e-200 the value is the limit to rounding, while t ** 1.5
+    # and u ** 3 near underflow
+    tiny = t <= 1e-200
+    safe_t = np.where(tiny, 1.0, t)
     # t ** 1.5 overflows past t ~ 3e205, where the true value underflows to 0 = x / inf
     with np.errstate(over="ignore"):
         out = np.asarray(
@@ -203,10 +206,10 @@ def noncoverage_sq_d2(t, chi):
     small = 2.0 * chi * u < 0.5
     if small.any():
         us, cs = u[small], chi[small]
-        safe_u3 = np.where(us > 0, us, 1.0) ** 3
+        safe_u3 = np.where(tiny[small], 1.0, us) ** 3
         out[small] = _phi(cs + us) * _cosh_combo_series(us, cs) / (4.0 * safe_u3)
     limit = _phi(chi) * chi * (np.square(chi) - 3.0) / 6.0
-    return np.where(u == 0, limit, out)
+    return np.where(tiny, limit, out)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +251,7 @@ _KINK_FAR = 1e6
 _KINK_HUGE = 2.0**56
 
 
-def _majorant_kink_batch(chi: np.ndarray, t_start=None) -> np.ndarray:
+def _majorant_kink_batch(chi: np.ndarray) -> np.ndarray:
     """Majorant kinks of an array of chi by safeguarded Newton.
 
     Newton steps on the kink objective g, with g'(t) = t r''(t), inside the
@@ -264,9 +267,7 @@ def _majorant_kink_batch(chi: np.ndarray, t_start=None) -> np.ndarray:
     step leaving the bracket is replaced by bisection.  Each entry stops
     once its relative step is at most 1e-12 or its residual reaches the
     roundoff floor, which just above sqrt(3) holds near the lower end.
-    Entries at or below sqrt(3) are zero.  ``t_start`` (broadcast against
-    chi) replaces the default starting point where it is finite, for a
-    caller that already holds the kink of a nearby chi.
+    Entries at or below sqrt(3) are zero.
     """
     chi = np.asarray(chi, dtype=float)
     out = np.zeros(chi.size)
@@ -285,9 +286,6 @@ def _majorant_kink_batch(chi: np.ndarray, t_start=None) -> np.ndarray:
     t = np.clip(np.minimum(2.5 * (c * c - 3.0), (c + 1.0) ** 2), lo, hi)
     if far.any():
         t[far] = (c[far] + np.sqrt(2.0 * np.log(c[far] / (2.0 * _SQRT2PI)))) ** 2
-    if t_start is not None:
-        s = np.broadcast_to(np.asarray(t_start, dtype=float), chi.shape).ravel()[pos]
-        t = np.where(np.isfinite(s), np.clip(s, lo, hi), t)
     for _ in range(100):
         g = _kink_objective(t, c, r0)
         above = g <= 0
@@ -561,8 +559,6 @@ def worst_noncoverage(constraints: MomentConstraints, chi: float) -> float:
 
 # width of the bracket whose upper end the batch critical values return
 _CHI_TOL = 1e-8
-# half-width of the bracket that certifies a chord-regime Newton root
-_NEWTON_HALF_WIDTH = 1e-9
 
 
 def _cva_scalar(m2: float, kappa: float | None, alpha: float) -> float:
@@ -580,174 +576,64 @@ def critical_value(constraints: MomentConstraints, alpha: float) -> CriticalValu
     """
     m2, kappa = constraints.m2, constraints.kappa
     chi = _cva_scalar(m2, kappa, alpha)
-    lf = least_favorable(constraints, chi)
-    attained = lf.expectation(lambda t: noncoverage_sq(t, chi))
     t0 = majorant_kink(chi)
-    diag = {"t0": t0}
     pair = _binding_pair(m2, kappa, chi, t0)
+    lf = _least_favorable(m2, kappa, t0, pair)
+    attained = lf.expectation(lambda t: noncoverage_sq(t, chi))
+    diag = {"t0": t0}
     if pair is not None:
         x0, x = pair
         dx = x - x0
         gap = noncoverage_sq(x, chi) - noncoverage_sq(x0, chi) - dx * noncoverage_sq_d1(x0, chi)
-        lambda2 = 0.5 * noncoverage_sq_d2(x0, chi) if abs(dx) < 1e-9 else gap / dx**2
+        lambda2 = 0.5 * noncoverage_sq_d2(x0, chi) if abs(dx) < 1e-9 else gap / dx / dx
         diag.update(x0=x0, x=x, lambda2=float(lambda2))
     return CriticalValueResult(chi=chi, noncoverage=attained, lf=lf, diagnostics=diag)
-
-
-def _cva_second_batch_newton(m2: np.ndarray, alpha: float) -> np.ndarray:
-    """Second-moment-only critical values, vectorized.
-
-    Splits into the point-mass regime (m2 at or above the kink, where the
-    worst case is ``noncoverage_sq(m2, chi)`` itself and inverting that
-    suffices) and the chord regime, where chi and the kink t0 solve a smooth
-    2x2 system handled by damped Newton.  A Newton root is kept only inside
-    the chord regime and only once a bracket of width 2 * _NEWTON_HALF_WIDTH
-    around it certifies it; every other entry goes to
-    ``_critical_values_bracketed``.
-    """
-    z = float(ndtri(1.0 - alpha / 2.0))
-    out = np.full(m2.shape, z)
-    pos = m2 > 0
-    if not pos.any():
-        return out
-    m = m2[pos]
-
-    # regime split: invert the point-mass branch first.  With u = sqrt(m2),
-    # Phi(u - chi) <= noncoverage_sq(m2, chi) <= 2 Phi(u - chi) brackets it.
-    u = np.sqrt(m)
-    chi_point = _solve.invert(
-        lambda chi, i: noncoverage_sq(m[i], chi),
-        alpha, np.maximum(z, u + ndtri(1.0 - alpha)), u + z, _CHI_TOL,
-    )
-    t0_at_point = _majorant_kink_batch(chi_point)
-    chord = m < t0_at_point
-
-    chi = chi_point.copy()
-    if chord.any():
-        mc, chi_pc = m[chord], chi_point[chord]
-        chi_n, t_n, ok = _chord_newton(mc, alpha, chi_pc, t0_at_point[chord])
-        # a root of the 2x2 system with t <= m2 is not a chord-regime root
-        ok &= (t_n > mc) & (chi_n >= chi_pc)
-        g = np.flatnonzero(ok)
-        if g.size:
-            # the kinks at the ends start from the kink Newton already holds
-            ends = np.concatenate([chi_n[g] - _NEWTON_HALF_WIDTH, chi_n[g] + _NEWTON_HALF_WIDTH])
-            t_ends = np.tile(t_n[g], 2)
-            f_ends = _worst_noncoverage_batch(np.tile(mc[g], 2), None, ends, t_ends) - alpha
-            ok[g] = (f_ends[: g.size] > 0) & (f_ends[g.size :] <= 0)
-        chi_c = chi_n + _NEWTON_HALF_WIDTH
-        if not ok.all():
-            chi_c[~ok] = _critical_values_bracketed(mc[~ok], None, alpha)
-        chi[chord] = chi_c
-    out[pos] = chi
-    return out
-
-
-def _chord_newton(m2, alpha, chi0, t0_init, max_iter=40):
-    """Damped Newton on (t, chi) for the chord-regime critical value.
-
-    Solves ``kink_objective(t, chi) = 0`` jointly with ``chord value = alpha``.
-    The starting point (chi0 from the point-mass branch, its kink) lies below
-    the solution in both coordinates.  Each entry stops once both residuals
-    are below 1e-13, and stops unconverged once an iterate is not finite or
-    t is past 2**511.  Returns (chi, t, converged); a converged entry can
-    still be a root of the system outside the chord regime.
-    """
-    t_out = np.maximum(t0_init, 1e-8)
-    chi_out = chi0.copy()
-    ok = np.zeros(m2.shape, dtype=bool)
-    act = np.flatnonzero(t_out < 2.0**511)  # past it, t * t and t ** 1.5 overflow
-    t, chi, m2 = t_out[act], chi_out[act], m2[act]
-    for it in range(max_iter):
-        if not act.size:
-            break
-        u = np.sqrt(t)
-        pm = _phi(u - chi)
-        pp = _phi(u + chi)
-        pc = _phi(chi)
-        r00 = 2.0 * ndtr(-chi)
-        r0t = ndtr(-chi - u) + ndtr(u - chi)
-        d1 = (pm - pp) / (2.0 * u)
-        d2 = (pm * (chi * u - t - 1.0) + pp * (chi * u + t + 1.0)) / (4.0 * t ** 1.5)
-        q = pm + pp
-        f1 = r00 - r0t + t * d1
-        f2 = r00 + (m2 / t) * (r0t - r00) - alpha
-        a = t * d2
-        b = -2.0 * pc + q + t * ((u - chi) * pm + (u + chi) * pp) / (2.0 * u)
-        c = (m2 / t) * d1 - (m2 / (t * t)) * (r0t - r00)
-        d = -2.0 * pc * (1.0 - m2 / t) - (m2 / t) * q
-        det = a * d - b * c
-        det = np.where(np.abs(det) < 1e-300, np.nan, det)
-        dt = (-f1 * d + f2 * b) / det
-        dchi = (-f2 * a + f1 * c) / det
-        # damp steps to keep the iterates in the valid region
-        dt = np.clip(dt, -0.5 * t, 4.0 * t + 10.0)
-        dchi = np.clip(dchi, -0.5 * (chi - 1e-3), 0.5 * chi + 1.0)
-        t = t + dt
-        chi = np.maximum(chi + dchi, 1e-3)
-        t_out[act], chi_out[act] = t, chi
-        # entries still running at the last iteration pass at 1e-10
-        tol = 1e-10 if it == max_iter - 1 else 1e-13
-        done = (np.abs(f1) < tol) & (np.abs(f2) < tol)
-        ok[act[done]] = True
-        keep = ~done & (t < 2.0**511) & np.isfinite(chi)
-        act, t, chi, m2 = act[keep], t[keep], chi[keep], m2[keep]
-    return chi_out, t_out, ok & np.isfinite(chi_out)
-
-
-def _critical_values_bracketed(m2, kap, alpha):
-    """Critical values by Newton on the envelope slope (the kappa path).
-
-    ``_solve.newton_invert`` on the worst case and its slope, in the bracket
-    [z, z sqrt((1 + m2) / alpha) + 1].  Newton starts at the largest of z,
-    sqrt(m2) + ndtri(1 - alpha), which lies below the root since the worst
-    case is at least Phi(sqrt(m2) - chi), and the limit of chi / sqrt(m2)
-    as m2 grows times sqrt(m2): sqrt(1 + sqrt((kappa - 1) (1 / alpha - 1)))
-    (Cantelli), or 1 / sqrt(alpha) (Markov) where that is smaller.  Returns
-    the upper end of a bracket of width at most ``_CHI_TOL`` (or of
-    adjacent floats) around each root, so the worst case there is at most
-    alpha.
-    """
-    z = float(ndtri(1.0 - alpha / 2.0))
-    worst = lambda chi, i: _worst_noncoverage_batch(
-        m2[i], None if kap is None else kap[i], chi, slope=True
-    )
-    # the quotient kept finite; where the cap binds, the upper end doubles
-    top = np.minimum(1.0 + m2, alpha * np.finfo(float).max) / alpha
-    # no kurtosis bound: inf; a degenerate one (a point mass): 0
-    k1 = math.inf if kap is None else np.where(kap > 1.0 + 1e-9, kap - 1.0, 0.0)
-    limit = np.minimum(1.0 + np.sqrt(k1 * (1.0 / alpha - 1.0)), 1.0 / alpha)
-    u = np.sqrt(m2)
-    start = np.maximum(np.maximum(z, u + ndtri(1.0 - alpha)), u * np.sqrt(limit))
-    chi = _solve.newton_invert(
-        worst, alpha, start, np.full(m2.shape, z), z * np.sqrt(top) + 1.0, _CHI_TOL
-    )
-    return np.where(m2 == 0.0, z, chi)
 
 
 def critical_values(m2, kappa=None, alpha: float = 0.05) -> np.ndarray:
     """Vectorized robust critical values for arrays of moment constraints.
 
     ``kappa`` may be None (second moment only), a scalar, or an array
-    broadcast against ``m2``.  Each entry is the upper end of a bracket of
-    width at most 1e-8 around the root, so its worst case is at most alpha.
-    The scalar ``critical_value`` is this function at length 1.  Each
-    distinct (m2, kappa) pair is solved once.  A non-finite m2 or a NaN
-    kappa raises ValueError; kappa = inf means no kurtosis bound.
+    broadcast against ``m2``.  Each distinct (m2, kappa) pair is solved
+    once, by ``_solve.newton_invert`` on the worst case and its slope in the
+    bracket [z, z sqrt((1 + m2) / alpha) + 1].  Newton starts at the largest
+    of z, sqrt(m2) + ndtri(1 - alpha), which lies below the root since the
+    worst case is at least Phi(sqrt(m2) - chi), and the limit of
+    chi / sqrt(m2) as m2 grows times sqrt(m2): sqrt(1 + sqrt((kappa - 1)
+    (1 / alpha - 1))) (Cantelli), or 1 / sqrt(alpha) (Markov) where that is
+    smaller or there is no kurtosis bound.  Each entry is the upper end of a
+    bracket of width at most ``_CHI_TOL`` (or of adjacent floats) around
+    the root, so its worst case is at most alpha.  The scalar
+    ``critical_value`` is this function at length 1.  A non-finite m2 or a
+    NaN kappa raises ValueError; kappa = inf means no kurtosis bound.
     """
     m2 = np.atleast_1d(_checked("m2", m2))
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if kappa is None:
         uniq, inv = np.unique(m2, return_inverse=True)
-        chi = _cva_second_batch_newton(uniq, alpha)
+        kap = None
     else:
-        kap = np.broadcast_to(_checked_kappa(kappa), m2.shape)
         # one exact key per (m2, kappa) pair; sorts far faster than unique(axis=0)
         key = m2.astype(complex)
-        key.imag = kap
-        uniq, inv = np.unique(key, return_inverse=True)
-        chi = _critical_values_bracketed(uniq.real.copy(), uniq.imag.copy(), alpha)
+        key.imag = np.broadcast_to(_checked_kappa(kappa), m2.shape)
+        pairs, inv = np.unique(key, return_inverse=True)
+        uniq, kap = pairs.real.copy(), pairs.imag.copy()
+    z = float(ndtri(1.0 - alpha / 2.0))
+    worst = lambda chi, i: _worst_noncoverage_batch(
+        uniq[i], None if kap is None else kap[i], chi, slope=True
+    )
+    # the quotient kept finite; where the cap binds, the upper end doubles
+    top = np.minimum(1.0 + uniq, alpha * np.finfo(float).max) / alpha
+    # no kurtosis bound: inf; a degenerate one (a point mass): 0
+    k1 = math.inf if kap is None else np.where(kap > 1.0 + 1e-9, kap - 1.0, 0.0)
+    limit = np.minimum(1.0 + np.sqrt(k1 * (1.0 / alpha - 1.0)), 1.0 / alpha)
+    u = np.sqrt(uniq)
+    start = np.maximum(np.maximum(z, u + ndtri(1.0 - alpha)), u * np.sqrt(limit))
+    chi = _solve.newton_invert(
+        worst, alpha, start, np.full(uniq.shape, z), z * np.sqrt(top) + 1.0, _CHI_TOL
+    )
+    chi = np.where(uniq == 0.0, z, chi)
     return chi[inv].reshape(m2.shape)
 
 
@@ -773,22 +659,24 @@ def _pair_dchi(m2, chi, x0, x, p, q):
     + r'(x)) = 0 with p' = 2 p q / (1 - xi), and gives phi(sqrt(x) - chi) =
     2 sqrt(x) r'(x) + phi(sqrt(x) + chi).  Far in the tail the pair value is
     flat to roundoff over a range of x, so phi(sqrt(x) - chi) itself would
-    depend on where in that range the maximization stopped.
+    depend on where in that range the maximization stopped.  Where x0
+    rounds to m2 the pair has collapsed onto the point mass at m2, whose
+    slope is taken.
     """
     dx = _noncoverage_sq_dchi(x, chi)
-    inner = x0 > 0
+    collapsed = x0 >= m2
+    inner = (x0 > 0) & ~collapsed
     if inner.any():
         m, c, a, b, w = m2[inner], chi[inner], x0[inner], x[inner], q[inner]
         d1b = 2.0 * w * (noncoverage_sq(b, c) - noncoverage_sq(a, c)) / (m - a) - noncoverage_sq_d1(a, c)
         u = np.sqrt(b)
         dx[inner] = -2.0 * _phi(u + c) - 2.0 * u * d1b
-    return p * _noncoverage_sq_dchi(x0, chi) + q * dx
+    return np.where(collapsed, _noncoverage_sq_dchi(m2, chi), p * _noncoverage_sq_dchi(x0, chi) + q * dx)
 
 
-def _worst_noncoverage_batch(m2, kap, chi, t_start=None, slope=False):
+def _worst_noncoverage_batch(m2, kap, chi, slope=False):
     """Vectorized worst-case non-coverage; kap is None or an array.
 
-    ``t_start`` is passed to ``_majorant_kink_batch`` as its starting point.
     With ``slope``, returns (worst, d worst / d chi).  The least favorable
     distribution has at most two support points, so by Danskin's theorem
     the slope is the chi-derivative of the objective at that support, held
@@ -801,10 +689,7 @@ def _worst_noncoverage_batch(m2, kap, chi, t_start=None, slope=False):
         chi, m2 = chi.copy(), m2.copy()
         chi[big] = np.ldexp(chi[big], -shift)
         m2[big] = np.ldexp(np.ldexp(m2[big], -shift), -shift)
-        if t_start is not None:
-            # a kink of the unscaled chi is no start for the scaled one
-            t_start = np.where(big, np.nan, t_start)
-    t0 = _majorant_kink_batch(chi, t_start)
+    t0 = _majorant_kink_batch(chi)
     out = np.array(noncoverage_sq(m2, chi), dtype=float, copy=True)
     d = _noncoverage_sq_dchi(m2, chi) if slope else None
     chord = (m2 > 0) & (m2 < t0)
@@ -852,11 +737,15 @@ def least_favorable(constraints: MomentConstraints, chi: float) -> DiscreteDistr
     """
     m2, kappa = constraints.m2, constraints.kappa
     t0 = majorant_kink(chi)
+    return _least_favorable(m2, kappa, t0, _binding_pair(m2, kappa, chi, t0))
+
+
+def _least_favorable(m2, kappa, t0, pair):
+    """``least_favorable`` from the kink t0 and the binding pair (None where slack)."""
     if m2 == 0.0:
         return DiscreteDistribution((0.0,), (1.0,))
     if m2 >= t0 or (kappa is not None and kappa <= 1.0 + 1e-9):
         return DiscreteDistribution((m2,), (1.0,))
-    pair = _binding_pair(m2, kappa, chi, t0)
     if pair is None:
         share = m2 / t0
         return DiscreteDistribution((0.0, t0), (1.0 - share, share))

@@ -15,6 +15,7 @@ from scipy.special import ndtri
 from shrinkci import cli
 from shrinkci import moments as mom
 from shrinkci import pipeline as pl
+from shrinkci import worstcase as wc
 
 Z975 = float(ndtri(0.975))
 
@@ -229,6 +230,29 @@ class TestFitCommand:
             assert r["error"] == ""
             assert all(math.isfinite(float(r[c])) for c in ("theta_hat", "cva", "lower", "upper"))
 
+    @pytest.mark.parametrize("kind,big", [("y", 1e100), ("se", 1e40), ("se", 1e80)])
+    def test_fplib_one_extreme_unit(self, tmp_path, kind, big):
+        # FPLIB's variance estimates run on the power-of-two scale of the PMT
+        # moments, so the outlier's eps^4 no longer overflows (exit 3 once)
+        rng = np.random.default_rng(0)
+        y, se = rng.normal(size=200), np.ones(200)
+        if kind == "se":
+            se[17] = big
+        y[17] = big if kind == "y" else y[17] * big
+        inp = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        write_units(str(inp), y, se)
+        assert cli.main([
+            "fit", "--input", str(inp), "--output", str(out), "--method", "robust_mu2_kappa",
+            "--moments", "fplib",
+        ]) == 0
+        header, rows = read_output(str(out))
+        assert math.isfinite(float(header["mu2"])) and math.isfinite(float(header["kappa"]))
+        assert len(rows) == 200
+        for r in rows:
+            assert r["error"] == ""
+            assert all(math.isfinite(float(r[c])) for c in ("theta_hat", "cva", "lower", "upper"))
+
     @pytest.mark.parametrize("method", ["parametric", "robust_mu2", "robust_mu2_kappa"])
     def test_huge_center_keeps_each_estimate(self, tmp_path, method):
         # one unit at se = 1e80, y = 3e80 puts the center near 1.5e78 and
@@ -382,6 +406,19 @@ class TestCvaCommand:
             m2 = float(r["m2"])
             assert float(r["cva"]) == pytest.approx(cva_scalar(m2, None, 0.05), abs=1e-7)
             assert float(r["noncoverage"]) <= 0.05 + 1e-5
+
+    @pytest.mark.parametrize("alpha", ["0.05", "0.001"])
+    def test_extreme_moments_with_kurtosis(self, tmp_path, alpha):
+        # the binding pair's diagnostics overflowed in (x - x0)^2 at m2 = 1e300
+        # (exit 3), and the kernel's second derivative warned at t = 1e-300
+        out = tmp_path / "cva.csv"
+        m2 = "1e-300,1e-20,1,1e300"
+        assert cli.main(["cva", "--m2", m2, "--kappa", "3", "--alpha", alpha, "--output", str(out)]) == 0
+        _, rows = read_output(str(out))
+        chi = wc.critical_values([float(v) for v in m2.split(",")], 3.0, float(alpha))
+        assert [float(r["cva"]) for r in rows] == chi.tolist()
+        # the attained value is taken at the unscaled pair, to about 1e-13 at chi = 3e150
+        assert all(float(r["noncoverage"]) <= float(alpha) + 1e-12 for r in rows)
 
 
 def test_python_m_shrinkci_runs_the_cli(tmp_path):

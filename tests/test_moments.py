@@ -457,6 +457,22 @@ class TestScaleEquivariance:
         if abs(4 * k) < 1000:
             assert float(scaled[1]) == math.ldexp(mu4_uc, 4 * k)
 
+    @pytest.mark.parametrize("k", [-300, -100, 100, 300])
+    def test_fplib_power_of_two_scale(self, k):
+        # FPLIB runs on the power-of-two scale of the PMT moments: past 2**64
+        # data scaled by 2**k give the same moments as at 2**70, scaled by
+        # 4**(k - 70), bit for bit, and those of the unscaled data closely
+        rng = np.random.default_rng(15)
+        y = rng.normal(0, 1.5, 300)
+        sigma = rng.uniform(0.5, 1.5, 300)
+        est = lambda j: mom.estimate_moments(mom.Units(np.ldexp(y, j), np.ldexp(sigma, j)), variant="fplib")
+        base, ref, scaled = est(0), est(70), est(k)
+        assert not scaled.fplib_fallback
+        assert scaled.mu2 == math.ldexp(ref.mu2, 2 * (k - 70))
+        assert scaled.kappa == ref.kappa
+        assert scaled.mu2 == pytest.approx(math.ldexp(base.mu2, 2 * k), rel=1e-12)
+        assert scaled.kappa == pytest.approx(base.kappa, rel=1e-12)
+
 
 class TestExtremeStandardErrors:
     """One unit's se far above the rest must not spoil the batch."""
@@ -478,6 +494,14 @@ class TestExtremeStandardErrors:
             res = pl.fit(self.units(se_big), method=method)
             assert all(e is None for e in res.error), method
             assert np.all(np.isfinite(res.lower) & np.isfinite(res.upper)), method
+
+    @pytest.mark.parametrize("se_big", [1e40, 1e80, 1e154])
+    def test_fplib_finite(self, se_big):
+        # the outlier's w4 = eps^4 - ... overflowed FPLIB's variance estimate
+        est = mom.estimate_moments(self.units(se_big), variant="fplib")
+        assert not est.fplib_fallback
+        assert math.isfinite(est.mu2) and est.mu2 > 1e-3 * se_big**2 / 200
+        assert math.isfinite(est.kappa) and est.kappa >= 1.0
 
     def test_square_overflow_rejected(self):
         with pytest.raises(mom.UnitError, match="unit 17: sigma\\^2 must be finite"):
@@ -503,6 +527,16 @@ class TestExtremeEstimates:
             res = pl.fit(self.units(1e100), method=method)
             assert all(e is None for e in res.error), method
             assert np.all(np.isfinite(res.lower) & np.isfinite(res.upper)), method
+
+    def test_fplib_finite(self):
+        # FPLIB's variance estimates overflowed in eps^4 at y = 1e100
+        est = mom.estimate_moments(self.units(1e100), variant="fplib")
+        assert not est.fplib_fallback
+        assert est.mu2 == pytest.approx(1e200 / 200, rel=0.5)
+        assert math.isfinite(est.kappa) and est.kappa >= 1.0
+        res = pl.fit(self.units(1e100), method="robust_mu2_kappa", moment_variant="fplib")
+        assert all(e is None for e in res.error)
+        assert np.all(np.isfinite(res.lower) & np.isfinite(res.upper))
 
     def test_own_floor_scale_exact(self):
         # one residual at 2**70, sigma near 1: the floors are taken on

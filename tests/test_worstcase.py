@@ -186,9 +186,11 @@ class TestDerivatives:
         chi = 2.0
         phi = math.exp(-0.5 * chi * chi) / math.sqrt(2 * math.pi)
         assert float(wc.noncoverage_sq_d1(0.0, chi)) == pytest.approx(chi * phi, rel=1e-12)
-        assert float(wc.noncoverage_sq_d2(0.0, chi)) == pytest.approx(
-            phi * chi * (chi * chi - 3) / 6, rel=1e-12
-        )
+        # t^1.5 and sqrt(t)^3 underflow from about 1e-205
+        for t in (0.0, 1e-300, 1e-250, 1e-200):
+            assert float(wc.noncoverage_sq_d2(t, chi)) == pytest.approx(
+                phi * chi * (chi * chi - 3) / 6, rel=1e-12
+            )
         # series and direct branches agree where they meet
         for t in (1e-10, 1e-6, 1e-3, 0.02):
             d2 = float(wc.noncoverage_sq_d2(t, chi))
@@ -607,36 +609,35 @@ class TestCriticalValue:
         assert wc._cva_scalar(m2, None, alpha) == pytest.approx(hi, abs=1e-3)
 
     def test_batch_matches_scalar_paths(self):
+        # every key against the scalar oracle, which inverts one chi at a time
         rng = np.random.default_rng(3)
         m2 = np.concatenate([[0.0], rng.uniform(0.01, 40, 40)])
         for alpha in (0.05, 0.1):
             batch = wc.critical_values(m2, kappa=None, alpha=alpha)
-            ref = wc._critical_values_bracketed(m2, None, alpha)
-            np.testing.assert_allclose(batch, ref, atol=1e-7)
-            for i in (0, 5, 17):
-                assert batch[i] == pytest.approx(
-                    cva_scalar(float(m2[i]), None, alpha), abs=1e-6
-                )
+            ref = [cva_scalar(float(m), None, alpha) for m in m2]
+            np.testing.assert_allclose(batch, ref, rtol=0, atol=1e-6)
         kap = rng.uniform(1.2, 20, m2.size)
         batch4 = wc.critical_values(m2, kappa=kap, alpha=0.05)
-        for i in (1, 7, 23):
-            assert batch4[i] == pytest.approx(
-                cva_scalar(float(m2[i]), float(kap[i]), 0.05), abs=1e-6
-            )
+        ref4 = [cva_scalar(float(m), float(k), 0.05) for m, k in zip(m2, kap)]
+        np.testing.assert_allclose(batch4, ref4, rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize(
         "m2,alpha",
         [(644.47803431, 1e-3), (41.1605078, 1e-3), (3135.63003865, 1e-3), (730.87514358, 0.01)],
     )
     def test_second_moment_rejects_spurious_newton_root(self, m2, alpha):
-        # the chord Newton system has a root with t below m2 at these inputs
+        # the chord equations (kink objective zero, chord value alpha) have a
+        # root with the kink below m2 here, outside the chord regime, which
+        # the inversion of the worst case itself must not return
         chi = wc.critical_values([m2], None, alpha)[0]
         assert chi == pytest.approx(cva_scalar(m2, None, alpha), abs=1e-8)
 
     def test_coverage_guarantee(self):
         # every chi is the upper end of a bracket of width 1e-8 around the root
         rng = np.random.default_rng(7)
-        m2 = np.concatenate([[1e-8, 1e-4], np.exp(rng.uniform(np.log(1e-3), np.log(1e4), 40)), [1e6]])
+        # below 1e-13 the binding pair's lower point can round to m2 itself
+        tiny = [1e-300, 1e-100, 1e-20, 1e-13]
+        m2 = np.concatenate([tiny, [1e-8, 1e-4], np.exp(rng.uniform(np.log(1e-3), np.log(1e4), 40)), [1e6]])
         for kappa in (None, 1.0 + 1e-6, 1.5, 3.0, 12.0, 1e5):
             kap = None if kappa is None else np.full(m2.shape, kappa)
             # at alpha 0.6 and 0.9, z < 1 and the bracket's upper end has to double
@@ -802,6 +803,31 @@ class TestNewtonInversion:
         m2, kap = np.array([4.979577501831013e49]), np.array([8.338150244206348])
         chi = wc.critical_values(m2, kap, 0.001)
         assert _certified(m2, kap, chi, 0.001).all()
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.001, 0.6])
+    @pytest.mark.parametrize("keys", ["fit", "log_uniform"])
+    def test_second_moment_keys_take_few_sweeps(self, monkeypatch, keys, alpha):
+        # without a kurtosis bound the keys take the same Newton route: at
+        # most 8 sweeps and no hand-over to invert
+        rng = np.random.default_rng(19)
+        if keys == "fit":
+            m2 = rng.uniform(0.5, 2.0, 10_000) ** 2 / 1.25
+        else:
+            m2 = np.exp(rng.uniform(np.log(1e-8), np.log(1e300), 10_000))
+        sweeps, fallbacks = [], []
+        worst, invert = wc._worst_noncoverage_batch, _solve.invert
+
+        def counted(*args, **kwargs):
+            sweeps.append(1)
+            return worst(*args, **kwargs)
+
+        monkeypatch.setattr(wc, "_worst_noncoverage_batch", counted)
+        monkeypatch.setattr(_solve, "invert", lambda *a: fallbacks.append(a) or invert(*a))
+        chi = wc.critical_values(m2, None, alpha)
+        monkeypatch.undo()
+        assert len(sweeps) <= 8
+        assert not fallbacks
+        assert _certified(m2, None, chi, alpha).all()
 
     @pytest.mark.parametrize("kind,snr", [("normal", 0.1), ("scaled_chi2_1", 0.1), ("three_point", 2.0)])
     def test_study_keys_take_few_sweeps(self, monkeypatch, kind, snr):
