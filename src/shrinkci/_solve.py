@@ -5,10 +5,12 @@ The batch solvers of ``worstcase``, ``pipeline``, ``nonlinear`` and
 level alpha (``invert``, which brackets and then calls ``bracketed_root``;
 ``newton_invert`` first takes Newton steps where the worst case comes with
 its slope, and leaves ``invert`` the entries it does not settle), find the
-root of a bracketed decreasing function, or maximize a function along each
-column of a grid.  Per-entry functions are called as
-``f(x, idx)``, where ``idx`` holds the positions of the entries in ``x``, so
-that entries which have converged drop out of the evaluation.
+root of a bracketed decreasing function (``bracketed_root``, or
+``newton_root`` where the function comes with its slope: the majorant kink
+and the binding pair), or maximize a function along each column of a grid.
+Per-entry functions are called as ``f(x, idx)``, where ``idx`` holds the
+positions of the entries in ``x``, so that entries which have converged
+drop out of the evaluation.
 """
 
 from __future__ import annotations
@@ -147,6 +149,41 @@ def newton_invert(worst, alpha: float, x, lo, hi, tol: float):
         pair = np.where(near, up, np.nan)
     out[pos] = invert(lambda x, idx: worst(x, pos[idx])[0], alpha, lo, hi, tol)
     return out
+
+
+def newton_root(f, x, lo, hi, floor, xtol, sweeps: int = 100):
+    """Root of a decreasing function by Newton steps inside a bracket, per entry.
+
+    ``f(x, idx)`` returns the value, positive below the root and at most 0
+    above it, and the slope at ``x``.  Each value moves ``lo`` or ``hi`` to
+    the point evaluated.  A Newton step that leaves [lo, hi], or lands on
+    its other end (a point already evaluated), is replaced by the midpoint,
+    so rounding noise in the value's sign shrinks the bracket instead of
+    making an entry cycle.  An entry stops once |value| <= ``floor``,
+    returning x, or once its step is at most ``xtol * |x|``, returning the
+    step (with ``xtol`` 0, a point it evaluated); both are scalars or per
+    entry.  RuntimeError if entries are still open after ``sweeps`` sweeps.
+    """
+    x, lo, hi = (np.array(v, dtype=float) for v in (x, lo, hi))
+    floor, xtol = (np.broadcast_to(np.asarray(v, dtype=float), x.shape) for v in (floor, xtol))
+    out, pos = np.empty(x.size), np.arange(x.size)
+    for _ in range(sweeps):
+        value, slope = f(x, pos)
+        high = value <= 0
+        lo, hi = np.where(high, lo, x), np.where(high, x, hi)
+        # where the slope is 0 or not finite the step is inf or NaN, and bisects
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - value / slope
+        inside = (step >= lo) & (step <= hi) & (step != np.where(high, lo, hi))
+        step = np.where(inside, step, 0.5 * (lo + hi))
+        flat = np.abs(value) <= floor[pos]
+        done = flat | (np.abs(step - x) <= xtol[pos] * np.abs(x))
+        out[pos[done]] = np.where(flat, x, step)[done]
+        keep = ~done
+        pos, x, lo, hi = pos[keep], step[keep], lo[keep], hi[keep]
+        if not pos.size:
+            return out
+    raise RuntimeError("Newton root did not converge")
 
 
 def bracketed_root(f, lo, hi, f_lo, f_hi, tol: float):

@@ -252,9 +252,9 @@ _KINK_HUGE = 2.0**56
 
 
 def _majorant_kink_batch(chi: np.ndarray) -> np.ndarray:
-    """Majorant kinks of an array of chi by safeguarded Newton.
+    """Majorant kinks of an array of chi, by ``_solve.newton_root``.
 
-    Newton steps on the kink objective g, with g'(t) = t r''(t), inside the
+    The root of the kink objective g, with g'(t) = t r''(t), lies in the
     bracket [max(chi^2 - 3, 1e-12), (chi + 5)^2]: g is positive on (0, t0)
     and negative beyond, chi^2 - 3 lies below the inflection point and hence
     below t0, and g at (chi + 5)^2 is dominated by -noncoverage_sq ~ -1.
@@ -263,11 +263,10 @@ def _majorant_kink_batch(chi: np.ndarray) -> np.ndarray:
     (chi + 40)^2, where phi underflows, and Newton starts at that x.  From
     ``_KINK_HUGE`` on, x is below the float spacing of chi, and the kink is
     the square of the next float above chi (inf past the float range), so
-    that r(t0) is 1 and not the 0.5 of t0 = chi^2.  A
-    step leaving the bracket is replaced by bisection.  Each entry stops
-    once its relative step is at most 1e-12 or its residual reaches the
-    roundoff floor, which just above sqrt(3) holds near the lower end.
-    Entries at or below sqrt(3) are zero.
+    that r(t0) is 1 and not the 0.5 of t0 = chi^2.  Each entry stops once
+    its relative step is at most 1e-12 or its residual reaches the roundoff
+    floor, which just above sqrt(3) holds near the lower end.  Entries at
+    or below sqrt(3) are zero.
     """
     chi = np.asarray(chi, dtype=float)
     out = np.zeros(chi.size)
@@ -279,32 +278,15 @@ def _majorant_kink_batch(chi: np.ndarray) -> np.ndarray:
             out[pos[huge]] = np.nextafter(c[huge], np.inf) ** 2
         pos, c = pos[~huge], c[~huge]
     r0 = noncoverage_sq(0.0, c)
-    floor = _kink_floor(r0)
     far = c >= _KINK_FAR
     lo = np.maximum(c * c - 3.0, 1e-12)
     hi = (c + np.where(far, 40.0, 5.0)) ** 2
     t = np.clip(np.minimum(2.5 * (c * c - 3.0), (c + 1.0) ** 2), lo, hi)
     if far.any():
         t[far] = (c[far] + np.sqrt(2.0 * np.log(c[far] / (2.0 * _SQRT2PI)))) ** 2
-    for _ in range(100):
-        g = _kink_objective(t, c, r0)
-        above = g <= 0
-        lo = np.where(above, lo, t)
-        hi = np.where(above, t, hi)
-        # where r'' underflows to 0 the step is inf or NaN, and bisection replaces it
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_new = t - g / (t * noncoverage_sq_d2(t, c))
-        bad = ~((t_new >= lo) & (t_new <= hi))
-        t_new = np.where(bad, 0.5 * (lo + hi), t_new)
-        flat = np.abs(g) <= floor
-        done = flat | (np.abs(t_new - t) <= 1e-12 * t)
-        out[pos[done]] = np.where(flat, t, t_new)[done]
-        keep = ~done
-        pos, c, r0, floor = pos[keep], c[keep], r0[keep], floor[keep]
-        lo, hi, t = lo[keep], hi[keep], t_new[keep]
-        if not pos.size:
-            return out.reshape(chi.shape)
-    raise RuntimeError("majorant kink Newton iteration failed to converge")
+    g = lambda t, i: (_kink_objective(t, c[i], r0[i]), t * noncoverage_sq_d2(t, c[i]))
+    out[pos] = _solve.newton_root(g, t, lo, hi, _kink_floor(r0), 1e-12)
+    return out.reshape(chi.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +375,7 @@ def _binding(m2, kap, t0):
 # the span of sqrt(x) below the kink that gets four of the nine points of
 # the grid bracketing an interior maximum; the maximum usually lies there
 _PAIR_WINDOW = 3.0
-# Newton iterations before an entry falls back to grid plus golden section
-_PAIR_NEWTON_ITERS = 6
+_PAIR_CORNER_GAP = 2.0  # widest first grid step in v, from the corner, before the grid splits
 
 
 def _fourth_binding_batch(m2, kappa, chi, t0):
@@ -420,26 +401,30 @@ def _fourth_binding_batch(m2, kappa, chi, t0):
 
 
 def _pair_grid(m2, kappa, t0):
-    """(9, n) grid in v = log(x / m2 - 1), the corner first.
+    """(9, n) grid in u = 1 + v - log(kappa - 1), the corner (u = 1) first.
 
-    x is the upper point, so v runs from log(kappa - 1) at the corner to
-    log(t0 / m2 - 1) at the kink.  Where the kink lies more than
-    ``_PAIR_WINDOW`` above sqrt(kappa * m2) on the sqrt(x) scale, four
-    points split v below that window evenly and four split the window
-    evenly in sqrt(x); otherwise eight split the whole range in sqrt(x).
+    v = log(x / m2 - 1) with x the upper point runs from log(kappa - 1) at
+    the corner to log(t0 / m2 - 1) at the kink.  Eight points split the
+    range evenly in sqrt(x), unless the kink lies more than
+    ``_PAIR_WINDOW`` above sqrt(kappa * m2) on the sqrt(x) scale, or the
+    first of those points more than ``_PAIR_CORNER_GAP`` above the corner
+    in v.  Then four points split v evenly below a window and four split
+    the window evenly in sqrt(x): the last ``_PAIR_WINDOW`` of sqrt(x) below
+    the kink, or else the upper half of the range.
     """
     k1 = kappa - 1.0
     # w = sqrt(x / m2): at the corner, at the kink, at the window's foot
     w_lo, w_hi = np.sqrt(kappa), np.sqrt(t0 / m2)
     w_win = np.maximum(w_lo, w_hi - _PAIR_WINDOW / np.sqrt(m2))
     to_v = lambda w: np.log(np.maximum(w * w - 1.0, k1))
-    v_lo, v_win = np.log(k1), to_v(w_win)
-    q4 = np.arange(1, 5)[:, None] / 4.0
-    q8 = np.arange(1, 9)[:, None] / 8.0
+    v_lo = np.log(k1)
+    whole = to_v(w_lo + (w_hi - w_lo) * np.arange(1, 9)[:, None] / 8.0)
+    w_win = np.where((w_win <= w_lo) & (whole[0] - v_lo > _PAIR_CORNER_GAP), 0.5 * (w_lo + w_hi), w_win)
+    q4, v_win = np.arange(1, 5)[:, None] / 4.0, to_v(w_win)
     split = np.vstack([v_lo + (v_win - v_lo) * q4, to_v(w_win + (w_hi - w_win) * q4)])
-    grid = np.where(w_win > w_lo, split, to_v(w_lo + (w_hi - w_lo) * q8))
+    grid = np.where(w_win > w_lo, split, whole)
     grid[-1] = np.log(t0 / m2 - 1.0)
-    return np.vstack([v_lo, grid])
+    return 1.0 + (np.vstack([v_lo, grid]) - v_lo)
 
 
 def _parabola_vertex(x, f):
@@ -454,80 +439,59 @@ def _parabola_vertex(x, f):
 def _interior_pair_max(m2, kappa, chi, t0, f0):
     """Maximize the pair value where the corner test fails; f0 = F at xi = 0.
 
-    Works in v = log(x / m2 - 1), the log excess of the upper point x, on
-    which 1 - xi = (kappa - 1) exp(-v).  Near the kink, v follows sqrt(x),
-    the scale of the Gaussian tail on which the maximum is smooth; near the
-    corner it follows log(1 - xi).  (On xi itself the maximum is squeezed
-    against xi_max as kappa approaches 1, and Newton needs many more steps.)
+    Works in u = 1 - log(1 - xi) = 1 + v - log(kappa - 1), v = log(x / m2 -
+    1) the log excess of the upper point x.  Near the kink, v follows
+    sqrt(x), the scale of the Gaussian tail on which the maximum is smooth;
+    near the corner it follows log(1 - xi).  (On xi itself the maximum is
+    squeezed against xi_max as kappa approaches 1, and Newton needs many
+    more steps.)  As u >= 1, bisection reaches adjacent floats in about 60
+    sweeps.
 
     The grid of ``_pair_grid`` brackets the maximum between the best grid
-    point's neighbors.  Safeguarded Newton on dF/dv, with the derivatives
-    of ``_pair_slopes``, starts at the vertex of the parabola through the
-    best grid point and its two neighbors (at an end, the end's three
-    points); a step leaving the bracket, or taken where d2F/dv2 >= 0, is
-    replaced by bisection.  An entry stops, keeping its current iterate,
-    once its Newton step would gain at most 1e-14 F, or once |dF/dv| times
-    the bracket width is at most 1e-15 F (the objective is flat to
-    roundoff there).  The larger of the Newton value and the best grid
-    value is returned; entries still running after ``_PAIR_NEWTON_ITERS``
-    steps go to ``_solve.grid_golden_max`` on xi.  Returns (1 - xi, F).
+    point's neighbors.  ``_solve.newton_root`` finds the root of dF/du there,
+    with the derivatives of ``_pair_slopes``, from the vertex of the parabola
+    through the best grid point and its two neighbors (at an end, the end's
+    three points).  Where F is concave, value and slope are both multiplied
+    by the smaller of 1 / sqrt(-F d2F/du2) and 1e8 w / F, w the bracket's
+    width, which leaves the Newton step as it is: the value floor 1e-7 then
+    stops a key once that step would gain at most 1e-14 F, or once |dF/du|
+    w is at most 1e-15 F, which by concavity bounds what is left to gain.
+    Where F is not concave the value is infinite and the engine bisects;
+    where d2F/du2 is lost to overflow, only the second test applies.  The
+    larger of the Newton value and the best grid value is returned, as
+    (1 - xi, F).
     """
-    k1 = kappa - 1.0
-    one_of = lambda v, k: np.minimum(k * np.exp(-v), 1.0)
+    one_of = lambda u: np.exp(1.0 - u)
     grid = _pair_grid(m2, kappa, t0)
-    ones = one_of(grid, k1)
-    ones[0] = 1.0
+    ones = one_of(grid)
     vals = np.vstack([f0, _pair_slopes(ones[1:], m2, kappa, chi, order=0)])
     last = grid.shape[0] - 1
     j = np.argmax(vals, axis=0)
     idx = np.arange(m2.size)
-    best_one, best_f = ones[j, idx], vals[j, idx]
     lo = grid[np.maximum(j - 1, 0), idx]
     hi = grid[np.minimum(j + 1, last), idx]
     mid = np.clip(j, 1, last - 1)
     rows = (mid - 1, mid, mid + 1)
-    v = _parabola_vertex([grid[r, idx] for r in rows], [vals[r, idx] for r in rows])
-    v = np.where((v >= lo) & (v <= hi), v, grid[j, idx])
+    u = _parabola_vertex([grid[r, idx] for r in rows], [vals[r, idx] for r in rows])
+    u = np.where((u >= lo) & (u <= hi), u, grid[j, idx])
+    f, width = np.empty(m2.size), hi - lo
 
-    act = idx
-    for _ in range(_PAIR_NEWTON_ITERS):
-        one = one_of(v, k1[act])
-        # a non-finite slope (kernel under- or overflow at extreme m2) turns
-        # into a bisection step below
+    def slopes(u, i):
+        one = one_of(u)
+        # kernel under- or overflow at extreme m2 gives a step that bisects
         with np.errstate(all="ignore"):
-            f, g1, g2 = _pair_slopes(one, m2[act], kappa[act], chi[act])
-            # from xi to v: dxi/dv = one and d2xi/dv2 = -one
-            f1 = g1 * one
-            f2 = (g2 * one - g1) * one
-            step = v - f1 / f2
-        lo = np.where(f1 > 0, v, lo)
-        hi = np.where(f1 < 0, v, hi)
-        bad = ~((f2 < 0) & (step > lo) & (step < hi))
-        step = np.where(bad, 0.5 * (lo + hi), step)
-        flat = np.abs(f1) * (hi - lo) <= 1e-15 * f
-        done = flat | (~bad & (np.abs(f1 * (step - v)) <= 1e-14 * f))
-        take = done & (f > best_f[act])
-        best_one[act[take]], best_f[act[take]] = one[take], f[take]
-        keep = ~done
-        act, v, lo, hi = act[keep], step[keep], lo[keep], hi[keep]
-        if not act.size:
-            return best_one, best_f
-    m, k, c = m2[act], kappa[act], chi[act]
-    xi_max = 1.0 - (k - 1.0) / (t0[act] / m - 1.0)
-    xi, f = _solve.grid_golden_max(
-        lambda x: _feasible_pair_value(x, m, k, c), np.linspace(0.0, 1.0, 49)[:, None] * xi_max, 48
-    )
-    take = f > best_f[act]
-    best_one[act[take]], best_f[act[take]] = 1.0 - xi[take], f[take]
-    return best_one, best_f
+            f[i], g1, g2 = _pair_slopes(one, m2[i], kappa[i], chi[i])
+            # from xi to u: dxi/du = one and d2xi/du2 = -one
+            f1, f2 = g1 * one, (g2 * one - g1) * one
+            flat = 1e8 * width[i] / f[i]
+            scale = np.where(f2 < 0, np.fmin(1.0 / np.sqrt(-f[i] * f2), flat), np.inf)
+            scale = np.where(np.isnan(f2), flat, scale)
+            return np.where(f1 == 0.0, 0.0, f1 * scale), f2 * scale
 
-
-def _binding_pair(m2, kappa, chi, t0):
-    """(x0, x) of the binding two-point pair at one key, None where slack."""
-    if kappa is None or not _binding(m2, kappa, t0):
-        return None
-    _, x0, x, _, _ = _fourth_binding_batch(*(np.array([v], dtype=float) for v in (m2, kappa, chi, t0)))
-    return float(x0[0]), float(x[0])
+    # with no step tolerance each entry returns a point it evaluated, whose F is in f
+    u = _solve.newton_root(slopes, u, lo, hi, 1e-7, 0.0)
+    take = f > vals[j, idx]
+    return np.where(take, one_of(u), ones[j, idx]), np.where(take, f, vals[j, idx])
 
 
 def worst_noncoverage_fourth(m2: float, kappa: float, chi: float):
@@ -570,24 +534,14 @@ def critical_value(constraints: MomentConstraints, alpha: float) -> CriticalValu
     """Smallest chi whose worst-case non-coverage is at most alpha.
 
     The chi of ``critical_values`` for this one key.  The result carries
-    the least favorable squared-bias distribution and solver diagnostics
-    (majorant kink; dual touch points and quadratic coefficient when the
-    kurtosis constraint binds).
+    the worst case at chi, the least favorable squared-bias distribution and
+    solver diagnostics (majorant kink; dual touch points and quadratic
+    coefficient when the kurtosis constraint binds), from ``_solution``.
     """
-    m2, kappa = constraints.m2, constraints.kappa
-    chi = _cva_scalar(m2, kappa, alpha)
-    t0 = majorant_kink(chi)
-    pair = _binding_pair(m2, kappa, chi, t0)
-    lf = _least_favorable(m2, kappa, t0, pair)
-    attained = lf.expectation(lambda t: noncoverage_sq(t, chi))
-    diag = {"t0": t0}
-    if pair is not None:
-        x0, x = pair
-        dx = x - x0
-        gap = noncoverage_sq(x, chi) - noncoverage_sq(x0, chi) - dx * noncoverage_sq_d1(x0, chi)
-        lambda2 = 0.5 * noncoverage_sq_d2(x0, chi) if abs(dx) < 1e-9 else gap / dx / dx
-        diag.update(x0=x0, x=x, lambda2=float(lambda2))
-    return CriticalValueResult(chi=chi, noncoverage=attained, lf=lf, diagnostics=diag)
+    chi = _cva_scalar(constraints.m2, constraints.kappa, alpha)
+    lf, diag = _solution(constraints.m2, constraints.kappa, chi)
+    # the worst case that certified chi, so at most alpha
+    return CriticalValueResult(chi, worst_noncoverage(constraints, chi), lf, diag)
 
 
 def critical_values(m2, kappa=None, alpha: float = 0.05) -> np.ndarray:
@@ -645,6 +599,13 @@ def critical_values(m2, kappa=None, alpha: float = 0.05) -> np.ndarray:
 _CHI_RESCALE = 2.0**46
 
 
+def _rescaled(m2, chi):
+    """(m2 / 4**k, chi / 2**k, k), k = 0 below ``_CHI_RESCALE`` and above it
+    the least k that brings chi / 2**k below it."""
+    k = np.frexp(np.maximum(chi, 0.5 * _CHI_RESCALE) / _CHI_RESCALE)[1]
+    return np.ldexp(np.ldexp(m2, -k), -k), np.ldexp(chi, -k), k
+
+
 def _noncoverage_sq_dchi(t, chi):
     """Derivative of ``noncoverage_sq`` in chi: -phi(chi + sqrt(t)) - phi(sqrt(t) - chi)."""
     u = np.sqrt(t)
@@ -682,13 +643,7 @@ def _worst_noncoverage_batch(m2, kap, chi, slope=False):
     the slope is the chi-derivative of the objective at that support, held
     fixed: the point mass, the chord {0, t0} or the binding pair.
     """
-    chi = np.broadcast_to(np.asarray(chi, dtype=float), m2.shape)
-    big = chi >= _CHI_RESCALE
-    if big.any():
-        shift = np.frexp(chi[big] / _CHI_RESCALE)[1]
-        chi, m2 = chi.copy(), m2.copy()
-        chi[big] = np.ldexp(chi[big], -shift)
-        m2[big] = np.ldexp(np.ldexp(m2[big], -shift), -shift)
+    m2, chi, k = _rescaled(m2, np.broadcast_to(np.asarray(chi, dtype=float), m2.shape))
     t0 = _majorant_kink_batch(chi)
     out = np.array(noncoverage_sq(m2, chi), dtype=float, copy=True)
     d = _noncoverage_sq_dchi(m2, chi) if slope else None
@@ -716,12 +671,8 @@ def _worst_noncoverage_batch(m2, kap, chi, slope=False):
             out[degenerate] = noncoverage_sq(m2[degenerate], chi[degenerate])
             if slope:
                 d[degenerate] = _noncoverage_sq_dchi(m2[degenerate], chi[degenerate])
-    if not slope:
-        return out
-    if big.any():
-        # the worst case at chi is that at chi / 2**shift
-        d[big] = np.ldexp(d[big], -shift)
-    return out, d
+    # the worst case at chi is that at chi / 2**k
+    return (out, np.ldexp(d, -k)) if slope else out
 
 
 def least_favorable(constraints: MomentConstraints, chi: float) -> DiscreteDistribution:
@@ -735,22 +686,34 @@ def least_favorable(constraints: MomentConstraints, chi: float) -> DiscreteDistr
     returned (the slack constraint is attainable only in the limit, with
     vanishing mass escaping to infinity).
     """
-    m2, kappa = constraints.m2, constraints.kappa
-    t0 = majorant_kink(chi)
-    return _least_favorable(m2, kappa, t0, _binding_pair(m2, kappa, chi, t0))
+    return _solution(constraints.m2, constraints.kappa, chi)[0]
 
 
-def _least_favorable(m2, kappa, t0, pair):
-    """``least_favorable`` from the kink t0 and the binding pair (None where slack)."""
-    if m2 == 0.0:
-        return DiscreteDistribution((0.0,), (1.0,))
-    if m2 >= t0 or (kappa is not None and kappa <= 1.0 + 1e-9):
-        return DiscreteDistribution((m2,), (1.0,))
-    if pair is None:
-        share = m2 / t0
-        return DiscreteDistribution((0.0, t0), (1.0 - share, share))
-    x0, x = pair
-    if x - x0 < 1e-12:
-        return DiscreteDistribution((m2,), (1.0,))
-    p = (x - m2) / (x - x0)
-    return DiscreteDistribution((max(x0, 0.0), x), (p, 1.0 - p))
+def _solution(m2, kappa, chi):
+    """(``least_favorable``, diagnostics) of one key.
+
+    The kink and the binding pair are solved at the key ``_rescaled`` gives,
+    as in ``_worst_noncoverage_batch``, and their points scaled back by
+    4**k (inf past the float range).
+    """
+    (m2s,), (cs,), (k,) = _rescaled(np.array([m2], dtype=float), _checked("chi", [chi]))
+    t0 = majorant_kink(cs)
+    up = lambda t: np.ldexp(t, 2 * k).tolist()
+    with np.errstate(over="ignore"):
+        diag = {"t0": up(t0)}
+        if m2 == 0.0:
+            return DiscreteDistribution((0.0,), (1.0,)), diag
+        if m2s >= t0 or (kappa is not None and kappa <= 1.0 + 1e-9):
+            return DiscreteDistribution((m2,), (1.0,)), diag
+        if kappa is None or not _binding(m2s, kappa, t0):
+            share = m2s / t0
+            return DiscreteDistribution((0.0, up(t0)), (1.0 - share, share)), diag
+        _, (x0,), (x,), _, _ = _fourth_binding_batch(*(np.array([v], dtype=float) for v in (m2s, kappa, cs, t0)))
+        dx = x - x0
+        gap = noncoverage_sq(x, cs) - noncoverage_sq(x0, cs) - dx * noncoverage_sq_d1(x0, cs)
+        lambda2 = 0.5 * noncoverage_sq_d2(x0, cs) if abs(dx) < 1e-9 else gap / dx / dx
+        diag.update(x0=up(x0), x=up(x), lambda2=float(np.ldexp(lambda2, -4 * k)))
+        if dx < 1e-12:
+            return DiscreteDistribution((m2,), (1.0,)), diag
+        p = (x - m2s) / dx
+        return DiscreteDistribution((up(max(x0, 0.0)), up(x)), (p, 1.0 - p)), diag

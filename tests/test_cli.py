@@ -407,18 +407,22 @@ class TestCvaCommand:
             assert float(r["cva"]) == pytest.approx(cva_scalar(m2, None, 0.05), abs=1e-7)
             assert float(r["noncoverage"]) <= 0.05 + 1e-5
 
+    @pytest.mark.parametrize("kappa", [None, "1.000001", "3"])
     @pytest.mark.parametrize("alpha", ["0.05", "0.001"])
-    def test_extreme_moments_with_kurtosis(self, tmp_path, alpha):
+    def test_extreme_moments_at_most_alpha(self, tmp_path, alpha, kappa):
         # the binding pair's diagnostics overflowed in (x - x0)^2 at m2 = 1e300
-        # (exit 3), and the kernel's second derivative warned at t = 1e-300
+        # (exit 3), the kernel's second derivative warned at t = 1e-300, and
+        # the kink and the pair, solved at the unscaled chi, overflowed at
+        # m2 = 1.7e308 and reported a worst case above alpha from m2 = 1e150
         out = tmp_path / "cva.csv"
-        m2 = "1e-300,1e-20,1,1e300"
-        assert cli.main(["cva", "--m2", m2, "--kappa", "3", "--alpha", alpha, "--output", str(out)]) == 0
+        m2 = "1e-300,1e-20,1,1e150,1e300,1.7e308"
+        flags = [] if kappa is None else ["--kappa", kappa]
+        assert cli.main(["cva", "--m2", m2, *flags, "--alpha", alpha, "--output", str(out)]) == 0
         _, rows = read_output(str(out))
-        chi = wc.critical_values([float(v) for v in m2.split(",")], 3.0, float(alpha))
+        kap = None if kappa is None else float(kappa)
+        chi = wc.critical_values([float(v) for v in m2.split(",")], kap, float(alpha))
         assert [float(r["cva"]) for r in rows] == chi.tolist()
-        # the attained value is taken at the unscaled pair, to about 1e-13 at chi = 3e150
-        assert all(float(r["noncoverage"]) <= float(alpha) + 1e-12 for r in rows)
+        assert all(float(r["noncoverage"]) <= float(alpha) for r in rows)
 
 
 def test_python_m_shrinkci_runs_the_cli(tmp_path):

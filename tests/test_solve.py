@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import ndtri
 from shrinkci import _solve
 from shrinkci import worstcase as wc
@@ -234,3 +235,65 @@ class TestNewtonInvert:
         assert all(np.array_equal(idx, [1]) for idx in sweeps[_solve._NEWTON_SWEEPS :])
         assert np.all(0.5 * np.exp2(roots - out) <= 0.5)
         assert np.all(0.5 * np.exp2(roots - (out - 1e-8)) > 0.5)
+
+
+class TestNewtonRoot:
+    @staticmethod
+    def _traced(f, x, lo, hi, floor, xtol, sweeps=100):
+        """newton_root with each evaluation recorded as (entry, x), in order."""
+        trail = []
+
+        def traced(x, idx):
+            trail.extend(zip(np.asarray(idx).tolist(), np.asarray(x).tolist()))
+            return f(x, idx)
+
+        return _solve.newton_root(traced, x, lo, hi, floor, xtol, sweeps), trail
+
+    @pytest.mark.parametrize("kind", ["exp", "arctan", "cubic"])
+    def test_matches_brentq(self, kind):
+        rng = np.random.default_rng(8)
+        roots = rng.uniform(0.5, 20.0, 30)
+        s = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 30))
+        g, dg = {
+            "exp": (lambda x, r, s: s * (np.exp(-x) - np.exp(-r)), lambda x, r, s: -s * np.exp(-x)),
+            "arctan": (lambda x, r, s: np.arctan(s * (r - x)), lambda x, r, s: -s / (1.0 + (s * (r - x)) ** 2)),
+            "cubic": (lambda x, r, s: s * (r - x) ** 3 + (r - x), lambda x, r, s: -3.0 * s * (r - x) ** 2 - 1.0),
+        }[kind]
+        f = lambda x, i: (g(x, roots[i], s[i]), dg(x, roots[i], s[i]))
+        xtol = 1e-10
+        lo, hi = np.zeros(30), np.full(30, 25.0)
+        out = _solve.newton_root(f, rng.uniform(lo, hi), lo, hi, 0.0, xtol)
+        ref = [brentq(lambda x: g(x, r, c), 0.0, 25.0, xtol=1e-15, rtol=1e-15) for r, c in zip(roots, s)]
+        np.testing.assert_allclose(out, ref, rtol=xtol, atol=0)
+
+    def test_step_leaving_the_bracket_bisects(self):
+        # entry 0's slope is far too shallow, so each Newton step leaves the
+        # bracket and the midpoint replaces it; entry 1's slope is exact and
+        # one step lands on the root
+        slope = np.array([-1e-3, -1.0])
+        f = lambda x, i: (1.0 - x, slope[i])
+        out, trail = self._traced(f, np.zeros(2), np.zeros(2), np.full(2, 8.0), 0.0, 1e-12)
+        assert [x for i, x in trail if i == 0] == [0.0, 4.0, 2.0, 1.0]
+        assert [x for i, x in trail if i == 1] == [0.0, 1.0]
+        assert out.tolist() == [1.0, 1.0]
+
+    def test_sign_noise_does_not_cycle(self):
+        # a value of rounding-noise size whose sign alone carries information,
+        # with a slope that sends the Newton step from either end of
+        # [1, 1 + d] exactly onto the other: the step to an end already in
+        # the bracket bisects, so the bracket shrinks to adjacent floats
+        d, noise = 2.0**-40, 2.0**-56
+        root = 1.0 + 0.3 * d
+        f = lambda x, i: (np.where(x < root, noise, -noise), np.full(x.shape, -noise / d))
+        out, trail = self._traced(f, np.ones(1), np.ones(1), np.full(1, 1.0 + d), 0.0, 0.0)
+        assert len(trail) < 20
+        assert abs(out[0] - root) <= 2.0 * np.spacing(root)
+
+    def test_raises_at_the_sweep_cap(self):
+        # pi - x is never 0 at a dyadic midpoint, and the useless slope
+        # leaves bisection alone to shrink the bracket
+        f = lambda x, i: (math.pi - x, np.zeros(x.shape))
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _solve.newton_root(f, np.zeros(2), np.zeros(2), np.full(2, 4.0), 0.0, 0.0, sweeps=10)
+        out = _solve.newton_root(f, np.zeros(2), np.zeros(2), np.full(2, 4.0), 0.0, 0.0)
+        assert np.all(np.abs(out - math.pi) <= np.spacing(math.pi))

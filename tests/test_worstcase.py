@@ -402,12 +402,12 @@ class TestWorstNoncoverageFourth:
             wc.worst_noncoverage_fourth(0.5, 0.5, 2.0)
 
 
-def seeded_binding_keys(seed=21, n=400):
-    """Binding (m2, kappa, chi, t0) keys: m2 log-uniform in [1e-3, 1e9] and
+def seeded_binding_keys(seed=21, n=400, m2_range=(1e-3, 1e9)):
+    """Binding (m2, kappa, chi, t0) keys: m2 log-uniform in ``m2_range`` and
     kappa - 1 in [1e-3, 50], each at its own cva (alpha = 0.05) and at
     chi -+ 10%."""
     rng = np.random.default_rng(seed)
-    m2 = np.exp(rng.uniform(np.log(1e-3), np.log(1e9), n))
+    m2 = np.exp(rng.uniform(*np.log(m2_range), n))
     kappa = 1.0 + np.exp(rng.uniform(np.log(1e-3), np.log(50.0), n))
     chi = wc.critical_values(m2, kappa, 0.05)
     m2, kappa = np.tile(m2, 3), np.tile(kappa, 3)
@@ -420,11 +420,14 @@ def seeded_binding_keys(seed=21, n=400):
 class TestBindingPair:
     @pytest.fixture(scope="class")
     def keys(self):
-        return seeded_binding_keys()
+        # m2 in [1e-4, 1e4] holds the keys whose Newton solve takes the most
+        # sweeps: 17 of the second set take more than 6
+        sets = seeded_binding_keys(), seeded_binding_keys(22, 1000, (1e-4, 1e4))
+        return tuple(np.concatenate(v) for v in zip(*sets))
 
     def test_matches_grid_golden_oracle(self, keys):
         val, *_ = wc._fourth_binding_batch(*keys)
-        assert keys[0].size > 500
+        assert keys[0].size > 3000
         np.testing.assert_allclose(val, binding_pair_value(*keys), rtol=1e-12, atol=0)
 
     def test_never_below_dense_scan(self, keys):
@@ -433,7 +436,7 @@ class TestBindingPair:
         tau = t0 / m2
         xi_max = (tau - kappa) / (tau - 1.0)
         scan = np.full(m2.shape, -np.inf)
-        for block in np.array_split(np.linspace(0.0, 1.0, 4001), 8):
+        for block in np.array_split(np.linspace(0.0, 1.0, 4001), 32):
             vals = wc._feasible_pair_value(block[:, None] * xi_max, m2, kappa, chi)
             scan = np.maximum(scan, vals.max(axis=0))
         assert np.all(val >= scan * (1.0 - 1e-12))
@@ -447,34 +450,27 @@ class TestBindingPair:
         attained = p * wc.noncoverage_sq(x0, chi) + (1 - p) * wc.noncoverage_sq(x, chi)
         np.testing.assert_allclose(attained, val, rtol=1e-12, atol=1e-300)
 
-    def test_sweeps_per_solve_and_rare_fallback(self, keys, monkeypatch):
+    def test_sweeps_per_solve(self, keys, monkeypatch):
         # one sweep evaluates the kernel at both points of one pair: the
-        # corner test is one, an interior key adds the grid and Newton steps
-        fallback, evals = [], []
-        golden, kernel = _solve.grid_golden_max, wc.noncoverage_sq
-
-        def counted_golden(f, grid, iters):
-            fallback.append(grid.shape[1])
-            return golden(f, grid, iters)
+        # corner test is one, an interior key adds the 8 grid points and at
+        # most 8 Newton sweeps, and no key takes another route
+        golden, evals = [], []
+        kernel = wc.noncoverage_sq
 
         def counted_kernel(t, chi):
             evals.append(np.broadcast(t, chi).size)
             return kernel(t, chi)
 
-        monkeypatch.setattr(_solve, "grid_golden_max", counted_golden)
+        monkeypatch.setattr(_solve, "grid_golden_max", lambda *args: golden.append(args))
         monkeypatch.setattr(wc, "noncoverage_sq", counted_kernel)
-        wc._fourth_binding_batch(*keys)
-        assert sum(fallback) < 0.05 * keys[0].size
         sweeps = []
         for i in range(0, keys[0].size, 5):
-            fallback.clear()
             evals.clear()
             wc._fourth_binding_batch(*(v[i : i + 1] for v in keys))
-            if not fallback:
-                sweeps.append(sum(evals) // 2)
-        # a corner key costs 1; an interior key 1 + 8 grid points + Newton
-        assert set(sweeps) <= {1} | set(range(10, 16))
-        assert sweeps.count(1) > 0 and len(sweeps) > 0.95 * len(range(0, keys[0].size, 5))
+            sweeps.append(sum(evals) // 2)
+        assert not golden
+        assert set(sweeps) <= {1} | set(range(10, 18))
+        assert sweeps.count(1) > 0 and max(sweeps) > 15
 
     @pytest.mark.parametrize("m2", [3162.0, 1e4, 1e6])
     def test_underflowed_corner_slope_is_not_a_corner(self, m2):
@@ -709,6 +705,24 @@ class TestCriticalValue:
             assert wc.worst_noncoverage(cons, chi) <= 0.05, m2
             assert wc.worst_noncoverage(cons, chi - 1e-8) > 0.05, m2
             assert chi == pytest.approx(wc.critical_values(m2, kappa, 0.05)[0], abs=1e-8)
+
+    @pytest.mark.parametrize("kappa", [None, 1.000001, 3.0])
+    @pytest.mark.parametrize("alpha", [0.05, 0.001, 0.6])
+    def test_scalar_route_rescales_extreme_keys(self, kappa, alpha):
+        # the kink and the pair are solved at the key the batch rescales to,
+        # and their points scaled back; solved at the unscaled chi they
+        # overflowed at m2 = 1.7e308, and the attained value exceeded alpha
+        for m2 in (1e-300, 1e-20, 1.0, 1e20, 1e150, 1e300, 1.7e308):
+            cons = wc.MomentConstraints(m2, kappa)
+            res = wc.critical_value(cons, alpha)
+            assert res.noncoverage == wc.worst_noncoverage(cons, res.chi) <= alpha
+            assert wc.least_favorable(cons, res.chi) == res.lf
+            if math.isfinite(res.lf.points[-1]):
+                assert res.lf.moment(1) == pytest.approx(m2, rel=1e-12)
+            # a pair collapsed onto m2 (m2 = 1e-300) is the point mass there
+            if "x0" in res.diagnostics and len(res.lf.points) == 2:
+                assert res.lf.points == (res.diagnostics["x0"], res.diagnostics["x"])
+                assert res.diagnostics["x0"] <= m2 <= res.diagnostics["x"] <= res.diagnostics["t0"]
 
     def test_binding_diagnostics_are_the_least_favorable_pair(self):
         rng = np.random.default_rng(12)
