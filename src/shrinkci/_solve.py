@@ -68,8 +68,10 @@ def invert(worst, alpha: float, lo, hi, tol: float):
     raise BracketError(f"worst case exceeds alpha={alpha} up to {0.5 * hi.max()}")
 
 
-# sweeps of newton_invert before an open entry goes to invert
+# sweeps of newton_invert before an open entry goes to invert, and of
+# newton_root before it raises
 _NEWTON_SWEEPS = 8
+_ROOT_SWEEPS = 100
 # a Newton step at most this long, or at most four floats, leaves an error far
 # below the pair's half-width, so the next estimate goes to the pair
 _NEAR = 1e-5
@@ -151,7 +153,7 @@ def newton_invert(worst, alpha: float, x, lo, hi, tol: float):
     return out
 
 
-def newton_root(f, x, lo, hi, floor, xtol, sweeps: int = 100):
+def newton_root(f, x, lo, hi, floor, xtol):
     """Root of a decreasing function by Newton steps inside a bracket, per entry.
 
     ``f(x, idx)`` returns the value, positive below the root and at most 0
@@ -162,12 +164,12 @@ def newton_root(f, x, lo, hi, floor, xtol, sweeps: int = 100):
     making an entry cycle.  An entry stops once |value| <= ``floor``,
     returning x, or once its step is at most ``xtol * |x|``, returning the
     step (with ``xtol`` 0, a point it evaluated); both are scalars or per
-    entry.  RuntimeError if entries are still open after ``sweeps`` sweeps.
+    entry.  RuntimeError if entries are open after ``_ROOT_SWEEPS`` sweeps.
     """
     x, lo, hi = (np.array(v, dtype=float) for v in (x, lo, hi))
     floor, xtol = (np.broadcast_to(np.asarray(v, dtype=float), x.shape) for v in (floor, xtol))
     out, pos = np.empty(x.size), np.arange(x.size)
-    for _ in range(sweeps):
+    for _ in range(_ROOT_SWEEPS):
         value, slope = f(x, pos)
         high = value <= 0
         lo, hi = np.where(high, lo, x), np.where(high, x, hi)

@@ -217,10 +217,7 @@ def noncoverage_sq_d2(t, chi):
 
 
 def _kink_objective(t, chi, r0):
-    """r0 - r(t) + t r'(t) with r = noncoverage_sq(., chi) and r0 = r(0).
-
-    Its derivative in t is t r''(t).
-    """
+    """r0 - r(t) + t r'(t), r = noncoverage_sq(., chi), r0 = r(0); its derivative is t r''(t)."""
     return r0 - noncoverage_sq(t, chi) + t * noncoverage_sq_d1(t, chi)
 
 
@@ -539,9 +536,8 @@ def critical_value(constraints: MomentConstraints, alpha: float) -> CriticalValu
     coefficient when the kurtosis constraint binds), from ``_solution``.
     """
     chi = _cva_scalar(constraints.m2, constraints.kappa, alpha)
-    lf, diag = _solution(constraints.m2, constraints.kappa, chi)
-    # the worst case that certified chi, so at most alpha
-    return CriticalValueResult(chi, worst_noncoverage(constraints, chi), lf, diag)
+    # with the worst case that certified chi, so at most alpha where m2 > 0
+    return CriticalValueResult(chi, *_solution(constraints.m2, constraints.kappa, chi))
 
 
 def critical_values(m2, kappa=None, alpha: float = 0.05) -> np.ndarray:
@@ -557,9 +553,10 @@ def critical_values(m2, kappa=None, alpha: float = 0.05) -> np.ndarray:
     (1 / alpha - 1))) (Cantelli), or 1 / sqrt(alpha) (Markov) where that is
     smaller or there is no kurtosis bound.  Each entry is the upper end of a
     bracket of width at most ``_CHI_TOL`` (or of adjacent floats) around
-    the root, so its worst case is at most alpha.  The scalar
-    ``critical_value`` is this function at length 1.  A non-finite m2 or a
-    NaN kappa raises ValueError; kappa = inf means no kurtosis bound.
+    the root, so its worst case is at most alpha; m2 = 0 takes z itself,
+    unchecked.  The scalar ``critical_value`` is this function at length 1.
+    A non-finite m2 or a NaN kappa raises ValueError; kappa = inf means no
+    kurtosis bound.
     """
     m2 = np.atleast_1d(_checked("m2", m2))
     if not 0.0 < alpha < 1.0:
@@ -686,34 +683,35 @@ def least_favorable(constraints: MomentConstraints, chi: float) -> DiscreteDistr
     returned (the slack constraint is attainable only in the limit, with
     vanishing mass escaping to infinity).
     """
-    return _solution(constraints.m2, constraints.kappa, chi)[0]
+    return _solution(constraints.m2, constraints.kappa, chi)[1]
 
 
 def _solution(m2, kappa, chi):
-    """(``least_favorable``, diagnostics) of one key.
-
-    The kink and the binding pair are solved at the key ``_rescaled`` gives,
-    as in ``_worst_noncoverage_batch``, and their points scaled back by
-    4**k (inf past the float range).
-    """
-    (m2s,), (cs,), (k,) = _rescaled(np.array([m2], dtype=float), _checked("chi", [chi]))
-    t0 = majorant_kink(cs)
+    """(worst case, ``least_favorable``, diagnostics) of one key, the kink
+    and the binding pair solved once at the key ``_rescaled`` gives: the
+    worst case as ``_worst_noncoverage_batch`` computes it, bit for bit, and
+    the support points scaled back by 4**k (inf past the float range)."""
+    m2a, ca, (k,) = _rescaled(np.array([m2], dtype=float), _checked("chi", [chi]))
+    t0a = _majorant_kink_batch(ca)
+    (m2s,), (cs,), (t0,) = m2a, ca, t0a
     up = lambda t: np.ldexp(t, 2 * k).tolist()
+    point = float(noncoverage_sq(m2a, ca)[0])
     with np.errstate(over="ignore"):
         diag = {"t0": up(t0)}
         if m2 == 0.0:
-            return DiscreteDistribution((0.0,), (1.0,)), diag
+            return point, DiscreteDistribution((0.0,), (1.0,)), diag
         if m2s >= t0 or (kappa is not None and kappa <= 1.0 + 1e-9):
-            return DiscreteDistribution((m2,), (1.0,)), diag
+            return point, DiscreteDistribution((m2,), (1.0,)), diag
         if kappa is None or not _binding(m2s, kappa, t0):
-            share = m2s / t0
-            return DiscreteDistribution((0.0, up(t0)), (1.0 - share, share)), diag
-        _, (x0,), (x,), _, _ = _fourth_binding_batch(*(np.array([v], dtype=float) for v in (m2s, kappa, cs, t0)))
+            r00, share = noncoverage_sq(0.0, ca), m2s / t0
+            chord = r00 + m2a / t0a * (noncoverage_sq(t0a, ca) - r00)
+            return float(chord[0]), DiscreteDistribution((0.0, up(t0)), (1.0 - share, share)), diag
+        (worst,), (x0,), (x,), _, _ = _fourth_binding_batch(m2a, np.array([kappa], dtype=float), ca, t0a)
         dx = x - x0
         gap = noncoverage_sq(x, cs) - noncoverage_sq(x0, cs) - dx * noncoverage_sq_d1(x0, cs)
         lambda2 = 0.5 * noncoverage_sq_d2(x0, cs) if abs(dx) < 1e-9 else gap / dx / dx
         diag.update(x0=up(x0), x=up(x), lambda2=float(np.ldexp(lambda2, -4 * k)))
         if dx < 1e-12:
-            return DiscreteDistribution((m2,), (1.0,)), diag
+            return float(worst), DiscreteDistribution((m2,), (1.0,)), diag
         p = (x - m2s) / dx
-        return DiscreteDistribution((up(max(x0, 0.0)), up(x)), (p, 1.0 - p)), diag
+        return float(worst), DiscreteDistribution((up(max(x0, 0.0)), up(x)), (p, 1.0 - p)), diag

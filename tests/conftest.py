@@ -1,16 +1,4 @@
-"""Shared test plumbing: collects acceptance verdicts for the run summary,
-and under ``CI`` prints the ``@reproduce_failure`` blob of a failing
-Hypothesis property, so that a CI failure can be replayed locally."""
-
-import os
-
-from hypothesis import settings
-
-# built on the profile in force (under CI, Hypothesis may have loaded its own
-# "ci" profile), so that draws, example counts and deadlines stay as they are
-settings.register_profile("ci", settings.default, print_blob=True)
-if os.environ.get("CI"):
-    settings.load_profile("ci")
+"""Shared test plumbing: collects acceptance verdicts for the run summary."""
 
 ACCEPTANCE_LINES: list[str] = []
 

@@ -239,7 +239,7 @@ class TestNewtonInvert:
 
 class TestNewtonRoot:
     @staticmethod
-    def _traced(f, x, lo, hi, floor, xtol, sweeps=100):
+    def _traced(f, x, lo, hi, floor, xtol):
         """newton_root with each evaluation recorded as (entry, x), in order."""
         trail = []
 
@@ -247,7 +247,7 @@ class TestNewtonRoot:
             trail.extend(zip(np.asarray(idx).tolist(), np.asarray(x).tolist()))
             return f(x, idx)
 
-        return _solve.newton_root(traced, x, lo, hi, floor, xtol, sweeps), trail
+        return _solve.newton_root(traced, x, lo, hi, floor, xtol), trail
 
     @pytest.mark.parametrize("kind", ["exp", "arctan", "cubic"])
     def test_matches_brentq(self, kind):
@@ -289,11 +289,13 @@ class TestNewtonRoot:
         assert len(trail) < 20
         assert abs(out[0] - root) <= 2.0 * np.spacing(root)
 
-    def test_raises_at_the_sweep_cap(self):
+    def test_raises_at_the_sweep_cap(self, monkeypatch):
         # pi - x is never 0 at a dyadic midpoint, and the useless slope
         # leaves bisection alone to shrink the bracket
         f = lambda x, i: (math.pi - x, np.zeros(x.shape))
-        with pytest.raises(RuntimeError, match="did not converge"):
-            _solve.newton_root(f, np.zeros(2), np.zeros(2), np.full(2, 4.0), 0.0, 0.0, sweeps=10)
+        with monkeypatch.context() as m:
+            m.setattr(_solve, "_ROOT_SWEEPS", 10)
+            with pytest.raises(RuntimeError, match="did not converge"):
+                _solve.newton_root(f, np.zeros(2), np.zeros(2), np.full(2, 4.0), 0.0, 0.0)
         out = _solve.newton_root(f, np.zeros(2), np.zeros(2), np.full(2, 4.0), 0.0, 0.0)
         assert np.all(np.abs(out - math.pi) <= np.spacing(math.pi))

@@ -453,7 +453,9 @@ class TestBindingPair:
     def test_sweeps_per_solve(self, keys, monkeypatch):
         # one sweep evaluates the kernel at both points of one pair: the
         # corner test is one, an interior key adds the 8 grid points and at
-        # most 8 Newton sweeps, and no key takes another route
+        # most 9 Newton sweeps, and no key takes another route; every key is
+        # solved, the 17 of the m2 in [1e-4, 1e4] set that took the
+        # golden-section fallback before the shared Newton engine among them
         golden, evals = [], []
         kernel = wc.noncoverage_sq
 
@@ -464,13 +466,13 @@ class TestBindingPair:
         monkeypatch.setattr(_solve, "grid_golden_max", lambda *args: golden.append(args))
         monkeypatch.setattr(wc, "noncoverage_sq", counted_kernel)
         sweeps = []
-        for i in range(0, keys[0].size, 5):
+        for i in range(keys[0].size):
             evals.clear()
             wc._fourth_binding_batch(*(v[i : i + 1] for v in keys))
             sweeps.append(sum(evals) // 2)
+        assert len(sweeps) > 3000 and sweeps.count(1) > 0
         assert not golden
-        assert set(sweeps) <= {1} | set(range(10, 18))
-        assert sweeps.count(1) > 0 and max(sweeps) > 15
+        assert set(sweeps) <= {1} | set(range(10, 19))
 
     @pytest.mark.parametrize("m2", [3162.0, 1e4, 1e6])
     def test_underflowed_corner_slope_is_not_a_corner(self, m2):
@@ -701,8 +703,10 @@ class TestCriticalValue:
         rng = np.random.default_rng(11)
         for m2 in np.exp(rng.uniform(np.log(1e-4), np.log(1e3), 60 if kappa is None else 20)):
             cons = wc.MomentConstraints(float(m2), kappa)
-            chi = wc.critical_value(cons, 0.05).chi
-            assert wc.worst_noncoverage(cons, chi) <= 0.05, m2
+            res = wc.critical_value(cons, 0.05)
+            chi = res.chi
+            # the worst case of the one solve in _solution is the batch's, bit for bit
+            assert res.noncoverage == wc.worst_noncoverage(cons, chi) <= 0.05, m2
             assert wc.worst_noncoverage(cons, chi - 1e-8) > 0.05, m2
             assert chi == pytest.approx(wc.critical_values(m2, kappa, 0.05)[0], abs=1e-8)
 
