@@ -35,6 +35,7 @@ __all__ = [
 
 # equality constraints are relaxed to this band to absorb floating-point drift
 EQ_BAND = 1e-9
+_FEASIBILITY_TOL = 1e-10  # HiGHS's primal and dual feasibility tolerance
 # support weights at or below this are artifacts of the band or of rounding
 _MIN_WEIGHT = 1e-9
 # a basis is optimal once no reduced cost exceeds this, relative to the plane
@@ -110,7 +111,9 @@ def solve_moment_lp(problem: MomentProblem) -> MomentLPResult:
 
     Uses the HiGHS dual simplex, so the returned distribution is a basic
     solution with at most p+1 strictly positive weights.  Moment equalities
-    are relaxed to a +-1e-9 band.
+    are relaxed to a +-1e-9 band (``EQ_BAND``): where the moments of the
+    returned distribution miss it by more than the solver's tolerance, at
+    any moment scale, InfeasibleMomentsError is raised.
     """
     # imported here: only this reference route needs scipy.optimize, whose
     # import costs a few tenths of a second
@@ -122,18 +125,27 @@ def solve_moment_lp(problem: MomentProblem) -> MomentLPResult:
     res = linprog(
         -problem.reward, A_ub=A_ub, b_ub=b_ub, A_eq=np.ones((1, problem.grid.size)),
         b_eq=[1.0], bounds=(0.0, None), method="highs-ds",
-        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+        options={"primal_feasibility_tolerance": _FEASIBILITY_TOL,
+                 "dual_feasibility_tolerance": _FEASIBILITY_TOL},
     )
+    infeasible = InfeasibleMomentsError(f"no grid distribution matches the target moments {targets}")
     if res.status == 2:
-        raise InfeasibleMomentsError(f"no grid distribution matches the target moments {targets}")
+        raise infeasible
     if res.status != 0:
         raise LPSolverError(f"LP solver failed (status {res.status}): {res.message}")
+    x = np.asarray(res.x)
+    solution = _distribution(problem.grid, x)
+    # HiGHS holds its tolerance on rows it scales and on the total mass: a
+    # mass of 1 + 1e-10 at 100 met a theta^2 target 1e-6 above 1e4
+    miss = problem.moments[:, x > _MIN_WEIGHT] @ solution.probs - targets
+    if np.max(np.abs(miss)) > EQ_BAND + _FEASIBILITY_TOL:
+        raise infeasible
     # dual certificate: marginals of the band rows combine into one
     # multiplier per moment, the equality marginal is the constant
     ub_marg = np.asarray(res.ineqlin.marginals)
     return MomentLPResult(
         value=float(-res.fun),
-        solution=_distribution(problem.grid, np.asarray(res.x)),
+        solution=solution,
         dual_constant=-float(res.eqlin.marginals[0]),
         dual_moments=-(ub_marg[: targets.size] - ub_marg[targets.size :]),
     )

@@ -223,23 +223,21 @@ def _floor_terms(sigma, om2, om4):
     return [om2**2 * sigma**4, om2 * sigma**2, om4**2 * sigma**8, om4 * sigma**4]
 
 
-def _truncate(mu2_uc, mu4_uc, total2, total4, c2, d2, c4, d4, rel=0):
+def _truncate(mu2_uc, mu4_uc, total2, total4, c2, d2, c4, d4, rel):
     """PMT moments from the raw ones and the sums of ``_floor_terms``:
     mu2 is floored at 2 sum(om2^2 sigma^4) / (sum om2 sum(om2 sigma^2)) and
     kappa at 1 + 32 sum(om4^2 sigma^8) / (mu2^2 sum om4 sum(om4 sigma^4)).
 
-    The floor sums may be taken on sigma scaled by 2**-rel against the data
-    of the raw moments: the mu2 floor is then scaled by 4**rel, and mu2 in
-    the kappa floor by 4**-rel.  Where that mu2 overflows, the kappa floor
-    is 1.
+    The floor sums are taken on sigma scaled by 2**-rel against the data of
+    the raw moments (rel = 0 leaves them alike): the mu2 floor is scaled by
+    4**rel, and mu2 in the kappa floor by 4**-rel.  Where a mu2 overflows,
+    the kappa floor is 1.
     """
-    floor = np.ldexp(2.0 * c2 / (total2 * d2), 2 * rel)
-    mu2 = np.where(floor > mu2_uc, floor, mu2_uc)
-    mu2_sq = np.float_power(mu2, 2)  # libm pow, as float ** 2; np.square may differ
-    floor_sq = mu2_sq
-    if rel:
-        with np.errstate(over="ignore"):
-            floor_sq = np.float_power(np.ldexp(mu2, -2 * rel), 2)
+    with np.errstate(over="ignore"):
+        floor = np.ldexp(2.0 * c2 / (total2 * d2), 2 * rel)
+        mu2 = np.where(floor > mu2_uc, floor, mu2_uc)
+        mu2_sq = np.float_power(mu2, 2)  # libm pow, as float ** 2; np.square may differ
+        floor_sq = np.float_power(np.ldexp(mu2, -2 * rel), 2)
     kappa_floor = 1.0 + 32.0 * c4 / (floor_sq * total4 * d4)
     kappa = mu4_uc / mu2_sq
     return mu2, np.where(kappa_floor > kappa, kappa_floor, kappa)
@@ -253,43 +251,38 @@ def _pmt_rows(resid, sigma, om2, om4, members=None):
     (see ``_signals``), and (mu2, kappa) are floored at the PMT bounds.
     Every sum is an exact ``_row_sums`` over the members.  With an index
     array ``members`` the inputs are per unit, and row k is over the units
-    ``members[k]``; each summand is computed once per unit and gathered.
+    ``members[k]``.  Each row has two ``_scaled`` exponents: the data's,
+    and sigma's alone for the floor sums, lest one huge residual flush the
+    row's sigma^4 to zero, or one huge unit another row's.
     """
-    shift = _scale_exponent(resid, sigma)
-    # the floor sums depend on sigma alone and take a scale of their own, so
-    # that one huge residual does not flush every sigma^4 to zero
-    floor_shift = _scale_exponent(sigma)
-    floor_sigma = np.ldexp(sigma, -floor_shift) if floor_shift else sigma
-    if shift:
-        resid, sigma = np.ldexp(resid, -shift), np.ldexp(sigma, -shift)
-    w2, w4 = _signals(resid, sigma)
-    terms = [om2, om2 * w2, om4, om4 * w4, *_floor_terms(floor_sigma, om2, om4)]
     if members is not None:
-        terms = [x[members] for x in terms]
+        resid, sigma, om2, om4 = (x[members] for x in (resid, sigma, om2, om4))
+    r, s, e = _scaled(resid, sigma)
+    floor_sigma, f = _scaled(sigma)
+    w2, w4 = _signals(r, s)
+    terms = [om2, om2 * w2, om4, om4 * w4, *_floor_terms(floor_sigma, om2, om4)]
     total2, a2, total4, a4, *floors = map(_row_sums, terms)
     if not ((total2 > 0).all() and (total4 > 0).all()):
         raise ValueError("weights must not all be zero")
     mu2_uc, mu4_uc = a2 / total2, a4 / total4
-    mu2, kappa = _truncate(mu2_uc, mu4_uc, total2, total4, *floors, floor_shift - shift)
-    if not shift:
-        return mu2_uc, mu4_uc, mu2, kappa
+    mu2, kappa = _truncate(mu2_uc, mu4_uc, total2, total4, *floors, f - e)
     # mu4_uc of data near the float range may itself overflow
     with np.errstate(over="ignore"):
-        return np.ldexp(mu2_uc, 2 * shift), np.ldexp(mu4_uc, 4 * shift), np.ldexp(mu2, 2 * shift), kappa
+        return np.ldexp(mu2_uc, 2 * e), np.ldexp(mu4_uc, 4 * e), np.ldexp(mu2, 2 * e), kappa
 
 
-def _scale_exponent(*arrays) -> int:
-    """0, or e where the largest magnitude in ``arrays`` lies in
-    [2**(e-1), 2**e) and |e| > 64.
+def _scaled(*arrays):
+    """The arrays divided by 2**e, and e, per row (last axis), with the
+    row's largest magnitude in all of them in [2**(e-1), 2**e); e = 0 where
+    that is inside [2**-65, 2**64), which leaves the row alone.
 
-    Past 2**64 the PMT summands (up to sigma^8) overflow or underflow, so
-    ``_pmt_rows`` works on resid and sigma divided by 2**e.  Scaling by a
-    power of two is exact, and so are the moments scaled back, unless a
-    summand is subnormal on either route.
+    Past 2**64 the PMT summands (up to sigma^8) overflow or underflow.  A
+    power of two scales exactly, and so do the moments scaled back, unless
+    a summand is subnormal on either route.
     """
-    top = max(float(np.max(np.abs(a))) for a in arrays)
-    e = int(np.frexp(top)[1])
-    return e if abs(e) > 64 else 0
+    e = np.frexp(np.max([np.max(np.abs(a), axis=-1) for a in arrays], axis=0))[1]
+    e = np.where(np.abs(e) > 64, e, 0)
+    return (*(np.ldexp(a, -e[..., None]) for a in arrays), e)
 
 
 def moments_uc(residuals: np.ndarray, sigma: np.ndarray, omega: np.ndarray):
@@ -306,9 +299,11 @@ def moments_uc(residuals: np.ndarray, sigma: np.ndarray, omega: np.ndarray):
 def pmt(sigma: np.ndarray, omega: np.ndarray, mu2_uc: float, mu4_uc: float):
     """Posterior-mean-truncation estimates: raw moments floored at strictly
     positive bounds derived from the sampling variance of the raw estimates.
-    The truncation step of a one-row ``_pmt_rows``."""
-    total, *floors = _sums(omega, *_floor_terms(sigma, omega, omega))
-    mu2, kappa = _truncate(mu2_uc, mu4_uc, total, total, *floors)
+    The truncation step of a one-row ``_pmt_rows``, with the floor sums on
+    sigma's power-of-two scale."""
+    floor_sigma, f = _scaled(sigma)
+    total, *floors = _sums(omega, *_floor_terms(floor_sigma, omega, omega))
+    mu2, kappa = _truncate(mu2_uc, mu4_uc, total, total, *floors, f)
     return float(mu2), float(kappa)
 
 
@@ -433,7 +428,10 @@ def cv_select_neighbors(
     For each candidate J, predicts each unit's squared-residual signal
     w2 = eps^2 - sigma^2 by the mean over its J nearest neighbors excluding
     the unit itself, and scores the omega-weighted squared prediction error.
-    Ties favor the largest J (smoother neighborhoods).
+    Ties favor the largest J (smoother neighborhoods).  The errors are
+    those of residuals and sigma divided by the 2**e of ``_scaled``, 16**-e
+    times the unscaled ones and in the same order, which neither overflow
+    nor flush to zero; e = 0 for data inside [2**-65, 2**64).
     """
     grid = sorted(set(int(j) for j in grid))
     n = len(residuals)
@@ -441,7 +439,8 @@ def cv_select_neighbors(
         raise ValueError("neighbor grid must be non-empty")
     if grid[0] < 2 or grid[-1] > n - 1:
         raise ValueError(f"neighbor grid must lie within [2, {n - 1}]")
-    w2 = residuals**2 - sigma**2
+    r, s, _ = _scaled(residuals, sigma)
+    w2 = r**2 - s**2
     top = grid[-1]
     sq_err = {j: np.empty(n) for j in grid}
     for rows, order in _neighbor_blocks(_standardized_coords(X, sigma)):
@@ -513,15 +512,14 @@ def estimate_moments(
     elif variant == "pmt":
         mu2, kappa = mu2_pmt, kappa_pmt
     elif variant == "fplib":
-        # on the power-of-two scale of _pmt_rows, where no summand overflows:
-        # the posterior means scale with the data and kappa is scale-free
-        e = _scale_exponent(residuals, sigma)
-        r, s = np.ldexp(residuals, -e), np.ldexp(sigma, -e)
-        uc2, uc4 = (float(v) for v in _pmt_rows(r, s, om2, om4)[:2]) if e else (mu2_uc, mu4_uc)
+        # on the data's power-of-two scale, where no summand overflows: the
+        # posterior means scale with the data and kappa is scale-free
+        r, s, e = _scaled(residuals, sigma)
+        uc2, uc4 = (float(v) for v in _pmt_rows(r, s, om2, om4)[:2])
         mu2, kappa, fallback = _fplib_split(
-            om2, om4, uc2, uc4, *_signals(r, s), (math.ldexp(mu2_pmt, -2 * e), kappa_pmt)
+            om2, om4, uc2, uc4, *_signals(r, s), (np.ldexp(mu2_pmt, -2 * e), kappa_pmt)
         )
-        mu2 = math.ldexp(mu2, 2 * e)
+        mu2 = np.ldexp(mu2, 2 * e)
     elif variant == "nn":
         mu2, kappa = mu2_pmt, kappa_pmt
         if neighbors is None:

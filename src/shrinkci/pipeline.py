@@ -38,6 +38,7 @@ METHODS = (
     "optimal_robust",
     "unshrunk",
 )
+_W_GRID = np.linspace(1e-4, 1.0, 200)
 
 RULE_OF_THUMB_W = 0.3
 
@@ -206,17 +207,17 @@ def _scaled_half_lengths(w: np.ndarray, snr: np.ndarray, kappa, alpha: float):
     return chi * w, chi
 
 
-def _optimal_shrinkage_batch(snr, kappa: float | None, alpha: float, grid_size: int = 200):
+def _optimal_shrinkage_batch(snr, kappa: float | None, alpha: float):
     """Length-optimal shrinkage per unit, vectorized.
 
-    Coarse grid over w (guards against local dips in the half-length, which
-    is continuous but need not be convex) followed by golden-section
-    refinement run in lockstep across units.
+    The coarse grid ``_W_GRID`` over w (guards against local dips in the
+    half-length, which is continuous but need not be convex) is followed by
+    golden-section refinement run in lockstep across units.
     """
     snr = np.atleast_1d(np.asarray(snr, dtype=float))
     if np.any(snr <= 0):
         raise ValueError("snr must be > 0")
-    grid = np.broadcast_to(np.linspace(1e-4, 1.0, grid_size)[:, None], (grid_size, snr.size))
+    grid = np.broadcast_to(_W_GRID[:, None], (_W_GRID.size, snr.size))
     neg_half = lambda w: -_scaled_half_lengths(w, snr, kappa, alpha)[0]
     w, _ = _solve.grid_golden_max(neg_half, grid, 40)
     _, chi = _scaled_half_lengths(w, snr, kappa, alpha)

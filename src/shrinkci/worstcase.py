@@ -536,7 +536,7 @@ def critical_value(constraints: MomentConstraints, alpha: float) -> CriticalValu
     coefficient when the kurtosis constraint binds), from ``_solution``.
     """
     chi = _cva_scalar(constraints.m2, constraints.kappa, alpha)
-    # with the worst case that certified chi, so at most alpha where m2 > 0
+    # with the worst case that certified chi, so at most alpha
     return CriticalValueResult(chi, *_solution(constraints.m2, constraints.kappa, chi))
 
 
@@ -553,8 +553,8 @@ def critical_values(m2, kappa=None, alpha: float = 0.05) -> np.ndarray:
     (1 / alpha - 1))) (Cantelli), or 1 / sqrt(alpha) (Markov) where that is
     smaller or there is no kurtosis bound.  Each entry is the upper end of a
     bracket of width at most ``_CHI_TOL`` (or of adjacent floats) around
-    the root, so its worst case is at most alpha; m2 = 0 takes z itself,
-    unchecked.  The scalar ``critical_value`` is this function at length 1.
+    the root, so its worst case is at most alpha.  The scalar
+    ``critical_value`` is this function at length 1.
     A non-finite m2 or a NaN kappa raises ValueError; kappa = inf means no
     kurtosis bound.
     """
@@ -584,7 +584,6 @@ def critical_values(m2, kappa=None, alpha: float = 0.05) -> np.ndarray:
     chi = _solve.newton_invert(
         worst, alpha, start, np.full(uniq.shape, z), z * np.sqrt(top) + 1.0, _CHI_TOL
     )
-    chi = np.where(uniq == 0.0, z, chi)
     return chi[inv].reshape(m2.shape)
 
 
@@ -698,9 +697,7 @@ def _solution(m2, kappa, chi):
     point = float(noncoverage_sq(m2a, ca)[0])
     with np.errstate(over="ignore"):
         diag = {"t0": up(t0)}
-        if m2 == 0.0:
-            return point, DiscreteDistribution((0.0,), (1.0,)), diag
-        if m2s >= t0 or (kappa is not None and kappa <= 1.0 + 1e-9):
+        if not 0.0 < m2s < t0 or (kappa is not None and kappa <= 1.0 + 1e-9):
             return point, DiscreteDistribution((m2,), (1.0,)), diag
         if kappa is None or not _binding(m2s, kappa, t0):
             r00, share = noncoverage_sq(0.0, ca), m2s / t0

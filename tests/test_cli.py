@@ -253,6 +253,33 @@ class TestFitCommand:
             assert r["error"] == ""
             assert all(math.isfinite(float(r[c])) for c in ("theta_hat", "cva", "lower", "upper"))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("nn_j", [["--nn-j", "30"], []])
+    @pytest.mark.parametrize("kind,big", [("se", 1e80), ("se", 1e150), ("y", 1e100), ("y", 1e150)])
+    def test_nn_one_extreme_unit(self, tmp_path, kind, big, nn_j):
+        # each neighborhood takes its own power-of-two scales: with one per
+        # call the floors of every neighborhood without the outlier read
+        # 0 / 0, and CV's squared errors overflowed to inf for every J
+        rng = np.random.default_rng(0)
+        y, se, x = rng.normal(size=201), np.ones(201), rng.normal(size=201)
+        if kind == "se":
+            se[200] = big
+            y[200] *= big
+        else:
+            y[200] = big
+        inp = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        write_units(str(inp), y, se, x=x)
+        assert cli.main([
+            "fit", "--input", str(inp), "--output", str(out), "--method", "robust_mu2_kappa",
+            "--moments", "nn", *nn_j,
+        ]) == 0
+        _, rows = read_output(str(out))
+        assert len(rows) == 201
+        for r in rows:
+            assert r["error"] == ""
+            assert all(math.isfinite(float(r[c])) for c in ("theta_hat", "cva", "lower", "upper"))
+
     @pytest.mark.parametrize("method", ["parametric", "robust_mu2", "robust_mu2_kappa"])
     def test_huge_center_keeps_each_estimate(self, tmp_path, method):
         # one unit at se = 1e80, y = 3e80 puts the center near 1.5e78 and

@@ -70,6 +70,18 @@ class TestSolve:
         with pytest.raises(mlp.InfeasibleMomentsError):
             mlp.solve_moment_lp(prob)
 
+    def test_band_holds_at_large_moments(self):
+        # HiGHS's tolerance on the total mass let a mass of 1 + 1e-10 at 100
+        # meet a theta^2 target 1e-6 above 1e4, which the envelope rejects
+        theta = np.array([0.0, 1.0, 2.0, 100.0])
+        prob = mlp.MomentProblem(theta, np.zeros(4), theta[None, :] ** 2, [1e4 + 1e-6])
+        with pytest.raises(mlp.InfeasibleMomentsError):
+            mlp.envelope_value(prob)
+        with pytest.raises(mlp.InfeasibleMomentsError):
+            mlp.solve_moment_lp(prob)
+        inside = dataclasses.replace(prob, targets=np.array([1e4 + 0.5e-9]))
+        assert mlp.solve_moment_lp(inside).solution.points == (100.0,)
+
     def test_validation(self):
         grid = np.linspace(0.0, 1.0, 10)
         with pytest.raises(ValueError):

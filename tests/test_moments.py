@@ -217,6 +217,18 @@ class TestPmt:
             assert mu2 > 0 and kappa > 1
 
 
+    @pytest.mark.parametrize("se_big", [1e40, 1e80])
+    def test_extreme_sigma_floors_finite(self, se_big):
+        # the floor sums take sigma's power-of-two scale: sigma^8 overflowed
+        # at se = 1e40.  With one sigma dominating, the floors are
+        # sigma^2 / 100 and 1 + 32 * 50
+        sigma = np.ones(200)
+        sigma[17] = se_big
+        mu2, kappa = mom.pmt(sigma, np.full(200, 1 / 200), -1.0, 1.0)
+        assert mu2 == pytest.approx(se_big**2 / 100, rel=1e-12)
+        assert kappa == pytest.approx(1601.0, rel=1e-12)
+
+
 class TestFplib:
     def test_posterior_mean_asymptote(self):
         assert mom._posterior_mean_positive(50.0, 1e-4) == pytest.approx(50.0, abs=1e-12)
@@ -289,6 +301,54 @@ class TestNearestNeighbor:
         data = mom.Units(np.zeros(5) + 1.0, np.ones(5))
         with pytest.raises(ValueError):
             mom.nn_moments(np.zeros(5), np.ones(5), np.ones((5, 1)), np.ones(5), 1)
+
+
+class TestNearestNeighborExtremeUnit:
+    """One unit far out among 200 with se = 1.  Each neighborhood takes its
+    own power-of-two scales, and CV the global one: with one scale per call
+    the outlier flushed the floors of every neighborhood without it to
+    0 / 0, and CV's squared errors overflowed, so every J scored inf."""
+
+    def units(self, kind, big):
+        rng = np.random.default_rng(0)
+        y, se = rng.normal(size=201), np.ones(201)
+        X = np.column_stack([np.ones(201), rng.normal(size=201)])
+        if kind == "se":
+            se[200] = big
+            y[200] *= big
+        else:
+            y[200] = big
+        return mom.Units(y, se, X)
+
+    @pytest.mark.parametrize("neighbors", [30, None])
+    @pytest.mark.parametrize("kind,big", [("se", 1e80), ("se", 1e150), ("y", 1e100), ("y", 1e150)])
+    def test_floors_kept(self, kind, big, neighbors):
+        est = mom.estimate_moments(self.units(kind, big), variant="nn", neighbors=neighbors)
+        mu2, kappa = est.mu2_per_unit, est.kappa_per_unit
+        assert np.all(np.isfinite(mu2)) and np.all(mu2 > 0)
+        assert np.all(np.isfinite(kappa)) and np.all(kappa >= 1.0)
+        if neighbors is None:
+            assert all(math.isfinite(err) for err in est.extras["cv_errors"].values())
+        res = pl.fit(self.units(kind, big), moment_variant="nn", neighbors=neighbors)
+        assert all(e is None for e in res.error)
+        assert np.all(np.isfinite(res.lower) & np.isfinite(res.upper))
+
+    def test_cv_order_kept_under_power_of_two_scale(self):
+        # the scores are those of the data divided by 2**e, e = 0 inside
+        # [2**-65, 2**64): for data scaled by 2**k, 16**(k - e) times the
+        # unscaled ones, bit for bit, in the same order
+        rng = np.random.default_rng(4)
+        resid, sigma = rng.normal(size=120), rng.uniform(0.5, 1.5, 120)
+        X = np.column_stack([np.ones(120), rng.normal(size=120)])
+        omega = np.full(120, 1 / 120)
+        grid = [5, 10, 40, 119]
+        best, base = mom.cv_select_neighbors(resid, sigma, X, omega, grid)
+        for k in (-300, 40, 100, 300):
+            j, scaled = mom.cv_select_neighbors(np.ldexp(resid, k), np.ldexp(sigma, k), X, omega, grid)
+            assert j == best
+            e = k + math.frexp(max(np.abs(resid).max(), sigma.max()))[1]
+            e = e if abs(e) > 64 else 0
+            assert scaled == {g: math.ldexp(err, 4 * (k - e)) for g, err in base.items()}
 
 
 class TestBlockedNeighbors:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import binding_pair_value, cva_scalar, kink_brentq
 from scipy.optimize import brentq
+from scipy.special import ndtri
 from shrinkci import _solve
 from shrinkci import momentlp as mlp
 from shrinkci import simulation as sim
@@ -572,8 +573,25 @@ class TestEnvelopeSlope:
 
 class TestCriticalValue:
     def test_zero_moment_gives_z_quantile(self):
+        # m2 = 0 takes the Newton route too: the upper end of a bracket of
+        # width at most 1e-8 around z, whose worst case is at most alpha
         res = wc.critical_value(wc.MomentConstraints(0.0), 0.05)
-        assert res.chi == pytest.approx(Z975, abs=1e-9)
+        assert Z975 < res.chi <= Z975 + 1e-8
+        assert res.noncoverage <= 0.05
+
+    @pytest.mark.parametrize("kappa", [None, 3.0])
+    @pytest.mark.parametrize("alpha", [0.6, 0.1, 0.05, 0.01, 1e-5, 0.999, 1e-12])
+    def test_zero_moment_certified(self, alpha, kappa):
+        # chi = z itself used to be returned unchecked, and its 2 Phi(-z)
+        # rounded above alpha at 0.6, 0.1, 0.01 and 1e-5; at 1e-12,
+        # ndtri(1 - alpha / 2) is 1.2e-5 below the quantile
+        worst = lambda chi: wc.worst_noncoverage(wc.MomentConstraints(0.0, kappa), chi)
+        chi = float(wc.critical_values([0.0], kappa, alpha)[0])
+        assert worst(chi) <= alpha < worst(chi - 1e-8)
+        assert chi == pytest.approx(-float(ndtri(0.5 * alpha)), abs=1e-8)
+        res = wc.critical_value(wc.MomentConstraints(0.0, kappa), alpha)
+        assert res.chi == chi and res.noncoverage == worst(chi) <= alpha
+        assert res.lf.points == (0.0,) and res.lf.probs == (1.0,)
 
     def test_fixed_point(self):
         for m2, kappa in [(0.5, None), (4.0, None), (0.5, 3.0), (4.0, 2.0)]:
