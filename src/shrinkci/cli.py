@@ -10,17 +10,15 @@ grid).  Exit codes: 0 success, 2 input/schema problem, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import math
 import os
 import sys
-from operator import itemgetter
 
 import numpy as np
 from scipy.special import ndtri
 
+from shrinkci import _csvio
 from shrinkci import moments as mom
 from shrinkci import pipeline as pl
 from shrinkci import simulation as sim
@@ -32,10 +30,6 @@ EXIT_NUMERIC = 3
 EXIT_CONFIG = 4
 
 WORKERS_ENV = "SHRINKCI_WORKERS"
-
-# rows converted or formatted at a time: bounds the strings alive at once,
-# so CSV I/O needs little memory beyond the float columns themselves
-_CSV_BLOCK_ROWS = 4096
 
 
 class SchemaError(Exception):
@@ -96,118 +90,26 @@ def _apply_config_defaults(args: argparse.Namespace, argv: list[str], actions: d
         setattr(args, key, converted)
 
 
-def _number(path: str, lineno: int, col: str, raw: str | None) -> float:
-    if raw is None or raw == "":
-        raise SchemaError(f"{path}: line {lineno}: missing value in column '{col}'")
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: line {lineno}: column '{col}': not a number: {raw!r}") from exc
+def _unit_covariates(header: list[str]) -> list[str]:
+    """The optional columns of a units CSV: x1..xk by number, then weight."""
+    xcols = sorted(
+        (c for c in header if c.startswith("x") and c[1:].isdigit()),
+        key=lambda c: int(c[1:]),
+    )
+    return [*xcols, *(["weight"] if "weight" in header else [])]
 
 
 def _read_units_csv(path: str) -> mom.Units:
-    """Units from a CSV with columns y, se and optionally x1..xk and weight.
-
-    The grammar is ``csv.DictReader``'s over the lines not starting with
-    '#' (comments): the first row is the header, blank rows are skipped, a
-    duplicated column name takes its last occurrence, extra fields are
-    ignored and a short row has missing values.  Rows are converted column
-    by column, ``_CSV_BLOCK_ROWS`` at a time; error messages name the
-    physical line of the offending row.
-    """
+    """Units from a CSV with columns y, se and optionally x1..xk and weight,
+    in the grammar of ``_csvio.read_columns``; a bad unit's message names its
+    physical line."""
+    names, columns, linenos = _csvio.read_columns(path, ("y", "se"), _unit_covariates, (), SchemaError)
+    y, se, *rest = columns
+    omega = rest.pop() if names[-1] == "weight" else None
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            lines = sim.DataLines(fh, path, SchemaError)
-            reader = csv.reader(lines)
-            try:
-                cols = next(reader, [])
-                for required in ("y", "se"):
-                    if required not in cols:
-                        raise SchemaError(f"{path}: missing required column '{required}'")
-                xcols = sorted(
-                    (c for c in cols if c.startswith("x") and c[1:].isdigit()),
-                    key=lambda c: int(c[1:]),
-                )
-                names = ["y", "se", *xcols, *(["weight"] if "weight" in cols else [])]
-                last = {c: i for i, c in enumerate(cols)}
-                index = [last[c] for c in names]
-                blocks, rows, linenos = [], [], []
-                for fields in reader:
-                    if not fields:
-                        continue
-                    rows.append(fields)
-                    linenos.append(lines.lineno)
-                    if len(rows) == _CSV_BLOCK_ROWS:
-                        blocks.append(_float_block(path, rows, linenos[-len(rows):], names, index))
-                        rows = []
-            except csv.Error as exc:
-                raise SchemaError(f"{path}: line {lines.lineno}: {exc}") from exc
-            if rows:
-                blocks.append(_float_block(path, rows, linenos[-len(rows):], names, index))
-    except OSError as exc:
-        raise SchemaError(f"cannot open input file {path}: {exc}") from exc
-    if not blocks:
-        raise SchemaError(f"{path}: no data rows")
-    y, se, *rest = (np.concatenate(col) for col in zip(*blocks))
-    k = len(xcols)
-    try:
-        return mom.Units(
-            y=y,
-            sigma=se,
-            X=np.column_stack([np.ones(len(y)), *rest[:k]]),
-            omega=rest[k] if "weight" in cols else None,
-        )
+        return mom.Units(y=y, sigma=se, X=np.column_stack([np.ones(len(y)), *rest]), omega=omega)
     except mom.UnitError as exc:
         raise SchemaError(f"{path}: line {linenos[exc.index]}: {exc}") from exc
-
-
-def _float_block(
-    path: str, rows: list[list[str]], linenos: list[int], names: list[str], index: list[int]
-) -> list[np.ndarray]:
-    """One float array per column ``names[j]``, field ``index[j]`` of each row.
-
-    A block that does not convert is checked again row by row and column by
-    column, so the ``SchemaError`` names the first bad value in file order.
-    """
-    try:
-        return [np.fromiter(map(float, map(itemgetter(i), rows)), float, len(rows)) for i in index]
-    except (ValueError, IndexError):
-        for fields, lineno in zip(rows, linenos):
-            for col, i in zip(names, index):
-                _number(path, lineno, col, fields[i] if i < len(fields) else None)
-        raise
-
-
-def _csv_field(value) -> str:
-    """``value`` as ``csv.writer`` spells it as one field of a row (None as '')."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([value, None])
-    return buf.getvalue()[: -len(",\n")]
-
-
-def _cells(block: np.ndarray):
-    """The CSV fields of one block of a column: floats as their shortest
-    round-trip ``repr``, anything else through ``_csv_field`` once per
-    distinct value."""
-    values = block.tolist()
-    if block.dtype.kind == "f":
-        return map(float.__repr__, values)
-    spelled = {v: _csv_field(v) for v in set(values)}
-    return map(spelled.__getitem__, values)
-
-
-def _write_csv(path: str, header_comments: list[str], columns: dict[str, np.ndarray]):
-    """Write '# ' comment lines, a header row and the equal-length columns
-    of ``columns``, ``_CSV_BLOCK_ROWS`` rows at a time."""
-    n = len(next(iter(columns.values())))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
-        csv.writer(fh, lineterminator="\n").writerow(list(columns))
-        for start in range(0, n, _CSV_BLOCK_ROWS):
-            stop = start + _CSV_BLOCK_ROWS
-            cells = [_cells(col[start:stop]) for col in columns.values()]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _fmt_array(arr) -> str:
@@ -243,7 +145,7 @@ def cmd_fit(args) -> int:
     columns = {f.name: getattr(res, f.name) for f in dataclasses.fields(pl.EbciOutput)}
     columns["method"] = np.full(len(data), res.method)
     columns["rule_of_thumb_ok"] = columns["rule_of_thumb_ok"].astype(int)
-    _write_csv(args.output, header, columns)
+    _csvio.write_csv(args.output, header, columns)
     return EXIT_OK
 
 
@@ -263,7 +165,7 @@ def cmd_cva(args) -> int:
         "cva": np.array([res.chi for res in results]),
         "noncoverage": np.array([res.noncoverage for res in results]),
     }
-    _write_csv(args.output, [f"alpha={args.alpha}"], columns)
+    _csvio.write_csv(args.output, [f"alpha={args.alpha}"], columns)
     return EXIT_OK
 
 
@@ -282,7 +184,7 @@ def cmd_curves(args) -> int:
         ),
         "cva_parametric": z * np.sqrt(1.0 + m2),
     }
-    _write_csv(args.output, [f"alpha={args.alpha}"], columns)
+    _csvio.write_csv(args.output, [f"alpha={args.alpha}"], columns)
     return EXIT_OK
 
 
@@ -293,7 +195,10 @@ def _build_designs(args) -> list:
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
         snrs = [float(v) for v in args.snr.split(",") if v]
-        return [sim.HeteroskedasticDesign(th, se, snr, n=args.n) for snr in snrs]
+        try:
+            return [sim.HeteroskedasticDesign(th, se, snr, n=args.n) for snr in snrs]
+        except ValueError as exc:  # too few rows
+            raise SchemaError(f"{args.het_input}: {exc}") from exc
     kinds = [k for k in args.theta_kinds.split(",") if k]
     snrs = [float(v) for v in args.snr.split(",") if v]
     t = math.inf if args.t in ("inf", "oo") else float(args.t)
@@ -341,7 +246,7 @@ def cmd_power(args) -> int:
         "power_ztest": ztest,
         "power_difference": robust - ztest,
     }
-    _write_csv(
+    _csvio.write_csv(
         args.output,
         [f"alpha={args.alpha}", "power of robust-interval test vs z-test"],
         columns,

@@ -12,9 +12,7 @@ Replication r of design d draws from a dedicated generator seeded by
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -24,6 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtri
 
+from shrinkci import _csvio
 from shrinkci import moments as mom
 from shrinkci import pipeline as pl
 from shrinkci import worstcase as wc
@@ -241,60 +240,15 @@ class HeteroskedasticDesign:
         return y, sigma, theta, sigma**-2.0
 
 
-class DataLines:
-    """The lines of a text file, opened as UTF-8, that do not start with '#'
-    (comments), for a ``csv`` reader.
-
-    ``lineno`` is the physical number of the last line handed out, not of a
-    comment read past it.  Input that is not UTF-8 raises ``error`` naming
-    the file but no line: the file is decoded in chunks, so the line being
-    read is not the one that failed.
-    """
-
-    def __init__(self, fh, path: str, error=ValueError):
-        self.lineno = 0
-        self._fh, self._path, self._error = fh, path, error
-
-    def __iter__(self):
-        try:
-            for n, line in enumerate(self._fh, start=1):
-                if not line.startswith("#"):
-                    self.lineno = n
-                    yield line
-        except UnicodeDecodeError as exc:
-            bad = exc.object[exc.start : exc.end]
-            raise self._error(f"{self._path}: not UTF-8 text ({exc.reason}: {bad!r})") from exc
-
-
 def load_calibration_csv(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Read the (theta_hat, se) columns for the heteroskedastic design.
 
-    Lines starting with '#' are comments and blank rows are skipped.  A
-    ``ValueError`` names the column and the physical line of a bad value,
-    including an ``se`` that is not positive and finite.
+    The grammar is that of ``fit --input`` (``_csvio.read_columns``).  A
+    ``ValueError`` names the file, and for a bad value its column and
+    physical line, including an ``se`` that is not positive and finite.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = DataLines(fh, path)
-        reader = csv.DictReader(lines)
-        th, se = [], []
-        try:
-            if reader.fieldnames is None or not {"theta_hat", "se"} <= set(reader.fieldnames):
-                raise ValueError(f"{path}: need columns theta_hat, se")
-            for row in reader:
-                for col, values in (("theta_hat", th), ("se", se)):
-                    raw = row[col]
-                    try:
-                        values.append(float(raw))
-                    except (TypeError, ValueError) as exc:
-                        what = "missing value" if raw in (None, "") else f"not a number: {raw!r}"
-                        raise ValueError(f"{path}: line {lines.lineno}: column '{col}': {what}") from exc
-                if not (math.isfinite(se[-1]) and se[-1] > 0):
-                    raise ValueError(
-                        f"{path}: line {lines.lineno}: column 'se': not positive and finite: {row['se']!r}"
-                    )
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {lines.lineno}: {exc}") from exc
-    return tuple(th), tuple(se)
+    _, (th, se), _ = _csvio.read_columns(path, ("theta_hat", "se"), lambda header: (), ("se",), ValueError)
+    return tuple(th.tolist()), tuple(se.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +274,11 @@ class CoverageReport:
     master_seed: int
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# master_seed={self.master_seed}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(f.name for f in dataclasses.fields(ReportRow))
-        for r in self.rows:
-            writer.writerow(repr(v) if isinstance(v, float) else v for v in dataclasses.astuple(r))
-        return buf.getvalue()
+        columns = {
+            f.name: np.array([getattr(r, f.name) for r in self.rows])
+            for f in dataclasses.fields(ReportRow)
+        }
+        return "".join(_csvio.csv_text([f"master_seed={self.master_seed}"], columns))
 
     def row(self, design_index: int, method: str) -> ReportRow:
         for r in self.rows:

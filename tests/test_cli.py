@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import cva_scalar, read_units_csv_reference, write_csv_reference
 from scipy.special import ndtri
 
+from shrinkci import _csvio
 from shrinkci import cli
 from shrinkci import moments as mom
 from shrinkci import pipeline as pl
@@ -526,6 +527,28 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "line 5" in err and "column 'se'" in err and repr(se) in err
 
+    @pytest.mark.parametrize("rows", ["", "0.1,0.5\n"])
+    def test_het_input_with_fewer_than_two_rows_exit_2_names_file(self, tmp_path, capsys, rows):
+        few = tmp_path / "few.csv"
+        few.write_text("# calibration draws\ntheta_hat,se\n\n" + rows)
+        assert cli.main([
+            "simulate", "--output", str(tmp_path / "o.csv"), "--het-input", str(few), "--reps", "2",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and str(few) in err
+
+    @pytest.mark.parametrize("first, second, line, raw", [
+        ("0.2,-1", "oops,0.4", 3, "'-1'"), ("oops,0.4", "0.2,-1", 3, "'oops'"),
+    ])
+    def test_het_input_names_first_bad_value_in_file_order(self, tmp_path, capsys, first, second, line, raw):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"theta_hat,se\n0.1,0.5\n{first}\n{second}\n")
+        assert cli.main([
+            "simulate", "--output", str(tmp_path / "o.csv"), "--het-input", str(bad), "--reps", "2",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}:" in err and raw in err
+
     def test_workers_env_var_honored_and_flag_wins(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.WORKERS_ENV, "2")
         out_env = tmp_path / "env.csv"
@@ -639,7 +662,7 @@ class TestCsvLayer:
     def test_reader_matches_dictreader_reference(self, csv_dir, text):
         path = csv_dir / "units.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        with mock.patch.object(cli, "_CSV_BLOCK_ROWS", 3):
+        with mock.patch.object(_csvio, "BLOCK_ROWS", 3):
             got = _read_outcome(cli._read_units_csv, str(path))
         assert got == _read_outcome(read_units_csv_reference, str(path))
 
@@ -648,15 +671,15 @@ class TestCsvLayer:
     def test_writer_matches_row_writer(self, csv_dir, n, kinds, data):
         columns = {f"c{j}": _column(data.draw, kind, n) for j, kind in enumerate(kinds)}
         comments = ["alpha=0.05", "a note"]
-        with mock.patch.object(cli, "_CSV_BLOCK_ROWS", 3):
-            cli._write_csv(str(csv_dir / "new.csv"), comments, columns)
+        with mock.patch.object(_csvio, "BLOCK_ROWS", 3):
+            _csvio.write_csv(str(csv_dir / "new.csv"), comments, columns)
         rows = zip(*(col.tolist() for col in columns.values()))
         write_csv_reference(str(csv_dir / "ref.csv"), comments, list(columns), rows)
         assert (csv_dir / "new.csv").read_bytes() == (csv_dir / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize("method", pl.METHODS)
     def test_fit_output_parses_to_library_columns(self, tmp_path, monkeypatch, method):
-        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 16)
+        monkeypatch.setattr(_csvio, "BLOCK_ROWS", 16)
         rng = np.random.default_rng(11)
         n = 40
         y, se, x = rng.normal(0, 1.5, n), rng.uniform(0.5, 2.0, n), rng.normal(0, 1, n)
