@@ -80,15 +80,6 @@ def read_columns(path: str, required: Sequence[str], optional: Callable, positiv
     return names, [np.concatenate(col) for col in zip(*blocks)], linenos
 
 
-def _number(path: str, lineno: int, col: str, raw: str | None, error) -> float:
-    if raw is None or raw == "":
-        raise error(f"{path}: line {lineno}: missing value in column '{col}'")
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise error(f"{path}: line {lineno}: column '{col}': not a number: {raw!r}") from exc
-
-
 def _float_block(path, rows, linenos, names, index, positive, error) -> list[np.ndarray]:
     """One float array per column ``names[j]``, field ``index[j]`` of each row.
 
@@ -105,8 +96,13 @@ def _float_block(path, rows, linenos, names, index, positive, error) -> list[np.
     except (ValueError, IndexError):
         for fields, lineno in zip(rows, linenos):
             for col, i in zip(names, index):
-                raw = fields[i] if i < len(fields) else None
-                value = _number(path, lineno, col, raw, error)
+                raw = fields[i] if i < len(fields) else ""
+                if raw == "":
+                    raise error(f"{path}: line {lineno}: missing value in column '{col}'")
+                try:
+                    value = float(raw)
+                except ValueError as exc:
+                    raise error(f"{path}: line {lineno}: column '{col}': not a number: {raw!r}") from exc
                 if col in positive and not 0 < value < math.inf:
                     raise error(f"{path}: line {lineno}: column '{col}': not positive and finite: {raw!r}")
         raise

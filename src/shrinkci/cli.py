@@ -16,7 +16,6 @@ import os
 import sys
 
 import numpy as np
-from scipy.special import ndtri
 
 from shrinkci import _csvio
 from shrinkci import moments as mom
@@ -92,17 +91,13 @@ def _apply_config_defaults(args: argparse.Namespace, argv: list[str], actions: d
 
 def _unit_covariates(header: list[str]) -> list[str]:
     """The optional columns of a units CSV: x1..xk by number, then weight."""
-    xcols = sorted(
-        (c for c in header if c.startswith("x") and c[1:].isdigit()),
-        key=lambda c: int(c[1:]),
-    )
+    xcols = sorted((c for c in header if c.startswith("x") and c[1:].isdigit()), key=lambda c: int(c[1:]))
     return [*xcols, *(["weight"] if "weight" in header else [])]
 
 
 def _read_units_csv(path: str) -> mom.Units:
-    """Units from a CSV with columns y, se and optionally x1..xk and weight,
-    in the grammar of ``_csvio.read_columns``; a bad unit's message names its
-    physical line."""
+    """Units from a CSV with columns y, se and optionally x1..xk and weight;
+    a bad unit's message names its physical line."""
     names, columns, linenos = _csvio.read_columns(path, ("y", "se"), _unit_covariates, (), SchemaError)
     y, se, *rest = columns
     omega = rest.pop() if names[-1] == "weight" else None
@@ -173,7 +168,6 @@ def cmd_curves(args) -> int:
     kappas = [float(v) for v in args.kappas.split(",") if v] if args.kappas else []
     m2_grid = np.geomspace(args.m2_min, args.m2_max, args.points)
     m2_grid = np.concatenate([[0.0], m2_grid])
-    z = float(ndtri(1.0 - args.alpha / 2.0))
     curves = [*kappas, None]
     m2 = np.tile(m2_grid, len(curves))
     columns = {
@@ -182,25 +176,24 @@ def cmd_curves(args) -> int:
         "cva": np.concatenate(
             [wc.critical_values(m2_grid, kappa=kap, alpha=args.alpha) for kap in curves]
         ),
-        "cva_parametric": z * np.sqrt(1.0 + m2),
+        "cva_parametric": wc._z(args.alpha) * np.sqrt(1.0 + m2),
     }
     _csvio.write_csv(args.output, [f"alpha={args.alpha}"], columns)
     return EXIT_OK
 
 
 def _build_designs(args) -> list:
+    snrs = [float(v) for v in args.snr.split(",") if v]
     if args.het_input:
         try:
             th, se = sim.load_calibration_csv(args.het_input)
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
-        snrs = [float(v) for v in args.snr.split(",") if v]
         try:
             return [sim.HeteroskedasticDesign(th, se, snr, n=args.n) for snr in snrs]
         except ValueError as exc:  # too few rows
             raise SchemaError(f"{args.het_input}: {exc}") from exc
     kinds = [k for k in args.theta_kinds.split(",") if k]
-    snrs = [float(v) for v in args.snr.split(",") if v]
     t = math.inf if args.t in ("inf", "oo") else float(args.t)
     designs = []
     for kind in kinds:

@@ -15,10 +15,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfcx, expit, gammaincinv, gammaln, ndtr, ndtri, roots_legendre
+from scipy.special import erfcx, expit, gammaincinv, gammaln, ndtr, roots_legendre
 
 from shrinkci import _solve
 from shrinkci import momentlp as mlp
+from shrinkci import worstcase as wc
 
 __all__ = [
     "SoftThresholdConfig",
@@ -599,8 +600,7 @@ def selection_critical_value(
     mu2_cond = max(mu2_cond, 1e-8)
     grid = np.asarray(theta_grid, dtype=float)
     family = lambda chi: _selection_problem(grid, chi, window, w_eb, sigma, mu2_cond)
-    z = float(ndtri(1.0 - alpha / 2.0))
-    return mlp.calibrate_chi(family, alpha, lo=0.0, hi=max(2.0 * z, 4.0))
+    return mlp.calibrate_chi(family, alpha, lo=0.0, hi=max(2.0 * wc._z(alpha), 4.0))
 
 
 def _selection_problem(

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from shrinkci import _solve
 from shrinkci import moments as mom
@@ -88,10 +87,6 @@ class FitResult:
         return tuple(EbciOutput(*row) for row in zip(*cols))
 
 
-def _z(alpha: float) -> float:
-    return float(ndtri(1.0 - alpha / 2.0))
-
-
 def fit(
     data: mom.Units,
     alpha: float = 0.05,
@@ -158,7 +153,7 @@ def _intervals(method, y, sigma, center, mu2, kappa, alpha: float, m2=None, chi=
     has already solved the critical values of ``_cva_keys`` passes them as
     ``chi`` (any shape that broadcasts against the units).
     """
-    z = _z(alpha)
+    z = wc._z(alpha)
     if method == "unshrunk":
         return y, np.ones_like(y), np.full_like(y, z), z * sigma
     w = mu2 / (mu2 + sigma**2)
@@ -176,7 +171,7 @@ def _intervals(method, y, sigma, center, mu2, kappa, alpha: float, m2=None, chi=
 
 
 def _param_noncov_batch(w: np.ndarray, alpha: float, kappa: float | None) -> np.ndarray:
-    z = _z(alpha)
+    z = wc._z(alpha)
     m2 = 1.0 / w - 1.0
     chi = z / np.sqrt(w)
     kap = None if kappa is None else np.full_like(w, kappa)
@@ -244,7 +239,7 @@ def average_power(d, w_eb: float, alpha: float = 0.05, kappa: float | None = 3.0
     """
     if not 0.0 < w_eb < 1.0:
         raise ValueError(f"w_eb must be in (0, 1), got {w_eb}")
-    z = _z(alpha)
+    z = wc._z(alpha)
     chi = wc._cva_scalar(1.0 / w_eb - 1.0, kappa, alpha)
     s = math.sqrt(1.0 - w_eb)
     d = np.asarray(d, dtype=float)

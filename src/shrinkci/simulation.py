@@ -20,7 +20,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from shrinkci import _csvio
 from shrinkci import moments as mom
@@ -94,8 +93,7 @@ class ThetaDistribution:
         if self.kind == "lf_robust":
             chi = wc._cva_scalar(m2, None, self.alpha)
         else:
-            z = float(ndtri(1.0 - self.alpha / 2.0))
-            chi = z / math.sqrt(self.mu2 / (1.0 + self.mu2))
+            chi = wc._z(self.alpha) / math.sqrt(self.mu2 / (1.0 + self.mu2))
         t0 = wc.majorant_kink(chi)
         if t0 <= 0:
             return 1.0
@@ -152,7 +150,6 @@ class PanelDesign:
     err: str
     snr: float
     theta: ThetaDistribution
-    seed: int | None = None
 
     def __post_init__(self):
         if self.n < 2:

@@ -52,6 +52,13 @@ def _phi(x):
     return np.exp(-0.5 * np.square(x)) / _SQRT2PI
 
 
+def _z(alpha: float) -> float:
+    """The normal quantile z with 2 Phi(-z) = alpha, as -ndtri(alpha / 2):
+    ndtri(1 - alpha / 2) loses what 1 - alpha / 2 rounds away, 1.2e-5 at
+    alpha = 1e-12."""
+    return -float(ndtri(alpha / 2.0))
+
+
 def _checked(name, x):
     """``x`` as a float array; ValueError unless it is finite and >= 0."""
     x = np.asarray(x, dtype=float)
@@ -570,7 +577,7 @@ def critical_values(m2, kappa=None, alpha: float = 0.05) -> np.ndarray:
         key.imag = np.broadcast_to(_checked_kappa(kappa), m2.shape)
         pairs, inv = np.unique(key, return_inverse=True)
         uniq, kap = pairs.real.copy(), pairs.imag.copy()
-    z = float(ndtri(1.0 - alpha / 2.0))
+    z = _z(alpha)
     worst = lambda chi, i: _worst_noncoverage_batch(
         uniq[i], None if kap is None else kap[i], chi, slope=True
     )

@@ -2,10 +2,10 @@
 
 Independent of the batch engines in ``shrinkci.worstcase``: the majorant
 kink by brentq on its defining equation, the binding fourth-moment pair by
-grid plus golden-section search over xi = x0 / m2 (129 points, 64 steps;
-it shares only the pair's objective with the production solver, which
-takes the corner test and Newton), and the critical value by inverting
-that scalar worst case one chi at a time.
+grid plus golden-section search over 1 - xi, with xi = x0 / m2 (129
+points, 64 steps; it shares only the pair's objective with the production
+solver, which takes the corner test and Newton), and the critical value by
+inverting that scalar worst case one chi at a time.
 
 Independent of ``shrinkci.moments``' blocked kernels: the full n x n
 neighbor order by lexsort, and the nearest-neighbor moments and
@@ -90,17 +90,19 @@ def worst_scalar(m2, kappa, chi):
 
 
 def binding_pair_value(m2, kappa, chi, t0):
-    """Binding fourth-moment worst case by grid plus golden section on xi.
+    """Binding fourth-moment worst case by grid plus golden section.
 
-    Maximizes ``wc._feasible_pair_value`` over xi in [0, xi_max], with
-    xi_max = (tau - kappa) / (tau - 1) and tau = t0 / m2, per entry: 129
-    grid points, then 64 golden-section steps.
+    Maximizes the pair value ``wc._pair_slopes`` over one = 1 - xi from 1
+    down to lo, per entry: 129 grid points, then 64 golden-section steps.
+    The small end lo = (kappa - 1) / (tau - 1), with tau = t0 / m2, is
+    computed directly: as 1 - xi_max it rounds to 0 when kappa is within
+    about 1e-9 of 1 and tau is large, and the pair divides by it.  The grid
+    runs in xi's order, since the search breaks ties toward its last point.
     """
-    tau = t0 / m2
-    xi_max = (tau - kappa) / (tau - 1.0)
-    grid = np.linspace(0.0, 1.0, 129)[:, None] * xi_max
+    lo = (kappa - 1.0) / (t0 / m2 - 1.0)
+    grid = lo + np.linspace(1.0, 0.0, 129)[:, None] * (1.0 - lo)
     _, val = _solve.grid_golden_max(
-        lambda xi: wc._feasible_pair_value(xi, m2, kappa, chi), grid, 64
+        lambda one: wc._pair_slopes(one, m2, kappa, chi, order=0), grid, 64
     )
     return val
 
@@ -109,11 +111,9 @@ def cva_scalar(m2, kappa, alpha):
     """Critical value by inverting ``worst_scalar`` one chi at a time.
 
     Returns the upper end of a bracket of width at most 1e-8 around the
-    root, as ``critical_values`` does.
+    root, as ``critical_values`` does, m2 = 0 included.
     """
     z = float(ndtri(1.0 - alpha / 2.0))
-    if m2 == 0.0:
-        return z
     worst = lambda chi, idx: np.array([worst_scalar(m2, kappa, float(c)) for c in chi])
     hi = z * math.sqrt((1.0 + m2) / alpha) + 1.0
     return float(_solve.invert(worst, alpha, [z], [hi], 1e-8)[0])

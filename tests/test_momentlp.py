@@ -81,6 +81,14 @@ class TestSolve:
             mlp.solve_moment_lp(prob)
         inside = dataclasses.replace(prob, targets=np.array([1e4 + 0.5e-9]))
         assert mlp.solve_moment_lp(inside).solution.points == (100.0,)
+        assert mlp.envelope_value(inside).solution.points == (100.0,)
+        # the envelope's basis (2, 3) solves to weights -2e-13 and 1 + 2e-13,
+        # and without the weight below 0 it is the point mass 2e-9 off
+        outside = dataclasses.replace(prob, targets=np.array([1e4 + 2e-9]))
+        with pytest.raises(mlp.InfeasibleMomentsError):
+            mlp.envelope_value(outside)
+        with pytest.raises(mlp.InfeasibleMomentsError):
+            mlp.solve_moment_lp(outside)
 
     def test_validation(self):
         grid = np.linspace(0.0, 1.0, 10)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from oracles import cva_scalar
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from shrinkci import moments as mom
 from shrinkci import pipeline as pl
@@ -183,6 +183,20 @@ class TestParametricInterval:
         w = mu2 / (mu2 + sigma**2)
         covered = np.abs(w * y - theta) <= Z975 * math.sqrt(w) * sigma
         assert covered.mean() == pytest.approx(0.95, abs=3 * covered.std() / math.sqrt(n))
+
+
+@pytest.mark.parametrize("method", ["unshrunk", "parametric"])
+def test_normal_quantile_holds_alpha_at_small_alpha(method):
+    # ndtri(1 - alpha / 2) is 1.2e-5 below the quantile at alpha = 1e-12,
+    # where 2 Phi(-z) read 1.0000889e-12; the tolerance is the rounding of
+    # recovering z from the half-lengths
+    alpha = 1e-12
+    units, _ = simulate_units(np.random.default_rng(6), 200, 1.0)
+    res = pl.fit(units, alpha=alpha, method=method)
+    z = res.half_length / (np.sqrt(res.w_eb) * units.sigma)
+    assert np.all(2.0 * ndtr(-z) <= alpha * (1.0 + 1e-12))
+    if method == "unshrunk":
+        assert np.all(2.0 * ndtr(-res.cva) <= alpha)
 
 
 class TestUnshrunk:
