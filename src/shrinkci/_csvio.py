@@ -7,7 +7,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from itertools import islice
 from operator import itemgetter
 from typing import Callable, Collection, Iterator, Sequence
 
@@ -65,14 +64,18 @@ def read_columns(path: str, required: Sequence[str], optional: Callable, positiv
                 names = [*required, *optional(header)]
                 last = {c: i for i, c in enumerate(header)}
                 index = [last[c] for c in names]
-                numbered = ((fields, lines.lineno) for fields in reader if fields)
-                blocks, linenos = [], []
-                while block := list(islice(numbered, BLOCK_ROWS)):
-                    rows, nos = zip(*block)
-                    blocks.append(_float_block(path, rows, nos, names, index, positive, error))
-                    linenos += nos
+                blocks, rows, linenos = [], [], []
+                for fields in reader:
+                    if fields:
+                        rows.append(fields)
+                        linenos.append(lines.lineno)
+                    if len(rows) == BLOCK_ROWS:
+                        blocks.append(_float_block(path, rows, linenos, names, index, positive, error))
+                        rows = []
             except csv.Error as exc:
                 raise error(f"{path}: line {lines.lineno}: {exc}") from exc
+            if rows:
+                blocks.append(_float_block(path, rows, linenos, names, index, positive, error))
     except OSError as exc:
         raise error(f"cannot open input file {path}: {exc}") from exc
     if not blocks:
@@ -82,6 +85,8 @@ def read_columns(path: str, required: Sequence[str], optional: Callable, positiv
 
 def _float_block(path, rows, linenos, names, index, positive, error) -> list[np.ndarray]:
     """One float array per column ``names[j]``, field ``index[j]`` of each row.
+    ``linenos`` holds the physical line of every row read so far, these rows
+    the last ``len(rows)`` of them.
 
     A block that does not convert, or has a value of a ``positive`` column
     that is not positive and finite, is checked again row by row and column
@@ -94,7 +99,7 @@ def _float_block(path, rows, linenos, names, index, positive, error) -> list[np.
                 raise ValueError(col)
         return block
     except (ValueError, IndexError):
-        for fields, lineno in zip(rows, linenos):
+        for fields, lineno in zip(rows, linenos[-len(rows) :]):
             for col, i in zip(names, index):
                 raw = fields[i] if i < len(fields) else ""
                 if raw == "":
@@ -108,21 +113,21 @@ def _float_block(path, rows, linenos, names, index, positive, error) -> list[np.
         raise
 
 
-def _csv_field(value) -> str:
-    """``value`` as ``csv.writer`` spells it as one field of a row (None as '')."""
+def _csv_row(values: list) -> str:
+    """``values`` as ``csv.writer`` spells them as one row."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([value, None])
-    return buf.getvalue()[: -len(",\n")]
+    csv.writer(buf, lineterminator="\n").writerow(values)
+    return buf.getvalue()
 
 
 def _cells(block: np.ndarray):
     """The CSV fields of one block of a column: floats as their shortest
-    round-trip ``repr``, anything else through ``_csv_field`` once per
-    distinct value."""
+    round-trip ``repr``, anything else as ``csv.writer`` spells it as one
+    field of a row (None as ''), once per distinct value."""
     values = block.tolist()
     if block.dtype.kind == "f":
         return map(float.__repr__, values)
-    spelled = {v: _csv_field(v) for v in set(values)}
+    spelled = {v: _csv_row([v, None])[: -len(",\n")] for v in set(values)}
     return map(spelled.__getitem__, values)
 
 
@@ -130,11 +135,7 @@ def csv_text(header_comments: list[str], columns: dict[str, np.ndarray]) -> Iter
     """The text of a CSV file in pieces: '# ' comment lines and a header row,
     then the equal-length columns of ``columns``, ``BLOCK_ROWS`` rows at a
     time."""
-    head = io.StringIO()
-    for line in header_comments:
-        head.write(f"# {line}\n")
-    csv.writer(head, lineterminator="\n").writerow(list(columns))
-    yield head.getvalue()
+    yield "".join(f"# {line}\n" for line in header_comments) + _csv_row(list(columns))
     n = len(next(iter(columns.values())))
     for start in range(0, n, BLOCK_ROWS):
         cells = [_cells(col[start : start + BLOCK_ROWS]) for col in columns.values()]
