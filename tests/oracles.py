@@ -95,8 +95,8 @@ def binding_pair_value(m2, kappa, chi, t0):
     Maximizes the pair value ``wc._pair_slopes`` over one = 1 - xi from 1
     down to lo, per entry: 129 grid points, then 64 golden-section steps.
     The small end lo = (kappa - 1) / (tau - 1), with tau = t0 / m2, is
-    computed directly: as 1 - xi_max it rounds to 0 when kappa is within
-    about 1e-9 of 1 and tau is large, and the pair divides by it.  The grid
+    computed directly: as 1 - xi_max it rounds to 0 when kappa - 1 is a
+    few 1e-9 and tau is large, and the pair divides by it.  The grid
     runs in xi's order, since the search breaks ties toward its last point.
     """
     lo = (kappa - 1.0) / (t0 / m2 - 1.0)
