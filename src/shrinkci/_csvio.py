@@ -49,37 +49,34 @@ def read_columns(path: str, required: Sequence[str], optional: Callable, positiv
     '#' (comments): the first row is the header, blank rows are skipped, a
     duplicated column name takes its last occurrence, extra fields are
     ignored and a short row has missing values.  Every value of a column in
-    ``positive`` must be positive and finite.  A fault raises ``error``
-    naming the file, and for a bad value its physical line, column and text.
+    ``positive`` must be positive and finite.  A fault in the text raises
+    ``error`` naming the file, and for a bad value its physical line, column
+    and text; a file that cannot be read raises ``OSError``.  A table with
+    no data rows gives empty columns.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            lines = DataLines(fh, path, error)
-            reader = csv.reader(lines)
-            try:
-                header = next(reader, [])
-                for col in required:
-                    if col not in header:
-                        raise error(f"{path}: missing required column '{col}'")
-                names = [*required, *optional(header)]
-                last = {c: i for i, c in enumerate(header)}
-                index = [last[c] for c in names]
-                blocks, rows, linenos = [], [], []
-                for fields in reader:
-                    if fields:
-                        rows.append(fields)
-                        linenos.append(lines.lineno)
-                    if len(rows) == BLOCK_ROWS:
-                        blocks.append(_float_block(path, rows, linenos, names, index, positive, error))
-                        rows = []
-            except csv.Error as exc:
-                raise error(f"{path}: line {lines.lineno}: {exc}") from exc
-            if rows:
-                blocks.append(_float_block(path, rows, linenos, names, index, positive, error))
-    except OSError as exc:
-        raise error(f"cannot open input file {path}: {exc}") from exc
-    if not blocks:
-        raise error(f"{path}: no data rows")
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = DataLines(fh, path, error)
+        reader = csv.reader(lines)
+        try:
+            header = next(reader, [])
+            for col in required:
+                if col not in header:
+                    raise error(f"{path}: missing required column '{col}'")
+            names = [*required, *optional(header)]
+            last = {c: i for i, c in enumerate(header)}
+            index = [last[c] for c in names]
+            blocks, rows, linenos = [], [], []
+            for fields in reader:
+                if fields:
+                    rows.append(fields)
+                    linenos.append(lines.lineno)
+                if len(rows) == BLOCK_ROWS:
+                    blocks.append(_float_block(path, rows, linenos, names, index, positive, error))
+                    rows = []
+        except csv.Error as exc:
+            raise error(f"{path}: line {lines.lineno}: {exc}") from exc
+        if rows or not blocks:
+            blocks.append(_float_block(path, rows, linenos, names, index, positive, error))
     return names, [np.concatenate(col) for col in zip(*blocks)], linenos
 
 

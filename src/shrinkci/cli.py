@@ -98,8 +98,13 @@ def _unit_covariates(header: list[str]) -> list[str]:
 def _read_units_csv(path: str) -> mom.Units:
     """Units from a CSV with columns y, se and optionally x1..xk and weight;
     a bad unit's message names its physical line."""
-    names, columns, linenos = _csvio.read_columns(path, ("y", "se"), _unit_covariates, (), SchemaError)
+    try:
+        names, columns, linenos = _csvio.read_columns(path, ("y", "se"), _unit_covariates, (), SchemaError)
+    except OSError as exc:
+        raise SchemaError(f"cannot open input file {path}: {exc}") from exc
     y, se, *rest = columns
+    if not len(y):
+        raise SchemaError(f"{path}: no data rows")
     omega = rest.pop() if names[-1] == "weight" else None
     try:
         return mom.Units(y=y, sigma=se, X=np.column_stack([np.ones(len(y)), *rest]), omega=omega)
@@ -195,19 +200,11 @@ def _build_designs(args) -> list:
             raise SchemaError(f"{args.het_input}: {exc}") from exc
     kinds = [k for k in args.theta_kinds.split(",") if k]
     t = math.inf if args.t in ("inf", "oo") else float(args.t)
-    designs = []
-    for kind in kinds:
-        for snr in snrs:
-            designs.append(
-                sim.PanelDesign(
-                    n=args.n,
-                    t=t,
-                    err=args.errors,
-                    snr=snr,
-                    theta=sim.ThetaDistribution(kind, snr, args.alpha),
-                )
-            )
-    return designs
+    return [
+        sim.PanelDesign(n=args.n, t=t, err=args.errors, snr=snr, theta=sim.ThetaDistribution(kind, snr, args.alpha))
+        for kind in kinds
+        for snr in snrs
+    ]
 
 
 def cmd_simulate(args) -> int:

@@ -128,11 +128,18 @@ def solve_moment_lp(problem: MomentProblem) -> MomentLPResult:
         options={"primal_feasibility_tolerance": _FEASIBILITY_TOL,
                  "dual_feasibility_tolerance": _FEASIBILITY_TOL},
     )
+    infeasible = InfeasibleMomentsError(f"no grid distribution matches the target moments {targets}")
     if res.status == 2:
-        raise InfeasibleMomentsError(f"no grid distribution matches the target moments {targets}")
+        raise infeasible
     if res.status != 0:
         raise LPSolverError(f"LP solver failed (status {res.status}): {res.message}")
-    solution = _distribution(problem, np.arange(problem.grid.size), np.asarray(res.x))
+    x = np.asarray(res.x)
+    solution = _distribution(problem.grid, x)
+    # HiGHS holds its tolerance on rows it scales and on the total mass: a
+    # mass of 1 + 1e-10 at 100 met a theta^2 target 1e-6 above 1e4
+    miss = problem.moments[:, x > _MIN_WEIGHT] @ solution.probs - targets
+    if np.max(np.abs(miss)) > EQ_BAND + _FEASIBILITY_TOL:
+        raise infeasible
     # dual certificate: marginals of the band rows combine into one
     # multiplier per moment, the equality marginal is the constant
     ub_marg = np.asarray(res.ineqlin.marginals)
@@ -154,9 +161,8 @@ def envelope_value(problem: MomentProblem, start: tuple[int, ...] = ()) -> Momen
     the dual certificate in the sense of ``solve_moment_lp``; the basis's
     grid points, weighted by the solution of [1; G_B] w = [1; m], are a
     worst-case distribution.  The targets are taken exactly, not relaxed to
-    a band.  Raises InfeasibleMomentsError when the returned distribution's
-    moments miss the targets by more than the band, as ``solve_moment_lp``
-    does.
+    a band.  Raises InfeasibleMomentsError when the final basis's weights,
+    clipped at 0, miss the targets by more than ``EQ_BAND``.
 
     ``start`` is a basis, p+1 grid indices, to pivot from; one that does not
     fit, is singular or infeasible, or passes ``_MAX_PIVOTS`` pivots gives
@@ -248,7 +254,9 @@ def _simplex(problem: MomentProblem, basis, columns, values) -> MomentLPResult |
 def _result(problem, basis, weights, plane) -> MomentLPResult:
     """The final basis's grid points and weights, and its plane.  With the
     artificial (index K) still in, the target is out of the hull: the points
-    come as near it as they can, the value is theirs, and the plane phase 1's."""
+    come as near it as they can, the value is theirs, and the plane phase 1's.
+    The band is checked before ``_distribution`` drops small weights: one of
+    5e-10 at 100 carries 5e-6 of theta^2."""
     targets = problem.targets
     order = np.argsort(basis)
     basis, weights = basis[order], weights[order]
@@ -260,29 +268,22 @@ def _result(problem, basis, weights, plane) -> MomentLPResult:
         weights = np.maximum(np.append(shift, 1.0 - shift.sum()), 0.0)
         weights /= weights.sum()
         value = float(problem.reward[basis] @ weights)
+    clipped = np.maximum(weights, 0.0)
+    if np.max(np.abs(problem.moments[:, basis] @ (clipped / clipped.sum()) - targets)) > EQ_BAND:
+        raise InfeasibleMomentsError(f"no grid distribution matches the target moments {targets}")
     return MomentLPResult(
         value=value,
-        solution=_distribution(problem, basis, weights),
+        solution=_distribution(problem.grid[basis], weights),
         dual_constant=float(plane[0]),
         dual_moments=plane[1:],
         basis=tuple(basis.tolist()),
     )
 
 
-def _distribution(problem: MomentProblem, columns, weights) -> DiscreteDistribution:
-    """Grid points ``columns`` with ``weights``, less those at or below
-    ``_MIN_WEIGHT``.  InfeasibleMomentsError where its moments miss the
-    targets by more than ``EQ_BAND`` plus HiGHS's tolerance, at any moment
-    scale: HiGHS holds its tolerance on rows it scales and on the total mass
-    (a mass of 1 + 1e-10 at 100 met a theta^2 target 1e-6 above 1e4), and an
-    envelope basis with weights -2e-13 and 1 + 2e-13 is a point mass 2e-9
-    from a theta^2 target at 1e4."""
+def _distribution(points: np.ndarray, weights: np.ndarray) -> DiscreteDistribution:
     keep = weights > _MIN_WEIGHT
-    columns, pr = columns[keep], weights[keep] / weights[keep].sum()
-    miss = problem.moments[:, columns] @ pr - problem.targets
-    if np.max(np.abs(miss)) > EQ_BAND + _FEASIBILITY_TOL:
-        raise InfeasibleMomentsError(f"no grid distribution matches the target moments {problem.targets}")
-    return DiscreteDistribution(tuple(problem.grid[columns]), tuple(pr))
+    pr = weights[keep]
+    return DiscreteDistribution(tuple(points[keep]), tuple(pr / pr.sum()))
 
 
 def calibrate_chi(

@@ -242,7 +242,9 @@ def load_calibration_csv(path: str) -> tuple[tuple[float, ...], tuple[float, ...
 
     The grammar is that of ``fit --input`` (``_csvio.read_columns``).  A
     ``ValueError`` names the file, and for a bad value its column and
-    physical line, including an ``se`` that is not positive and finite.
+    physical line, including an ``se`` that is not positive and finite.  A
+    file that cannot be read raises ``OSError``; a table with no data rows
+    gives two empty tuples.
     """
     _, (th, se), _ = _csvio.read_columns(path, ("theta_hat", "se"), lambda header: (), ("se",), ValueError)
     return tuple(th.tolist()), tuple(se.tolist())

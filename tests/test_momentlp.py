@@ -90,6 +90,15 @@ class TestSolve:
         with pytest.raises(mlp.InfeasibleMomentsError):
             mlp.solve_moment_lp(outside)
 
+    def test_envelope_keeps_a_small_weight_at_a_large_moment(self):
+        # the optimal basis (0, 3) weighs 100 by 5e-10, under _MIN_WEIGHT,
+        # and that weight carries the whole theta^2 target 5e-6
+        theta = np.array([0.0, 1.0, 2.0, 100.0])
+        prob = mlp.MomentProblem(theta, np.array([0.0, 0.0, 0.0, 1.0]), theta[None, :] ** 2, [5e-6])
+        res = mlp.envelope_value(prob)
+        assert res.basis == (0, 3)
+        assert res.value == pytest.approx(5e-10, rel=1e-12)
+
     def test_validation(self):
         grid = np.linspace(0.0, 1.0, 10)
         with pytest.raises(ValueError):
@@ -605,6 +614,17 @@ def test_no_lp_in_a_calibration(monkeypatch):
     grid = np.linspace(-8.0, 8.0, 1001)
     window = nl.SelectionWindow(0.0, math.inf)
     assert nl.selection_critical_value(1.0, window, 0.5, 1.0, 0.05, grid) > 0.0
+
+
+def test_selection_calibrates_at_the_moment_floor():
+    # selection_critical_value raises mu2_cond to 1e-8, where worst cases
+    # weigh each |theta| > 3.2 by less than _MIN_WEIGHT
+    grid = np.linspace(-8.0, 8.0, 1001)
+    for window in (nl.SelectionWindow(0.0, math.inf), nl.SelectionWindow()):
+        for w in (0.3, 0.5, 0.7):
+            chi = nl.selection_critical_value(1e-8, window, w, 1.0, 0.05, grid)
+            assert chi == nl.selection_critical_value(0.0, window, w, 1.0, 0.05, grid)
+            assert chi == pytest.approx(wc._z(0.05), abs=1e-4)
 
 
 def test_nonlinear_import_loads_neither_qhull_nor_the_lp():

@@ -295,3 +295,12 @@ class TestHeteroskedasticDesign:
             bad = tmp_path / "bad.csv"
             bad.write_text("a,b\n1,2\n")
             sim.load_calibration_csv(str(bad))
+
+    def test_csv_loader_missing_file_raises_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            sim.load_calibration_csv(str(tmp_path / "missing.csv"))
+
+    def test_csv_loader_header_only_gives_empty_tuples(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("# calibration draws\ntheta_hat,se\n\n")
+        assert sim.load_calibration_csv(str(path)) == ((), ())
