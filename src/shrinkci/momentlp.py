@@ -269,7 +269,7 @@ def _result(problem, basis, weights, plane) -> MomentLPResult:
         weights /= weights.sum()
         value = float(problem.reward[basis] @ weights)
     clipped = np.maximum(weights, 0.0)
-    if np.max(np.abs(problem.moments[:, basis] @ (clipped / clipped.sum()) - targets)) > EQ_BAND:
+    if np.abs(problem.moments[:, basis] @ clipped / clipped.sum() - targets).max() > EQ_BAND:
         raise InfeasibleMomentsError(f"no grid distribution matches the target moments {targets}")
     return MomentLPResult(
         value=value,
