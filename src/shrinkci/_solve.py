@@ -247,7 +247,9 @@ def grid_golden_max(f, grid, iters: int):
     The best grid point is refined by golden-section search between its two
     neighbors, one evaluation of ``f`` per step; the grid point is kept where
     refinement does worse, which guards against a function that is not
-    unimodal.  Returns (x, f(x)).
+    unimodal.  A tie between the two interior points keeps the upper part of
+    the bracket, or the lower part, next to it, when the best grid point is
+    the first.  Returns (x, f(x)).
     """
     vals = f(grid)
     j = np.argmax(vals, axis=0)
@@ -257,9 +259,10 @@ def grid_golden_max(f, grid, iters: int):
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc, fd = f(c), f(d)
+    first = j == 0
     for _ in range(iters):
         # keep the better interior point; it becomes the new interval's other one
-        left = fc > fd
+        left = (fc > fd) | (first & (fc == fd))
         hi = np.where(left, d, hi)
         lo = np.where(left, lo, c)
         x = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))

@@ -149,38 +149,47 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def cmd_cva(args) -> int:
+def _float(flag: str, text: str) -> float:
+    """``float(text)``, or a ConfigError naming ``flag``."""
     try:
-        m2_values = [float(v) for v in args.m2.split(",") if v]
+        return float(text)
     except ValueError as exc:
-        raise ConfigError(f"--m2 expects comma-separated numbers: {exc}") from exc
+        raise ConfigError(f"{flag} expects a number, got {text!r}") from exc
+
+
+def _floats(flag: str, text: str) -> list[float]:
+    """The comma-separated numbers of ``flag``."""
+    return [_float(flag, v) for v in text.split(",") if v]
+
+
+def cmd_cva(args) -> int:
+    m2_values = _floats("--m2", args.m2)
     if not m2_values:
         raise ConfigError("--m2 must list at least one value")
-    results = [
-        wc.critical_value(wc.MomentConstraints(m2, args.kappa), args.alpha) for m2 in m2_values
-    ]
+    m2 = np.array(m2_values)
+    kappa = np.full(m2.size, math.inf if args.kappa is None else args.kappa)
+    chi = wc.critical_values(m2, kappa, args.alpha)
     columns = {
-        "m2": np.array(m2_values),
-        "kappa": np.full(len(m2_values), args.kappa if args.kappa is not None else math.inf),
-        "cva": np.array([res.chi for res in results]),
-        "noncoverage": np.array([res.noncoverage for res in results]),
+        "m2": m2,
+        "kappa": kappa,
+        "cva": chi,
+        # the worst case that certified each chi, so at most alpha
+        "noncoverage": wc._worst_noncoverage(m2, kappa, chi),
     }
     _csvio.write_csv(args.output, [f"alpha={args.alpha}"], columns)
     return EXIT_OK
 
 
 def cmd_curves(args) -> int:
-    kappas = [float(v) for v in args.kappas.split(",") if v] if args.kappas else []
+    curves = [*_floats("--kappas", args.kappas), math.inf]
     m2_grid = np.geomspace(args.m2_min, args.m2_max, args.points)
     m2_grid = np.concatenate([[0.0], m2_grid])
-    curves = [*kappas, None]
     m2 = np.tile(m2_grid, len(curves))
+    kappa = np.repeat(curves, len(m2_grid))
     columns = {
         "m2": m2,
-        "kappa": np.repeat([kap if kap is not None else math.inf for kap in curves], len(m2_grid)),
-        "cva": np.concatenate(
-            [wc.critical_values(m2_grid, kappa=kap, alpha=args.alpha) for kap in curves]
-        ),
+        "kappa": kappa,
+        "cva": wc.critical_values(m2, kappa, args.alpha),
         "cva_parametric": wc._z(args.alpha) * np.sqrt(1.0 + m2),
     }
     _csvio.write_csv(args.output, [f"alpha={args.alpha}"], columns)
@@ -188,7 +197,7 @@ def cmd_curves(args) -> int:
 
 
 def _build_designs(args) -> list:
-    snrs = [float(v) for v in args.snr.split(",") if v]
+    snrs = _floats("--snr", args.snr)
     if args.het_input:
         try:
             th, se = sim.load_calibration_csv(args.het_input)
@@ -199,7 +208,7 @@ def _build_designs(args) -> list:
         except ValueError as exc:  # too few rows
             raise SchemaError(f"{args.het_input}: {exc}") from exc
     kinds = [k for k in args.theta_kinds.split(",") if k]
-    t = math.inf if args.t in ("inf", "oo") else float(args.t)
+    t = math.inf if args.t in ("inf", "oo") else _float("--t", args.t)
     return [
         sim.PanelDesign(n=args.n, t=t, err=args.errors, snr=snr, theta=sim.ThetaDistribution(kind, snr, args.alpha))
         for kind in kinds
@@ -277,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curves.add_argument("--m2-min", type=float, default=0.01)
     p_curves.add_argument("--m2-max", type=float, default=100.0)
     p_curves.add_argument("--points", type=int, default=60)
-    p_curves.add_argument("--kappas", default="3,10", help="comma-separated finite kurtosis values")
+    p_curves.add_argument("--kappas", default="3,10", help="comma-separated kurtosis values; inf for no bound")
     p_curves.set_defaults(func=cmd_curves)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo coverage study")

@@ -111,9 +111,9 @@ def solve_moment_lp(problem: MomentProblem) -> MomentLPResult:
 
     Uses the HiGHS dual simplex, so the returned distribution is a basic
     solution with at most p+1 strictly positive weights.  Moment equalities
-    are relaxed to a +-1e-9 band (``EQ_BAND``): where the moments of the
-    returned distribution miss it by more than the solver's tolerance, at
-    any moment scale, InfeasibleMomentsError is raised.
+    are relaxed to a +-1e-9 band (``EQ_BAND``): where the solver's weights,
+    clipped at 0 and renormalised, miss it by more than the solver's
+    tolerance, at any moment scale, InfeasibleMomentsError is raised.
     """
     # imported here: only this reference route needs scipy.optimize, whose
     # import costs a few tenths of a second
@@ -133,19 +133,19 @@ def solve_moment_lp(problem: MomentProblem) -> MomentLPResult:
         raise infeasible
     if res.status != 0:
         raise LPSolverError(f"LP solver failed (status {res.status}): {res.message}")
-    x = np.asarray(res.x)
-    solution = _distribution(problem.grid, x)
     # HiGHS holds its tolerance on rows it scales and on the total mass: a
-    # mass of 1 + 1e-10 at 100 met a theta^2 target 1e-6 above 1e4
-    miss = problem.moments[:, x > _MIN_WEIGHT] @ solution.probs - targets
-    if np.max(np.abs(miss)) > EQ_BAND + _FEASIBILITY_TOL:
+    # mass of 1 + 1e-10 at 100 met a theta^2 target 1e-6 above 1e4.  The
+    # band is checked before ``_distribution`` drops small weights, as in
+    # ``_result``: one of 5e-10 at 100 carries 5e-6 of theta^2
+    x = np.maximum(np.asarray(res.x), 0.0)
+    if np.max(np.abs(problem.moments @ x / x.sum() - targets)) > EQ_BAND + _FEASIBILITY_TOL:
         raise infeasible
     # dual certificate: marginals of the band rows combine into one
     # multiplier per moment, the equality marginal is the constant
     ub_marg = np.asarray(res.ineqlin.marginals)
     return MomentLPResult(
         value=float(-res.fun),
-        solution=solution,
+        solution=_distribution(problem.grid, x),
         dual_constant=-float(res.eqlin.marginals[0]),
         dual_moments=-(ub_marg[: targets.size] - ub_marg[targets.size :]),
     )

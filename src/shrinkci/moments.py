@@ -35,7 +35,6 @@ __all__ = [
     "wls_delta",
     "moments_uc",
     "pmt",
-    "fplib",
     "nn_moments",
     "cv_select_neighbors",
     "estimate_moments",
@@ -333,19 +332,14 @@ def _unbiased_mean_variance(z: np.ndarray, omega: np.ndarray) -> float:
     return _sums(omega**2 * (z**2 - m_hat**2))[0] / denom
 
 
-def fplib(sigma, omega, mu2_uc, mu4_uc, w2, w4):
-    """Flat-prior limited-information Bayes estimates of mu2 and kappa.
-
-    Falls back to PMT (with a flag) when an unbiased variance estimate of the
-    underlying moment average is nonpositive, which can happen under
-    pathological weights.
-    """
-    return _fplib_split(omega, omega, mu2_uc, mu4_uc, w2, w4, pmt(sigma, omega, mu2_uc, mu4_uc))
-
-
 def _fplib_split(om2, om4, mu2_uc, mu4_uc, w2, w4, pmt_moments):
-    """FPLIB with the second- and fourth-moment weights apart; returns
-    ``pmt_moments`` (mu2, kappa) with a flag when it falls back."""
+    """Flat-prior limited-information Bayes (FPLIB) estimates of mu2 and
+    kappa, with the second- and fourth-moment weights apart.
+
+    Falls back to ``pmt_moments`` (mu2, kappa), with a flag, when an
+    unbiased variance estimate of the underlying moment average is
+    nonpositive, which can happen under pathological weights.
+    """
     v2 = _unbiased_mean_variance(w2, om2)
     if v2 < 0:
         warnings.warn("FPLIB variance estimate nonpositive; falling back to PMT")
@@ -469,7 +463,6 @@ def estimate_moments(
     variant: str = "pmt",
     weights: str | np.ndarray = "uniform",
     neighbors: int | None = None,
-    neighbor_grid: Sequence[int] | None = None,
     split_weights: bool = False,
 ) -> MomentEstimates:
     """Full moment-estimation step: regression, raw moments, truncation.
@@ -523,9 +516,7 @@ def estimate_moments(
     elif variant == "nn":
         mu2, kappa = mu2_pmt, kappa_pmt
         if neighbors is None:
-            if neighbor_grid is None:
-                neighbor_grid = _default_neighbor_grid(n)
-            neighbors, errors = cv_select_neighbors(residuals, sigma, X, omega, neighbor_grid)
+            neighbors, errors = cv_select_neighbors(residuals, sigma, X, omega, _default_neighbor_grid(n))
             extras["cv_errors"] = errors
         mu2_i, kappa_i = nn_moments(residuals, sigma, X, omega, neighbors)
         j_used = neighbors

@@ -116,7 +116,7 @@ def fit(
         m2 = (1.0 - 1.0 / w) ** 2 * est.mu2_per_unit / sigma**2
         kappa = est.kappa_per_unit
     theta, w_out, chi, half = _intervals(method, y, sigma, data.X @ est.delta, est.mu2, kappa, alpha, m2)
-    noncov_kappa = est.kappa if method == "robust_mu2_kappa" else None
+    noncov_kappa = est.kappa if method == "robust_mu2_kappa" else math.inf
     ok = np.isfinite(theta) & np.isfinite(half) & (half >= 0)
     return FitResult(
         theta_hat=theta,
@@ -137,10 +137,10 @@ def fit(
 def _cva_keys(method, sigma, mu2, kappa, m2=None):
     """The (m2, kappa) critical-value keys of robust_mu2_kappa or robust_mu2.
 
-    ``m2`` defaults to sigma^2 / mu2; kappa is None for robust_mu2.
+    ``m2`` defaults to sigma^2 / mu2; kappa is inf for robust_mu2.
     """
     m2 = sigma**2 / mu2 if m2 is None else m2
-    return m2, (kappa if method == "robust_mu2_kappa" else None)
+    return m2, (kappa if method == "robust_mu2_kappa" else math.inf)
 
 
 def _intervals(method, y, sigma, center, mu2, kappa, alpha: float, m2=None, chi=None):
@@ -170,16 +170,15 @@ def _intervals(method, y, sigma, center, mu2, kappa, alpha: float, m2=None, chi=
     return y - (1.0 - w) * (y - center), w, chi, half
 
 
-def _param_noncov_batch(w: np.ndarray, alpha: float, kappa: float | None) -> np.ndarray:
+def _param_noncov_batch(w: np.ndarray, alpha: float, kappa: float) -> np.ndarray:
     z = wc._z(alpha)
     m2 = 1.0 / w - 1.0
     chi = z / np.sqrt(w)
-    kap = None if kappa is None else np.full_like(w, kappa)
-    return wc._worst_noncoverage_batch(m2, kap, chi)
+    return wc._worst_noncoverage_batch(m2, np.full_like(w, kappa), chi)
 
 
 def parametric_worst_noncoverage(
-    w_eb: float, alpha: float = 0.05, kappa: float | None = None
+    w_eb: float, alpha: float = 0.05, kappa: float | None = math.inf
 ) -> float:
     """Worst-case non-coverage of the parametric interval at shrinkage w_eb.
 
@@ -191,8 +190,7 @@ def parametric_worst_noncoverage(
         raise ValueError(f"w_eb must be in (0, 1), got {w_eb}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if kappa is not None:
-        wc._checked_kappa(kappa)
+    kappa = wc._checked_kappa(kappa)
     return float(_param_noncov_batch(np.array([w_eb], dtype=float), alpha, kappa)[0])
 
 
@@ -202,7 +200,7 @@ def _scaled_half_lengths(w: np.ndarray, snr: np.ndarray, kappa, alpha: float):
     return chi * w, chi
 
 
-def _optimal_shrinkage_batch(snr, kappa: float | None, alpha: float):
+def _optimal_shrinkage_batch(snr, kappa: float, alpha: float):
     """Length-optimal shrinkage per unit, vectorized.
 
     The coarse grid ``_W_GRID`` over w (guards against local dips in the
@@ -220,11 +218,12 @@ def _optimal_shrinkage_batch(snr, kappa: float | None, alpha: float):
 
 
 def optimal_shrinkage(
-    snr: float, kappa: float | None = None, alpha: float = 0.05
+    snr: float, kappa: float | None = math.inf, alpha: float = 0.05
 ) -> float:
     """Shrinkage factor minimizing robust interval length at the given
-    signal-to-noise ratio mu2/sigma^2."""
-    w, _ = _optimal_shrinkage_batch(np.asarray([snr]), kappa, alpha)
+    signal-to-noise ratio mu2/sigma^2; kappa = inf (or None) means no
+    kurtosis bound."""
+    w, _ = _optimal_shrinkage_batch(np.asarray([snr]), wc._checked_kappa(kappa), alpha)
     return float(w[0])
 
 

@@ -91,7 +91,7 @@ class ThetaDistribution:
         """
         m2 = 1.0 / self.mu2
         if self.kind == "lf_robust":
-            chi = wc._cva_scalar(m2, None, self.alpha)
+            chi = wc._cva_scalar(m2, math.inf, self.alpha)
         else:
             chi = wc._z(self.alpha) / math.sqrt(self.mu2 / (1.0 + self.mu2))
         t0 = wc.majorant_kink(chi)
@@ -339,28 +339,23 @@ def _study_coverage(reps, methods, oracle, alpha):
 def _study_critical_values(inputs, alpha):
     """The chi of every robust method in ``inputs``, by method.
 
-    One ``critical_values`` call per kappa mode takes the keys of all its
-    methods.  An oracle method's moments are scalars, so its one key enters
-    once and its chi is broadcast over the units.  Every solver behind
-    ``critical_values`` runs elementwise, so each key's chi does not depend
-    on the rest of the batch.
+    One ``critical_values`` call takes the keys of all of them, those of
+    robust_mu2 with kappa = inf.  An oracle method's moments are scalars,
+    so its one key enters once and its chi is broadcast over the units.
+    Every solver behind ``critical_values`` runs elementwise, so each key's
+    chi does not depend on the rest of the batch.
     """
-    chi = {}
-    for mode in ("robust_mu2_kappa", "robust_mu2"):
-        group = [m for m, (base, *_) in inputs.items() if base == mode]
-        if not group:
-            continue
-        keys = []
-        for m in group:
-            _, sigma, mu2, kappa = inputs[m]
-            keys.append(pl._cva_keys(mode, sigma[:1] if np.ndim(mu2) == 0 else sigma, mu2, kappa))
-        m2 = np.concatenate([k for k, _ in keys])
-        kap = None
-        if mode == "robust_mu2_kappa":
-            kap = np.concatenate([np.broadcast_to(k, m.shape) for m, k in keys])
-        values = wc.critical_values(m2, kap, alpha)
-        chi.update(zip(group, np.split(values, np.cumsum([m.size for m, _ in keys])[:-1])))
-    return chi
+    group = [m for m, (base, *_) in inputs.items() if base in ("robust_mu2_kappa", "robust_mu2")]
+    if not group:
+        return {}
+    keys = []
+    for m in group:
+        base, sigma, mu2, kappa = inputs[m]
+        keys.append(pl._cva_keys(base, sigma[:1] if np.ndim(mu2) == 0 else sigma, mu2, kappa))
+    m2 = np.concatenate([k for k, _ in keys])
+    kap = np.concatenate([np.broadcast_to(k, m.shape) for m, k in keys])
+    values = wc.critical_values(m2, kap, alpha)
+    return dict(zip(group, np.split(values, np.cumsum([m.size for m, _ in keys])[:-1])))
 
 
 def run_study(

@@ -68,8 +68,9 @@ def _checked(name, x):
 
 
 def _checked_kappa(kappa):
-    """``kappa`` as a float array; ValueError unless >= 1 (inf allowed)."""
-    kap = np.asarray(kappa, dtype=float)
+    """``kappa`` as a float array, None read as inf (no kurtosis bound);
+    ValueError unless >= 1."""
+    kap = np.asarray(math.inf if kappa is None else kappa, dtype=float)
     if not np.all(kap >= 1.0):
         raise ValueError("kappa must be >= 1 and not NaN")
     return kap
@@ -84,21 +85,20 @@ class MomentConstraints:
     """Moment constraints on the normalized bias ``b``.
 
     ``m2`` is the second moment of ``b``; ``kappa`` the kurtosis
-    ``E[b^4]/m2^2``.  ``kappa=None`` means only the second moment is
-    constrained (conceptually infinite kurtosis).
+    ``E[b^4]/m2^2``.  ``kappa=inf`` means only the second moment is
+    constrained; None is accepted for it and stored as inf.
     """
 
     m2: float
-    kappa: float | None = None
+    kappa: float = math.inf
 
     def __post_init__(self):
         if not np.isfinite(self.m2) or self.m2 < 0:
             raise ValueError(f"m2 must be finite and >= 0, got {self.m2}")
-        if self.kappa is not None:
-            if math.isinf(self.kappa):
-                object.__setattr__(self, "kappa", None)
-            elif not self.kappa >= 1.0:
-                raise ValueError(f"kappa must be >= 1, got {self.kappa}")
+        if self.kappa is None:
+            object.__setattr__(self, "kappa", math.inf)
+        elif not self.kappa >= 1.0:
+            raise ValueError(f"kappa must be >= 1, got {self.kappa}")
 
 
 @dataclass(frozen=True)
@@ -300,8 +300,7 @@ def _majorant_kink_batch(chi: np.ndarray) -> np.ndarray:
 def _worst_noncoverage(m2, kappa, chi):
     """Validated ``_worst_noncoverage_batch`` on scalars or broadcast arrays."""
     m2, chi = np.broadcast_arrays(_checked("m2", m2), _checked("chi", chi))
-    kap = None if kappa is None else np.broadcast_to(_checked_kappa(kappa), m2.shape)
-    return _worst_noncoverage_batch(m2, kap, chi)
+    return _worst_noncoverage_batch(m2, np.broadcast_to(_checked_kappa(kappa), m2.shape), chi)
 
 
 def worst_noncoverage_second(m2, chi):
@@ -311,7 +310,7 @@ def worst_noncoverage_second(m2, chi):
     chord value from t=0 to the kink below it, the function itself above.
     Accepts scalars or arrays (broadcast against each other).
     """
-    out = _worst_noncoverage(m2, None, chi)
+    out = _worst_noncoverage(m2, math.inf, chi)
     return float(out) if out.ndim == 0 else out
 
 
@@ -370,10 +369,13 @@ def _pair_slopes(one, m2, kappa, chi, order=2):
 
 def _binding(m2, kap, t0):
     """Where the kurtosis bound binds: the second-moment solution violates it
-    and kappa lies strictly between 1 + 1e-9 and ``KAPPA_UNCONSTRAINED``."""
+    and kappa lies strictly between 1 + 1e-9 and ``KAPPA_UNCONSTRAINED``.
+    kappa is capped there before the product, so that kappa = inf at m2 = 0
+    gives no inf * 0."""
     # a kappa * m2 past the float range is slack
     with np.errstate(over="ignore"):
-        return (m2 > 0) & (kap > 1.0 + 1e-9) & (kap < KAPPA_UNCONSTRAINED) & (kap * m2 < t0)
+        spread = np.minimum(kap, KAPPA_UNCONSTRAINED) * m2
+        return (m2 > 0) & (kap > 1.0 + 1e-9) & (kap < KAPPA_UNCONSTRAINED) & (spread < t0)
 
 
 # the span of sqrt(x) below the kink that gets four of the nine points of
@@ -529,7 +531,7 @@ def worst_noncoverage(constraints: MomentConstraints, chi: float) -> float:
 _CHI_TOL = 1e-8
 
 
-def _cva_scalar(m2: float, kappa: float | None, alpha: float) -> float:
+def _cva_scalar(m2: float, kappa: float, alpha: float) -> float:
     """Critical value of one (m2, kappa) key: ``critical_values`` at length 1."""
     return float(critical_values(m2, kappa, alpha)[0])
 
@@ -547,44 +549,37 @@ def critical_value(constraints: MomentConstraints, alpha: float) -> CriticalValu
     return CriticalValueResult(chi, *_solution(constraints.m2, constraints.kappa, chi))
 
 
-def critical_values(m2, kappa=None, alpha: float = 0.05) -> np.ndarray:
+def critical_values(m2, kappa=math.inf, alpha: float = 0.05) -> np.ndarray:
     """Vectorized robust critical values for arrays of moment constraints.
 
-    ``kappa`` may be None (second moment only), a scalar, or an array
-    broadcast against ``m2``.  Each distinct (m2, kappa) pair is solved
-    once, by ``_solve.newton_invert`` on the worst case and its slope in the
-    bracket [z, z sqrt((1 + m2) / alpha) + 1].  Newton starts at the largest
-    of z, sqrt(m2) + ndtri(1 - alpha), which lies below the root since the
-    worst case is at least Phi(sqrt(m2) - chi), and the limit of
-    chi / sqrt(m2) as m2 grows times sqrt(m2): sqrt(1 + sqrt((kappa - 1)
+    ``kappa`` may be a scalar or an array broadcast against ``m2``; inf
+    (or None) means no kurtosis bound.  Each distinct (m2, kappa) pair is
+    solved once, by ``_solve.newton_invert`` on the worst case and its
+    slope in the bracket [z, z sqrt((1 + m2) / alpha) + 1].  Newton starts
+    at the largest of z, sqrt(m2) + ndtri(1 - alpha), which lies below the
+    root since the worst case is at least Phi(sqrt(m2) - chi), and the limit
+    of chi / sqrt(m2) as m2 grows times sqrt(m2): sqrt(1 + sqrt((kappa - 1)
     (1 / alpha - 1))) (Cantelli), or 1 / sqrt(alpha) (Markov) where that is
     smaller or there is no kurtosis bound.  Each entry is the upper end of a
     bracket of width at most ``_CHI_TOL`` (or of adjacent floats) around
     the root, so its worst case is at most alpha.  The scalar
     ``critical_value`` is this function at length 1.
-    A non-finite m2 or a NaN kappa raises ValueError; kappa = inf means no
-    kurtosis bound.
+    A non-finite m2 or a NaN kappa raises ValueError.
     """
     m2 = np.atleast_1d(_checked("m2", m2))
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if kappa is None:
-        uniq, inv = np.unique(m2, return_inverse=True)
-        kap = None
-    else:
-        # one exact key per (m2, kappa) pair; sorts far faster than unique(axis=0)
-        key = m2.astype(complex)
-        key.imag = np.broadcast_to(_checked_kappa(kappa), m2.shape)
-        pairs, inv = np.unique(key, return_inverse=True)
-        uniq, kap = pairs.real.copy(), pairs.imag.copy()
+    # one exact key per (m2, kappa) pair; sorts far faster than unique(axis=0)
+    key = m2.astype(complex)
+    key.imag = np.broadcast_to(_checked_kappa(kappa), m2.shape)
+    pairs, inv = np.unique(key, return_inverse=True)
+    uniq, kap = pairs.real.copy(), pairs.imag.copy()
     z = _z(alpha)
-    worst = lambda chi, i: _worst_noncoverage_batch(
-        uniq[i], None if kap is None else kap[i], chi, slope=True
-    )
+    worst = lambda chi, i: _worst_noncoverage_batch(uniq[i], kap[i], chi, slope=True)
     # the quotient kept finite; where the cap binds, the upper end doubles
     top = np.minimum(1.0 + uniq, alpha * np.finfo(float).max) / alpha
     # no kurtosis bound: inf; a degenerate one (a point mass): 0
-    k1 = math.inf if kap is None else np.where(kap > 1.0 + 1e-9, kap - 1.0, 0.0)
+    k1 = np.where(kap > 1.0 + 1e-9, kap - 1.0, 0.0)
     limit = np.minimum(1.0 + np.sqrt(k1 * (1.0 / alpha - 1.0)), 1.0 / alpha)
     u = np.sqrt(uniq)
     start = np.maximum(np.maximum(z, u + ndtri(1.0 - alpha)), u * np.sqrt(limit))
@@ -639,7 +634,8 @@ def _pair_dchi(m2, chi, x0, x, p, q):
 
 
 def _worst_noncoverage_batch(m2, kap, chi, slope=False):
-    """Vectorized worst-case non-coverage; kap is None or an array.
+    """Vectorized worst-case non-coverage; kap is an array, inf for no
+    kurtosis bound.
 
     With ``slope``, returns (worst, d worst / d chi).  The least favorable
     distribution has at most two support points, so by Danskin's theorem
@@ -662,18 +658,17 @@ def _worst_noncoverage_batch(m2, kap, chi, slope=False):
             u0 = np.sqrt(t0c)
             d00 = _noncoverage_sq_dchi(0.0, c)
             d[chord] = d00 + share * (-2.0 * _phi(c + u0) - 2.0 * rise / u0 - d00)
-    if kap is not None:
-        binding = _binding(m2, kap, t0)
-        if binding.any():
-            c = chi[binding]
-            out[binding], x0, x, p, q = _fourth_binding_batch(m2[binding], kap[binding], c, t0[binding])
-            if slope:
-                d[binding] = _pair_dchi(m2[binding], c, x0, x, p, q)
-        degenerate = (kap <= 1.0 + 1e-9) & (m2 > 0)
-        if degenerate.any():
-            out[degenerate] = noncoverage_sq(m2[degenerate], chi[degenerate])
-            if slope:
-                d[degenerate] = _noncoverage_sq_dchi(m2[degenerate], chi[degenerate])
+    binding = _binding(m2, kap, t0)
+    if binding.any():
+        c = chi[binding]
+        out[binding], x0, x, p, q = _fourth_binding_batch(m2[binding], kap[binding], c, t0[binding])
+        if slope:
+            d[binding] = _pair_dchi(m2[binding], c, x0, x, p, q)
+    degenerate = (kap <= 1.0 + 1e-9) & (m2 > 0)
+    if degenerate.any():
+        out[degenerate] = noncoverage_sq(m2[degenerate], chi[degenerate])
+        if slope:
+            d[degenerate] = _noncoverage_sq_dchi(m2[degenerate], chi[degenerate])
     # the worst case at chi is that at chi / 2**k
     return (out, np.ldexp(d, -k)) if slope else out
 
@@ -704,9 +699,9 @@ def _solution(m2, kappa, chi):
     point = float(noncoverage_sq(m2a, ca)[0])
     with np.errstate(over="ignore"):
         diag = {"t0": up(t0)}
-        if not 0.0 < m2s < t0 or (kappa is not None and kappa <= 1.0 + 1e-9):
+        if not 0.0 < m2s < t0 or kappa <= 1.0 + 1e-9:
             return point, DiscreteDistribution((m2,), (1.0,)), diag
-        if kappa is None or not _binding(m2s, kappa, t0):
+        if not _binding(m2s, kappa, t0):
             r00, share = noncoverage_sq(0.0, ca), m2s / t0
             chord = r00 + m2a / t0a * (noncoverage_sq(t0a, ca) - r00)
             return float(chord[0]), DiscreteDistribution((0.0, up(t0)), (1.0 - share, share)), diag

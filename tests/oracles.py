@@ -11,9 +11,9 @@ Independent of ``shrinkci.moments``' blocked kernels: the full n x n
 neighbor order by lexsort, and the nearest-neighbor moments and
 cross-validation errors by a per-unit loop over it with ``math.fsum``.
 
-Independent of the CLI's blocked columnar CSV layer: the row-at-a-time
-reader (a ``csv.DictReader`` dict per row) and writer (``csv.writer``, one
-``writerow`` per row) it replaced.
+Independent of ``shrinkci._csvio``'s blocked columnar CSV layer: the
+row-at-a-time reader (a ``csv.DictReader`` dict per row) and writer
+(``csv.writer``, one ``writerow`` per row) it replaced.
 
 Independent of ``shrinkci.momentlp``'s envelope simplex: the concave
 envelope as the lowest upper facet of a qhull convex hull, the route the
@@ -97,7 +97,10 @@ def binding_pair_value(m2, kappa, chi, t0):
     The small end lo = (kappa - 1) / (tau - 1), with tau = t0 / m2, is
     computed directly: as 1 - xi_max it rounds to 0 when kappa - 1 is a
     few 1e-9 and tau is large, and the pair divides by it.  The grid
-    runs in xi's order, since the search breaks ties toward its last point.
+    runs in xi's order: the maximum often lies at xi_max, the grid's last
+    point, and the golden search breaks a tie between its interior points
+    toward the upper part of the bracket (the lower part only when the best
+    grid point is the first).
     """
     lo = (kappa - 1.0) / (t0 / m2 - 1.0)
     grid = lo + np.linspace(1.0, 0.0, 129)[:, None] * (1.0 - lo)
@@ -237,7 +240,7 @@ def read_units_csv_reference(path):
 
 def write_csv_reference(path, header_comments, colnames, rows):
     """Comment lines, a header row and one ``writerow`` per row, floats as
-    their ``repr``; the same bytes as ``cli._write_csv`` on the columns."""
+    their ``repr``; the same bytes as ``_csvio.write_csv`` on the columns."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for line in header_comments:
             fh.write(f"# {line}\n")

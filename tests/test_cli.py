@@ -424,6 +424,22 @@ class TestCurvesCommand:
         for fin, inf in zip(by_kappa["3.0"], by_kappa["inf"]):
             assert float(fin["cva"]) <= float(inf["cva"]) + 1e-7
 
+    def test_inf_kappa_is_the_no_bound_curve(self, tmp_path):
+        # its m2 = 0 key warned in inf * 0, an error under the suite's filter
+        out = tmp_path / "curves.csv"
+        assert cli.main(["curves", "--output", str(out), "--points", "5", "--kappas", "inf,3"]) == 0
+        _, rows = read_output(str(out))
+        curves = [rows[i : i + 6] for i in range(0, len(rows), 6)]
+        assert [c[0]["kappa"] for c in curves] == ["inf", "3.0", "inf"]
+        assert [r["cva"] for r in curves[0]] == [r["cva"] for r in curves[2]]
+
+    def test_non_numeric_kappas_exit_4(self, tmp_path, capsys):
+        out = tmp_path / "curves.csv"
+        assert cli.main(["curves", "--output", str(out), "--kappas", "3,abc"]) == 4
+        err = capsys.readouterr().err
+        assert "config error" in err and "--kappas" in err and "'abc'" in err
+        assert not out.exists()
+
 
 class TestCvaCommand:
     def test_values_match_library(self, tmp_path):
@@ -548,6 +564,16 @@ class TestSimulateCommand:
         ]) == 2
         err = capsys.readouterr().err
         assert f"line {line}:" in err and raw in err
+
+    @pytest.mark.parametrize(
+        "flags", [["--snr", "abc"], ["--t", "abc"]], ids=["snr", "t"]
+    )
+    def test_non_numeric_flag_exit_4(self, tmp_path, capsys, flags):
+        out = tmp_path / "o.csv"
+        assert cli.main(["simulate", "--output", str(out), "--reps", "2", *flags]) == 4
+        err = capsys.readouterr().err
+        assert "config error" in err and flags[0] in err and "'abc'" in err
+        assert not out.exists()
 
     def test_workers_env_var_honored_and_flag_wins(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.WORKERS_ENV, "2")

@@ -194,8 +194,8 @@ def _method_by_method(design, d_idx, reps, seed, methods, alpha=0.05):
 
 
 class TestCriticalValueBatching:
-    """run_study solves each design's critical values in one call per kappa
-    mode, and the report equals the method-by-method route bit for bit."""
+    """run_study solves each design's critical values in one call, and the
+    report equals the method-by-method route bit for bit."""
 
     def designs(self):
         rng = np.random.default_rng(8)
@@ -206,23 +206,24 @@ class TestCriticalValueBatching:
         return [panel, het]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_one_call_per_kappa_mode_and_bit_identical(self, monkeypatch, workers):
+    def test_one_call_per_design_and_bit_identical(self, monkeypatch, workers):
         reps, seed = 12, 21
         calls = []
         solve = wc.critical_values
 
-        def counted(m2, kappa=None, alpha=0.05):
-            calls.append((np.size(m2), kappa is None))
+        def counted(m2, kappa, alpha):
+            calls.append((np.size(m2), int(np.isinf(kappa).sum())))
             return solve(m2, kappa, alpha)
 
         monkeypatch.setattr(wc, "critical_values", counted)
         designs = self.designs()
         report = sim.run_study(designs, reps=reps, workers=workers, master_seed=seed)
         monkeypatch.undo()
-        # panel: robust_mu2_kappa with its oracle, then robust_mu2 with its
-        # oracle, each oracle key entered once; het: no oracle methods
+        # panel: robust_mu2_kappa and robust_mu2 with their oracles, each
+        # oracle key entered once, those of robust_mu2 with kappa = inf; het:
+        # no oracle methods
         units = [reps * d.n for d in designs]
-        assert calls == [(units[0] + 1, False), (units[0] + 1, True), (units[1], False), (units[1], True)]
+        assert calls == [(2 * units[0] + 2, units[0] + 1), (2 * units[1], units[1])]
         for d_idx, design in enumerate(designs):
             methods = [m for m in sim.SIM_METHODS if hasattr(design, "theta") or not m.startswith("oracle_")]
             ref = _method_by_method(design, d_idx, reps, seed, methods)

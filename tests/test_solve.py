@@ -53,6 +53,18 @@ class TestGridGoldenMax:
         np.testing.assert_allclose(fx, f(x), rtol=0, atol=0)
 
 
+    def test_tie_at_the_first_grid_point_keeps_the_lower_part(self):
+        # 0 on the grid, with a narrow peak between its first two points:
+        # both first interior points of the bracket read 0, and breaking
+        # that tie toward the upper part lost the peak
+        peak = np.array([0.01, 0.0125, 0.015, 0.02])
+        f = lambda x: np.maximum(0.0, 1.0 - np.abs(x - peak) / 0.006)
+        grid = np.linspace(0.0, 1.0, 11)[:, None] * np.ones((1, peak.size))
+        x, fx = _solve.grid_golden_max(f, grid, 48)
+        np.testing.assert_allclose(x, peak, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(fx, 1.0, rtol=0, atol=1e-6)
+
+
 class TestBracketedRoot:
     @staticmethod
     def _solve_counted(f, lo, hi, tol):

@@ -539,11 +539,11 @@ class TestEnvelopeSlope:
         rng = np.random.default_rng(41)
         m2 = np.exp(rng.uniform(np.log(1e-3), np.log(1e4), 300))
         kap = np.full(m2.shape, math.inf if kappa is None else kappa)
-        cva = wc.critical_values(m2, None if kappa is None else kap, 0.05)
+        cva = wc.critical_values(m2, kap, 0.05)
         chi = np.concatenate([cva * rng.uniform(0.97, 1.03, m2.size), 0.6 * cva])
         m2, kap = np.tile(m2, 2), np.tile(kap, 2)
-        slope, diff = _slope_and_difference(m2, None if kappa is None else kap, chi, 1e-6 * chi)
-        worst = wc._worst_noncoverage_batch(m2, None if kappa is None else kap, chi)
+        slope, diff = _slope_and_difference(m2, kap, chi, 1e-6 * chi)
+        worst = wc._worst_noncoverage_batch(m2, kap, chi)
         resolved = (worst > 1e-6) & (worst < 0.9)
         np.testing.assert_allclose(slope[resolved], diff[resolved], rtol=1e-6)
         found = _slope_regimes(m2, kap, chi)
@@ -554,7 +554,7 @@ class TestEnvelopeSlope:
         # chi >= 2**46: the worst case is taken at (m2 / 4**k, chi / 2**k),
         # and its slope is 2**-k times the slope there
         m2 = np.repeat([1e30, 1e60, 1e100, 1e200, 1e300], 3)
-        kap = None if kappa is None else np.full(m2.shape, kappa)
+        kap = np.full(m2.shape, math.inf if kappa is None else kappa)
         chi = wc.critical_values(m2, kap, 0.05) * np.tile([0.97, 1.0, 1.03], 5)
         assert np.all(chi >= 2.0**46)
         slope, diff = _slope_and_difference(m2, kap, chi, 1e-6 * chi)
@@ -656,7 +656,7 @@ class TestCriticalValue:
         tiny = [1e-300, 1e-100, 1e-20, 1e-13]
         m2 = np.concatenate([tiny, [1e-8, 1e-4], np.exp(rng.uniform(np.log(1e-3), np.log(1e4), 40)), [1e6]])
         for kappa in (None, 1.0 + 1e-6, 1.5, 3.0, 12.0, 1e5):
-            kap = None if kappa is None else np.full(m2.shape, kappa)
+            kap = np.full(m2.shape, math.inf if kappa is None else kappa)
             # at alpha 0.6 and 0.9, z < 1 and the bracket's upper end has to double
             for alpha in (1e-3, 0.01, 0.05, 0.3, 0.6, 0.9):
                 chi = wc.critical_values(m2, kappa, alpha)
@@ -672,7 +672,7 @@ class TestCriticalValue:
         # so the inversion has to stop at adjacent floats; the worst case
         # must be a finite value in [0, alpha], not an overflowed -inf
         chi = wc.critical_values([m2], kappa, 0.05)
-        kap = None if kappa is None else np.array([kappa])
+        kap = np.array([math.inf if kappa is None else kappa])
         assert np.all(np.isfinite(chi))
         worst = wc._worst_noncoverage_batch(np.array([m2]), kap, chi)[0]
         assert np.isfinite(worst) and 0.0 <= worst <= 0.05
@@ -777,6 +777,30 @@ class TestCriticalValue:
             wc.critical_value(wc.MomentConstraints(1.0), 1.0)
 
 
+class TestNoKurtosisBound:
+    """kappa = inf is the one spelling of no kurtosis bound: None at the
+    public entry points is read as inf, and the engines take a key without
+    a bound, m2 = 0 included, without the inf * 0 that warned there."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.001])
+    def test_inf_matches_none_bit_for_bit(self, alpha):
+        rng = np.random.default_rng(29)
+        m2 = np.concatenate([[0.0, 1.7e308], np.exp(rng.uniform(np.log(1e-8), np.log(1e300), 400))])
+        inf = np.full(m2.shape, math.inf)
+        chi = wc.critical_values(m2, None, alpha)
+        assert np.array_equal(wc.critical_values(m2, math.inf, alpha), chi)
+        assert np.array_equal(wc.critical_values(m2, inf, alpha), chi)
+        # a kappa past KAPPA_UNCONSTRAINED is slack as well, and never met inf * 0
+        slack = np.full(m2.shape, 1e7)
+        assert np.array_equal(wc.critical_values(m2, slack, alpha), chi)
+        for c in (chi, 0.5 * chi, 2.0 * chi):
+            worst = wc._worst_noncoverage_batch(m2, inf, c)
+            assert np.array_equal(worst, wc._worst_noncoverage_batch(m2, slack, c))
+            assert np.array_equal(worst, wc.worst_noncoverage_second(m2, c))
+        assert wc.MomentConstraints(1.0, None) == wc.MomentConstraints(1.0) == wc.MomentConstraints(1.0, math.inf)
+        assert wc.MomentConstraints(1.0).kappa == math.inf
+
+
 def _certified(m2, kap, chi, alpha):
     """worst(chi) <= alpha < worst(chi - 1e-8), or at the next float below
     chi where 1e-8 is below its spacing."""
@@ -803,7 +827,7 @@ class TestNewtonInversion:
     def test_certified_and_independent_of_the_batch(self, log_m2, kappa):
         m2 = np.array([math.exp(log_m2)])
         chi = wc.critical_values(m2, kappa, 0.05)
-        kap = None if kappa is None else np.array([kappa])
+        kap = np.array([math.inf if kappa is None else kappa])
         assert _certified(m2, kap, chi, 0.05).all()
         batch = wc.critical_values(np.concatenate([_BACKGROUND[:17], m2, _BACKGROUND[17:]]), kappa, 0.05)
         assert batch[17] == chi[0]
@@ -832,7 +856,7 @@ class TestNewtonInversion:
     def test_seeded_sweep_certified(self, kappa, alpha):
         rng = np.random.default_rng(17)
         m2 = np.exp(rng.uniform(np.log(1e-8), np.log(1e300), 10_000))
-        kap = np.exp(rng.uniform(0.0, np.log(1e7), m2.size)) if kappa else None
+        kap = np.exp(rng.uniform(0.0, np.log(1e7), m2.size)) if kappa else np.full(m2.shape, math.inf)
         chi = wc.critical_values(m2, kap, alpha)
         assert _certified(m2, kap, chi, alpha).all()
 
@@ -867,7 +891,7 @@ class TestNewtonInversion:
         monkeypatch.undo()
         assert len(sweeps) <= 8
         assert not fallbacks
-        assert _certified(m2, None, chi, alpha).all()
+        assert _certified(m2, np.full(m2.shape, math.inf), chi, alpha).all()
 
     @pytest.mark.parametrize("kind,snr", [("normal", 0.1), ("scaled_chi2_1", 0.1), ("three_point", 2.0)])
     def test_study_keys_take_few_sweeps(self, monkeypatch, kind, snr):
@@ -921,7 +945,7 @@ class TestLeastFavorable:
                 cons = wc.MomentConstraints(m2, kappa)
             lf = wc.least_favorable(cons, chi)
             assert lf.moment(1) == pytest.approx(m2, abs=1e-8 * max(1, m2))
-            if cons.kappa is not None and cons.kappa < t0 / m2 and m2 < t0:
+            if cons.kappa < t0 / m2 and m2 < t0:
                 assert lf.moment(2) == pytest.approx(
                     cons.kappa * m2 * m2, rel=1e-8
                 )
