@@ -163,10 +163,9 @@ def _floats(flag: str, text: str) -> list[float]:
 
 
 def cmd_cva(args) -> int:
-    m2_values = _floats("--m2", args.m2)
-    if not m2_values:
+    m2 = np.array(_floats("--m2", args.m2))
+    if not m2.size:
         raise ConfigError("--m2 must list at least one value")
-    m2 = np.array(m2_values)
     kappa = np.full(m2.size, math.inf if args.kappa is None else args.kappa)
     chi = wc.critical_values(m2, kappa, args.alpha)
     columns = {
@@ -286,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curves.add_argument("--m2-min", type=float, default=0.01)
     p_curves.add_argument("--m2-max", type=float, default=100.0)
     p_curves.add_argument("--points", type=int, default=60)
-    p_curves.add_argument("--kappas", default="3,10", help="comma-separated kurtosis values; inf for no bound")
+    p_curves.add_argument("--kappas", default="3,10", help="comma-separated kurtosis values, inf for none")
     p_curves.set_defaults(func=cmd_curves)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo coverage study")

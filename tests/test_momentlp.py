@@ -100,7 +100,8 @@ class TestSolve:
         assert res.value == pytest.approx(5e-10, rel=1e-12)
         # the LP checks its band before dropping that weight too (it raised),
         # and the band moves its value by at most EQ_BAND / 100**2
-        assert mlp.solve_moment_lp(prob).value == pytest.approx(res.value, rel=0, abs=mlp.EQ_BAND * 1e-4)
+        lp = mlp.solve_moment_lp(prob)
+        assert lp.value == pytest.approx(res.value, rel=0, abs=mlp.EQ_BAND * 1e-4)
 
     def test_validation(self):
         grid = np.linspace(0.0, 1.0, 10)

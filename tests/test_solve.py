@@ -52,7 +52,6 @@ class TestGridGoldenMax:
         np.testing.assert_allclose(fx, vals[j, np.arange(3)], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(fx, f(x), rtol=0, atol=0)
 
-
     def test_tie_at_the_first_grid_point_keeps_the_lower_part(self):
         # 0 on the grid, with a narrow peak between its first two points:
         # both first interior points of the bracket read 0, and breaking
