@@ -166,6 +166,10 @@ def cmd_cva(args) -> int:
     m2 = np.array(_floats("--m2", args.m2))
     if not m2.size:
         raise ConfigError("--m2 must list at least one value")
+    if not np.all(np.isfinite(m2) & (m2 >= 0)):
+        raise ConfigError(f"--m2 values must be finite and >= 0, got {args.m2!r}")
+    if not (args.kappa is None or args.kappa >= 1):
+        raise ConfigError(f"--kappa must be >= 1, got {args.kappa}")
     kappa = np.full(m2.size, math.inf if args.kappa is None else args.kappa)
     chi = wc.critical_values(m2, kappa, args.alpha)
     columns = {
@@ -181,6 +185,11 @@ def cmd_cva(args) -> int:
 
 def cmd_curves(args) -> int:
     curves = [*_floats("--kappas", args.kappas), math.inf]
+    if not all(k >= 1 for k in curves):
+        raise ConfigError(f"--kappas values must be >= 1, got {args.kappas!r}")
+    for flag, bound in (("--m2-min", args.m2_min), ("--m2-max", args.m2_max)):
+        if not 0 < bound < math.inf:
+            raise ConfigError(f"{flag} must be finite and > 0, got {bound}")
     m2_grid = np.geomspace(args.m2_min, args.m2_max, args.points)
     m2_grid = np.concatenate([[0.0], m2_grid])
     m2 = np.tile(m2_grid, len(curves))
@@ -197,6 +206,10 @@ def cmd_curves(args) -> int:
 
 def _build_designs(args) -> list:
     snrs = _floats("--snr", args.snr)
+    if not all(snr > 0 for snr in snrs):
+        raise ConfigError(f"--snr values must be > 0, got {args.snr!r}")
+    if args.n < 2:
+        raise ConfigError(f"--n must be >= 2, got {args.n}")
     if args.het_input:
         try:
             th, se = sim.load_calibration_csv(args.het_input)
@@ -208,6 +221,8 @@ def _build_designs(args) -> list:
             raise SchemaError(f"{args.het_input}: {exc}") from exc
     kinds = [k for k in args.theta_kinds.split(",") if k]
     t = math.inf if args.t in ("inf", "oo") else _float("--t", args.t)
+    if not (t == math.inf or (t.is_integer() and t >= 2)):
+        raise ConfigError(f"--t must be an integer >= 2 or inf, got {args.t!r}")
     return [
         sim.PanelDesign(n=args.n, t=t, err=args.errors, snr=snr, theta=sim.ThetaDistribution(kind, snr, args.alpha))
         for kind in kinds
@@ -216,6 +231,8 @@ def _build_designs(args) -> list:
 
 
 def cmd_simulate(args) -> int:
+    if args.reps < 1:
+        raise ConfigError(f"--reps must be >= 1, got {args.reps}")
     designs = _build_designs(args)
     methods = [m for m in args.methods.split(",") if m]
     report = sim.run_study(

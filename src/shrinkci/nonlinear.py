@@ -42,10 +42,9 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-# Newton step, or bracket width, at which an edge of a covered run in y is final
+# Newton step at which an edge of a covered run in y is final; the float
+# spacing takes over from |y| = 8192, where it is the larger
 _EDGE_TOL = 1e-12
-# Newton steps before an edge goes to the bracketed fallback (near-tangent runs)
-_NEWTON_STEPS = 40
 # Gauss-Legendre rule of the Laplace-baseline average, computed once
 _LEGENDRE_NODES, _LEGENDRE_WEIGHTS = roots_legendre(200)
 
@@ -84,8 +83,10 @@ class SoftThresholdConfig:
         grid = tuple(float(g) for g in self.theta_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("theta_grid must be strictly increasing")
-        if not self.y_truncation[0] < self.y_truncation[1]:
-            raise ValueError("invalid y truncation")
+        # the Laplace average integrates theta over [0, y_hi] and doubles it
+        y_lo, y_hi = self.y_truncation
+        if not (y_lo == -y_hi and 0 < y_hi < math.inf):
+            raise ValueError(f"y_truncation must be finite and symmetric about 0, got {self.y_truncation}")
         object.__setattr__(self, "theta_grid", grid)
 
 
@@ -185,6 +186,13 @@ def _covered_margin(theta, y, cfg: SoftThresholdConfig, chi: float, slope: bool 
     return (out, theta / s2 + c[1]) if slope else out
 
 
+def _newton_steps(cfg: SoftThresholdConfig) -> int:
+    """Steps before an edge solve raises: a near-tangent run halves its
+    distance to the tangent point on each step, and 16 steps are spare."""
+    y_lo, y_hi = cfg.y_truncation
+    return math.ceil(math.log2((y_hi - y_lo) / _EDGE_TOL)) + 16
+
+
 def soft_threshold_noncoverage(theta, cfg: SoftThresholdConfig, chi: float) -> np.ndarray:
     """P(theta not in HPD set | theta) for each theta, by integration over y.
 
@@ -194,10 +202,10 @@ def soft_threshold_noncoverage(theta, cfg: SoftThresholdConfig, chi: float) -> n
     lockstep.  Started where the margin is <= 0, Newton on a concave function
     climbs monotonically to the edge without crossing it; the run is empty
     once an iterate passes the maximum or the far end with the margin still
-    <= 0.  Entries still running after ``_NEWTON_STEPS`` (near-tangent runs)
-    are bracketed from the argmax, which lies within sqrt(2/mu2) sigma^2 of
-    theta (Tweedie's formula).  y is truncated per the config, and mass
-    outside the truncation counts as non-covered.
+    <= 0.  An edge is final once its step is at most ``_EDGE_TOL`` or the
+    float spacing at y; an entry still open after ``_newton_steps`` raises
+    RuntimeError.  y is truncated per the config, and mass outside the
+    truncation counts as non-covered.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     n = theta.size
@@ -212,12 +220,12 @@ def soft_threshold_noncoverage(theta, cfg: SoftThresholdConfig, chi: float) -> n
     edge = np.where((m <= 0) & (d * dm <= 0), far, y)
     idx = np.flatnonzero((m <= 0) & (d * dm > 0))
     y, m, dm = y[idx], m[idx], dm[idx]
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(_newton_steps(cfg)):
         step = -m / dm
         y = y + step
         # past the far end the tangent, and so the margin, is <= 0 on the whole range
         beyond = d[idx] * (y - far[idx]) > 0
-        done = beyond | (np.abs(step) <= _EDGE_TOL)
+        done = beyond | (np.abs(step) <= np.maximum(_EDGE_TOL, np.spacing(np.abs(y))))
         edge[idx[done]] = np.where(beyond, far[idx], y)[done]
         idx, y = idx[~done], y[~done]
         if not idx.size:
@@ -230,39 +238,11 @@ def soft_threshold_noncoverage(theta, cfg: SoftThresholdConfig, chi: float) -> n
         edge[idx[stop]] = np.where(past, far[idx], y)[stop]
         idx, y, m, dm = idx[~stop], y[~stop], m[~stop], dm[~stop]
     if idx.size:
-        edge[idx] = _edges_from_argmax(th[idx], d[idx], far[idx], y, cfg, chi)
+        raise RuntimeError(f"{idx.size} edges still open after {_newton_steps(cfg)} Newton steps")
     left, right = edge[:n], edge[n:]
     s = cfg.sigma
     mass = np.where(right > left, ndtr((right - theta) / s) - ndtr((left - theta) / s), 0.0)
     return 1.0 - mass
-
-
-def _edges_from_argmax(theta, d, far, y, cfg: SoftThresholdConfig, chi: float):
-    """Edges, as in ``soft_threshold_noncoverage``, for iterates y that lie
-    outside the run on the side -d of the argmax.
-
-    The argmax is bracketed between y and theta + d sqrt(2/mu2) sigma^2
-    (clipped to the truncation), and the edge between y and the argmax.
-    """
-    margin = lambda x, i: _covered_margin(theta[i], x, cfg, chi)
-    slope = lambda x, i: _covered_margin(theta[i], x, cfg, chi, slope=True)[1]
-
-    def root(f, a, b, keep):
-        # root of f, decreasing in x, between a and b for the entries keep
-        g = lambda x, j: f(x, keep[j])
-        lo, hi = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
-        j = np.arange(keep.size)
-        return _solve.bracketed_root(g, lo, hi, g(lo, j), g(hi, j), _EDGE_TOL)
-
-    every = np.arange(y.size)
-    top = np.clip(theta + d * math.sqrt(2.0 / cfg.mu2) * cfg.sigma**2, *cfg.y_truncation)
-    # the slope can keep its sign up to a clipped bound: the maximum is the bound
-    inner = np.flatnonzero(d * slope(top, every) <= 0)
-    top[inner] = root(slope, y, top, inner)
-    covered = np.flatnonzero(margin(top, every) > 0)
-    edge = far.copy()
-    edge[covered] = root(lambda x, i: -d[i] * margin(x, i), y, top, covered)
-    return edge
 
 
 def _laplace_pdf(theta, mu2):

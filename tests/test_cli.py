@@ -433,11 +433,23 @@ class TestCurvesCommand:
         assert [c[0]["kappa"] for c in curves] == ["inf", "3.0", "inf"]
         assert [r["cva"] for r in curves[0]] == [r["cva"] for r in curves[2]]
 
-    def test_non_numeric_kappas_exit_4(self, tmp_path, capsys):
-        out = tmp_path / "curves.csv"
-        assert cli.main(["curves", "--output", str(out), "--kappas", "3,abc"]) == 4
+    @pytest.mark.parametrize(
+        "argv, flag, shown",
+        [
+            (["curves", "--kappas", "3,abc"], "--kappas", "'abc'"),
+            (["curves", "--kappas", "0.5"], "--kappas", "'0.5'"),
+            (["curves", "--m2-min", "-1"], "--m2-min", "got -1.0"),
+            (["cva", "--m2", "-1"], "--m2", "'-1'"),
+            (["cva", "--m2", "1", "--kappa", "0.5"], "--kappa", "got 0.5"),
+        ],
+        ids=["kappas", "kappas_below_1", "m2_min_negative", "cva_m2_negative", "cva_kappa_below_1"],
+    )
+    def test_non_numeric_kappas_exit_4(self, tmp_path, capsys, argv, flag, shown):
+        # a value out of range is a configuration error, as an unparseable one is
+        out = tmp_path / "out.csv"
+        assert cli.main([*argv, "--output", str(out)]) == 4
         err = capsys.readouterr().err
-        assert "config error" in err and "--kappas" in err and "'abc'" in err
+        assert "config error" in err and flag in err and shown in err
         assert not out.exists()
 
 
@@ -566,13 +578,22 @@ class TestSimulateCommand:
         assert f"line {line}:" in err and raw in err
 
     @pytest.mark.parametrize(
-        "flags", [["--snr", "abc"], ["--t", "abc"]], ids=["snr", "t"]
+        "flags, shown",
+        [
+            (["--snr", "abc"], "'abc'"),
+            (["--t", "abc"], "'abc'"),
+            (["--t", "1.5"], "'1.5'"),
+            (["--snr", "-1"], "'-1'"),
+            (["--n", "1"], "got 1"),
+            (["--reps", "0"], "got 0"),
+        ],
+        ids=["snr", "t", "t_fraction", "snr_negative", "n_1", "reps_0"],
     )
-    def test_non_numeric_flag_exit_4(self, tmp_path, capsys, flags):
+    def test_non_numeric_flag_exit_4(self, tmp_path, capsys, flags, shown):
         out = tmp_path / "o.csv"
         assert cli.main(["simulate", "--output", str(out), "--reps", "2", *flags]) == 4
         err = capsys.readouterr().err
-        assert "config error" in err and flags[0] in err and "'abc'" in err
+        assert "config error" in err and flags[0] in err and shown in err
         assert not out.exists()
 
     def test_workers_env_var_honored_and_flag_wins(self, tmp_path, monkeypatch):

@@ -163,10 +163,12 @@ class TestSoftThresholdNoncoverage:
         r = nl.soft_threshold_noncoverage(np.asarray(cfg.theta_grid), cfg, 1.5)
         assert np.max(np.abs(r - r[::-1])) <= 1e-12
 
+    @pytest.mark.parametrize("offset", [1e-6, 0.0, -1e-9], ids=["narrow", "tangent", "barely_empty"])
     @pytest.mark.parametrize("theta", [1.0, 2.0, 3.0])
-    def test_narrow_run_against_brentq_oracle(self, theta):
+    def test_narrow_run_against_brentq_oracle(self, theta, offset):
         # chi a hair above the level at which theta is first covered: the
-        # covered run is far narrower than a 0.01-spaced scan could resolve
+        # covered run is far narrower than a 0.01-spaced scan could resolve;
+        # at that level, or a hair below it, nothing is covered
         cfg = nl.SoftThresholdConfig(mu2=0.05)
         g = lambda y, chi: float(nl._covered_margin(theta, np.asarray(y), cfg, chi))
         lam_s2 = math.sqrt(2.0 / cfg.mu2) * cfg.sigma**2
@@ -174,42 +176,93 @@ class TestSoftThresholdNoncoverage:
             lambda y: -g(y, 0.0), bounds=(theta - lam_s2, min(theta + lam_s2, 10.0)),
             method="bounded", options={"xatol": 1e-12},
         ).x
-        chi = -g(top, 0.0) + 1e-6
+        chi = -g(top, 0.0) + offset
         assert chi > 0
+        got = nl.soft_threshold_noncoverage(theta, cfg, chi)[0]
+        if offset <= 0:
+            # at the tangent level a margin rounded by about 1e-16 can open a
+            # run at most sqrt(1e-16 / curvature), about 1e-8, wide
+            assert got == pytest.approx(1.0, abs=1e-8 if offset == 0 else 0.0)
+            return
         left = brentq(g, -10.0, top, args=(chi,), xtol=1e-14)
         right = brentq(g, top, 10.0, args=(chi,), xtol=1e-14)
         assert 0 < right - left < 0.01
         want = 1.0 - (ndtr(right - theta) - ndtr(left - theta))
-        got = nl.soft_threshold_noncoverage(theta, cfg, chi)[0]
         assert got < 1.0
         assert got == pytest.approx(want, abs=1e-10)
 
-    @pytest.mark.parametrize("steps", [0, 1, 3])
-    def test_bracketed_fallback_matches_newton(self, steps, monkeypatch):
-        # entries still running after the Newton cap go to the fallback; a
-        # tiny cap sends nearly all of them there
-        for mu2, sigma, truncation in [(0.2, 1.0, (-10.0, 10.0)), (1.0, 1.0, (-2.0, 2.0)), (0.05, 2.0, (-10.0, 10.0))]:
-            cfg = nl.SoftThresholdConfig(mu2=mu2, sigma=sigma, y_truncation=truncation)
-            theta = np.asarray(cfg.theta_grid)
-            for chi in (0.0, 1.5):
-                want = nl.soft_threshold_noncoverage(theta, cfg, chi)
-                with monkeypatch.context() as m:
-                    m.setattr(nl, "_NEWTON_STEPS", steps)
-                    got = nl.soft_threshold_noncoverage(theta, cfg, chi)
-                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+    @pytest.mark.parametrize("mu2, theta", [(1.0, 0.3), (1.0, 0.7), (10.0, 1.0)])
+    def test_near_tangent_run_at_wide_truncation(self, mu2, theta):
+        # chi 1e-15 above the level at which theta is first covered, with the
+        # solves starting at +-1e4, where steps end at the float spacing: the
+        # covered run is about 1e-7 wide.  Each edge is fixed only to the
+        # margin's rounding (about 3e-16) over its slope there (about 4e-8),
+        # about 1e-8 in y, so the bound is 1e-8 in mass, not the 1e-10 of the
+        # wider runs; a run taken for empty misses it by over 1e-8
+        cfg = nl.SoftThresholdConfig(mu2=mu2, y_truncation=(-1e4, 1e4))
+        margin = lambda y, chi: float(nl._covered_margin(theta, np.float64(y), cfg, chi))
+        rising = lambda y: float(nl._covered_margin(theta, np.float64(y), cfg, 0.0, slope=True)[1]) > 0
+        top = max(_bisect_floats(rising, -1e4, 1e4), key=lambda y: margin(y, 0.0))
+        chi = -margin(top, 0.0) + 1e-15
+        assert chi > 0 and margin(top, chi) > 0
+        covered = lambda y: margin(y, chi) > 0
+        left = _bisect_floats(covered, -1e4, top)[1]
+        right = _bisect_floats(covered, top, 1e4)[0]
+        want = 1.0 - (ndtr(right - theta) - ndtr(left - theta))
+        got = nl.soft_threshold_noncoverage(theta, cfg, chi)[0]
+        assert got < 1.0
+        assert got == pytest.approx(want, abs=1e-8)
 
-    def test_newton_settles_the_sweep_without_fallback(self, monkeypatch):
+    def test_step_cap_raises(self, monkeypatch):
+        # the cap grows with the truncation width; an entry still open at the
+        # cap raises, with no second solver behind it
+        cfg = nl.SoftThresholdConfig(mu2=0.2)
+        assert nl._newton_steps(cfg) == 61
+        assert nl._newton_steps(nl.SoftThresholdConfig(mu2=0.2, y_truncation=(-1e8, 1e8))) == 84
+        monkeypatch.setattr(nl, "_newton_steps", lambda cfg: 1)
+        with pytest.raises(RuntimeError, match="still open after 1 Newton steps"):
+            nl.soft_threshold_noncoverage(np.asarray(cfg.theta_grid), cfg, 1.5)
+
+    def test_step_below_the_float_spacing_ends_an_edge(self, monkeypatch):
+        # a margin whose root lies 1.5e-12 above y = 2e4, where the float
+        # spacing is 3.6e-12: the iterate cannot move off y = 2e4, so only a
+        # step at most the spacing there ends the solve before the cap
+        def margin(theta, y, cfg, chi, slope=False):
+            m = (y - 2e4) - 1.5e-12
+            return (m, np.ones_like(m)) if slope else m
+
+        monkeypatch.setattr(nl, "_covered_margin", margin)
+        cfg = nl.SoftThresholdConfig(mu2=0.2, y_truncation=(-1e5, 1e5))
+        assert nl.soft_threshold_noncoverage(2e4, cfg, 0.0)[0] == 0.5
+
+    def test_newton_settles_the_sweep_in_few_steps(self, monkeypatch):
         # an empty run must end where an iterate passes the maximum, not by
-        # running to the step cap
-        def fallback(*args):
-            raise AssertionError("bracketed fallback used")
+        # running to the step cap (58 at +-2, 61 at +-10); the sweep needs 12
+        evals = []
+        margin = nl._covered_margin
 
-        monkeypatch.setattr(nl, "_edges_from_argmax", fallback)
+        def counted(*args, **kwargs):
+            evals[-1] += 1
+            return margin(*args, **kwargs)
+
+        monkeypatch.setattr(nl, "_covered_margin", counted)
         for sigma, truncation in [(1.0, (-10.0, 10.0)), (2.0, (-10.0, 10.0)), (1.0, (-2.0, 2.0))]:
             for mu2 in (0.05, 0.2, 1.0):
                 cfg = nl.SoftThresholdConfig(mu2=mu2, sigma=sigma, y_truncation=truncation)
                 for chi in (0.0, 0.5, 1.5, 3.0, 6.0):
+                    evals.append(0)
                     nl.soft_threshold_noncoverage(np.asarray(cfg.theta_grid), cfg, chi)
+        assert len(evals) == 45 and max(evals) <= 16
+
+    @pytest.mark.parametrize(
+        "truncation", [(-2.0, 10.0), (-10.0, 2.0), (-math.inf, math.inf)],
+        ids=["shifted_up", "shifted_down", "infinite"],
+    )
+    def test_truncation_must_be_finite_and_symmetric(self, truncation):
+        # the Laplace average integrates theta over [0, y_hi] and doubles it,
+        # and the step cap needs a finite width
+        with pytest.raises(ValueError, match="y_truncation must be finite and symmetric"):
+            nl.SoftThresholdConfig(mu2=0.2, y_truncation=truncation)
 
     @pytest.mark.parametrize("chi", [0.0, 20.0])
     @pytest.mark.parametrize("mu2", [1e-3, 1e3])
@@ -248,6 +301,18 @@ class TestSoftThresholdNoncoverage:
             c, dc = nl._posterior_log_const(y, cfg, slope=True)
             assert float(c) == pytest.approx(-y * y / (2 * s2) - math.log(z), abs=1e-9)
             assert -s2 * float(dc) == pytest.approx(mean, abs=1e-8 * max(1.0, sigma))
+
+
+def _bisect_floats(pos, lo, hi):
+    """Adjacent floats (a, b) in [lo, hi] with pos(a) == pos(lo) != pos(b),
+    bisecting in the order of the floats' bit patterns."""
+    key = lambda x: int(np.float64(abs(x)).view(np.int64)) * (-1 if x < 0 else 1)
+    val = lambda k: float(np.int64(abs(k)).view(np.float64)) * (-1 if k < 0 else 1)
+    a, b, side = key(lo), key(hi), pos(lo)
+    while b - a > 1:
+        mid = (a + b) // 2
+        a, b = (mid, b) if pos(val(mid)) == side else (a, mid)
+    return val(a), val(b)
 
 
 def _noncoverage_refined(theta, cfg, chi, points):
