@@ -194,7 +194,7 @@ class TestSoftThresholdNoncoverage:
     @pytest.mark.parametrize("mu2, theta", [(1.0, 0.3), (1.0, 0.7), (10.0, 1.0)])
     def test_near_tangent_run_at_wide_truncation(self, mu2, theta):
         # chi 1e-15 above the level at which theta is first covered, with the
-        # solves starting at +-1e4, where steps end at the float spacing: the
+        # solves starting at +-1e4, about 40 halvings from the tangent: the
         # covered run is about 1e-7 wide.  Each edge is fixed only to the
         # margin's rounding (about 3e-16) over its slope there (about 4e-8),
         # about 1e-8 in y, so the bound is 1e-8 in mass, not the 1e-10 of the
