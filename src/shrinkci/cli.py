@@ -4,7 +4,7 @@ Subcommands: ``fit`` (per-unit intervals for a CSV of estimates), ``cva``
 (robust critical values), ``curves`` (critical-value curves over a moment
 grid), ``simulate`` (Monte Carlo coverage study), ``power`` (average-power
 grid).  Exit codes: 0 success, 2 input/schema problem, 3 numeric failure,
-4 bad configuration.
+4 bad configuration (a usage error or a rejected option value, from any source).
 """
 
 from __future__ import annotations
@@ -39,54 +39,83 @@ class ConfigError(Exception):
     """Inconsistent or unparseable configuration."""
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    out = {}
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The ``--config`` file's ``key=value`` lines as ``--key=value`` flags.
+
+    A key must name one of the command's options in full (``nn_j`` or
+    ``nn-j``), so argparse's prefix matching never reaches it.
+    """
+    flags = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, value = line.split("=", 1)
-                out[key.strip().replace("-", "_")] = value.strip()
+                    raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
+                key, value = (part.strip() for part in line.split("=", 1))
+                dest = key.replace("-", "_")
+                if dest not in vars(args) or dest in ("command", "func", "config"):
+                    raise ConfigError(f"unknown config key {key!r}")
+                flags.append(f"--{dest.replace('_', '-')}={value}")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return out
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    return flags
 
 
-def _option_actions(parser: argparse.ArgumentParser, command: str) -> dict:
-    """The subcommand's options by destination name."""
-    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in subparsers.choices[command]._actions if a.option_strings}
+class _Parser(argparse.ArgumentParser):
+    """A usage error, or a value its option's ``type`` or ``choices``
+    rejects, raises ConfigError (exit 4) where argparse would exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
-def _apply_config_defaults(args: argparse.Namespace, argv: list[str], actions: dict):
-    """Config-file values fill in anything the flags left at default.
+def _checked(convert, rule: str, ok, listed: bool = False, empty: bool = False):
+    """An argparse ``type``: ``convert(text)``, rejected unless ``ok`` holds.
 
-    Each value is converted and checked as its flag's value would be, by
-    the option's ``type`` and ``choices``.
+    With ``listed``, the list of its comma-separated values, each checked
+    so (none at all only if ``empty``); a rejected one is shown as given.
     """
-    if not getattr(args, "config", None):
-        return
-    values = _read_config_file(args.config)
-    given = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
-    for key, value in values.items():
-        action = actions.get(key)
-        if action is None or key in ("config", "help"):
-            raise ConfigError(f"unknown config key {key!r}")
-        if key in given:
-            continue  # explicit flags win
+
+    def one(text: str):
         try:
-            converted = value if action.type is None else action.type(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {key!r}: invalid value {value!r}") from exc
-        if action.choices is not None and converted not in action.choices:
-            raise ConfigError(
-                f"config key {key!r}: {value!r} is not one of {', '.join(map(str, action.choices))}"
-            )
-        setattr(args, key, converted)
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {repr(text) if listed else value}")
+        return value
+
+    def many(text: str) -> list:
+        values = [one(v) for v in text.split(",") if v]
+        if not (values or empty):
+            raise argparse.ArgumentTypeError("must list at least one value")
+        return values
+
+    return many if listed else one
+
+
+def _ints(low: int):
+    return _checked(int, f"an integer >= {low}", lambda v: v >= low)
+
+
+def _panel_length(text: str) -> float:
+    """``--t``: an integer >= 2, or inf (also ``oo``)."""
+    try:
+        t = math.inf if text == "oo" else float(text)
+    except ValueError:
+        t = math.nan
+    if not (t == math.inf or (t.is_integer() and t >= 2)):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2 or inf, got {text!r}")
+    return t
+
+
+_PROBABILITY = ("in (0, 1)", lambda v: 0.0 < v < 1.0)
+_POSITIVE = ("finite and > 0", lambda v: 0.0 < v < math.inf)
+_NONNEGATIVE = ("finite and >= 0", lambda v: 0.0 <= v < math.inf)
+_AT_LEAST_1 = (">= 1", lambda v: v >= 1.0)
 
 
 def _unit_covariates(header: list[str]) -> list[str]:
@@ -149,27 +178,8 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _float(flag: str, text: str) -> float:
-    """``float(text)``, or a ConfigError naming ``flag``."""
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"{flag} expects a number, got {text!r}") from exc
-
-
-def _floats(flag: str, text: str) -> list[float]:
-    """The comma-separated numbers of ``flag``."""
-    return [_float(flag, v) for v in text.split(",") if v]
-
-
 def cmd_cva(args) -> int:
-    m2 = np.array(_floats("--m2", args.m2))
-    if not m2.size:
-        raise ConfigError("--m2 must list at least one value")
-    if not np.all(np.isfinite(m2) & (m2 >= 0)):
-        raise ConfigError(f"--m2 values must be finite and >= 0, got {args.m2!r}")
-    if not (args.kappa is None or args.kappa >= 1):
-        raise ConfigError(f"--kappa must be >= 1, got {args.kappa}")
+    m2 = np.array(args.m2)
     kappa = np.full(m2.size, math.inf if args.kappa is None else args.kappa)
     chi = wc.critical_values(m2, kappa, args.alpha)
     columns = {
@@ -184,12 +194,7 @@ def cmd_cva(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    curves = [*_floats("--kappas", args.kappas), math.inf]
-    if not all(k >= 1 for k in curves):
-        raise ConfigError(f"--kappas values must be >= 1, got {args.kappas!r}")
-    for flag, bound in (("--m2-min", args.m2_min), ("--m2-max", args.m2_max)):
-        if not 0 < bound < math.inf:
-            raise ConfigError(f"{flag} must be finite and > 0, got {bound}")
+    curves = [*args.kappas, math.inf]
     m2_grid = np.geomspace(args.m2_min, args.m2_max, args.points)
     m2_grid = np.concatenate([[0.0], m2_grid])
     m2 = np.tile(m2_grid, len(curves))
@@ -205,39 +210,26 @@ def cmd_curves(args) -> int:
 
 
 def _build_designs(args) -> list:
-    snrs = _floats("--snr", args.snr)
-    if not all(snr > 0 for snr in snrs):
-        raise ConfigError(f"--snr values must be > 0, got {args.snr!r}")
-    if args.n < 2:
-        raise ConfigError(f"--n must be >= 2, got {args.n}")
     if args.het_input:
         try:
             th, se = sim.load_calibration_csv(args.het_input)
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
         try:
-            return [sim.HeteroskedasticDesign(th, se, snr, n=args.n) for snr in snrs]
+            return [sim.HeteroskedasticDesign(th, se, snr, n=args.n) for snr in args.snr]
         except ValueError as exc:  # too few rows
             raise SchemaError(f"{args.het_input}: {exc}") from exc
-    kinds = [k for k in args.theta_kinds.split(",") if k]
-    t = math.inf if args.t in ("inf", "oo") else _float("--t", args.t)
-    if not (t == math.inf or (t.is_integer() and t >= 2)):
-        raise ConfigError(f"--t must be an integer >= 2 or inf, got {args.t!r}")
     return [
-        sim.PanelDesign(n=args.n, t=t, err=args.errors, snr=snr, theta=sim.ThetaDistribution(kind, snr, args.alpha))
-        for kind in kinds
-        for snr in snrs
+        sim.PanelDesign(n=args.n, t=args.t, err=args.errors, snr=snr, theta=sim.ThetaDistribution(kind, snr, args.alpha))
+        for kind in args.theta_kinds
+        for snr in args.snr
     ]
 
 
 def cmd_simulate(args) -> int:
-    if args.reps < 1:
-        raise ConfigError(f"--reps must be >= 1, got {args.reps}")
-    designs = _build_designs(args)
-    methods = [m for m in args.methods.split(",") if m]
     report = sim.run_study(
-        designs,
-        methods=methods,
+        _build_designs(args),
+        methods=args.methods,
         reps=args.reps,
         workers=args.workers,
         master_seed=args.seed,
@@ -270,14 +262,17 @@ def cmd_power(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command-line parser.  Each option's ``type`` and ``choices`` check a flag,
+    a ``--config`` key and the ``SHRINKCI_WORKERS`` default alike."""
+    parser = _Parser(
         prog="shrinkci",
         description="Robust empirical Bayes confidence intervals for normal-means data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    probability = _checked(float, *_PROBABILITY)
 
     def common(p, needs_input):
-        p.add_argument("--alpha", type=float, default=0.05)
+        p.add_argument("--alpha", type=probability, default=0.05)
         p.add_argument("--config", default=None, help="key=value file; flags win")
         p.add_argument("--output", required=True)
         if needs_input:
@@ -293,39 +288,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cva = sub.add_parser("cva", help="robust critical values for given moments")
     common(p_cva, needs_input=False)
-    p_cva.add_argument("--m2", required=True, help="comma-separated second moments")
-    p_cva.add_argument("--kappa", type=float, default=None)
+    m2 = _checked(float, *_NONNEGATIVE, listed=True)
+    p_cva.add_argument("--m2", required=True, type=m2, help="comma-separated second moments")
+    p_cva.add_argument("--kappa", type=_checked(float, *_AT_LEAST_1), default=None)
     p_cva.set_defaults(func=cmd_cva)
 
     p_curves = sub.add_parser("curves", help="critical-value curves over a moment grid")
     common(p_curves, needs_input=False)
-    p_curves.add_argument("--m2-min", type=float, default=0.01)
-    p_curves.add_argument("--m2-max", type=float, default=100.0)
-    p_curves.add_argument("--points", type=int, default=60)
-    p_curves.add_argument("--kappas", default="3,10", help="comma-separated kurtosis values, inf for none")
+    p_curves.add_argument("--m2-min", type=_checked(float, *_POSITIVE), default=0.01)
+    p_curves.add_argument("--m2-max", type=_checked(float, *_POSITIVE), default=100.0)
+    p_curves.add_argument("--points", type=_ints(1), default=60)
+    kappas = _checked(float, *_AT_LEAST_1, listed=True, empty=True)
+    p_curves.add_argument("--kappas", type=kappas, default="3,10", help="comma-separated kurtosis values, inf for none")
     p_curves.set_defaults(func=cmd_curves)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo coverage study")
     common(p_sim, needs_input=False)
-    p_sim.add_argument("--reps", type=int, default=1000)
-    p_sim.add_argument("--n", type=int, default=100)
-    p_sim.add_argument("--t", default="inf", help="panel length or 'inf'")
+    p_sim.add_argument("--reps", type=_ints(1), default=1000)
+    p_sim.add_argument("--n", type=_ints(2), default=100)
+    p_sim.add_argument("--t", type=_panel_length, default="inf", help="panel length or 'inf'")
     p_sim.add_argument("--errors", default="normal", choices=["normal", "chi2"])
-    p_sim.add_argument("--snr", default="0.1,0.5,1,2")
-    p_sim.add_argument("--theta-kinds", default=",".join(sim.THETA_KINDS))
-    p_sim.add_argument("--methods", default=",".join(sim.SIM_METHODS))
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--workers", type=int, default=None)
+    p_sim.add_argument("--snr", type=_checked(float, *_POSITIVE, listed=True), default="0.1,0.5,1,2")
+    for flag, names in (("--theta-kinds", sim.THETA_KINDS), ("--methods", sim.SIM_METHODS)):
+        one_of = _checked(str, f"one of {', '.join(names)}", names.__contains__, listed=True)
+        p_sim.add_argument(flag, type=one_of, default=",".join(names))
+    p_sim.add_argument("--seed", type=_ints(0), default=0)
+    workers = _checked(int, f"an integer >= 1 (default ${WORKERS_ENV}, else 1)", lambda v: v >= 1)
+    p_sim.add_argument("--workers", type=workers, default=os.environ.get(WORKERS_ENV, "1"))
     p_sim.add_argument("--het-input", default=None, help="CSV of theta_hat,se for the heteroskedastic design")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_pow = sub.add_parser("power", help="average power grid for interval-based tests")
     common(p_pow, needs_input=False)
-    p_pow.add_argument("--d-max", type=float, default=4.0)
-    p_pow.add_argument("--d-steps", type=int, default=41)
-    p_pow.add_argument("--w-min", type=float, default=0.05)
-    p_pow.add_argument("--w-max", type=float, default=0.95)
-    p_pow.add_argument("--w-steps", type=int, default=19)
+    p_pow.add_argument("--d-max", type=_checked(float, *_NONNEGATIVE), default=4.0)
+    p_pow.add_argument("--d-steps", type=_ints(1), default=41)
+    p_pow.add_argument("--w-min", type=probability, default=0.05)
+    p_pow.add_argument("--w-max", type=probability, default=0.95)
+    p_pow.add_argument("--w-steps", type=_ints(1), default=19)
     p_pow.set_defaults(func=cmd_power)
     return parser
 
@@ -334,13 +333,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(argv)
     try:
-        _apply_config_defaults(args, argv, _option_actions(parser, args.command))
-        if not 0.0 < args.alpha < 1.0:
-            raise ConfigError(f"alpha must be in (0, 1), got {args.alpha}")
-        if getattr(args, "workers", None) is None and hasattr(args, "workers"):
-            args.workers = int(os.environ.get(WORKERS_ENV, "1"))
+        args = parser.parse_args(argv)
+        if args.config:  # the file's keys go first: a flag given on the command line wins
+            try:
+                args = parser.parse_args([argv[0], *_config_flags(args), *argv[1:]])
+            except ConfigError as exc:  # the command line itself parsed above
+                raise ConfigError(f"{args.config}: {exc}") from None
         return args.func(args)
     except (SchemaError, mom.RankDeficientError, OSError) as exc:
         print(f"shrinkci: input error: {exc}", file=sys.stderr)

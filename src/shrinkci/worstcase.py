@@ -327,17 +327,6 @@ def _pair(one, m2, kappa):
     return m2 * (1.0 - one), m2 * (1.0 + k1 / one), k1 / den, one * one / den
 
 
-def _feasible_pair_value(xi, m2, kappa, chi):
-    """Objective of the two-point distribution matching both moments.
-
-    Support {m2 * xi, x} on the squared-bias scale with x chosen so that
-    E[t] = m2 and E[t^2] = kappa * m2^2 hold exactly (``_pair``); xi ranges
-    over [0, (tau - kappa) / (tau - 1)] with tau = t0 / m2, so that x stays
-    within the kink t0.
-    """
-    return _pair_slopes(1.0 - xi, m2, kappa, chi, order=0)
-
-
 def _pair_slopes(one, m2, kappa, chi, order=2):
     """The pair value F, and its first ``order`` derivatives in xi = 1 - one.
 
@@ -387,8 +376,10 @@ _PAIR_CORNER_GAP = 2.0  # widest first grid step in v, from the corner, before t
 def _fourth_binding_batch(m2, kappa, chi, t0):
     """Solve the binding fourth-moment problem for arrays of inputs.
 
-    Maximizes the pair value of ``_feasible_pair_value`` over the lower
-    point x0 = m2 * xi, xi in [0, xi_max].  An entry whose slope dF/dxi at
+    Maximizes the value F (``_pair_slopes``) of the pair matching E[t] = m2
+    and E[t^2] = kappa * m2^2 over its lower point x0 = m2 * xi, xi in
+    [0, xi_max] with xi_max = (tau - kappa) / (tau - 1) and tau = t0 / m2,
+    where the upper point reaches the kink.  An entry whose slope dF/dxi at
     xi = 0 is strictly negative takes the corner, the pair {0, kappa * m2},
     from that one evaluation.  A slope that underflows to exactly 0 does
     not count: far in the Gaussian tail (kappa = 3, m2 above about 3e3) the
@@ -646,7 +637,8 @@ def _worst_noncoverage_batch(m2, kap, chi, slope=False):
     t0 = _majorant_kink_batch(chi)
     out = np.array(noncoverage_sq(m2, chi), dtype=float, copy=True)
     d = _noncoverage_sq_dchi(m2, chi) if slope else None
-    chord = (m2 > 0) & (m2 < t0)
+    # a degenerate kurtosis bound (kappa <= 1 + 1e-9) keeps the point mass
+    chord = (m2 > 0) & (m2 < t0) & (kap > 1.0 + 1e-9)
     if chord.any():
         c, share, t0c = chi[chord], m2[chord] / t0[chord], t0[chord]
         r00 = noncoverage_sq(0.0, c)
@@ -664,11 +656,6 @@ def _worst_noncoverage_batch(m2, kap, chi, slope=False):
         out[binding], x0, x, p, q = _fourth_binding_batch(m2[binding], kap[binding], c, t0[binding])
         if slope:
             d[binding] = _pair_dchi(m2[binding], c, x0, x, p, q)
-    degenerate = (kap <= 1.0 + 1e-9) & (m2 > 0)
-    if degenerate.any():
-        out[degenerate] = noncoverage_sq(m2[degenerate], chi[degenerate])
-        if slope:
-            d[degenerate] = _noncoverage_sq_dchi(m2[degenerate], chi[degenerate])
     # the worst case at chi is that at chi / 2**k
     return (out, np.ldexp(d, -k)) if slope else out
 

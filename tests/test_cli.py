@@ -389,8 +389,10 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "command,config",
         [("fit", "nn_j=abc\n"), ("fit", "moments=zz\n"), ("cva", "kappa=three\n"),
-         ("simulate", "workers=1.5\n"), ("cva", "func=x\n")],
-        ids=["int", "choice", "float", "int-workers", "not-an-option"],
+         ("simulate", "workers=1.5\n"), ("cva", "func=x\n"), ("fit", "alph=0.1\n"),
+         ("cva", "kappa=0.5\n"), ("simulate", "methods=foo\n"), ("cva", "config=other.cfg\n")],
+        ids=["int", "choice", "float", "int-workers", "not-an-option", "prefix-key", "kappa-below-1",
+             "unknown-method", "nested-config"],
     )
     def test_bad_config_value_exit_4(self, tmp_path, capsys, command, config):
         cfg = tmp_path / "run.cfg"
@@ -400,6 +402,13 @@ class TestConfigFile:
         assert cli.main(args) == 4
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_value_error_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kappa=0.5\n")
+        assert cli.main(["cva", "--m2", "1", "--output", str(tmp_path / "o.csv"), "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "--kappa" in err and "got 0.5" in err
 
 
 class TestCurvesCommand:
@@ -441,8 +450,24 @@ class TestCurvesCommand:
             (["curves", "--m2-min", "-1"], "--m2-min", "got -1.0"),
             (["cva", "--m2", "-1"], "--m2", "'-1'"),
             (["cva", "--m2", "1", "--kappa", "0.5"], "--kappa", "got 0.5"),
+            (["curves", "--points", "-1"], "--points", "got -1"),
+            (["curves", "--points", "0"], "--points", "got 0"),
+            (["power", "--w-min", "0"], "--w-min", "got 0.0"),
+            (["power", "--w-max", "1.5"], "--w-max", "got 1.5"),
+            (["power", "--d-steps", "-1"], "--d-steps", "got -1"),
+            (["power", "--w-steps", "0"], "--w-steps", "got 0"),
+            (["power", "--d-max", "-1"], "--d-max", "got -1.0"),
+            (["power", "--d-max", "nan"], "--d-max", "got nan"),
+            # argparse's own usage errors exit 4 as well
+            (["cva", "--m2", "1", "--alpha", "abc"], "--alpha", "'abc'"),
+            (["fit", "--input", "in.csv", "--method", "foo"], "--method", "'foo'"),
+            (["fit"], "--input", "required"),
+            (["cva", "--m2", "1", "--bogus", "1"], "--bogus", "unrecognized"),
         ],
-        ids=["kappas", "kappas_below_1", "m2_min_negative", "cva_m2_negative", "cva_kappa_below_1"],
+        ids=["kappas", "kappas_below_1", "m2_min_negative", "cva_m2_negative", "cva_kappa_below_1",
+             "points_negative", "points_0", "power_w_min_0", "power_w_max_above_1", "power_d_steps_negative",
+             "power_w_steps_0", "power_d_max_negative", "power_d_max_nan", "alpha_not_a_number",
+             "fit_unknown_method", "fit_missing_input", "unknown_flag"],
     )
     def test_non_numeric_kappas_exit_4(self, tmp_path, capsys, argv, flag, shown):
         # a value out of range is a configuration error, as an unparseable one is
@@ -479,6 +504,14 @@ class TestCvaCommand:
         chi = wc.critical_values([float(v) for v in m2.split(",")], kap, float(alpha))
         assert [float(r["cva"]) for r in rows] == chi.tolist()
         assert all(float(r["noncoverage"]) <= float(alpha) for r in rows)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"], ["simulate", "-h"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert "usage: shrinkci" in capsys.readouterr().out
 
 
 def test_python_m_shrinkci_runs_the_cli(tmp_path):
@@ -586,14 +619,35 @@ class TestSimulateCommand:
             (["--snr", "-1"], "'-1'"),
             (["--n", "1"], "got 1"),
             (["--reps", "0"], "got 0"),
+            (["--theta-kinds", "foo"], "'foo'"),
+            (["--methods", "foo"], "'foo'"),
+            (["--snr", "inf"], "'inf'"),
+            (["--snr", ","], "at least one value"),
+            (["--theta-kinds", ","], "at least one value"),
+            (["--methods", ","], "at least one value"),
+            (["--workers", "-1"], "got -1"),
+            (["--workers", "0"], "got 0"),
+            (["--seed", "-1"], "got -1"),
         ],
-        ids=["snr", "t", "t_fraction", "snr_negative", "n_1", "reps_0"],
+        ids=["snr", "t", "t_fraction", "snr_negative", "n_1", "reps_0", "theta_kinds_unknown",
+             "methods_unknown", "snr_inf", "snr_empty", "theta_kinds_empty", "methods_empty",
+             "workers_negative", "workers_0", "seed_negative"],
     )
     def test_non_numeric_flag_exit_4(self, tmp_path, capsys, flags, shown):
         out = tmp_path / "o.csv"
         assert cli.main(["simulate", "--output", str(out), "--reps", "2", *flags]) == 4
         err = capsys.readouterr().err
         assert "config error" in err and flags[0] in err and shown in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_workers_env_var_exit_4(self, tmp_path, capsys, monkeypatch, value):
+        # the variable is --workers' default, checked by its type
+        monkeypatch.setenv(cli.WORKERS_ENV, value)
+        out = tmp_path / "o.csv"
+        assert cli.main(["simulate", "--output", str(out), "--reps", "2"]) == 4
+        err = capsys.readouterr().err
+        assert "config error" in err and cli.WORKERS_ENV in err
         assert not out.exists()
 
     def test_workers_env_var_honored_and_flag_wins(self, tmp_path, monkeypatch):

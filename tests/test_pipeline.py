@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import cva_scalar
 from scipy.special import ndtr, ndtri
 
@@ -162,6 +164,37 @@ class TestFit:
         for i in rng.choice(len(data), 25, replace=False):
             ref = cva_scalar(data.sigma[i] ** 2 / mu2, kappa, 0.05)
             assert res.cva[i] == pytest.approx(ref, abs=1e-8)
+
+
+@st.composite
+def fit_inputs(draw):
+    """Units with se spread up to 1e6 at scale 1e-3 to 1e3, y at scale 1e-6
+    to 1e6 (normal draws, constant, or with one unit at 1e12 x scale)."""
+    n = draw(st.integers(2, 40))
+    unit = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+    se = 10.0 ** draw(st.floats(-3.0, 3.0)) * (10.0 ** draw(st.floats(0.0, 6.0))) ** np.array(draw(unit))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    shape = draw(st.sampled_from(["normal", "constant", "outlier"]))
+    y = np.full(n, scale)
+    if shape != "constant":
+        y = scale * np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    if shape == "outlier":
+        y[draw(st.integers(0, n - 1))] = 1e12 * scale
+    return mom.Units(y, se), draw(st.sampled_from([1e-6, 1e-3, 0.05, 0.5, 0.999]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=fit_inputs())
+def test_fit_intervals_hold_their_order_on_edge_inputs(case):
+    data, alpha = case
+    methods = ("robust_mu2_kappa", "robust_mu2", "parametric", "unshrunk")
+    res = {m: pl.fit(data, alpha=alpha, method=m) for m in methods}
+    for r in res.values():
+        assert np.all(np.isfinite(r.half_length) & (r.half_length >= 0))
+        assert np.all((r.lower <= r.theta_hat) & (r.theta_hat <= r.upper))
+    z = wc._z(alpha)
+    assert np.all(res["robust_mu2"].cva >= z) and np.all(res["robust_mu2_kappa"].cva >= z)
+    assert np.all(res["robust_mu2_kappa"].cva <= res["robust_mu2"].cva + 1e-8)
 
 
 class TestParametricInterval:

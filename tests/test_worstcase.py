@@ -438,7 +438,7 @@ class TestBindingPair:
         xi_max = (tau - kappa) / (tau - 1.0)
         scan = np.full(m2.shape, -np.inf)
         for block in np.array_split(np.linspace(0.0, 1.0, 4001), 32):
-            vals = wc._feasible_pair_value(block[:, None] * xi_max, m2, kappa, chi)
+            vals = wc._pair_slopes(1.0 - block[:, None] * xi_max, m2, kappa, chi, order=0)
             scan = np.maximum(scan, vals.max(axis=0))
         assert np.all(val >= scan * (1.0 - 1e-12))
 
