@@ -29,6 +29,9 @@ EXIT_NUMERIC = 3
 EXIT_CONFIG = 4
 
 WORKERS_ENV = "SHRINKCI_WORKERS"
+# options a command that has them requires; main checks them once --config,
+# which may supply them, is read
+_REQUIRED = ("output", "input")
 
 
 class SchemaError(Exception):
@@ -151,7 +154,10 @@ def cmd_fit(args) -> int:
     data = _read_units_csv(args.input)
     if args.nn_j is not None and not 2 <= args.nn_j <= len(data):
         raise ConfigError(f"--nn-j must be in [2, {len(data)}] (the unit count), got {args.nn_j}")
-    weights = "record" if np.any(data.omega != 1.0) else args.weights
+    record = np.any(data.omega != 1.0)
+    if record and args.weights:
+        raise ConfigError(f"--weights {args.weights} conflicts with the weight column of {args.input}")
+    weights = "record" if record else args.weights or "uniform"
     res = pl.fit(
         data,
         alpha=args.alpha,
@@ -274,14 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_input):
         p.add_argument("--alpha", type=probability, default=0.05)
         p.add_argument("--config", default=None, help="key=value file; flags win")
-        p.add_argument("--output", required=True)
+        p.add_argument("--output", help="required")
         if needs_input:
-            p.add_argument("--input", required=True)
+            p.add_argument("--input", help="required")
 
     p_fit = sub.add_parser("fit", help="shrink a CSV of estimates and attach intervals")
     common(p_fit, needs_input=True)
     p_fit.add_argument("--method", default="robust_mu2_kappa", choices=pl.METHODS)
-    p_fit.add_argument("--weights", default="uniform", choices=["uniform", "inverse_variance"])
+    p_fit.add_argument("--weights", choices=["uniform", "inverse_variance"], help="default uniform")
     p_fit.add_argument("--moments", default="pmt", choices=["uc", "pmt", "fplib", "nn"])
     p_fit.add_argument("--nn-j", type=int, default=None, help="neighbor count for --moments nn")
     p_fit.set_defaults(func=cmd_fit)
@@ -340,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
                 args = parser.parse_args([argv[0], *_config_flags(args), *argv[1:]])
             except ConfigError as exc:  # the command line itself parsed above
                 raise ConfigError(f"{args.config}: {exc}") from None
+        missing = [f"--{dest}" for dest in _REQUIRED if vars(args).get(dest, "") is None]
+        if missing:
+            raise ConfigError(f"the following arguments are required: {', '.join(missing)}")
         return args.func(args)
     except (SchemaError, mom.RankDeficientError, OSError) as exc:
         print(f"shrinkci: input error: {exc}", file=sys.stderr)

@@ -38,7 +38,10 @@ __all__ = [
     "nn_moments",
     "cv_select_neighbors",
     "estimate_moments",
+    "WEIGHTS",
 ]
+
+WEIGHTS = ("uniform", "inverse_variance", "record")
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 # the largest sigma, or |y|, whose square is finite
@@ -111,11 +114,6 @@ def _row_sums(a) -> np.ndarray:
     for i in np.flatnonzero(~ok):
         r[i] = math.fsum(a[i])
     return r.reshape(lead)
-
-
-def _sums(*arrays) -> list[float]:
-    """Exact sums of 1-D arrays, as Python floats."""
-    return [float(_row_sums(x)) for x in arrays]
 
 
 class UnitError(ValueError):
@@ -217,15 +215,18 @@ def _signals(resid, sigma):
     return w2, w4
 
 
-def _floor_terms(sigma, om2, om4):
-    """Summands of the four sums behind the PMT floors."""
-    return [om2**2 * sigma**4, om2 * sigma**2, om4**2 * sigma**8, om4 * sigma**4]
+def _floor_sums(sigma, omega):
+    """The four sums behind the PMT floors of each row (see ``_truncate``),
+    taken on sigma divided by its own ``_scaled`` 2**f, and f."""
+    s, f = _scaled(sigma)
+    terms = [omega**2 * s**4, omega * s**2, omega**2 * s**8, omega * s**4]
+    return [_row_sums(t) for t in terms], f
 
 
-def _truncate(mu2_uc, mu4_uc, total2, total4, c2, d2, c4, d4, rel):
-    """PMT moments from the raw ones and the sums of ``_floor_terms``:
-    mu2 is floored at 2 sum(om2^2 sigma^4) / (sum om2 sum(om2 sigma^2)) and
-    kappa at 1 + 32 sum(om4^2 sigma^8) / (mu2^2 sum om4 sum(om4 sigma^4)).
+def _truncate(mu2_uc, mu4_uc, total, c2, d2, c4, d4, rel):
+    """PMT moments from the raw ones, the weight total and ``_floor_sums``:
+    mu2 is floored at 2 sum(omega^2 sigma^4) / (sum omega sum(omega sigma^2))
+    and kappa at 1 + 32 sum(omega^2 sigma^8) / (mu2^2 sum omega sum(omega sigma^4)).
 
     The floor sums are taken on sigma scaled by 2**-rel against the data of
     the raw moments (rel = 0 leaves them alike): the mu2 floor is scaled by
@@ -233,38 +234,37 @@ def _truncate(mu2_uc, mu4_uc, total2, total4, c2, d2, c4, d4, rel):
     the kappa floor is 1.
     """
     with np.errstate(over="ignore"):
-        floor = np.ldexp(2.0 * c2 / (total2 * d2), 2 * rel)
+        floor = np.ldexp(2.0 * c2 / (total * d2), 2 * rel)
         mu2 = np.where(floor > mu2_uc, floor, mu2_uc)
         mu2_sq = np.float_power(mu2, 2)  # libm pow, as float ** 2; np.square may differ
         floor_sq = np.float_power(np.ldexp(mu2, -2 * rel), 2)
-    kappa_floor = 1.0 + 32.0 * c4 / (floor_sq * total4 * d4)
+    kappa_floor = 1.0 + 32.0 * c4 / (floor_sq * total * d4)
     kappa = mu4_uc / mu2_sq
     return mu2, np.where(kappa_floor > kappa, kappa_floor, kappa)
 
 
-def _pmt_rows(resid, sigma, om2, om4, members=None):
+def _pmt_rows(resid, sigma, omega, members=None):
     """Raw and PMT moments of each row of (groups, members) arrays.
 
-    Returns (mu2_uc, mu4_uc, mu2, kappa), one entry per row: mu2_uc is the
-    om2-weighted average of w2 and mu4_uc the om4-weighted average of w4
-    (see ``_signals``), and (mu2, kappa) are floored at the PMT bounds.
-    Every sum is an exact ``_row_sums`` over the members.  With an index
-    array ``members`` the inputs are per unit, and row k is over the units
-    ``members[k]``.  Each row has two ``_scaled`` exponents: the data's,
-    and sigma's alone for the floor sums, lest one huge residual flush the
-    row's sigma^4 to zero, or one huge unit another row's.
+    Returns (mu2_uc, mu4_uc, mu2, kappa), one entry per row: mu2_uc and
+    mu4_uc are the omega-weighted averages of w2 and w4 (see ``_signals``),
+    and (mu2, kappa) are floored at the PMT bounds.  Every sum is an exact
+    ``_row_sums`` over the members.  With an index array ``members`` the
+    inputs are per unit, and row k is over the units ``members[k]``.  Each
+    row has two ``_scaled`` exponents: the data's, and sigma's alone for
+    the floor sums, lest one huge residual flush the row's sigma^4 to zero,
+    or one huge unit another row's.
     """
     if members is not None:
-        resid, sigma, om2, om4 = (x[members] for x in (resid, sigma, om2, om4))
+        resid, sigma, omega = (x[members] for x in (resid, sigma, omega))
     r, s, e = _scaled(resid, sigma)
-    floor_sigma, f = _scaled(sigma)
     w2, w4 = _signals(r, s)
-    terms = [om2, om2 * w2, om4, om4 * w4, *_floor_terms(floor_sigma, om2, om4)]
-    total2, a2, total4, a4, *floors = map(_row_sums, terms)
-    if not ((total2 > 0).all() and (total4 > 0).all()):
+    total, a2, a4 = map(_row_sums, (omega, omega * w2, omega * w4))
+    if not (total > 0).all():
         raise ValueError("weights must not all be zero")
-    mu2_uc, mu4_uc = a2 / total2, a4 / total4
-    mu2, kappa = _truncate(mu2_uc, mu4_uc, total2, total4, *floors, f - e)
+    mu2_uc, mu4_uc = a2 / total, a4 / total
+    floors, f = _floor_sums(sigma, omega)
+    mu2, kappa = _truncate(mu2_uc, mu4_uc, total, *floors, f - e)
     # mu4_uc of data near the float range may itself overflow
     with np.errstate(over="ignore"):
         return np.ldexp(mu2_uc, 2 * e), np.ldexp(mu4_uc, 4 * e), np.ldexp(mu2, 2 * e), kappa
@@ -291,7 +291,7 @@ def moments_uc(residuals: np.ndarray, sigma: np.ndarray, omega: np.ndarray):
     w4 = eps^4 - 6 sigma^2 eps^2 + 3 sigma^4 are the per-unit unbiased
     summands.  Either average may be negative.  A one-row ``_pmt_rows``.
     """
-    mu2_uc, mu4_uc, _, _ = _pmt_rows(residuals, sigma, omega, omega)
+    mu2_uc, mu4_uc, _, _ = _pmt_rows(residuals, sigma, omega)
     return float(mu2_uc), float(mu4_uc), *_signals(residuals, sigma)
 
 
@@ -300,9 +300,8 @@ def pmt(sigma: np.ndarray, omega: np.ndarray, mu2_uc: float, mu4_uc: float):
     positive bounds derived from the sampling variance of the raw estimates.
     The truncation step of a one-row ``_pmt_rows``, with the floor sums on
     sigma's power-of-two scale."""
-    floor_sigma, f = _scaled(sigma)
-    total, *floors = _sums(omega, *_floor_terms(floor_sigma, omega, omega))
-    mu2, kappa = _truncate(mu2_uc, mu4_uc, total, total, *floors, f)
+    floors, f = _floor_sums(sigma, omega)
+    mu2, kappa = _truncate(mu2_uc, mu4_uc, _row_sums(omega), *floors, f)
     return float(mu2), float(kappa)
 
 
@@ -324,30 +323,29 @@ def _posterior_mean_positive(m_hat: float, v: float) -> float:
 
 def _unbiased_mean_variance(z: np.ndarray, omega: np.ndarray) -> float:
     """Unbiased variance estimate of the weighted mean of independent z's."""
-    total, wz, total_sq = _sums(omega, omega * z, omega**2)
+    total, wz, total_sq = _row_sums(np.stack([omega, omega * z, omega**2])).tolist()
     m_hat = wz / total
     denom = total**2 - total_sq
     if denom <= 0:
         return -1.0
-    return _sums(omega**2 * (z**2 - m_hat**2))[0] / denom
+    return float(_row_sums(omega**2 * (z**2 - m_hat**2))) / denom
 
 
-def _fplib_split(om2, om4, mu2_uc, mu4_uc, w2, w4, pmt_moments):
-    """Flat-prior limited-information Bayes (FPLIB) estimates of mu2 and
-    kappa, with the second- and fourth-moment weights apart.
+def _fplib(omega, mu2_uc, mu4_uc, w2, w4, pmt_moments):
+    """Flat-prior limited-information Bayes (FPLIB) estimates of mu2 and kappa.
 
     Falls back to ``pmt_moments`` (mu2, kappa), with a flag, when an
     unbiased variance estimate of the underlying moment average is
-    nonpositive, which can happen under pathological weights.
+    nonpositive: under pathological weights, or where every w2 is equal.
     """
-    v2 = _unbiased_mean_variance(w2, om2)
-    if v2 < 0:
+    v2 = _unbiased_mean_variance(w2, omega)
+    if v2 <= 0:
         warnings.warn("FPLIB variance estimate nonpositive; falling back to PMT")
         return (*pmt_moments, True)
     mu2_hat = _posterior_mean_positive(mu2_uc, v2)
     z4 = w4 - 2.0 * mu2_hat * w2
-    v4 = _unbiased_mean_variance(z4, om4)
-    if v4 < 0:
+    v4 = _unbiased_mean_variance(z4, omega)
+    if v4 <= 0:
         warnings.warn("FPLIB variance estimate nonpositive; falling back to PMT")
         return (*pmt_moments, True)
     excess = _posterior_mean_positive(mu4_uc - mu2_uc**2, v4)
@@ -406,7 +404,7 @@ def nn_moments(
     mu2 = np.empty(n)
     kappa = np.empty(n)
     for rows, order in _neighbor_blocks(_standardized_coords(X, sigma)):
-        _, _, mu2[rows], kappa[rows] = _pmt_rows(residuals, sigma, omega, omega, order[:, :neighbors])
+        _, _, mu2[rows], kappa[rows] = _pmt_rows(residuals, sigma, omega, order[:, :neighbors])
     return mu2, kappa
 
 
@@ -458,44 +456,37 @@ def cv_select_neighbors(
     return best_j, errors
 
 
+def _weights(name: str, sigma: np.ndarray) -> np.ndarray:
+    """The moment weights ``name`` gives each row (last axis) of ``sigma``:
+    1/n for "uniform", sigma^-2 for "inverse_variance"."""
+    if name == "uniform":
+        return np.full(sigma.shape, 1.0 / sigma.shape[-1])
+    return sigma**-2.0
+
+
 def estimate_moments(
     data: Units,
     variant: str = "pmt",
-    weights: str | np.ndarray = "uniform",
+    weights: str = "uniform",
     neighbors: int | None = None,
-    split_weights: bool = False,
 ) -> MomentEstimates:
     """Full moment-estimation step: regression, raw moments, truncation.
 
-    ``weights`` is "uniform" (omega = 1/n), "inverse_variance"
-    (omega = 1/sigma^2), "record" (take ``data.omega``), or an
-    explicit array.  ``variant`` is "uc", "pmt", "fplib", or "nn"; the
+    ``weights`` is one of ``WEIGHTS``: "uniform" (omega = 1/n),
+    "inverse_variance" (omega = 1/sigma^2) or "record" (take
+    ``data.omega``); one omega weights the regression and every moment
+    average.  ``variant`` is "uc", "pmt", "fplib", or "nn"; the
     nearest-neighbor variant also reports global PMT values, which the
-    pipeline uses for the shrinkage weight.  ``split_weights`` switches the
-    second- and fourth-moment averages to the sigma^-4 and sigma^-8 weights
-    that become optimal at low signal-to-noise ratios, keeping the supplied
-    weights for the regression step only.
+    pipeline uses for the shrinkage weight.
     """
+    if not (isinstance(weights, str) and weights in WEIGHTS):
+        raise ValueError(f"unknown weights option {weights!r}; expected one of {WEIGHTS}")
     y, sigma, X = data.y, data.sigma, data.X
     n = len(data)
-    if isinstance(weights, str):
-        if weights == "uniform":
-            omega = np.full(n, 1.0 / n)
-        elif weights == "inverse_variance":
-            omega = sigma**-2.0
-        elif weights == "record":
-            omega = data.omega
-        else:
-            raise ValueError(f"unknown weights option {weights!r}")
-    else:
-        omega = np.asarray(weights, dtype=float)
-        if omega.shape != (n,):
-            raise ValueError("explicit weights must have one entry per unit")
+    omega = data.omega if weights == "record" else _weights(weights, sigma)
     delta = wls_delta(y, X, omega)
     residuals = y - X @ delta
-    om2 = sigma**-4.0 if split_weights else omega
-    om4 = sigma**-8.0 if split_weights else omega
-    mu2_uc, mu4_uc, mu2_pmt, kappa_pmt = (float(v) for v in _pmt_rows(residuals, sigma, om2, om4))
+    mu2_uc, mu4_uc, mu2_pmt, kappa_pmt = (float(v) for v in _pmt_rows(residuals, sigma, omega))
     fallback = False
     mu2_i = kappa_i = None
     j_used = None
@@ -508,10 +499,8 @@ def estimate_moments(
         # on the data's power-of-two scale, where no summand overflows: the
         # posterior means scale with the data and kappa is scale-free
         r, s, e = _scaled(residuals, sigma)
-        uc2, uc4 = (float(v) for v in _pmt_rows(r, s, om2, om4)[:2])
-        mu2, kappa, fallback = _fplib_split(
-            om2, om4, uc2, uc4, *_signals(r, s), (np.ldexp(mu2_pmt, -2 * e), kappa_pmt)
-        )
+        uc2, uc4 = (float(v) for v in _pmt_rows(r, s, omega)[:2])
+        mu2, kappa, fallback = _fplib(omega, uc2, uc4, *_signals(r, s), (np.ldexp(mu2_pmt, -2 * e), kappa_pmt))
         mu2 = np.ldexp(mu2, 2 * e)
     elif variant == "nn":
         mu2, kappa = mu2_pmt, kappa_pmt

@@ -45,8 +45,13 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 # Newton step at which an edge of a covered run in y is final; the float
 # spacing takes over from |y| = 8192, where it is the larger
 _EDGE_TOL = 1e-12
-# Gauss-Legendre rule of the Laplace-baseline average, computed once
+# Gauss-Legendre rules of the Laplace-baseline average, computed once: on
+# theta in [0, y_hi], and on the tail panel [y_hi, y_hi + _TAIL_SIGMAS sigma]
 _LEGENDRE_NODES, _LEGENDRE_WEIGHTS = roots_legendre(200)
+_TAIL_NODES, _TAIL_WEIGHTS = roots_legendre(20)
+# past the tail panel y falls inside the truncation with probability below
+# Phi(-8) = 6e-16, so theta there is never covered
+_TAIL_SIGMAS = 8.0
 
 
 class EmptyHpdError(RuntimeError):
@@ -83,7 +88,7 @@ class SoftThresholdConfig:
         grid = tuple(float(g) for g in self.theta_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("theta_grid must be strictly increasing")
-        # the Laplace average integrates theta over [0, y_hi] and doubles it
+        # the Laplace average integrates theta over [0, inf) and doubles it
         y_lo, y_hi = self.y_truncation
         if not (y_lo == -y_hi and 0 < y_hi < math.inf):
             raise ValueError(f"y_truncation must be finite and symmetric about 0, got {self.y_truncation}")
@@ -251,12 +256,19 @@ def _laplace_pdf(theta, mu2):
 
 
 def _laplace_average_noncoverage(cfg: SoftThresholdConfig, chi: float) -> float:
-    """E[noncoverage(theta, chi)] under the Laplace baseline, by quadrature."""
+    """E[noncoverage(theta, chi)] under the Laplace baseline, over all theta.
+
+    Twice the integral over theta >= 0, by symmetry: Gauss-Legendre on
+    [0, y_hi] and on the tail panel up to b = y_hi + ``_TAIL_SIGMAS`` sigma,
+    plus the prior mass beyond b, which is never covered.
+    """
     up = cfg.y_truncation[1]
-    th = 0.5 * up * (_LEGENDRE_NODES + 1.0)
-    w = 0.5 * up * _LEGENDRE_WEIGHTS
+    width = _TAIL_SIGMAS * cfg.sigma
+    th = np.concatenate([0.5 * up * (_LEGENDRE_NODES + 1.0), up + 0.5 * width * (_TAIL_NODES + 1.0)])
+    w = np.concatenate([0.5 * up * _LEGENDRE_WEIGHTS, 0.5 * width * _TAIL_WEIGHTS])
     vals = soft_threshold_noncoverage(th, cfg, chi)
-    return float(2.0 * np.sum(w * _laplace_pdf(th, cfg.mu2) * vals))
+    beyond = math.exp(-math.sqrt(2.0 / cfg.mu2) * (up + width))
+    return float(2.0 * np.sum(w * _laplace_pdf(th, cfg.mu2) * vals) + beyond)
 
 
 def soft_threshold_ebci(cfg: SoftThresholdConfig) -> tuple[float, float]:

@@ -92,15 +92,17 @@ def fit(
     alpha: float = 0.05,
     method: str = "robust_mu2_kappa",
     moment_variant: str = "pmt",
-    weights: str | np.ndarray = "uniform",
+    weights: str = "uniform",
     neighbors: int | None = None,
     moment_estimates: mom.MomentEstimates | None = None,
 ) -> FitResult:
     """Batch pipeline: estimate moments, shrink, and build intervals.
 
-    ``moment_estimates`` short-circuits the estimation step, which is how
-    oracle-moment runs are done.  A failing unit is flagged in the ``error``
-    column rather than aborting the batch.
+    ``moment_variant``, ``weights`` (one of ``moments.WEIGHTS``) and
+    ``neighbors`` go to ``moments.estimate_moments``; ``moment_estimates``
+    short-circuits the estimation step, which is how oracle-moment runs are
+    done.  A failing unit is flagged in the ``error`` column rather than
+    aborting the batch.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")

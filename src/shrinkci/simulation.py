@@ -145,6 +145,7 @@ class PanelDesign:
     effect variance.
     """
 
+    weights = "uniform"  # unannotated: a class constant, not a dataclass field
     n: int
     t: float
     err: str
@@ -169,7 +170,7 @@ class PanelDesign:
     def simulate(self, rng: np.random.Generator):
         theta = draw_theta(self.theta, self.n, rng)
         y, sigma = simulate_panel_errors(theta, self.t, self.err, rng)
-        return y, sigma, theta, None
+        return y, sigma, theta
 
 
 def simulate_panel_errors(theta: np.ndarray, t: float, err: str, rng: np.random.Generator):
@@ -200,6 +201,7 @@ class HeteroskedasticDesign:
     weights for this design.
     """
 
+    weights = "inverse_variance"  # unannotated: a class constant, not a dataclass field
     theta_hat: tuple[float, ...]
     se: tuple[float, ...]
     snr: float
@@ -234,7 +236,7 @@ class HeteroskedasticDesign:
         sigma = rng.choice(se, self.n, replace=True)
         theta = bar + math.sqrt(self.snr / self.matching_constant) * (tilde - bar)
         y = theta + sigma * rng.standard_normal(self.n)
-        return y, sigma, theta, sigma**-2.0
+        return y, sigma, theta
 
 
 def load_calibration_csv(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -293,21 +295,19 @@ def _rep_rng(master_seed: int, design_index: int, rep: int) -> np.random.Generat
 
 
 def _simulate_rep(args):
-    """One replication's draw: (y, sigma, theta, omega), omega None for
-    uniform weights."""
+    """One replication's draw: (y, sigma, theta)."""
     design, design_index, rep, master_seed = args
     return design.simulate(_rep_rng(master_seed, design_index, rep))
 
 
-def _replications(results):
+def _replications(results, weights: str):
     """The draws stacked one row per replication, with each row's weighted
     mean delta and PMT (mu2, kappa) from ``moments._pmt_rows``: the values of
-    ``estimate_moments`` with an intercept-only design and weights omega."""
-    y, sigma, theta = (np.stack([r[k] for r in results]) for k in range(3))
-    n = y.shape[1]
-    omega = np.stack([np.full(n, 1.0 / n) if r[3] is None else r[3] for r in results])
+    ``estimate_moments`` with an intercept-only design and these ``weights``."""
+    y, sigma, theta = (np.stack(col) for col in zip(*results))
+    omega = mom._weights(weights, sigma)
     delta = mom._row_sums(omega * y) / mom._row_sums(omega)
-    _, _, mu2, kappa = mom._pmt_rows(y - delta[:, None], sigma, omega, omega)
+    _, _, mu2, kappa = mom._pmt_rows(y - delta[:, None], sigma, omega)
     return dict(y=y, sigma=sigma, theta=theta, delta=delta, mu2=mu2, kappa=kappa)
 
 
@@ -385,7 +385,7 @@ def run_study(
                 results = list(pool.map(_simulate_rep, tasks, chunksize=max(1, reps // (4 * workers))))
         else:
             results = [_simulate_rep(t) for t in tasks]
-        stacked = _replications(results)
+        stacked = _replications(results, design.weights)
         oracle = design.theta.moments() if isinstance(design, PanelDesign) else None
         wanted = [m for m in dict.fromkeys([*methods, _ORACLE_BASELINE]) if oracle or not m.startswith("oracle_")]
         per_method = _study_coverage(stacked, wanted, oracle, alpha)

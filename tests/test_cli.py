@@ -320,6 +320,45 @@ class TestFitCommand:
         res = pl.fit(mom.Units(y, se, omega=weight), weights="record")
         assert float(header["mu2"]) == res.moments.mu2
 
+    @pytest.mark.parametrize("explicit", [["--weights", "inverse_variance"], ["--weights", "uniform"], "config"])
+    def test_weights_with_weight_column_exit_4(self, tmp_path, capsys, explicit):
+        # the weight column sets record weights; an explicit choice is not
+        # ignored but refused, from a flag or a config key alike
+        rng = np.random.default_rng(2)
+        inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        write_units(str(inp), rng.normal(0, 1, 30), rng.uniform(0.5, 1.0, 30), weight=rng.uniform(0.1, 1.0, 30))
+        if explicit == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("weights=inverse_variance\n")
+            explicit = ["--config", str(cfg)]
+        assert cli.main(["fit", "--input", str(inp), "--output", str(out), *explicit]) == 4
+        err = capsys.readouterr().err
+        assert "config error" in err and "--weights" in err and "weight column" in err
+        assert not out.exists()
+
+    def test_weights_with_unit_weight_column(self, tmp_path):
+        # a weight column of ones weighs nothing, so --weights applies
+        rng = np.random.default_rng(2)
+        y, se = rng.normal(0, 1, 30), rng.uniform(0.5, 1.0, 30)
+        inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        write_units(str(inp), y, se, weight=np.ones(30))
+        assert cli.main(["fit", "--input", str(inp), "--output", str(out), "--weights", "inverse_variance"]) == 0
+        header, _ = read_output(str(out))
+        res = pl.fit(mom.Units(y, se), weights="inverse_variance")
+        assert float(header["mu2"]) == res.moments.mu2
+
+    def test_fplib_constant_input_falls_back_to_pmt(self, tmp_path):
+        # every w2 equal: FPLIB's variance estimate is 0, so it takes PMT's moments
+        inp = tmp_path / "in.csv"
+        write_units(str(inp), np.ones(4), np.ones(4))
+        by_fplib, by_pmt = tmp_path / "fplib.csv", tmp_path / "pmt.csv"
+        with pytest.warns(UserWarning, match="falling back to PMT"):
+            assert cli.main(["fit", "--input", str(inp), "--output", str(by_fplib), "--moments", "fplib"]) == 0
+        assert cli.main(["fit", "--input", str(inp), "--output", str(by_pmt), "--moments", "pmt"]) == 0
+        fplib, pmt = read_output(str(by_fplib)), read_output(str(by_pmt))
+        assert fplib[0]["mu2"] == pmt[0]["mu2"] and fplib[0]["kappa"] == pmt[0]["kappa"]
+        assert fplib[1] == pmt[1]
+
     def test_config_file_defaults_and_flag_precedence(self, tmp_path):
         rng = np.random.default_rng(3)
         y = rng.normal(0, 1, 15)
@@ -402,6 +441,19 @@ class TestConfigFile:
         assert cli.main(args) == 4
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_file_supplies_required_options(self, tmp_path, capsys):
+        inp = self.base_args(tmp_path, "fit")[1]
+        by_cfg, by_flags = tmp_path / "cfg.csv", tmp_path / "flags.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input={inp}\noutput={by_cfg}\n")
+        assert cli.main(["fit", "--config", str(cfg)]) == 0
+        assert cli.main(["fit", "--input", inp, "--output", str(by_flags)]) == 0
+        assert by_cfg.read_bytes() == by_flags.read_bytes()
+        # one the file leaves out is still required
+        cfg.write_text(f"input={inp}\n")
+        assert cli.main(["fit", "--config", str(cfg)]) == 4
+        assert "required: --output" in capsys.readouterr().err
 
     def test_config_value_error_names_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -262,6 +262,16 @@ class TestFplib:
         assert est_f.mu2 == pytest.approx(est_p.mu2, rel=0.05)
         assert est_f.mu2 > 0 and est_f.kappa > 1
 
+    def test_zero_variance_estimate_falls_back_to_pmt(self):
+        # constant y and sigma: every w2 is the same, so the variance of their
+        # mean is estimated as 0, and the posterior mean of mu2 would be 0
+        data = mom.Units(np.ones(4), np.ones(4))
+        with pytest.warns(UserWarning, match="falling back to PMT"):
+            est = mom.estimate_moments(data, variant="fplib")
+        pmt = mom.estimate_moments(data, variant="pmt")
+        assert est.fplib_fallback
+        assert (est.mu2, est.kappa) == (pmt.mu2, pmt.kappa)
+
 
 class TestNearestNeighbor:
     def test_full_sample_neighborhood_equals_global(self):
@@ -453,19 +463,14 @@ class TestCvSelect:
             )
 
 
-class TestSplitWeights:
-    def test_homoskedastic_split_equals_shared(self):
-        rng = np.random.default_rng(14)
-        n = 300
-        y = rng.normal(0, 1, n)
-        sigma = np.full(n, 1.3)
-        data = mom.Units(y, sigma)
-        shared = mom.estimate_moments(data, variant="pmt")
-        split = mom.estimate_moments(data, variant="pmt", split_weights=True)
-        assert split.mu2 == pytest.approx(shared.mu2, rel=1e-12)
-        assert split.kappa == pytest.approx(shared.kappa, rel=1e-12)
+class TestWeights:
+    @pytest.mark.parametrize("weights", [np.ones(5), "precision", None])
+    def test_only_the_three_names(self, weights):
+        data = mom.Units(np.arange(5.0), np.ones(5))
+        with pytest.raises(ValueError, match="uniform.*inverse_variance.*record"):
+            mom.estimate_moments(data, weights=weights)
 
-    def test_heteroskedastic_split_valid_and_consistent(self):
+    def test_inverse_variance_valid_and_consistent(self):
         rng = np.random.default_rng(15)
         n = 50_000
         theta = rng.normal(0, math.sqrt(0.4), n)
@@ -473,7 +478,7 @@ class TestSplitWeights:
         y = theta + sigma * rng.standard_normal(n)
         data = mom.Units(y, sigma)
         for variant in ("pmt", "fplib"):
-            est = mom.estimate_moments(data, variant=variant, split_weights=True)
+            est = mom.estimate_moments(data, variant=variant, weights="inverse_variance")
             assert est.mu2 == pytest.approx(0.4, abs=0.05)
             assert est.kappa == pytest.approx(3.0, abs=0.6)
 
@@ -507,9 +512,9 @@ class TestScaleEquivariance:
         rng = np.random.default_rng(14)
         y = rng.normal(0, 1, 300)
         sigma = rng.uniform(0.5, 1.5, 300)
-        base = mom._pmt_rows(y - y.mean(), sigma, np.full(300, 1 / 300), np.full(300, 1 / 300))
+        base = mom._pmt_rows(y - y.mean(), sigma, np.full(300, 1 / 300))
         ys, ss = np.ldexp(y, k), np.ldexp(sigma, k)
-        scaled = mom._pmt_rows(ys - ys.mean(), ss, np.full(300, 1 / 300), np.full(300, 1 / 300))
+        scaled = mom._pmt_rows(ys - ys.mean(), ss, np.full(300, 1 / 300))
         mu2_uc, mu4_uc, mu2, kappa = (float(v) for v in base)
         assert float(scaled[0]) == math.ldexp(mu2_uc, 2 * k)
         assert float(scaled[2]) == math.ldexp(mu2, 2 * k)
@@ -606,8 +611,8 @@ class TestExtremeEstimates:
         resid, sigma = rng.normal(size=50), rng.uniform(0.5, 1.5, 50)
         resid[0] = 2.0**70
         om = np.full(50, 1 / 50)
-        big = mom._pmt_rows(resid, sigma, om, om)
-        small = mom._pmt_rows(np.ldexp(resid, -10), np.ldexp(sigma, -10), om, om)
+        big = mom._pmt_rows(resid, sigma, om)
+        small = mom._pmt_rows(np.ldexp(resid, -10), np.ldexp(sigma, -10), om)
         assert float(big[2]) == math.ldexp(float(small[2]), 20)
         assert float(big[3]) == float(small[3])
 

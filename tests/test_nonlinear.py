@@ -127,6 +127,17 @@ class TestSoftThresholdNoncoverage:
         worst = nl.soft_threshold_worst_noncoverage(cfg, chi_r)
         assert worst == pytest.approx(0.05, abs=2e-3)
 
+    @pytest.mark.parametrize("chi", [1.5, 3.0])
+    @pytest.mark.parametrize("mu2", [1.0, 5.0, 20.0])
+    def test_laplace_average_covers_all_theta(self, mu2, chi):
+        # the prior's mass beyond the y truncation counts: at mu2 = 20 and
+        # chi = 1.5 it is 0.04 of the 0.2987 that quad gives over all theta
+        cfg = nl.SoftThresholdConfig(mu2=mu2)
+        f = lambda th: nl._laplace_pdf(th, mu2) * nl.soft_threshold_noncoverage(th, cfg, chi)[0]
+        up = cfg.y_truncation[1]
+        want = 2.0 * (quad(f, 0.0, up, limit=200)[0] + quad(f, up, np.inf, limit=200)[0])
+        assert nl._laplace_average_noncoverage(cfg, chi) == pytest.approx(want, abs=1e-4)
+
     @pytest.mark.parametrize("chi", [0.0, 0.5, 1.5, 3.0, 6.0])
     @pytest.mark.parametrize("mu2", [0.05, 0.2, 1.0])
     @pytest.mark.parametrize(

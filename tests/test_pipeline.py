@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import cva_scalar
 from scipy.special import ndtr, ndtri
@@ -168,11 +169,14 @@ class TestFit:
 
 @st.composite
 def fit_inputs(draw):
-    """Units with se spread up to 1e6 at scale 1e-3 to 1e3, y at scale 1e-6
-    to 1e6 (normal draws, constant, or with one unit at 1e12 x scale)."""
+    """Units with se spread up to 1e6 (or all equal, which ties nn distances)
+    at scale 1e-3 to 1e3, y at scale 1e-6 to 1e6 (normal draws, constant, or
+    with one unit at 1e12 x scale), and the alpha, moment variant (nn from
+    n = 3, where its cross-validation grid starts) and weights of the fit."""
     n = draw(st.integers(2, 40))
     unit = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
-    se = 10.0 ** draw(st.floats(-3.0, 3.0)) * (10.0 ** draw(st.floats(0.0, 6.0))) ** np.array(draw(unit))
+    spread = draw(st.one_of(st.just(0.0), st.floats(0.0, 6.0)))
+    se = 10.0 ** draw(st.floats(-3.0, 3.0)) * (10.0**spread) ** np.array(draw(unit))
     scale = 10.0 ** draw(st.floats(-6.0, 6.0))
     shape = draw(st.sampled_from(["normal", "constant", "outlier"]))
     y = np.full(n, scale)
@@ -180,15 +184,23 @@ def fit_inputs(draw):
         y = scale * np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
     if shape == "outlier":
         y[draw(st.integers(0, n - 1))] = 1e12 * scale
-    return mom.Units(y, se), draw(st.sampled_from([1e-6, 1e-3, 0.05, 0.5, 0.999]))
+    alpha = draw(st.sampled_from([1e-6, 1e-3, 0.05, 0.5, 0.999]))
+    variant = draw(st.sampled_from(["pmt", "fplib", "nn"] if n >= 3 else ["pmt", "fplib"]))
+    return mom.Units(y, se), alpha, variant, draw(st.sampled_from(["uniform", "inverse_variance"]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=fit_inputs())
+# constant data, where FPLIB's variance estimate is exactly 0
+@example(case=(mom.Units(np.ones(4), np.ones(4)), 0.05, "fplib", "uniform"))
 def test_fit_intervals_hold_their_order_on_edge_inputs(case):
-    data, alpha = case
+    data, alpha, variant, weights = case
+    with warnings.catch_warnings():
+        # an FPLIB fallback to PMT warns; its moments are checked as any others
+        warnings.filterwarnings("ignore", "FPLIB variance estimate", UserWarning)
+        est = mom.estimate_moments(data, variant=variant, weights=weights)
     methods = ("robust_mu2_kappa", "robust_mu2", "parametric", "unshrunk")
-    res = {m: pl.fit(data, alpha=alpha, method=m) for m in methods}
+    res = {m: pl.fit(data, alpha=alpha, method=m, moment_estimates=est) for m in methods}
     for r in res.values():
         assert np.all(np.isfinite(r.half_length) & (r.half_length >= 0))
         assert np.all((r.lower <= r.theta_hat) & (r.theta_hat <= r.upper))

@@ -47,7 +47,7 @@ class TestSimulatePanel:
             n=100_000, t=math.inf, err="normal", snr=0.5,
             theta=sim.ThetaDistribution("normal", 0.5),
         )
-        y, sigma, theta, _ = d.simulate(np.random.default_rng(2))
+        y, sigma, theta = d.simulate(np.random.default_rng(2))
         assert np.all(sigma == 1.0)
         z = y - theta
         # Kolmogorov distance to the standard normal below 0.01
@@ -59,7 +59,7 @@ class TestSimulatePanel:
             n=30_000, t=5, err="normal", snr=0.5,
             theta=sim.ThetaDistribution("normal", 0.5),
         )
-        y, sigma, theta, _ = d.simulate(np.random.default_rng(3))
+        y, sigma, theta = d.simulate(np.random.default_rng(3))
         s2 = sigma**2
         se = s2.std() / math.sqrt(s2.size)
         assert abs(s2.mean() - 1.0) <= 3 * se
@@ -72,7 +72,7 @@ class TestSimulatePanel:
             n=400_000, t=t, err="chi2", snr=0.5,
             theta=sim.ThetaDistribution("normal", 0.5),
         )
-        y, _, theta, _ = d.simulate(np.random.default_rng(4))
+        y, _, theta = d.simulate(np.random.default_rng(4))
         z = y - theta
         skew = np.mean(z**3) / np.mean(z**2) ** 1.5
         want = math.sqrt(8.0 / 3.0) / math.sqrt(t)
@@ -115,7 +115,7 @@ class TestRunStudy:
         length = np.empty(3)
         for rep in range(3):
             rng = sim._rep_rng(11, 0, rep)
-            y, sigma, theta, _ = d.simulate(rng)
+            y, sigma, theta = d.simulate(rng)
             res = pl.fit(mom.Units(y, sigma), alpha=0.05, method="robust_mu2_kappa")
             hits = [
                 out.lower <= theta[i] <= out.upper
@@ -175,7 +175,7 @@ class TestRunStudy:
 def _method_by_method(design, d_idx, reps, seed, methods, alpha=0.05):
     """The report's numbers by the route without batching: each method on its
     own through ``pipeline._intervals``, every unit's key entered."""
-    stacked = sim._replications([sim._simulate_rep((design, d_idx, r, seed)) for r in range(reps)])
+    stacked = sim._replications([sim._simulate_rep((design, d_idx, r, seed)) for r in range(reps)], design.weights)
     n = design.n
     per_rep = lambda k: np.repeat(stacked[k], n)
     y, theta = stacked["y"].ravel(), stacked["theta"].ravel()
@@ -255,7 +255,7 @@ class TestHeteroskedasticDesign:
         rng = np.random.default_rng(9)
         ratios = []
         for _ in range(200):
-            y, sigma, theta, omega = d.simulate(rng)
+            y, sigma, theta = d.simulate(rng)
             eps = theta - np.mean(d.theta_hat)
             ratios.append(np.mean(eps**2 / sigma**2))
         assert np.mean(ratios) == pytest.approx(snr, rel=0.05)
@@ -268,20 +268,20 @@ class TestHeteroskedasticDesign:
         assert math.isnan(row.rel_length)  # no oracle benchmark for this design
 
     @pytest.mark.parametrize(
-        "snr, weights",
-        [(snr, "inverse_variance") for snr in (0.05, 0.5, 4.0)]
-        + [(snr, "uniform") for snr in (0.1, 2.0)],
+        "snr, design",
+        [(snr, "heteroskedastic") for snr in (0.05, 0.5, 4.0)]
+        + [(snr, "panel") for snr in (0.1, 2.0)],
     )
-    def test_replication_moments_match_estimate_moments(self, snr, weights):
-        # the uniform-weight case is a panel design, whose omega is None
-        if weights == "uniform":
+    def test_replication_moments_match_estimate_moments(self, snr, design):
+        # each design names its weights: inverse_variance here, uniform for the panel
+        if design == "panel":
             d = sim.PanelDesign(n=80, t=5, err="chi2", snr=snr, theta=sim.ThetaDistribution("normal", snr))
         else:
             d = self.make(snr)
-        reps = sim._replications([sim._simulate_rep((d, 0, rep, 5)) for rep in range(3)])
+        reps = sim._replications([sim._simulate_rep((d, 0, rep, 5)) for rep in range(3)], d.weights)
         for rep in range(3):
             units = mom.Units(reps["y"][rep], reps["sigma"][rep])
-            est = mom.estimate_moments(units, variant="pmt", weights=weights)
+            est = mom.estimate_moments(units, variant="pmt", weights=d.weights)
             assert reps["delta"][rep] == est.delta[0]
             assert reps["mu2"][rep] == est.mu2
             assert reps["kappa"][rep] == est.kappa

@@ -900,7 +900,7 @@ class TestNewtonInversion:
         design = sim.PanelDesign(
             n=500, t=math.inf, err="normal", snr=snr, theta=sim.ThetaDistribution(kind, snr)
         )
-        reps = sim._replications([sim._simulate_rep((design, 0, r, 3)) for r in range(50)])
+        reps = sim._replications([sim._simulate_rep((design, 0, r, 3)) for r in range(50)], design.weights)
         sweeps, fallbacks = [], []
         worst, invert = wc._worst_noncoverage_batch, _solve.invert
 
