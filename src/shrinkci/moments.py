@@ -216,29 +216,41 @@ def _signals(resid, sigma):
 
 
 def _floor_sums(sigma, omega):
-    """The four sums behind the PMT floors of each row (see ``_truncate``),
-    taken on sigma divided by its own ``_scaled`` 2**f, and f."""
+    """The five sums behind the PMT floors of each row (see ``_truncate``),
+    the weight total first, and f.  sigma is divided by its own ``_scaled``
+    2**f, and omega by a power of two of its own: the ``_exponent`` of the
+    geometric mean of its largest entry and the largest omega sigma^4.
+    Where sigma spans many decades (one se of 1e80 under inverse-variance
+    weights), omega spans twice as many, and unscaled, omega^2 sigma^8 went
+    subnormal."""
     s, f = _scaled(sigma)
-    terms = [omega**2 * s**4, omega * s**2, omega**2 * s**8, omega * s**4]
+    s4 = s**4
+    top = lambda a: np.sqrt(np.max(np.abs(a), axis=-1))
+    o = np.ldexp(omega, -_exponent(top(omega) * top(omega * s4))[..., None])
+    terms = [o, o**2 * s4, o * s**2, o**2 * s**8, o * s4]
     return [_row_sums(t) for t in terms], f
 
 
 def _truncate(mu2_uc, mu4_uc, total, c2, d2, c4, d4, rel):
-    """PMT moments from the raw ones, the weight total and ``_floor_sums``:
-    mu2 is floored at 2 sum(omega^2 sigma^4) / (sum omega sum(omega sigma^2))
-    and kappa at 1 + 32 sum(omega^2 sigma^8) / (mu2^2 sum omega sum(omega sigma^4)).
+    """PMT moments from the raw ones and ``_floor_sums``: mu2 is floored at
+    2 sum(omega^2 sigma^4) / (sum omega sum(omega sigma^2)) and kappa at
+    1 + 32 sum(omega^2 sigma^8) / (mu2^2 sum omega sum(omega sigma^4)),
+    in both of which omega's scale cancels.
 
     The floor sums are taken on sigma scaled by 2**-rel against the data of
     the raw moments (rel = 0 leaves them alike): the mu2 floor is scaled by
-    4**rel, and mu2 in the kappa floor by 4**-rel.  Where a mu2 overflows,
-    the kappa floor is 1.
+    4**rel, and mu2 in the kappa floor by 4**-rel.  Where that mu2 is out
+    of range, its power of two is taken out of its square and put back on
+    the quotient.  Where a mu2 overflows, the kappa floor is 1.
     """
     with np.errstate(over="ignore"):
         floor = np.ldexp(2.0 * c2 / (total * d2), 2 * rel)
         mu2 = np.where(floor > mu2_uc, floor, mu2_uc)
         mu2_sq = np.float_power(mu2, 2)  # libm pow, as float ** 2; np.square may differ
-        floor_sq = np.float_power(np.ldexp(mu2, -2 * rel), 2)
-    kappa_floor = 1.0 + 32.0 * c4 / (floor_sq * total * d4)
+        mu2_rel = np.ldexp(mu2, -2 * rel)
+        h = _exponent(mu2_rel)
+        floor_sq = np.float_power(np.ldexp(mu2_rel, -h), 2)
+    kappa_floor = 1.0 + np.ldexp(32.0 * c4 / (floor_sq * total * d4), -2 * h)
     kappa = mu4_uc / mu2_sq
     return mu2, np.where(kappa_floor > kappa, kappa_floor, kappa)
 
@@ -264,7 +276,7 @@ def _pmt_rows(resid, sigma, omega, members=None):
         raise ValueError("weights must not all be zero")
     mu2_uc, mu4_uc = a2 / total, a4 / total
     floors, f = _floor_sums(sigma, omega)
-    mu2, kappa = _truncate(mu2_uc, mu4_uc, total, *floors, f - e)
+    mu2, kappa = _truncate(mu2_uc, mu4_uc, *floors, f - e)
     # mu4_uc of data near the float range may itself overflow
     with np.errstate(over="ignore"):
         return np.ldexp(mu2_uc, 2 * e), np.ldexp(mu4_uc, 4 * e), np.ldexp(mu2, 2 * e), kappa
@@ -279,9 +291,15 @@ def _scaled(*arrays):
     power of two scales exactly, and so do the moments scaled back, unless
     a summand is subnormal on either route.
     """
-    e = np.frexp(np.max([np.max(np.abs(a), axis=-1) for a in arrays], axis=0))[1]
-    e = np.where(np.abs(e) > 64, e, 0)
+    e = _exponent(np.max([np.max(np.abs(a), axis=-1) for a in arrays], axis=0))
     return (*(np.ldexp(a, -e[..., None]) for a in arrays), e)
+
+
+def _exponent(x):
+    """e with |x| in [2**(e-1), 2**e), per entry, or 0 where that is inside
+    [2**-65, 2**64)."""
+    e = np.frexp(x)[1]
+    return np.where(np.abs(e) > 64, e, 0)
 
 
 def moments_uc(residuals: np.ndarray, sigma: np.ndarray, omega: np.ndarray):
@@ -301,7 +319,7 @@ def pmt(sigma: np.ndarray, omega: np.ndarray, mu2_uc: float, mu4_uc: float):
     The truncation step of a one-row ``_pmt_rows``, with the floor sums on
     sigma's power-of-two scale."""
     floors, f = _floor_sums(sigma, omega)
-    mu2, kappa = _truncate(mu2_uc, mu4_uc, _row_sums(omega), *floors, f)
+    mu2, kappa = _truncate(mu2_uc, mu4_uc, *floors, f)
     return float(mu2), float(kappa)
 
 

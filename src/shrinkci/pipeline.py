@@ -174,9 +174,8 @@ def _intervals(method, y, sigma, center, mu2, kappa, alpha: float, m2=None, chi=
 
 def _param_noncov_batch(w: np.ndarray, alpha: float, kappa: float) -> np.ndarray:
     z = wc._z(alpha)
-    m2 = 1.0 / w - 1.0
-    chi = z / np.sqrt(w)
-    return wc._worst_noncoverage_batch(m2, np.full_like(w, kappa), chi)
+    worst = lambda v: wc._worst_noncoverage_batch(1.0 / v - 1.0, np.full_like(v, kappa), z / np.sqrt(v))
+    return wc._chunked(worst, w)
 
 
 def parametric_worst_noncoverage(

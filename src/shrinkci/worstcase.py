@@ -253,6 +253,57 @@ def majorant_kink(chi: float) -> float:
 # which it is the square of the next float above chi
 _KINK_FAR = 1e6
 _KINK_HUGE = 2.0**56
+# chi from which Newton starts at the tabulated kink, and the table's node
+# count; below that chi the kink is too close to sqrt(3) to interpolate well
+_KINK_NEAR = 1.75
+_KINK_NODES = 4097
+
+
+def _kink_newton(c, t):
+    """Kinks of chi in (sqrt(3), ``_KINK_HUGE``) by ``_solve.newton_root``
+    from the starts t, clipped to the bracket of ``_majorant_kink_batch``."""
+    r0 = noncoverage_sq(0.0, c)
+    lo = np.maximum(c * c - 3.0, 1e-12)
+    hi = (c + np.where(c >= _KINK_FAR, 40.0, 5.0)) ** 2
+    g = lambda t, i: (_kink_objective(t, c[i], r0[i]), t * noncoverage_sq_d2(t, c[i]))
+    return _solve.newton_root(g, np.clip(t, lo, hi), lo, hi, _kink_floor(r0), 1e-12)
+
+
+def _kink_guess(c):
+    """Newton's start for the kink without the table: min(2.5 (chi^2 - 3),
+    (chi + 1)^2), and from ``_KINK_FAR`` on the asymptote."""
+    t = np.minimum(2.5 * (c * c - 3.0), (c + 1.0) ** 2)
+    far = c >= _KINK_FAR
+    t[far] = (c[far] + np.sqrt(2.0 * np.log(c[far] / (2.0 * _SQRT2PI)))) ** 2
+    return t
+
+
+# x = sqrt(t0) - chi at nodes uniform in log chi on [_KINK_NEAR, _KINK_FAR],
+# solved from _kink_guess at import, so that no call pays for the table
+_KINK_LOG = math.log(_KINK_NEAR)
+_KINK_STEP = (math.log(_KINK_FAR) - _KINK_LOG) / (_KINK_NODES - 1)
+_KINK_CHI = np.exp(_KINK_LOG + _KINK_STEP * np.arange(_KINK_NODES))
+_KINK_X = np.sqrt(_kink_newton(_KINK_CHI, _kink_guess(_KINK_CHI))) - _KINK_CHI
+
+
+def _kink_start(c):
+    """Newton's start for the kink: on [``_KINK_NEAR``, ``_KINK_FAR``),
+    (chi + x)^2 with x the cubic Lagrange interpolant of ``_KINK_X`` in
+    log chi through the four nodes around chi; elsewhere ``_kink_guess``."""
+    table = (c >= _KINK_NEAR) & (c < _KINK_FAR)
+    t = np.empty(c.size)
+    t[~table] = _kink_guess(c[~table])
+    if table.any():
+        ct = c[table]
+        s = (np.log(ct) - _KINK_LOG) / _KINK_STEP
+        j = np.clip(s.astype(int), 1, _KINK_NODES - 3)
+        # the weights of the nodes j - 1 to j + 2 at p = s - j
+        a, b, d, e = s - j + 1.0, s - j, s - j - 1.0, s - j - 2.0
+        x = (a * b * d * _KINK_X[j + 2] - b * d * e * _KINK_X[j - 1]) / 6.0 + (
+            a * d * e * _KINK_X[j] - a * b * e * _KINK_X[j + 1]
+        ) / 2.0
+        t[table] = (ct + x) ** 2
+    return t
 
 
 def _majorant_kink_batch(chi: np.ndarray) -> np.ndarray:
@@ -267,10 +318,12 @@ def _majorant_kink_batch(chi: np.ndarray) -> np.ndarray:
     (chi + 40)^2, where phi underflows, and Newton starts at that x.  From
     ``_KINK_HUGE`` on, x is below the float spacing of chi, and the kink is
     the square of the next float above chi (inf past the float range), so
-    that r(t0) is 1 and not the 0.5 of t0 = chi^2.  Each entry stops once
-    its relative step is at most 1e-12 or its residual reaches the roundoff
-    floor, which just above sqrt(3) holds near the lower end.  Entries at
-    or below sqrt(3) are zero.
+    that r(t0) is 1 and not the 0.5 of t0 = chi^2.  From ``_KINK_NEAR``
+    to ``_KINK_FAR`` Newton starts at the tabulated kink (``_kink_start``);
+    a start depends on chi alone and never decides a kink.  Each entry
+    stops once its relative step is at most 1e-12 or its residual reaches
+    the roundoff floor, which just above sqrt(3) holds near the lower end.
+    Entries at or below sqrt(3) are zero.
     """
     chi = np.asarray(chi, dtype=float)
     out = np.zeros(chi.size)
@@ -281,15 +334,7 @@ def _majorant_kink_batch(chi: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
             out[pos[huge]] = np.nextafter(c[huge], np.inf) ** 2
         pos, c = pos[~huge], c[~huge]
-    r0 = noncoverage_sq(0.0, c)
-    far = c >= _KINK_FAR
-    lo = np.maximum(c * c - 3.0, 1e-12)
-    hi = (c + np.where(far, 40.0, 5.0)) ** 2
-    t = np.clip(np.minimum(2.5 * (c * c - 3.0), (c + 1.0) ** 2), lo, hi)
-    if far.any():
-        t[far] = (c[far] + np.sqrt(2.0 * np.log(c[far] / (2.0 * _SQRT2PI)))) ** 2
-    g = lambda t, i: (_kink_objective(t, c[i], r0[i]), t * noncoverage_sq_d2(t, c[i]))
-    out[pos] = _solve.newton_root(g, t, lo, hi, _kink_floor(r0), 1e-12)
+    out[pos] = _kink_newton(c, _kink_start(c))
     return out.reshape(chi.shape)
 
 
@@ -520,6 +565,16 @@ def worst_noncoverage(constraints: MomentConstraints, chi: float) -> float:
 
 # width of the bracket whose upper end the batch critical values return
 _CHI_TOL = 1e-8
+# entries solved together by critical_values (distinct keys) and by the
+# parametric worst case of a fit, which bounds their memory
+_CVA_CHUNK = 2**16
+
+
+def _chunked(solve, x):
+    """``solve`` on slices of ``_CVA_CHUNK`` entries of ``x``, concatenated.
+    For an elementwise solve the slices bound memory and move no value."""
+    parts = [solve(x[i : i + _CVA_CHUNK]) for i in range(0, x.size, _CVA_CHUNK)]
+    return np.concatenate(parts or [[]])
 
 
 def _cva_scalar(m2: float, kappa: float, alpha: float) -> float:
@@ -545,16 +600,18 @@ def critical_values(m2, kappa=math.inf, alpha: float = 0.05) -> np.ndarray:
 
     ``kappa`` may be a scalar or an array broadcast against ``m2``; inf
     (or None) means no kurtosis bound.  Each distinct (m2, kappa) pair is
-    solved once, by ``_solve.newton_invert`` on the worst case and its
-    slope in the bracket [z, z sqrt((1 + m2) / alpha) + 1].  Newton starts
-    at the largest of z, sqrt(m2) + ndtri(1 - alpha), which lies below the
-    root since the worst case is at least Phi(sqrt(m2) - chi), and the limit
-    of chi / sqrt(m2) as m2 grows times sqrt(m2): sqrt(1 + sqrt((kappa - 1)
-    (1 / alpha - 1))) (Cantelli), or 1 / sqrt(alpha) (Markov) where that is
-    smaller or there is no kurtosis bound.  Each entry is the upper end of a
-    bracket of width at most ``_CHI_TOL`` (or of adjacent floats) around
-    the root, so its worst case is at most alpha.  The scalar
-    ``critical_value`` is this function at length 1.
+    solved once, ``_CVA_CHUNK`` pairs at a time (a pair's chi depends on it
+    alone, so the slices bound memory and move no chi), by
+    ``_solve.newton_invert`` on the worst case and its slope in the bracket
+    [z, z sqrt((1 + m2) / alpha) + 1].  Newton starts at the largest of z,
+    sqrt(m2) + ndtri(1 - alpha), which lies below the root since the worst
+    case is at least Phi(sqrt(m2) - chi), and the limit of chi / sqrt(m2)
+    as m2 grows times sqrt(m2): sqrt(1 + sqrt((kappa - 1) (1 / alpha - 1)))
+    (Cantelli), or 1 / sqrt(alpha) (Markov) where that is smaller or there
+    is no kurtosis bound.  Each entry is the upper end of a bracket of width
+    at most ``_CHI_TOL`` (or of adjacent floats) around the root, so its
+    worst case is at most alpha.  The scalar ``critical_value`` is this
+    function at length 1.
     A non-finite m2 or a NaN kappa raises ValueError.
     """
     m2 = np.atleast_1d(_checked("m2", m2))
@@ -564,6 +621,11 @@ def critical_values(m2, kappa=math.inf, alpha: float = 0.05) -> np.ndarray:
     key = m2.astype(complex)
     key.imag = np.broadcast_to(_checked_kappa(kappa), m2.shape)
     pairs, inv = np.unique(key, return_inverse=True)
+    return _chunked(lambda keys: _cva_keys(keys, alpha), pairs)[inv].reshape(m2.shape)
+
+
+def _cva_keys(pairs, alpha):
+    """``critical_values`` of distinct keys m2 + 1j * kappa."""
     uniq, kap = pairs.real.copy(), pairs.imag.copy()
     z = _z(alpha)
     worst = lambda chi, i: _worst_noncoverage_batch(uniq[i], kap[i], chi, slope=True)
@@ -574,10 +636,9 @@ def critical_values(m2, kappa=math.inf, alpha: float = 0.05) -> np.ndarray:
     limit = np.minimum(1.0 + np.sqrt(k1 * (1.0 / alpha - 1.0)), 1.0 / alpha)
     u = np.sqrt(uniq)
     start = np.maximum(np.maximum(z, u + ndtri(1.0 - alpha)), u * np.sqrt(limit))
-    chi = _solve.newton_invert(
+    return _solve.newton_invert(
         worst, alpha, start, np.full(uniq.shape, z), z * np.sqrt(top) + 1.0, _CHI_TOL
     )
-    return chi[inv].reshape(m2.shape)
 
 
 # chi from which the worst case is evaluated at (m2 / 4**k, chi / 2**k), with

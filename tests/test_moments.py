@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -571,6 +573,24 @@ class TestExtremeStandardErrors:
     def test_square_overflow_rejected(self):
         with pytest.raises(mom.UnitError, match="unit 17: sigma\\^2 must be finite"):
             self.units(1e155)
+
+    def test_inverse_variance_kappa_floor(self):
+        # omega = se^-2 spans 1e160: unscaled, omega^2 sigma^8 and mu2^2 went
+        # subnormal on sigma's scale and the kappa floor divided by zero
+        rng = np.random.default_rng(0)
+        se = rng.uniform(0.5, 2.0, 300)
+        se[17] = 1e80
+        y = rng.laplace(0.0, 0.5, 300) + se * rng.standard_normal(300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = mom.estimate_moments(mom.Units(y, se), weights="inverse_variance")
+        om = [Fraction(w) for w in mom._weights("inverse_variance", se)]
+        s = [Fraction(v) for v in se]
+        c4 = sum(w * w * v**8 for w, v in zip(om, s))
+        d4 = sum(w * v**4 for w, v in zip(om, s))
+        floor = 1 + 32 * c4 / (Fraction(est.mu2) ** 2 * sum(om) * d4)
+        assert float(floor) > 1e158
+        assert est.kappa == pytest.approx(float(floor), rel=1e-12)
 
 
 class TestExtremeEstimates:

@@ -289,6 +289,14 @@ class TestParametricWorstNoncoverage:
             pl.parametric_worst_noncoverage(0.2, 0.05)
         )
 
+    @pytest.mark.parametrize("kappa", [math.inf, 3.0])
+    def test_chunks_move_no_value(self, monkeypatch, kappa):
+        # a fit's units go to the worst case in slices, elementwise
+        w = np.random.default_rng(29).uniform(1e-3, 0.999, 100)
+        whole = pl._param_noncov_batch(w, 0.05, kappa)
+        monkeypatch.setattr(wc, "_CVA_CHUNK", 7)
+        np.testing.assert_array_equal(pl._param_noncov_batch(w, 0.05, kappa), whole)
+
 
 class TestOptimalShrinkage:
     def test_high_snr_no_shrinkage(self):

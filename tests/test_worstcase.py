@@ -313,6 +313,30 @@ class TestMajorantKink:
         assert 0.0 < t0 < 1e-4
         assert abs(wc._kink_objective(t0, chi, r0)) <= wc._kink_floor(r0)
 
+    def test_table_nodes_and_midpoints_against_oracle(self):
+        # Newton starts from the tabulated kink from chi = 1.75 on; the start
+        # never decides a kink, at the nodes, between them or at the cutoff
+        nodes = wc._KINK_CHI
+        cutoff = wc._KINK_NEAR
+        chis = np.concatenate(
+            [
+                nodes,
+                np.sqrt(nodes[:-1] * nodes[1:]),
+                [np.nextafter(cutoff, 0.0), cutoff, np.nextafter(cutoff, np.inf)],
+                np.linspace(cutoff - 0.01, cutoff + 0.01, 41),
+            ]
+        )
+        oracle = np.array([kink_brentq(float(c)) for c in chis])
+        np.testing.assert_allclose(wc._majorant_kink_batch(chis), oracle, rtol=1e-10, atol=1e-10)
+
+    def test_table_start_takes_few_sweeps(self, monkeypatch):
+        # one second-derivative call per lockstep Newton sweep
+        calls = []
+        d2 = wc.noncoverage_sq_d2
+        monkeypatch.setattr(wc, "noncoverage_sq_d2", lambda t, chi: calls.append(1) or d2(t, chi))
+        wc._majorant_kink_batch(np.geomspace(1.96, 1e3, 2000))
+        assert 0 < len(calls) <= 3
+
 
 class TestWorstNoncoverageSecond:
     def test_point_mass_at_zero(self):
@@ -867,6 +891,16 @@ class TestNewtonInversion:
         m2, kap = np.array([4.979577501831013e49]), np.array([8.338150244206348])
         chi = wc.critical_values(m2, kap, 0.001)
         assert _certified(m2, kap, chi, 0.001).all()
+
+    def test_chunks_move_no_chi(self, monkeypatch):
+        # the distinct keys go to the solver in slices; with duplicates
+        # across slices, chi is bit-identical to that of one slice
+        rng = np.random.default_rng(23)
+        m2 = rng.choice(np.exp(rng.uniform(np.log(1e-4), np.log(1e4), 40)), 200)
+        kap = rng.choice([3.0, 5.35, math.inf], 200)
+        whole = wc.critical_values(m2, kap, 0.05)
+        monkeypatch.setattr(wc, "_CVA_CHUNK", 7)
+        np.testing.assert_array_equal(wc.critical_values(m2, kap, 0.05), whole)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.001, 0.6])
     @pytest.mark.parametrize("keys", ["fit", "log_uniform"])
