@@ -3,8 +3,9 @@
 The batch solvers of ``worstcase``, ``pipeline``, ``nonlinear`` and
 ``momentlp`` reduce to three problems: invert a nonincreasing worst case at
 level alpha (``invert``, which brackets and then calls ``bracketed_root``;
-``newton_invert`` first takes Newton steps where the worst case comes with
-its slope, and leaves ``invert`` the entries it does not settle), find the
+``newton_invert``, where the worst case comes with its slope, which takes
+``newton_root``'s steps and returns the least lattice point at most alpha,
+leaving ``invert`` the entries it does not settle), find the
 root of a bracketed decreasing function (``bracketed_root``, or
 ``newton_root`` where the function comes with its slope: the majorant kink
 and the binding pair), or maximize a function along each column of a grid.
@@ -68,88 +69,80 @@ def invert(worst, alpha: float, lo, hi, tol: float):
     raise BracketError(f"worst case exceeds alpha={alpha} up to {0.5 * hi.max()}")
 
 
-# sweeps of newton_invert before an open entry goes to invert, and of
-# newton_root before it raises
-_NEWTON_SWEEPS = 8
+# newton_invert returns multiples of 2**-_LATTICE_BITS (every float from 2**25
+# on), and walks at most _WALK_SWEEPS lattice points before an open entry goes
+# to invert; newton_root raises after _ROOT_SWEEPS sweeps
+_LATTICE_BITS = 27
+_WALK_SWEEPS = 4
 _ROOT_SWEEPS = 100
-# a Newton step at most this long, or at most four floats, leaves an error far
-# below the pair's half-width, so the next estimate goes to the pair
+# a Newton step at most this long, or at most four floats, leaves the next
+# estimate within a lattice point or two of the crossing, for the walk to find
 _NEAR = 1e-5
 
 
-def newton_invert(worst, alpha: float, x, lo, hi, tol: float):
-    """``invert`` by Newton steps from ``x``, for a worst case with a slope.
+def _lattice(x, rnd):
+    """``x`` rounded by ``rnd`` (np.floor or np.ceil) to a lattice point, exactly."""
+    return np.ldexp(rnd(np.ldexp(x, _LATTICE_BITS)), -_LATTICE_BITS)
 
-    ``worst(x, idx)`` returns the worst case and its derivative in x > 0.
-    Newton steps on ``log_excess`` against log x, on which power-law tails
-    are straight lines, start at ``x`` inside ``invert``'s bracket [lo, hi].
-    Each value moves lo or hi to the point evaluated; a step that leaves the
-    bracket, or comes from a slope that is not negative and finite, is
-    replaced by bisection.  Once a step is at most ``_NEAR`` (or four floats)
-    long, the next estimate c is checked by the pair c -+ tol / 10, or c and
-    the next float where that pair rounds to one point, moved inside the
-    bracket.  An entry stops, as in ``bracketed_root``, once values have
-    shown both ends of a bracket at most ``tol`` wide, or with adjacent
-    floats as its ends, and returns the upper end.  Entries still
-    open after ``_NEWTON_SWEEPS`` sweeps go to ``invert`` with the bracket
-    they hold.
+
+def newton_invert(worst, alpha: float, x, lo, hi):
+    """Least multiple of 2**-27, per entry, at which a nonincreasing worst
+    case is at most alpha, by Newton steps from ``x`` in [lo, hi].
+
+    ``worst(x, idx)`` returns the worst case and its derivative in x > 0,
+    and [lo, hi] must hold the crossing.  ``newton_root`` takes Newton steps
+    on ``log_excess`` against log x, on which power-law tails are straight
+    lines, until a step is at most ``_NEAR`` x / x0 long, x0 the start (or
+    four floats).  The estimate's lattice ceiling u and the lattice point
+    below it are then evaluated together: an entry is done where the worst
+    case exceeds alpha below u and is at most alpha at u, and otherwise
+    moves one lattice point toward the crossing per sweep.  Entries still
+    open after ``_WALK_SWEEPS`` such sweeps go to ``invert`` on the bracket
+    the walk has shown, and one value at the lattice point below the
+    ceiling of its result decides between the two.  So the result depends
+    on the worst case's values on the lattice alone, not on ``x``.
     """
+
+    def f(c, idx):
+        w, dw = worst(c, idx)
+        v = log_excess(w, alpha)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dv = dw / w
+            # newton_root's step c - v / slope is then c exp(-v / (c dv)),
+            # the Newton step on v against log c
+            slope = np.where(v == 0, dv, v / (-c * np.expm1(-v / (c * dv))))
+        return v, slope
+
     x = np.array(x, dtype=float)
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    out = np.empty(x.size)
-    pos = np.arange(x.size)
-    # whether a value has shown lo above alpha, and hi at most alpha
-    lo_shown, hi_shown = np.zeros(x.size, dtype=bool), np.zeros(x.size, dtype=bool)
-    pair = np.full(x.size, np.nan)  # the pair's upper point, NaN where none
-    for _ in range(_NEWTON_SWEEPS):
-        two = np.flatnonzero(np.isfinite(pair))
-        one = np.arange(pos.size)
-        pts = np.concatenate([x, pair[two]])
-        w, dw = worst(pts, pos[np.concatenate([one, two])])
-        g = log_excess(w, alpha)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dg = dw / w
-        # each entry's evaluated points, as bracket ends
-        above = g > 0
-        ends_lo, ends_hi = np.where(above, pts, -np.inf), np.where(above, np.inf, pts)
-        bottom, top = ends_lo[one], ends_hi[one]
-        # Newton goes on from the point nearest the root: the pair's upper
-        # point where its value exceeds alpha, the other point otherwise
-        base = one.copy()
-        if two.size:
-            bottom[two] = np.maximum(bottom[two], ends_lo[pos.size :])
-            top[two] = np.minimum(top[two], ends_hi[pos.size :])
-            base[two[above[pos.size :]]] = pos.size + np.flatnonzero(above[pos.size :])
-        # a shown end replaces the caller's
-        lo = np.where(bottom > -np.inf, np.maximum(bottom, np.where(lo_shown, lo, -np.inf)), lo)
-        hi = np.where(top < np.inf, np.minimum(top, np.where(hi_shown, hi, np.inf)), hi)
-        lo_shown |= bottom > -np.inf
-        # rounding noise in the worst case can show an upper end at or below
-        # lo, which is then dropped; as in invert, an upper end not above lo
-        # doubles
-        hi_shown = (hi_shown | (top < np.inf)) & (hi > lo)
-        hi = np.where(hi_shown | (hi > lo), hi, 2.0 * lo)
-        done = lo_shown & hi_shown & ((hi - lo <= tol) | (np.nextafter(lo, np.inf) >= hi))
-        out[pos[done]] = hi[done]
+    c = newton_root(f, x, lo, hi, 0.0, np.maximum(_NEAR / x, 4.0 * np.finfo(float).eps))
+    pos, out = np.arange(x.size), np.empty(x.size)
+    up = _lattice(c, np.ceil)
+    down = _lattice(np.nextafter(up, -np.inf), np.floor)
+    w = worst(np.concatenate([down, up]), np.concatenate([pos, pos]))[0]
+    w_down, w_up = w[: x.size], w[x.size :]
+    for sweep in range(_WALK_SWEEPS + 1):
+        done = (w_down > alpha) & (w_up <= alpha)
+        out[pos[done]] = up[done]
         keep = ~done
-        xb, gb, db = pts[base][keep], g[base][keep], dg[base][keep]
-        pos, lo, hi = pos[keep], lo[keep], hi[keep]
-        lo_shown, hi_shown = lo_shown[keep], hi_shown[keep]
+        pos, up, down, w_down, w_up = pos[keep], up[keep], down[keep], w_down[keep], w_up[keep]
         if not pos.size:
             return out
-        with np.errstate(all="ignore"):
-            c = xb * np.exp(-gb / (xb * db))
-        ok = (db > -np.inf) & (db < 0) & np.isfinite(c)
-        near = ok & (np.abs(c - xb) <= np.maximum(_NEAR, 4.0 * np.spacing(xb)))
-        # a step past an upper end not yet shown tries that end, as invert does
-        x = np.where(~hi_shown & ok & (c >= hi), hi, 0.5 * (lo + hi))
-        x = np.where(ok & (c > lo) & (c < hi), c, x)
-        # the pair inside the bracket, its upper point at least the next float
-        c = np.clip(c, np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf))
-        up = np.maximum(c + 0.1 * tol, np.nextafter(c, np.inf))
-        x = np.where(near, np.minimum(c - 0.1 * tol, np.nextafter(up, -np.inf)), x)
-        pair = np.where(near, up, np.nan)
-    out[pos] = invert(lambda x, idx: worst(x, pos[idx])[0], alpha, lo, hi, tol)
+        rise = w_up > alpha
+        if sweep == _WALK_SWEEPS:
+            break
+        # a walk never turns: up past a u above alpha, down past a point below at most alpha
+        new = np.where(
+            rise, _lattice(np.nextafter(up, np.inf), np.ceil), _lattice(np.nextafter(down, -np.inf), np.floor)
+        )
+        w_new = worst(new, pos)[0]
+        down, up = np.where(rise, up, new), np.where(rise, new, down)
+        w_down, w_up = np.where(rise, w_up, w_new), np.where(rise, w_new, w_down)
+    value = lambda x, idx: worst(x, pos[idx])[0]
+    r = invert(value, alpha, np.where(rise, up, lo[pos]), np.where(rise, hi[pos], down), 2.0**-_LATTICE_BITS)
+    up = _lattice(r, np.ceil)
+    down = _lattice(np.nextafter(up, -np.inf), np.floor)
+    out[pos] = np.where(value(down, np.arange(pos.size)) <= alpha, down, up)
     return out
 
 

@@ -222,12 +222,13 @@ def _floor_sums(sigma, omega):
     geometric mean of its largest entry and the largest omega sigma^4.
     Where sigma spans many decades (one se of 1e80 under inverse-variance
     weights), omega spans twice as many, and unscaled, omega^2 sigma^8 went
-    subnormal."""
+    subnormal.  The mu2 floor's numerator squares omega sigma^2, not sigma^2
+    alone, which on that scale is subnormal for the ordinary units."""
     s, f = _scaled(sigma)
     s4 = s**4
     top = lambda a: np.sqrt(np.max(np.abs(a), axis=-1))
     o = np.ldexp(omega, -_exponent(top(omega) * top(omega * s4))[..., None])
-    terms = [o, o**2 * s4, o * s**2, o**2 * s**8, o * s4]
+    terms = [o, (o * s**2) ** 2, o * s**2, o**2 * s**8, o * s4]
     return [_row_sums(t) for t in terms], f
 
 
@@ -239,19 +240,20 @@ def _truncate(mu2_uc, mu4_uc, total, c2, d2, c4, d4, rel):
 
     The floor sums are taken on sigma scaled by 2**-rel against the data of
     the raw moments (rel = 0 leaves them alike): the mu2 floor is scaled by
-    4**rel, and mu2 in the kappa floor by 4**-rel.  Where that mu2 is out
+    4**rel, and mu2 in the kappa floor by 4**-rel.  Where either mu2 is out
     of range, its power of two is taken out of its square and put back on
     the quotient.  Where a mu2 overflows, the kappa floor is 1.
     """
     with np.errstate(over="ignore"):
         floor = np.ldexp(2.0 * c2 / (total * d2), 2 * rel)
         mu2 = np.where(floor > mu2_uc, floor, mu2_uc)
-        mu2_sq = np.float_power(mu2, 2)  # libm pow, as float ** 2; np.square may differ
         mu2_rel = np.ldexp(mu2, -2 * rel)
-        h = _exponent(mu2_rel)
+        g, h = _exponent(mu2), _exponent(mu2_rel)
+        # libm pow, as float ** 2; np.square may differ
+        mu2_sq = np.float_power(np.ldexp(mu2, -g), 2)
         floor_sq = np.float_power(np.ldexp(mu2_rel, -h), 2)
     kappa_floor = 1.0 + np.ldexp(32.0 * c4 / (floor_sq * total * d4), -2 * h)
-    kappa = mu4_uc / mu2_sq
+    kappa = np.ldexp(mu4_uc / mu2_sq, -2 * g)
     return mu2, np.where(kappa_floor > kappa, kappa_floor, kappa)
 
 

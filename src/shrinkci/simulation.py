@@ -12,6 +12,7 @@ Replication r of design d draws from a dedicated generator seeded by
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -378,40 +379,41 @@ def run_study(
         if m not in SIM_METHODS:
             raise ValueError(f"unknown method {m!r}; expected one of {SIM_METHODS}")
     rows = []
-    for d_idx, design in enumerate(designs):
-        tasks = [(design, d_idx, r, master_seed) for r in range(reps)]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+    # one pool for the whole study; its workers' start-up is paid once
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        for d_idx, design in enumerate(designs):
+            tasks = [(design, d_idx, r, master_seed) for r in range(reps)]
+            if pool:
                 results = list(pool.map(_simulate_rep, tasks, chunksize=max(1, reps // (4 * workers))))
-        else:
-            results = [_simulate_rep(t) for t in tasks]
-        stacked = _replications(results, design.weights)
-        oracle = design.theta.moments() if isinstance(design, PanelDesign) else None
-        wanted = [m for m in dict.fromkeys([*methods, _ORACLE_BASELINE]) if oracle or not m.startswith("oracle_")]
-        per_method = _study_coverage(stacked, wanted, oracle, alpha)
-        base_len = (
-            float(np.mean(per_method[_ORACLE_BASELINE][1]))
-            if _ORACLE_BASELINE in per_method
-            else math.nan
-        )
-        for method in methods:
-            if method not in per_method:
-                continue
-            cov, length = per_method[method]
-            cov_se = (
-                float(np.std(cov, ddof=1) / math.sqrt(reps)) if reps > 1 else math.nan
+            else:
+                results = [_simulate_rep(t) for t in tasks]
+            stacked = _replications(results, design.weights)
+            oracle = design.theta.moments() if isinstance(design, PanelDesign) else None
+            wanted = [m for m in dict.fromkeys([*methods, _ORACLE_BASELINE]) if oracle or not m.startswith("oracle_")]
+            per_method = _study_coverage(stacked, wanted, oracle, alpha)
+            base_len = (
+                float(np.mean(per_method[_ORACLE_BASELINE][1]))
+                if _ORACLE_BASELINE in per_method
+                else math.nan
             )
-            rows.append(
-                ReportRow(
-                    design=design.label,
-                    design_index=d_idx,
-                    method=method,
-                    coverage=float(np.mean(cov)),
-                    coverage_se=cov_se,
-                    avg_length=float(np.mean(length)),
-                    rel_length=float(np.mean(length) / base_len) if base_len else math.nan,
-                    reps=reps,
-                    n=design.n,
+            for method in methods:
+                if method not in per_method:
+                    continue
+                cov, length = per_method[method]
+                cov_se = (
+                    float(np.std(cov, ddof=1) / math.sqrt(reps)) if reps > 1 else math.nan
                 )
-            )
+                rows.append(
+                    ReportRow(
+                        design=design.label,
+                        design_index=d_idx,
+                        method=method,
+                        coverage=float(np.mean(cov)),
+                        coverage_se=cov_se,
+                        avg_length=float(np.mean(length)),
+                        rel_length=float(np.mean(length) / base_len) if base_len else math.nan,
+                        reps=reps,
+                        n=design.n,
+                    )
+                )
     return CoverageReport(rows=tuple(rows), master_seed=master_seed)

@@ -563,8 +563,6 @@ def worst_noncoverage(constraints: MomentConstraints, chi: float) -> float:
 # critical values
 
 
-# width of the bracket whose upper end the batch critical values return
-_CHI_TOL = 1e-8
 # entries solved together by critical_values (distinct keys) and by the
 # parametric worst case of a fit, which bounds their memory
 _CVA_CHUNK = 2**16
@@ -603,15 +601,16 @@ def critical_values(m2, kappa=math.inf, alpha: float = 0.05) -> np.ndarray:
     solved once, ``_CVA_CHUNK`` pairs at a time (a pair's chi depends on it
     alone, so the slices bound memory and move no chi), by
     ``_solve.newton_invert`` on the worst case and its slope in the bracket
-    [z, z sqrt((1 + m2) / alpha) + 1].  Newton starts at the largest of z,
+    [z, max(z, 1) sqrt(1 + m2) / sqrt(alpha) + 1], whose upper end holds the
+    root by Chebyshev's inequality.  Newton starts at the largest of z,
     sqrt(m2) + ndtri(1 - alpha), which lies below the root since the worst
     case is at least Phi(sqrt(m2) - chi), and the limit of chi / sqrt(m2)
     as m2 grows times sqrt(m2): sqrt(1 + sqrt((kappa - 1) (1 / alpha - 1)))
     (Cantelli), or 1 / sqrt(alpha) (Markov) where that is smaller or there
-    is no kurtosis bound.  Each entry is the upper end of a bracket of width
-    at most ``_CHI_TOL`` (or of adjacent floats) around the root, so its
-    worst case is at most alpha.  The scalar ``critical_value`` is this
-    function at length 1.
+    is no kurtosis bound.  Each entry is the least multiple of 2**-27 (from
+    2**25 on, of every float) whose worst case, as evaluated, is at most
+    alpha while the one below it exceeds alpha, whatever the start.  The
+    scalar ``critical_value`` is this function at length 1.
     A non-finite m2 or a NaN kappa raises ValueError.
     """
     m2 = np.atleast_1d(_checked("m2", m2))
@@ -629,16 +628,14 @@ def _cva_keys(pairs, alpha):
     uniq, kap = pairs.real.copy(), pairs.imag.copy()
     z = _z(alpha)
     worst = lambda chi, i: _worst_noncoverage_batch(uniq[i], kap[i], chi, slope=True)
-    # the quotient kept finite; where the cap binds, the upper end doubles
-    top = np.minimum(1.0 + uniq, alpha * np.finfo(float).max) / alpha
     # no kurtosis bound: inf; a degenerate one (a point mass): 0
     k1 = np.where(kap > 1.0 + 1e-9, kap - 1.0, 0.0)
     limit = np.minimum(1.0 + np.sqrt(k1 * (1.0 / alpha - 1.0)), 1.0 / alpha)
     u = np.sqrt(uniq)
     start = np.maximum(np.maximum(z, u + ndtri(1.0 - alpha)), u * np.sqrt(limit))
-    return _solve.newton_invert(
-        worst, alpha, start, np.full(uniq.shape, z), z * np.sqrt(top) + 1.0, _CHI_TOL
-    )
+    # Chebyshev: the worst case is at most (1 + m2) / chi^2, alpha or less here
+    hi = max(z, 1.0) * np.sqrt(1.0 + uniq) / math.sqrt(alpha) + 1.0
+    return _solve.newton_invert(worst, alpha, start, np.full(uniq.shape, z), hi)
 
 
 # chi from which the worst case is evaluated at (m2 / 4**k, chi / 2**k), with

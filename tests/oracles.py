@@ -114,7 +114,8 @@ def cva_scalar(m2, kappa, alpha):
     """Critical value by inverting ``worst_scalar`` one chi at a time.
 
     Returns the upper end of a bracket of width at most 1e-8 around the
-    root, as ``critical_values`` does, m2 = 0 included.
+    root, within 1e-8 of ``critical_values``' lattice point, m2 = 0
+    included.
     """
     z = float(ndtri(1.0 - alpha / 2.0))
     worst = lambda chi, idx: np.array([worst_scalar(m2, kappa, float(c)) for c in chi])

@@ -592,6 +592,40 @@ class TestExtremeStandardErrors:
         assert float(floor) > 1e158
         assert est.kappa == pytest.approx(float(floor), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 40, 300])
+    @pytest.mark.parametrize("weights", ["uniform", "inverse_variance"])
+    def test_mu2_floor_exact(self, n, weights):
+        # under inverse-variance weights the ordinary units' sigma^4 is
+        # subnormal on the floor sums' scale, and the floor kept 11 bits
+        se = np.random.default_rng(n).uniform(0.5, 2.0, n)
+        se[0] = 1e80
+        omega = mom._weights(weights, se)
+        (total, c2, d2, _, _), f = mom._floor_sums(se, omega)
+        om, s = [Fraction(w) for w in omega], [Fraction(v) for v in se]
+        exact = 2 * sum((w * v * v) ** 2 for w, v in zip(om, s)) / (sum(om) * sum(w * v * v for w, v in zip(om, s)))
+        assert math.ldexp(2.0 * c2 / (total * d2), 2 * int(f)) == pytest.approx(float(exact), rel=1e-15)
+
+    @pytest.mark.parametrize("scale,floored", [(0.01, True), (1.0, False)])
+    def test_raw_kappa_at_a_tiny_data_scale(self, scale, floored):
+        # the data's scale is 2**-266, on which mu2's square underflowed:
+        # at scale 0.01 to 0 (the raw kappa divided by zero, and kappa is
+        # the floor), at scale 1 to a subnormal (the raw kappa, which binds,
+        # read 4.7e159 against 3.3e159)
+        rng = np.random.default_rng(1)
+        se = rng.uniform(0.5, 2.0, 300)
+        se[0] = 1e80
+        y = scale * (rng.laplace(0.0, 0.5, 300) + se * rng.standard_normal(300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = mom.estimate_moments(mom.Units(y, se), weights="inverse_variance")
+        om = [Fraction(w) for w in mom._weights("inverse_variance", se)]
+        s, r = [Fraction(v) for v in se], [Fraction(v) for v in est.residuals]
+        mu2 = Fraction(est.mu2)
+        mu4 = sum(w * (e**4 - 6 * v * v * e * e + 3 * v**4) for w, v, e in zip(om, s, r)) / sum(om)
+        floor = 1 + 32 * sum(w * w * v**8 for w, v in zip(om, s)) / (mu2**2 * sum(om) * sum(w * v**4 for w, v in zip(om, s)))
+        assert (floor > mu4 / mu2**2) == floored
+        assert est.kappa == pytest.approx(float(max(floor, mu4 / mu2**2)), rel=1e-12)
+
 
 class TestExtremeEstimates:
     """One unit's y far above the rest, with ordinary standard errors."""

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import cva_scalar
 from scipy.special import ndtr, ndtri
+from test_worstcase import _certified
 
 from shrinkci import moments as mom
 from shrinkci import pipeline as pl
@@ -199,14 +200,19 @@ def test_fit_intervals_hold_their_order_on_edge_inputs(case):
         # an FPLIB fallback to PMT warns; its moments are checked as any others
         warnings.filterwarnings("ignore", "FPLIB variance estimate", UserWarning)
         est = mom.estimate_moments(data, variant=variant, weights=weights)
-    methods = ("robust_mu2_kappa", "robust_mu2", "parametric", "unshrunk")
+    methods = ("robust_mu2_kappa", "robust_mu2", "optimal_robust", "parametric", "unshrunk")
     res = {m: pl.fit(data, alpha=alpha, method=m, moment_estimates=est) for m in methods}
     for r in res.values():
         assert np.all(np.isfinite(r.half_length) & (r.half_length >= 0))
         assert np.all((r.lower <= r.theta_hat) & (r.theta_hat <= r.upper))
     z = wc._z(alpha)
-    assert np.all(res["robust_mu2"].cva >= z) and np.all(res["robust_mu2_kappa"].cva >= z)
+    for m in ("robust_mu2", "robust_mu2_kappa", "optimal_robust"):
+        assert np.all(res[m].cva >= z), m
     assert np.all(res["robust_mu2_kappa"].cva <= res["robust_mu2"].cva + 1e-8)
+    # each unit's chi is certified for its own key at the shrinkage it chose
+    opt = res["optimal_robust"]
+    m2 = (1.0 - 1.0 / opt.w_eb) ** 2 * (est.mu2 / data.sigma**2)
+    assert _certified(m2, np.full(m2.shape, est.kappa), opt.cva, alpha).all()
 
 
 class TestParametricInterval:

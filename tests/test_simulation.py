@@ -104,6 +104,22 @@ class TestRunStudy:
         r3 = sim.run_study([d], workers=3, **kw)
         assert r1.to_csv() == r2.to_csv() == r3.to_csv()
 
+    def test_one_pool_per_study(self, monkeypatch):
+        made = []
+
+        class Counted(sim.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", Counted)
+        designs = [self.make_design(), self.make_design("three_point", 2.0), self.make_design(n=30)]
+        kw = dict(methods=("robust_mu2", "parametric"), reps=8, master_seed=11)
+        pooled = sim.run_study(designs, workers=2, **kw)
+        assert made == [dict(max_workers=2)]
+        assert pooled.to_csv() == sim.run_study(designs, workers=1, **kw).to_csv()
+        assert len(made) == 1
+
     def test_matches_pipeline_fit(self):
         # the harness's inlined moment step and intervals must agree with the
         # library pipeline on the same draws

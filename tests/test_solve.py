@@ -170,7 +170,7 @@ class TestInvert:
 
 class TestNewtonInvert:
     @staticmethod
-    def _traced(worst, x, lo, hi, alpha=0.05, tol=1e-8):
+    def _traced(worst, x, lo, hi, alpha=0.05):
         """newton_invert with every sweep recorded (invert's too), and each
         hand-over to invert as (entries, sweeps before it)."""
         sweeps, handed = [], []
@@ -186,18 +186,22 @@ class TestNewtonInvert:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_solve, "invert", recorded)
-            out = _solve.newton_invert(counted, alpha, x, lo, hi, tol)
+            out = _solve.newton_invert(counted, alpha, x, lo, hi)
         return out, sweeps, handed
 
     def test_power_law_in_one_step(self):
         # worst = alpha (r / x)^2 is a line in (log x, log worst): one Newton
         # step lands on the root, where the value is at most alpha up to
-        # rounding, and the pair around the next estimate shows the lower end
+        # rounding, and the pair around the lattice ceiling of the next
+        # estimate shows the crossing.  The root 4e5 is itself a lattice
+        # point, so an estimate a few floats above it rounds up to the next
+        # one, and that entry alone walks one lattice point down
         roots = np.array([0.3, 2.0, 7.5, 1e3, 4e5])
         worst = lambda x, i: (0.05 * (roots[i] / x) ** 2, -0.1 * roots[i] ** 2 / x**3)
         n = roots.size
         out, sweeps, handed = self._traced(worst, np.full(n, 0.1), np.full(n, 0.1), np.full(n, 1e7))
-        assert len(sweeps) == 3 and not handed
+        assert len(sweeps) <= 4 and not handed
+        assert all(np.array_equal(idx, [4]) for idx in sweeps[3:])
         assert np.all((out >= roots) & (out <= roots + 1e-8))
         assert np.all(worst(out, np.arange(n))[0] <= 0.05)
         assert np.all(worst(out - 1e-8, np.arange(n))[0] > 0.05)
@@ -214,26 +218,32 @@ class TestNewtonInvert:
         assert np.all(worst(out, idx)[0] <= 0.05)
         assert np.all(worst(np.nextafter(out, -np.inf), idx)[0] > 0.05)
 
-    def test_upper_end_doubles_past_the_root(self):
-        # the caller's upper end, 2, lies below the roots 6 and 12: Newton
-        # steps past it try 2, 4 and 8 in turn, as invert's doubling does
-        roots = np.array([6.0, 12.0])
-        trail = []
+    def test_least_lattice_point_whatever_the_start(self):
+        # the result is the least multiple of 2**-27 whose worst case is at
+        # most alpha, bit for bit the same from every start in the bracket
+        roots = np.array([0.7, math.pi, 6.0 + 1e-9, 1234.5678, 3e7])
 
         def worst(x, i):
-            trail.extend(zip(np.asarray(i).tolist(), np.asarray(x).tolist()))
-            value = 0.5 * np.exp2(roots[i] - x)
-            return value, -np.log(2.0) * value
+            value = 0.05 * np.exp2(10.0 * (1.0 - x / roots[i]))
+            return value, -10.0 * np.log(2.0) / roots[i] * value
 
-        out, _, _ = self._traced(worst, np.ones(2), np.ones(2), np.full(2, 2.0), alpha=0.5)
-        assert [x for i, x in trail if i == 1][:4] == [1.0, 2.0, 4.0, 8.0]
-        assert np.all(0.5 * np.exp2(roots - out) <= 0.5)
-        assert np.all(0.5 * np.exp2(roots - (out - 1e-8)) > 0.5)
+        n = roots.size
+        lo, hi = np.full(n, 0.1), roots + 10.0
+        outs = [self._traced(worst, x, lo, hi)[0] for x in (lo, 0.97 * roots, 1.001 * roots, 1.3 * roots, hi)]
+        for out in outs[1:]:
+            assert np.array_equal(out, outs[0])
+        out, lattice = outs[0], 2.0**-27
+        assert np.all(np.ldexp(out, 27) == np.floor(np.ldexp(out, 27)))
+        idx = np.arange(n)
+        assert np.all(worst(out, idx)[0] <= 0.05)
+        assert np.all(worst(np.minimum(out - lattice, np.nextafter(out, -np.inf)), idx)[0] > 0.05)
 
     def test_useless_slope_goes_to_invert(self):
-        # a zero slope gives no Newton step: the entry bisects its bracket
-        # until the sweeps run out, then invert finishes it from there;
-        # the other entry has a true slope and stops on its own
+        # a zero slope gives no Newton step: the entry bisects to within
+        # about 1e-5 of the root, its walk of _WALK_SWEEPS lattice points
+        # does not reach the crossing, and invert finishes it alone; the
+        # other entry has a true slope and stops on its own.  The root 3 is
+        # a lattice point, which both entries return
         roots = np.array([3.0, 3.0])
         scale = np.array([1.0, 0.0])
 
@@ -242,10 +252,9 @@ class TestNewtonInvert:
             return value, -np.log(2.0) * value * scale[i]
 
         out, sweeps, handed = self._traced(worst, np.ones(2), np.ones(2), np.full(2, 10.0), alpha=0.5)
-        assert handed == [(1, _solve._NEWTON_SWEEPS)]
-        assert all(np.array_equal(idx, [1]) for idx in sweeps[_solve._NEWTON_SWEEPS :])
-        assert np.all(0.5 * np.exp2(roots - out) <= 0.5)
-        assert np.all(0.5 * np.exp2(roots - (out - 1e-8)) > 0.5)
+        assert [entries for entries, _ in handed] == [1]
+        assert all(np.array_equal(idx, [1]) for idx in sweeps[handed[0][1] :])
+        assert out.tolist() == [3.0, 3.0]
 
 
 class TestNewtonRoot:

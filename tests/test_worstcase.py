@@ -597,8 +597,8 @@ class TestEnvelopeSlope:
 
 class TestCriticalValue:
     def test_zero_moment_gives_z_quantile(self):
-        # m2 = 0 takes the Newton route too: the upper end of a bracket of
-        # width at most 1e-8 around z, whose worst case is at most alpha
+        # m2 = 0 takes the Newton route too: the least lattice point above
+        # z, 2**-27 apart, whose worst case is at most alpha
         res = wc.critical_value(wc.MomentConstraints(0.0), 0.05)
         assert Z975 < res.chi <= Z975 + 1e-8
         assert res.noncoverage <= 0.05
@@ -843,8 +843,9 @@ _BACKGROUND = np.exp(np.random.default_rng(5).uniform(np.log(1e-4), np.log(1e6),
 
 
 class TestNewtonInversion:
-    """Critical values by Newton on the envelope slope: each chi is the upper
-    end of a two-point certificate, whatever the batch around it."""
+    """Critical values by Newton on the envelope slope: each chi is the least
+    point of the 2**-27 lattice whose worst case is at most alpha, whatever
+    the batch around it and wherever Newton starts."""
 
     @settings(max_examples=150, deadline=None)
     @given(log_m2=st.floats(math.log(1e-8), math.log(1e300)), kappa=_KAPPAS)
@@ -891,6 +892,31 @@ class TestNewtonInversion:
         m2, kap = np.array([4.979577501831013e49]), np.array([8.338150244206348])
         chi = wc.critical_values(m2, kap, 0.001)
         assert _certified(m2, kap, chi, 0.001).all()
+        # chi near 2.3e7: the float below the upper end of a 1e-8 bracket
+        # had a worst case of alpha exactly, which the lattice point below
+        # chi does not share
+        m2, kap = np.array([732677396652.5332]), np.array([math.inf])
+        chi = wc.critical_values(m2, None, 0.001)
+        assert _certified(m2, kap, chi, 0.001).all()
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.001, 0.6])
+    @pytest.mark.parametrize("kappa", ["drawn", None])
+    def test_start_independent(self, monkeypatch, kappa, alpha):
+        # chi is the least lattice point whose worst case is at most alpha,
+        # so moving Newton's start moves no chi below 2**25; above it, where
+        # the lattice is every float, rounding plateaus of the worst case
+        # may hold more than one crossing
+        rng = np.random.default_rng(31)
+        m2 = np.exp(rng.uniform(np.log(1e-8), np.log(1e20), 20_000))
+        kap = np.exp(rng.uniform(0.0, np.log(1e7), m2.size)) if kappa else np.full(m2.shape, math.inf)
+        chi = wc.critical_values(m2, kap, alpha)
+        small = chi < 2.0**25
+        assert small.mean() > 0.7
+        newton_invert = _solve.newton_invert
+        for factor in (0.97, 1.001, 1.3):
+            moved = lambda worst, alpha, x, lo, hi: newton_invert(worst, alpha, np.clip(factor * x, lo, hi), lo, hi)
+            monkeypatch.setattr(_solve, "newton_invert", moved)
+            np.testing.assert_array_equal(wc.critical_values(m2, kap, alpha)[small], chi[small])
 
     def test_chunks_move_no_chi(self, monkeypatch):
         # the distinct keys go to the solver in slices; with duplicates
