@@ -3,12 +3,11 @@
 The batch solvers of ``worstcase``, ``pipeline``, ``nonlinear`` and
 ``momentlp`` reduce to three problems: invert a nonincreasing worst case at
 level alpha (``invert``, which brackets and then calls ``bracketed_root``;
-``newton_invert``, where the worst case comes with its slope, which takes
-``newton_root``'s steps and returns the least lattice point at most alpha,
-leaving ``invert`` the entries it does not settle), find the
-root of a bracketed decreasing function (``bracketed_root``, or
-``newton_root`` where the function comes with its slope: the majorant kink
-and the binding pair), or maximize a function along each column of a grid.
+``newton_invert`` on a fixed lattice, where the worst case comes with its
+slope), find the root of a bracketed decreasing function
+(``bracketed_root``, or ``newton_root`` where the function comes with its
+slope: the majorant kink and the binding pair), or maximize a function
+along each column of a grid.
 Per-entry functions are called as ``f(x, idx)``, where ``idx`` holds the
 positions of the entries in ``x``, so that entries which have converged
 drop out of the evaluation.
@@ -85,22 +84,51 @@ def _lattice(x, rnd):
     return np.ldexp(rnd(np.ldexp(x, _LATTICE_BITS)), -_LATTICE_BITS)
 
 
+def _settle(worst, alpha, c, pos, out):
+    """Walk the estimates ``c`` of the entries ``pos`` to their crossings.
+
+    The lattice ceiling u of c less up to four floats (at most 2**-30), so
+    that an estimate a few floats above a lattice root snaps onto it, and
+    the lattice point below u are evaluated in one sweep.  An entry is done,
+    u going to ``out``, where the worst case exceeds alpha below u and is at
+    most alpha at u; otherwise it moves one lattice point toward the
+    crossing per sweep, never turning, for at most ``_WALK_SWEEPS`` sweeps.
+    Returns the entries left open as (pos, rise, down, up).
+    """
+    up = _lattice(c - np.minimum(4.0 * np.spacing(c), 2.0**-30), np.ceil)
+    down = _lattice(np.nextafter(up, -np.inf), np.floor)
+    w = worst(np.concatenate([down, up]), np.concatenate([pos, pos]))[0]
+    w_down, w_up = w[: pos.size], w[pos.size :]
+    for sweep in range(_WALK_SWEEPS + 1):
+        done = (w_down > alpha) & (w_up <= alpha)
+        out[pos[done]] = up[done]
+        pos, up, down, w_down, w_up = (v[~done] for v in (pos, up, down, w_down, w_up))
+        rise = w_up > alpha
+        if not pos.size or sweep == _WALK_SWEEPS:
+            return pos, rise, down, up
+        # up past a u above alpha, down past a point below at most alpha
+        new = np.where(rise, np.nextafter(up, np.inf), np.nextafter(down, -np.inf))
+        new = np.where(rise, _lattice(new, np.ceil), _lattice(new, np.floor))
+        w_new = worst(new, pos)[0]
+        down, up = np.where(rise, up, new), np.where(rise, new, down)
+        w_down, w_up = np.where(rise, w_up, w_new), np.where(rise, w_new, w_down)
+
+
 def newton_invert(worst, alpha: float, x, lo, hi):
     """Least multiple of 2**-27, per entry, at which a nonincreasing worst
     case is at most alpha, by Newton steps from ``x`` in [lo, hi].
 
     ``worst(x, idx)`` returns the worst case and its derivative in x > 0,
-    and [lo, hi] must hold the crossing.  ``newton_root`` takes Newton steps
-    on ``log_excess`` against log x, on which power-law tails are straight
+    and [lo, hi] must hold the crossing.  ``newton_root`` steps on
+    ``log_excess`` against log x, on which power-law tails are straight
     lines, until a step is at most ``_NEAR`` x / x0 long, x0 the start (or
-    four floats).  The estimate's lattice ceiling u and the lattice point
-    below it are then evaluated together: an entry is done where the worst
-    case exceeds alpha below u and is at most alpha at u, and otherwise
-    moves one lattice point toward the crossing per sweep.  Entries still
-    open after ``_WALK_SWEEPS`` such sweeps go to ``invert`` on the bracket
-    the walk has shown, and one value at the lattice point below the
-    ceiling of its result decides between the two.  So the result depends
-    on the worst case's values on the lattice alone, not on ``x``.
+    four floats), and ``_settle`` walks its estimate onto the lattice.
+    Entries it leaves open go to ``invert`` on the bracket the walk has
+    shown, and ``_settle`` checks its result the same way (RuntimeError if
+    that walk does not settle, which a nonincreasing worst case cannot
+    cause).  So each result is a lattice point whose worst case, as
+    evaluated, is at most alpha while the one below exceeds alpha, and it
+    does not depend on ``x``.
     """
 
     def f(c, idx):
@@ -110,39 +138,19 @@ def newton_invert(worst, alpha: float, x, lo, hi):
             dv = dw / w
             # newton_root's step c - v / slope is then c exp(-v / (c dv)),
             # the Newton step on v against log c
-            slope = np.where(v == 0, dv, v / (-c * np.expm1(-v / (c * dv))))
+            slope = v / (-c * np.expm1(-v / (c * dv)))
         return v, slope
 
     x = np.array(x, dtype=float)
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = newton_root(f, x, lo, hi, 0.0, np.maximum(_NEAR / x, 4.0 * np.finfo(float).eps))
-    pos, out = np.arange(x.size), np.empty(x.size)
-    up = _lattice(c, np.ceil)
-    down = _lattice(np.nextafter(up, -np.inf), np.floor)
-    w = worst(np.concatenate([down, up]), np.concatenate([pos, pos]))[0]
-    w_down, w_up = w[: x.size], w[x.size :]
-    for sweep in range(_WALK_SWEEPS + 1):
-        done = (w_down > alpha) & (w_up <= alpha)
-        out[pos[done]] = up[done]
-        keep = ~done
-        pos, up, down, w_down, w_up = pos[keep], up[keep], down[keep], w_down[keep], w_up[keep]
-        if not pos.size:
-            return out
-        rise = w_up > alpha
-        if sweep == _WALK_SWEEPS:
-            break
-        # a walk never turns: up past a u above alpha, down past a point below at most alpha
-        new = np.where(
-            rise, _lattice(np.nextafter(up, np.inf), np.ceil), _lattice(np.nextafter(down, -np.inf), np.floor)
-        )
-        w_new = worst(new, pos)[0]
-        down, up = np.where(rise, up, new), np.where(rise, new, down)
-        w_down, w_up = np.where(rise, w_up, w_new), np.where(rise, w_new, w_down)
-    value = lambda x, idx: worst(x, pos[idx])[0]
-    r = invert(value, alpha, np.where(rise, up, lo[pos]), np.where(rise, hi[pos], down), 2.0**-_LATTICE_BITS)
-    up = _lattice(r, np.ceil)
-    down = _lattice(np.nextafter(up, -np.inf), np.floor)
-    out[pos] = np.where(value(down, np.arange(pos.size)) <= alpha, down, up)
+    out = np.empty(x.size)
+    pos, rise, down, up = _settle(worst, alpha, c, np.arange(x.size), out)
+    if pos.size:
+        value = lambda x, idx: worst(x, pos[idx])[0]
+        r = invert(value, alpha, np.where(rise, up, lo[pos]), np.where(rise, hi[pos], down), 2.0**-_LATTICE_BITS)
+        if _settle(worst, alpha, r, pos, out)[0].size:
+            raise RuntimeError("worst case crosses alpha more than once between lattice points")
     return out
 
 

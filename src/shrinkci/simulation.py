@@ -391,18 +391,13 @@ def run_study(
             oracle = design.theta.moments() if isinstance(design, PanelDesign) else None
             wanted = [m for m in dict.fromkeys([*methods, _ORACLE_BASELINE]) if oracle or not m.startswith("oracle_")]
             per_method = _study_coverage(stacked, wanted, oracle, alpha)
-            base_len = (
-                float(np.mean(per_method[_ORACLE_BASELINE][1]))
-                if _ORACLE_BASELINE in per_method
-                else math.nan
-            )
+            base = per_method.get(_ORACLE_BASELINE)
+            base_len = float(np.mean(base[1])) if base else math.nan
             for method in methods:
                 if method not in per_method:
                     continue
                 cov, length = per_method[method]
-                cov_se = (
-                    float(np.std(cov, ddof=1) / math.sqrt(reps)) if reps > 1 else math.nan
-                )
+                cov_se = float(np.std(cov, ddof=1) / math.sqrt(reps)) if reps > 1 else math.nan
                 rows.append(
                     ReportRow(
                         design=design.label,

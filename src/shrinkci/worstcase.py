@@ -601,7 +601,7 @@ def critical_values(m2, kappa=math.inf, alpha: float = 0.05) -> np.ndarray:
     solved once, ``_CVA_CHUNK`` pairs at a time (a pair's chi depends on it
     alone, so the slices bound memory and move no chi), by
     ``_solve.newton_invert`` on the worst case and its slope in the bracket
-    [z, max(z, 1) sqrt(1 + m2) / sqrt(alpha) + 1], whose upper end holds the
+    [z, sqrt(1 + m2) / sqrt(alpha) + 1], whose upper end holds the
     root by Chebyshev's inequality.  Newton starts at the largest of z,
     sqrt(m2) + ndtri(1 - alpha), which lies below the root since the worst
     case is at least Phi(sqrt(m2) - chi), and the limit of chi / sqrt(m2)
@@ -634,7 +634,7 @@ def _cva_keys(pairs, alpha):
     u = np.sqrt(uniq)
     start = np.maximum(np.maximum(z, u + ndtri(1.0 - alpha)), u * np.sqrt(limit))
     # Chebyshev: the worst case is at most (1 + m2) / chi^2, alpha or less here
-    hi = max(z, 1.0) * np.sqrt(1.0 + uniq) / math.sqrt(alpha) + 1.0
+    hi = np.sqrt(1.0 + uniq) / math.sqrt(alpha) + 1.0
     return _solve.newton_invert(worst, alpha, start, np.full(uniq.shape, z), hi)
 
 
