@@ -183,7 +183,8 @@ def _cold_start(problem: MomentProblem) -> MomentLPResult:
     nearest the target in the first moment that keep [1; G_B] nonsingular.
     A basis that holds the artificial has weight 1 on it and value -1, and
     no reward is negative, so the pivots drive it out whenever the target is
-    feasible, with no big-M constant.  LPSolverError past ``_MAX_PIVOTS``.
+    inside the hull, with no big-M constant; ``_simplex`` pivots it out of a
+    target on the boundary.  LPSolverError past ``_MAX_PIVOTS``.
     """
     K, p = problem.grid.size, problem.targets.size
     lifted = np.ones((p + 1, p + 1))
@@ -217,8 +218,9 @@ def _simplex(problem: MomentProblem, basis, columns, values) -> MomentLPResult |
     weight per step entry above ``_ROUNDING`` leaves, ties to the lowest index.
     A step that would cut a zero weight takes Bland's rule instead (the
     lowest index with a positive reduced cost enters), so pivots cannot
-    cycle.  None when the start is singular or infeasible, or when the
-    pivots pass ``_MAX_PIVOTS``.
+    cycle.  An artificial left in at the end is checked against the band
+    and pivoted out, so the returned plane is a grid basis's.  None when the
+    start is singular or infeasible, or when the pivots pass ``_MAX_PIVOTS``.
     """
     K, rhs = problem.grid.size, np.concatenate(([1.0], problem.targets))
     lifted = np.ones((rhs.size, rhs.size))  # [1; G_B]
@@ -239,7 +241,20 @@ def _simplex(problem: MomentProblem, basis, columns, values) -> MomentLPResult |
             scale = abs(plane[0]) + np.abs(plane[1:]) @ np.abs(columns[:, entering])
             entering = entering[reduced[entering] > _OPTIMAL * np.maximum(1.0, scale)]
         if not entering.size:
-            return _result(problem, basis, weights, plane)
+            if basis.max() < K:
+                return _result(problem, basis, weights, plane)
+            # the artificial is still in, with the target at best on the hull's
+            # boundary: a degenerate pivot puts in its place the grid point that
+            # keeps [1; G_B] farthest from singular, so the plane is the grid's
+            art = int(np.argmax(basis))
+            points = np.delete(basis, art)
+            at = problem.moments[:, points]
+            shift = np.linalg.lstsq(at[:, :-1] - at[:, -1:], rhs[1:] - at[:, -1], rcond=None)[0]
+            _check_band(problem, points, np.append(shift, 1.0 - shift.sum()))
+            row = inverse[art, 0] + inverse[art, 1:] @ problem.moments
+            row[points] = 0.0
+            basis[art] = int(np.argmax(np.abs(row)))
+            continue
         w = weights.tolist()
         for enter in (entering[np.argmax(reduced[entering])], entering[0]):
             step = (inverse[:, 0] + inverse[:, 1:] @ columns[:, enter]).tolist()
@@ -251,28 +266,23 @@ def _simplex(problem: MomentProblem, basis, columns, values) -> MomentLPResult |
     return None
 
 
-def _result(problem, basis, weights, plane) -> MomentLPResult:
-    """The final basis's grid points and weights, and its plane.  With the
-    artificial (index K) still in, the target is out of the hull: the points
-    come as near it as they can, the value is theirs, and the plane phase 1's.
-    The band is checked before ``_distribution`` drops small weights: one of
+def _check_band(problem, basis, weights):
+    """Raise InfeasibleMomentsError where ``weights`` on the grid points
+    ``basis``, clipped at 0, miss the targets by more than ``EQ_BAND``.  The
+    band is checked before ``_distribution`` drops small weights: one of
     5e-10 at 100 carries 5e-6 of theta^2."""
-    targets = problem.targets
-    order = np.argsort(basis)
-    basis, weights = basis[order], weights[order]
-    value = float(plane[0] + plane[1:] @ targets)
-    if basis[-1] == problem.grid.size:
-        basis = basis[:-1]
-        at = problem.moments[:, basis]
-        shift = np.linalg.lstsq(at[:, :-1] - at[:, -1:], targets - at[:, -1], rcond=None)[0]
-        weights = np.maximum(np.append(shift, 1.0 - shift.sum()), 0.0)
-        weights /= weights.sum()
-        value = float(problem.reward[basis] @ weights)
-    clipped = np.maximum(weights, 0.0)
+    targets, clipped = problem.targets, np.maximum(weights, 0.0)
     if np.abs(problem.moments[:, basis] @ clipped / clipped.sum() - targets).max() > EQ_BAND:
         raise InfeasibleMomentsError(f"no grid distribution matches the target moments {targets}")
+
+
+def _result(problem, basis, weights, plane) -> MomentLPResult:
+    """The final basis's grid points and weights, and its plane."""
+    order = np.argsort(basis)
+    basis, weights = basis[order], weights[order]
+    _check_band(problem, basis, weights)
     return MomentLPResult(
-        value=value,
+        value=float(plane[0] + plane[1:] @ problem.targets),
         solution=_distribution(problem.grid[basis], weights),
         dual_constant=float(plane[0]),
         dual_moments=plane[1:],

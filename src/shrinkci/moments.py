@@ -341,36 +341,48 @@ def _posterior_mean_positive(m_hat: float, v: float) -> float:
     return m_hat + s * num / ndtr(z)
 
 
-def _unbiased_mean_variance(z: np.ndarray, omega: np.ndarray) -> float:
-    """Unbiased variance estimate of the weighted mean of independent z's."""
+def _unbiased_mean_variance(z: np.ndarray, omega: np.ndarray):
+    """Unbiased variance estimate of the weighted mean of independent z's,
+    as (v, c): v is the estimate for z / 2**c.  omega is divided by its own
+    ``_exponent``, and z by that of the largest |omega z| after it, so that
+    the summands (omega z)^2 - (omega m)^2 are of order 1 wherever omega z
+    is: under inverse-variance weights, on a data scale far from 1, omega^2
+    z^2 went subnormal for every unit."""
+    omega = np.ldexp(omega, -_exponent(np.max(omega)))
+    c = int(_exponent(np.max(np.abs(omega * z))))
+    z = np.ldexp(z, -c)
     total, wz, total_sq = _row_sums(np.stack([omega, omega * z, omega**2])).tolist()
     m_hat = wz / total
     denom = total**2 - total_sq
     if denom <= 0:
-        return -1.0
-    return float(_row_sums(omega**2 * (z**2 - m_hat**2))) / denom
+        return -1.0, c
+    return float(_row_sums((omega * z) ** 2 - (omega * m_hat) ** 2)) / denom, c
 
 
-def _fplib(omega, mu2_uc, mu4_uc, w2, w4, pmt_moments):
+def _fplib(omega, mu2_uc, mu4_uc, w2, w4, e, pmt_moments):
     """Flat-prior limited-information Bayes (FPLIB) estimates of mu2 and kappa.
 
-    Falls back to ``pmt_moments`` (mu2, kappa), with a flag, when an
-    unbiased variance estimate of the underlying moment average is
-    nonpositive: under pathological weights, or where every w2 is equal.
+    The raw moments and the summands are on the data's power-of-two scale
+    2**e (see ``_scaled``), and each posterior mean is taken on the scale
+    of its ``_unbiased_mean_variance``, by b(m / 2**c, v) = b(m, 4**c v) / 2**c;
+    mu2 is returned on the data's own scale.  Falls back to ``pmt_moments``
+    (mu2, kappa), with a flag, when an unbiased variance estimate of the
+    underlying moment average is nonpositive: under pathological weights,
+    or where every w2 is equal.
     """
-    v2 = _unbiased_mean_variance(w2, omega)
+    v2, c2 = _unbiased_mean_variance(w2, omega)
     if v2 <= 0:
         warnings.warn("FPLIB variance estimate nonpositive; falling back to PMT")
         return (*pmt_moments, True)
-    mu2_hat = _posterior_mean_positive(mu2_uc, v2)
-    z4 = w4 - 2.0 * mu2_hat * w2
-    v4 = _unbiased_mean_variance(z4, omega)
+    mu2_hat = _posterior_mean_positive(math.ldexp(mu2_uc, -c2), v2)
+    z4 = w4 - 2.0 * math.ldexp(mu2_hat, c2) * w2
+    v4, c4 = _unbiased_mean_variance(z4, omega)
     if v4 <= 0:
         warnings.warn("FPLIB variance estimate nonpositive; falling back to PMT")
         return (*pmt_moments, True)
-    excess = _posterior_mean_positive(mu4_uc - mu2_uc**2, v4)
-    kappa_hat = 1.0 + excess / mu2_hat**2
-    return mu2_hat, kappa_hat, False
+    excess = _posterior_mean_positive(math.ldexp(mu4_uc - mu2_uc**2, -c4), v4)
+    kappa_hat = 1.0 + np.ldexp(excess / mu2_hat**2, c4 - 2 * c2)
+    return np.ldexp(mu2_hat, c2 + 2 * e), kappa_hat, False
 
 
 def _standardized_coords(X: np.ndarray, sigma: np.ndarray):
@@ -520,8 +532,7 @@ def estimate_moments(
         # posterior means scale with the data and kappa is scale-free
         r, s, e = _scaled(residuals, sigma)
         uc2, uc4 = (float(v) for v in _pmt_rows(r, s, omega)[:2])
-        mu2, kappa, fallback = _fplib(omega, uc2, uc4, *_signals(r, s), (np.ldexp(mu2_pmt, -2 * e), kappa_pmt))
-        mu2 = np.ldexp(mu2, 2 * e)
+        mu2, kappa, fallback = _fplib(omega, uc2, uc4, *_signals(r, s), e, (mu2_pmt, kappa_pmt))
     elif variant == "nn":
         mu2, kappa = mu2_pmt, kappa_pmt
         if neighbors is None:

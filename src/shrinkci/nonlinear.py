@@ -485,47 +485,6 @@ def selection_noncoverage(
     return float(out) if out.ndim == 0 else out
 
 
-def _kde_with_derivs(data: np.ndarray, points: np.ndarray, bandwidth: float):
-    """Gaussian-kernel density estimate and its first two derivatives.
-
-    Exact summation for small problems; fft-convolved linear binning above
-    ~4e6 kernel evaluations.
-    """
-    n = data.size
-    h = bandwidth
-    if n * points.size <= 4_000_000:
-        u = (points[:, None] - data[None, :]) / h
-        k = np.exp(-0.5 * u * u) / _SQRT2PI
-        f = k.sum(axis=1) / (n * h)
-        fp = (-u * k).sum(axis=1) / (n * h**2)
-        fpp = ((u * u - 1.0) * k).sum(axis=1) / (n * h**3)
-        return f, fp, fpp
-    from scipy.signal import fftconvolve
-
-    m = 1 << 15
-    lo = min(data.min(), points.min()) - 8.0 * h
-    hi = max(data.max(), points.max()) + 8.0 * h
-    step = (hi - lo) / (m - 1)
-    grid = lo + step * np.arange(m)
-    # linear binning of the sample
-    pos = np.clip((data - lo) / step, 0, m - 1 - 1e-9)
-    left = pos.astype(np.int64)
-    frac = pos - left
-    counts = np.bincount(left, weights=1.0 - frac, minlength=m)
-    counts += np.bincount(left + 1, weights=frac, minlength=m)
-    half = int(np.ceil(8.0 * h / step))
-    u = step * np.arange(-half, half + 1) / h
-    k = np.exp(-0.5 * u * u) / _SQRT2PI
-    f = fftconvolve(counts, k, mode="same") / (n * h)
-    fp = fftconvolve(counts, -u * k, mode="same") / (n * h**2)
-    fpp = fftconvolve(counts, (u * u - 1.0) * k, mode="same") / (n * h**3)
-    return (
-        np.interp(points, grid, f),
-        np.interp(points, grid, fp),
-        np.interp(points, grid, fpp),
-    )
-
-
 def _silverman_bandwidth(data: np.ndarray) -> float:
     n = data.size
     sd = float(np.std(data, ddof=1))
@@ -546,37 +505,43 @@ def selection_second_moment(
     The identity E[theta^2 | sel] = v + E[(Y + v l'(Y))^2 + v^2 l''(Y) | sel]
     holds with l the log marginal density of Y and v the noise variance, here
     1 + bandwidth^2 since kernel smoothing adds its own bandwidth of noise.
-    The conditional expectation is evaluated against the kernel density
+    The conditional expectation is evaluated against the kernel density f
     itself (a smoothed plug-in) rather than by averaging over sample points:
     the sample average squares the kernel noise in l', which at n = 1e5 is a
-    bias worth several standard errors, while in the smoothed form the noisy
-    ratio terms cancel in the integral.  Floored at 1e-8.
+    bias worth several standard errors.  The integral of the density-weighted
+    integrand v f + y^2 f + 2 v y f' + v^2 f'' over the window is exact, draw
+    by draw: with A, B = (lo - Y) / h, (hi - Y) / h, draw Y adds M = Phi(B) -
+    Phi(A) to the denominator and (Y^2 - 1) M + [phi(A) (A - 2 h Y) - phi(B)
+    (B - 2 h Y)] / h^2 to the numerator (v cancels).  Floored at 1e-8.
+
+    ``return_se`` adds the ratio's delta-method standard error from the same
+    terms, std(num - est M) / (mean(M) sqrt(n)).  Raises ValueError on a
+    non-finite draw, on fewer than ``min_selected`` draws in the window, and
+    on equal draws or a bandwidth that squares to 0.
     """
     ys = np.asarray(ys, dtype=float) / sigma
+    if not np.isfinite(ys).all():
+        raise ValueError("every draw must be finite")
     lo, hi = window.lo / sigma, window.hi / sigma
-    selected = ys[(ys >= lo) & (ys <= hi)]
-    if selected.size < min_selected:
-        raise ValueError(
-            f"only {selected.size} selected observations; need {min_selected}"
-        )
+    selected = np.count_nonzero((ys >= lo) & (ys <= hi))
+    if selected < min_selected:
+        raise ValueError(f"only {selected} selected observations; need {min_selected}")
     h = _silverman_bandwidth(ys)
-    v = 1.0 + h * h
-    grid_lo = max(lo, float(ys.min()) - 8.0 * h)
-    grid_hi = min(hi, float(ys.max()) + 8.0 * h)
-    grid = np.linspace(grid_lo, grid_hi, 8193)
-    f, fp, fpp = _kde_with_derivs(ys, grid, h)
-    # the density-weighted integrand collapses to a ratio-free form:
-    # [v + (y + v l')^2 + v^2 l''] f  =  v f + y^2 f + 2 v y f' + v^2 f''
-    integrand = v * f + grid**2 * f + 2.0 * v * grid * fp + v * v * fpp
-    num = float(np.trapezoid(integrand, grid))
-    den = float(np.trapezoid(f, grid))
-    est = max(num / den, 1e-8) * sigma**2
+    if ys.min() == ys.max() or not h * h > 0:
+        raise ValueError(f"the draws are (nearly) all equal: Silverman bandwidth {h!r}")
+    # M = 1 - Phi(A) - Phi(-B); an infinite end adds nothing, and phi is 0 past |40|
+    mass, ends = np.ones_like(ys), np.zeros_like(ys)
+    for end, sign in ((lo, 1.0), (hi, -1.0)):
+        if math.isfinite(end):
+            t = np.clip(end - ys, -40.0 * h, 40.0 * h) / h
+            mass -= ndtr(sign * t)
+            ends += sign * np.exp(-0.5 * t * t) * (t - 2.0 * h * ys)
+    num = (ys * ys - 1.0) * mass + ends / (_SQRT2PI * h * h)
+    ratio = float(num.sum() / mass.sum())
+    est = max(ratio, 1e-8) * sigma**2
     if return_se:
-        # first-order influence proxy: the estimator agrees with the moment
-        # identity E[Y^2] - v on the selected sample to O(h^2)
-        q = selected**2
-        se = float(q.std(ddof=1)) / math.sqrt(q.size) * sigma**2
-        return est, se
+        se = np.std(num - ratio * mass, ddof=1) / (mass.mean() * math.sqrt(ys.size))
+        return est, float(se) * sigma**2
     return est
 
 

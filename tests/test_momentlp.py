@@ -486,6 +486,22 @@ def test_envelope_property(drawn):
     assert slack.min() >= -1e-12
 
 
+@pytest.mark.parametrize("reward", [(0.0,) * 7, (0, 0, 0, 0, 0.3, 0.9, 0.1), (0.5, 0.2, 0.1, 0.4, 1.0, 0, 0.6)])
+def test_target_on_the_hull_boundary_certified(reward):
+    # the target lies 5.7e-14 below the chord from 17.25 to 18.25, so phase 1
+    # ended with the artificial still in, on a nearly singular basis, and
+    # the plane returned was phase 1's: it read -0.5 and -1 at the target
+    grid = np.array([0, 0.25, 0.5, 0.75, 15.75, 17.25, 18.25])
+    prob = mlp.MomentProblem(grid, np.array(reward, dtype=float), np.vstack([grid, grid**2]),
+                             [18.219696969696972, 331.98674242424244])
+    res = mlp.envelope_value(prob)
+    with mock.patch.object(mlp, "EQ_BAND", 0.0):
+        assert res.value == pytest.approx(mlp.solve_moment_lp(prob).value, abs=1e-8)
+    assert res.value == res.dual_constant + res.dual_moments @ prob.targets
+    assert (res.dual_constant + res.dual_moments @ prob.moments - prob.reward).min() >= -1e-12
+    assert len(res.basis) == 3 and max(res.basis) < grid.size
+
+
 def _counted_cold_starts(monkeypatch):
     """Every cold start of ``envelope_value``, recorded in the returned list."""
     colds = []

@@ -605,6 +605,45 @@ class TestExtremeStandardErrors:
         exact = 2 * sum((w * v * v) ** 2 for w, v in zip(om, s)) / (sum(om) * sum(w * v * v for w, v in zip(om, s)))
         assert math.ldexp(2.0 * c2 / (total * d2), 2 * int(f)) == pytest.approx(float(exact), rel=1e-15)
 
+    def test_fplib_inverse_variance_exact(self):
+        # omega z is of order 1 for every unit, but on the data's scale
+        # 2**-268 omega^2 (z^2 - m^2) was subnormal or 0 for every unit: v2
+        # read 0, and FPLIB warned and fell back to PMT (exact v2 0.0236)
+        rng = np.random.default_rng(1)
+        se = rng.uniform(0.5, 2.0, 300)
+        se[0] = 1e80
+        y = rng.laplace(0.0, 0.5, 300) + se * rng.standard_normal(300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = mom.estimate_moments(mom.Units(y, se), weights="inverse_variance", variant="fplib")
+        assert not est.fplib_fallback
+        omega = mom._weights("inverse_variance", se)
+        om, s, r = ([Fraction(v) for v in a] for a in (omega, se, est.residuals))
+        total = sum(om)
+
+        def mean_variance(z):
+            m = sum(w * x for w, x in zip(om, z)) / total
+            return m, sum(w * w * (x * x - m * m) for w, x in zip(om, z)) / (total**2 - sum(w * w for w in om))
+
+        w2 = [e * e - v * v for e, v in zip(r, s)]
+        w4 = [e**4 - 6 * v * v * e * e + 3 * v**4 for e, v in zip(r, s)]
+        m2, v2 = mean_variance(w2)
+        mu2 = Fraction(est.mu2)
+        v4 = mean_variance([a - 2 * mu2 * b for a, b in zip(w4, w2)])[1]
+        m4 = sum(w * x for w, x in zip(om, w4)) / total
+        # production's summands, on the data's scale 2**e
+        rs, ss, e = mom._scaled(est.residuals, se)
+        w2s, w4s = mom._signals(rs, ss)
+        got2, c2 = mom._unbiased_mean_variance(w2s, omega)
+        got4, c4 = mom._unbiased_mean_variance(w4s - 2.0 * math.ldexp(est.mu2, -2 * int(e)) * w2s, omega)
+        assert float(Fraction(got2) * Fraction(2) ** (2 * c2 + 4 * int(e)) / v2) == pytest.approx(1.0, rel=1e-12)
+        assert float(Fraction(got4) * Fraction(2) ** (2 * c4 + 8 * int(e)) / v4) == pytest.approx(1.0, rel=1e-12)
+        assert est.mu2 == pytest.approx(mom._posterior_mean_positive(float(m2), float(v2)), rel=1e-12)
+        # the excess kurtosis' posterior mean on v4's scale, 2**k
+        k = c4 + 4 * int(e)
+        excess = mom._posterior_mean_positive(float((m4 - m2 * m2) / 2**k), float(v4 / 4**k))
+        assert est.kappa == pytest.approx(float(1 + Fraction(excess) * 2**k / mu2**2), rel=1e-12)
+
     @pytest.mark.parametrize("scale,floored", [(0.01, True), (1.0, False)])
     def test_raw_kappa_at_a_tiny_data_scale(self, scale, floored):
         # the data's scale is 2**-266, on which mu2's square underflowed:
