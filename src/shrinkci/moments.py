@@ -209,10 +209,12 @@ def wls_delta(y: np.ndarray, X: np.ndarray, omega: np.ndarray) -> np.ndarray:
 
 def _signals(resid, sigma):
     """Per-unit unbiased summands w2 = eps^2 - sigma^2 of mu2 and
-    w4 = eps^4 - 6 sigma^2 eps^2 + 3 sigma^4 of mu4."""
-    w2 = resid**2 - sigma**2
-    w4 = resid**4 - 6.0 * sigma**2 * resid**2 + 3.0 * sigma**4
-    return w2, w4
+    w4 = eps^4 - 6 sigma^2 eps^2 + 3 sigma^4 of mu4.  Fourth powers are
+    squares of squares: numpy hands ``x**4`` to libm ``pow``, which costs
+    far more than two products, and they may differ from it in the last
+    bit.  w2 takes squares alone, as numpy computes ``x**2``."""
+    r2, s2 = resid * resid, sigma * sigma
+    return r2 - s2, r2 * r2 - 6.0 * s2 * r2 + 3.0 * (s2 * s2)
 
 
 def _floor_sums(sigma, omega):
@@ -223,12 +225,14 @@ def _floor_sums(sigma, omega):
     Where sigma spans many decades (one se of 1e80 under inverse-variance
     weights), omega spans twice as many, and unscaled, omega^2 sigma^8 went
     subnormal.  The mu2 floor's numerator squares omega sigma^2, not sigma^2
-    alone, which on that scale is subnormal for the ordinary units."""
+    alone, which on that scale is subnormal for the ordinary units.  As in
+    ``_signals``, sigma^4 and sigma^8 are products of squares, not ``pow``."""
     s, f = _scaled(sigma)
-    s4 = s**4
+    s2 = s * s
+    s4 = s2 * s2
     top = lambda a: np.sqrt(np.max(np.abs(a), axis=-1))
     o = np.ldexp(omega, -_exponent(top(omega) * top(omega * s4))[..., None])
-    terms = [o, (o * s**2) ** 2, o * s**2, o**2 * s**8, o * s4]
+    terms = [o, (o * s2) ** 2, o * s2, o**2 * (s4 * s4), o * s4]
     return [_row_sums(t) for t in terms], f
 
 

@@ -183,11 +183,12 @@ def _cosh_combo_series(u, chi):
     Accurate where the direct expression loses all leading digits.
     """
     s = 2.0 * chi * u
-    total = -np.square(u) * s
+    u2 = np.square(u)
+    total = -u2 * s
     term = np.asarray(s, dtype=float).copy()
     for j in range(2, 26):
         term = term * s / j
-        total = total + (0.5 * j - 1.0 - np.square(u)) * term
+        total = total + (0.5 * j - 1.0 - u2) * term
     return total
 
 
@@ -598,8 +599,11 @@ def critical_values(m2, kappa=math.inf, alpha: float = 0.05) -> np.ndarray:
 
     ``kappa`` may be a scalar or an array broadcast against ``m2``; inf
     (or None) means no kurtosis bound.  Each distinct (m2, kappa) pair is
-    solved once, ``_CVA_CHUNK`` pairs at a time (a pair's chi depends on it
-    alone, so the slices bound memory and move no chi), by
+    solved once: the first key of each run of equal consecutive keys goes
+    to the sort that finds them (a study's keys arrive in runs, one per
+    replication), and the runs take its chi.  They are solved
+    ``_CVA_CHUNK`` pairs at a time (a pair's chi depends on it alone, so
+    the slices bound memory and move no chi), by
     ``_solve.newton_invert`` on the worst case and its slope in the bracket
     [z, sqrt(1 + m2) / sqrt(alpha) + 1], whose upper end holds the
     root by Chebyshev's inequality.  Newton starts at the largest of z,
@@ -619,7 +623,13 @@ def critical_values(m2, kappa=math.inf, alpha: float = 0.05) -> np.ndarray:
     # one exact key per (m2, kappa) pair; sorts far faster than unique(axis=0)
     key = m2.astype(complex)
     key.imag = np.broadcast_to(_checked_kappa(kappa), m2.shape)
-    pairs, inv = np.unique(key, return_inverse=True)
+    key = key.ravel()
+    # the first key of each run of equal ones
+    first = np.ones(key.shape, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(first)
+    pairs, inv = np.unique(key[starts], return_inverse=True)
+    inv = np.repeat(inv, np.diff(starts, append=key.size))
     return _chunked(lambda keys: _cva_keys(keys, alpha), pairs)[inv].reshape(m2.shape)
 
 

@@ -165,14 +165,18 @@ def neighbor_order_full(coords):
 
 def pmt_scalar(resid, sigma, omega):
     """Raw moments of one neighborhood by ``math.fsum``, floored at the PMT
-    bounds in Python float arithmetic."""
+    bounds in Python float arithmetic.  Each summand is spelled as the
+    package forms it: fourth and eighth powers as products of squares, the
+    mu2 floor's numerator as the square of omega sigma^2."""
+    r2, s2 = resid * resid, sigma * sigma
+    s4 = s2 * s2
     total = math.fsum(omega)
-    mu2_uc = math.fsum(omega * (resid**2 - sigma**2)) / total
-    mu4_uc = math.fsum(omega * (resid**4 - 6.0 * sigma**2 * resid**2 + 3.0 * sigma**4)) / total
-    mu2_floor = 2.0 * math.fsum(omega**2 * sigma**4) / (total * math.fsum(omega * sigma**2))
+    mu2_uc = math.fsum(omega * (r2 - s2)) / total
+    mu4_uc = math.fsum(omega * (r2 * r2 - 6.0 * s2 * r2 + 3.0 * (s2 * s2))) / total
+    mu2_floor = 2.0 * math.fsum((omega * s2) ** 2) / (total * math.fsum(omega * s2))
     mu2 = max(mu2_uc, mu2_floor)
-    kappa_floor = 1.0 + 32.0 * math.fsum(omega**2 * sigma**8) / (
-        mu2**2 * total * math.fsum(omega * sigma**4)
+    kappa_floor = 1.0 + 32.0 * math.fsum(omega**2 * (s4 * s4)) / (
+        mu2**2 * total * math.fsum(omega * s4)
     )
     return mu2, max(mu4_uc / mu2**2, kappa_floor)
 

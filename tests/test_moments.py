@@ -370,18 +370,21 @@ class TestBlockedNeighbors:
 
     N = 50
 
-    @pytest.fixture
-    def data(self, monkeypatch):
+    def _data(self, monkeypatch, draw_sigma):
         rng = np.random.default_rng(21)
         n = self.N
         X = np.column_stack([np.ones(n), rng.integers(0, 3, n)])
-        sigma = rng.choice([0.5, 2.0], n)
+        sigma = draw_sigma(rng, n)
         resid = rng.normal(0.0, 1.5, n)
         omega = rng.uniform(0.5, 1.5, n)
         coords = mom._standardized_coords(X, sigma)
         # 16 rows a block: blocks of 16, 16, 16 and 2 rows
         monkeypatch.setattr(mom, "_NN_BLOCK_ELEMENTS", 16 * n * coords.shape[1])
         return resid, sigma, X, omega, coords
+
+    @pytest.fixture
+    def data(self, monkeypatch):
+        return self._data(monkeypatch, lambda rng, n: rng.choice([0.5, 2.0], n))
 
     def test_blocked_order_equals_full_lexsort(self, data):
         coords = data[4]
@@ -399,6 +402,17 @@ class TestBlockedNeighbors:
     @pytest.mark.parametrize("neighbors", [2, 17, 50])
     def test_nn_moments_equal_reference(self, data, neighbors):
         resid, sigma, X, omega, coords = data
+        mu2, kappa = mom.nn_moments(resid, sigma, X, omega, neighbors)
+        mu2_ref, kappa_ref = oracles.nn_moments_loop(resid, sigma, coords, omega, neighbors)
+        np.testing.assert_array_equal(mu2, mu2_ref)
+        np.testing.assert_array_equal(kappa, kappa_ref)
+
+    @pytest.mark.parametrize("neighbors", [2, 17, 50])
+    def test_nn_moments_equal_reference_non_dyadic_sigma(self, monkeypatch, neighbors):
+        """sigma ~ U(0.5, 2): unlike sigma in {0.5, 2}, its powers round, so
+        the oracle matches bit for bit only if it spells every summand (and
+        the mu2 floor's numerator) as the package does."""
+        resid, sigma, X, omega, coords = self._data(monkeypatch, lambda rng, n: rng.uniform(0.5, 2.0, n))
         mu2, kappa = mom.nn_moments(resid, sigma, X, omega, neighbors)
         mu2_ref, kappa_ref = oracles.nn_moments_loop(resid, sigma, coords, omega, neighbors)
         np.testing.assert_array_equal(mu2, mu2_ref)

@@ -977,6 +977,62 @@ class TestNewtonInversion:
         assert _certified(1.0 / reps["mu2"], reps["kappa"], chi, 0.05).all()
 
 
+class TestKeyRuns:
+    """critical_values collapses runs of equal consecutive keys before its
+    sort; the chi of every element is that of its key alone."""
+
+    def test_runs_shuffled_and_one_call_per_key_agree(self):
+        rng = np.random.default_rng(31)
+        m2_keys = np.array([0.3, 1.7, 0.3, 12.0, 0.05, 1.7])
+        kap_keys = np.array([3.0, 2.5, math.inf, 3.0, 7.0, 2.5])
+        # runs of 1 to 40, with keys 0 and 1 repeated in runs apart
+        lengths = [40, 1, 7, 3, 25, 2]
+        m2, kap = np.repeat(m2_keys, lengths), np.repeat(kap_keys, lengths)
+        chi = wc.critical_values(m2, kap, 0.05)
+        alone = {k: wc.critical_values([a], b, 0.05)[0] for k, a, b in zip(range(6), m2_keys, kap_keys)}
+        np.testing.assert_array_equal(chi, np.repeat([alone[k] for k in range(6)], lengths))
+        perm = rng.permutation(m2.size)
+        np.testing.assert_array_equal(wc.critical_values(m2[perm], kap[perm], 0.05), chi[perm])
+
+    @pytest.mark.parametrize("kappa_shape", [(4, 1), (5,)])
+    def test_two_dimensional_m2_with_broadcast_kappa(self, kappa_shape):
+        rng = np.random.default_rng(32)
+        # rows of equal m2: runs of 5 in the flat order; kappa (5,) breaks them
+        m2 = np.repeat(rng.uniform(0.1, 3.0, (4, 1)), 5, axis=1)
+        kappa = rng.uniform(1.5, 6.0, kappa_shape)
+        chi = wc.critical_values(m2, kappa, 0.05)
+        assert chi.shape == (4, 5)
+        kap = np.broadcast_to(kappa, m2.shape)
+        want = [[wc.critical_values([a], b, 0.05)[0] for a, b in zip(ra, rb)] for ra, rb in zip(m2, kap)]
+        np.testing.assert_array_equal(chi, want)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_input_keeps_its_shape(self, shape):
+        for kappa in (math.inf, 3.0, np.full(shape[-1:], 3.0)):
+            chi = wc.critical_values(np.zeros(shape), kappa, 0.05)
+            assert chi.shape == shape and chi.dtype == float
+
+    def test_study_keys_solved_once_each(self, monkeypatch):
+        design = sim.PanelDesign(n=500, t=math.inf, err="normal", snr=2.0, theta=sim.ThetaDistribution("normal", 2.0))
+        reps = sim._replications([sim._simulate_rep((design, 0, r, 3)) for r in range(50)], design.weights)
+        mu2, kappa = design.theta.moments()
+        # robust_mu2_kappa's 50 x 500 units, then the oracle keys of
+        # robust_mu2_kappa and robust_mu2
+        m2 = np.append(np.repeat(1.0 / reps["mu2"], 500), [1.0 / mu2, 1.0 / mu2])
+        kap = np.append(np.repeat(reps["kappa"], 500), [kappa, math.inf])
+        seen = []
+        solve = wc._cva_keys
+        monkeypatch.setattr(wc, "_cva_keys", lambda keys, alpha: seen.append(keys.copy()) or solve(keys, alpha))
+        chi = wc.critical_values(m2, kap, 0.05)
+        monkeypatch.undo()
+        key = m2.astype(complex)
+        key.imag = kap
+        assert m2.size == 25_002
+        np.testing.assert_array_equal(np.concatenate(seen), np.unique(key))
+        assert sum(map(len, seen)) == 52
+        np.testing.assert_array_equal(chi, wc.critical_values(m2[::-1], kap[::-1], 0.05)[::-1])
+
+
 class TestLeastFavorable:
     def test_pointmass_above_kink(self):
         chi = 2.5
