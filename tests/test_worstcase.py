@@ -989,8 +989,8 @@ class TestKeyRuns:
         lengths = [40, 1, 7, 3, 25, 2]
         m2, kap = np.repeat(m2_keys, lengths), np.repeat(kap_keys, lengths)
         chi = wc.critical_values(m2, kap, 0.05)
-        alone = {k: wc.critical_values([a], b, 0.05)[0] for k, a, b in zip(range(6), m2_keys, kap_keys)}
-        np.testing.assert_array_equal(chi, np.repeat([alone[k] for k in range(6)], lengths))
+        alone = [wc.critical_values([a], b, 0.05)[0] for a, b in zip(m2_keys, kap_keys)]
+        np.testing.assert_array_equal(chi, np.repeat(alone, lengths))
         perm = rng.permutation(m2.size)
         np.testing.assert_array_equal(wc.critical_values(m2[perm], kap[perm], 0.05), chi[perm])
 
