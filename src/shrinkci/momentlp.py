@@ -30,7 +30,6 @@ __all__ = [
     "solve_moment_lp",
     "envelope_value",
     "calibrate_chi",
-    "default_squared_bias_grid",
 ]
 
 # equality constraints are relaxed to this band to absorb floating-point drift
@@ -67,7 +66,9 @@ class MomentProblem:
     subject to sum p_k * g_j(x_k) = m_j for each moment function g_j.
 
     ``moments`` has shape (p, K) holding the moment-function evaluations on
-    the grid; ``targets`` has shape (p,).
+    the grid; ``targets`` has shape (p,).  ``reward`` must lie in [0, 1] up
+    to 1e-9, and is clipped to it here: the one range check of every
+    calibration's reward.
     """
 
     grid: np.ndarray
@@ -337,16 +338,3 @@ def calibrate_chi(
         return float(_solve.invert(worst, alpha, [lo], [hi], tol)[0])
     except _solve.BracketError as exc:
         raise CalibrationError(f"{exc}; calibration failed") from exc
-
-
-def default_squared_bias_grid(m2: float, t0: float, size: int = 1000) -> np.ndarray:
-    """Default grid for worst-case problems on the squared-bias scale.
-
-    Log-spaced points resolve the region near zero, linear points the bulk;
-    the range covers the chord kink and the point-mass solution comfortably.
-    """
-    upper = max(10.0 * m2, 2.0 * t0, 100.0)
-    half = size // 2
-    log_part = np.geomspace(max(upper * 1e-8, 1e-10), upper, half)
-    lin_part = np.linspace(0.0, upper, size - half)
-    return np.unique(np.concatenate([[0.0], log_part, lin_part]))

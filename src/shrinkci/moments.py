@@ -540,6 +540,9 @@ def estimate_moments(
     elif variant == "nn":
         mu2, kappa = mu2_pmt, kappa_pmt
         if neighbors is None:
+            if n < 3:
+                raise ValueError(f"cross-validation has no neighbor count to choose among {n} units; "
+                                 "give one (neighbors, or --nn-j on the command line)")
             neighbors, errors = cv_select_neighbors(residuals, sigma, X, omega, _default_neighbor_grid(n))
             extras["cv_errors"] = errors
         mu2_i, kappa_i = nn_moments(residuals, sigma, X, omega, neighbors)

@@ -19,6 +19,7 @@ from scipy.special import erfcx, expit, gammaincinv, gammaln, ndtr, roots_legend
 
 from shrinkci import _solve
 from shrinkci import momentlp as mlp
+from shrinkci import moments as mom
 from shrinkci import worstcase as wc
 
 __all__ = [
@@ -203,48 +204,48 @@ def soft_threshold_noncoverage(theta, cfg: SoftThresholdConfig, chi: float) -> n
 
     The margin is concave in y (-c(y) is the log of a normalizer, a
     cumulant generating function), so each theta is covered on one
-    y-interval, found by a Newton solve from each end of the truncation in
-    lockstep.  Started where the margin is <= 0, Newton on a concave function
-    climbs monotonically to the edge without crossing it; the run is empty
-    once an iterate passes the maximum or the far end with the margin still
-    <= 0.  An edge is final once its step is at most ``_EDGE_TOL`` or the
-    float spacing at y; an entry still open after ``_newton_steps`` raises
-    RuntimeError.  y is truncated per the config, and mass outside the
+    y-interval.  The margin at (-theta, -y) is that at (theta, y) bit for
+    bit, with its slope negated, so the right edge at theta is minus the
+    left edge at -theta: Newton solves left edges only, for theta and -theta
+    in lockstep, from the lower end.  Started where the margin is <= 0,
+    Newton on a concave function climbs monotonically to the edge without
+    crossing it; the run is empty once an iterate passes the maximum or the
+    upper end with the margin still <= 0.  An edge is final once its step is
+    at most ``_EDGE_TOL`` or the float spacing at y; an entry still open
+    after ``_newton_steps`` raises RuntimeError.  Mass outside the
     truncation counts as non-covered.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     n = theta.size
     y_lo, y_hi = cfg.y_truncation
-    # entries [0, n) start at the lower end and step up, [n, 2n) the reverse;
-    # an empty run gets the far end as its edge, so that right <= left
-    th = np.concatenate([theta, theta])
-    d = np.repeat([1.0, -1.0], n)
-    far = np.repeat([y_hi, y_lo], n)
-    y = np.repeat([y_lo, y_hi], n)
+    # entries [0, n) hold theta, [n, 2n) -theta; an empty run gets the upper
+    # end as its left edge, so that right <= left
+    th = np.concatenate([theta, -theta])
+    y = np.full(2 * n, y_lo)
     m, dm = _covered_margin(th, y, cfg, chi, slope=True)
-    edge = np.where((m <= 0) & (d * dm <= 0), far, y)
-    idx = np.flatnonzero((m <= 0) & (d * dm > 0))
+    edge = np.where((m <= 0) & (dm <= 0), y_hi, y)
+    idx = np.flatnonzero((m <= 0) & (dm > 0))
     y, m, dm = y[idx], m[idx], dm[idx]
     for _ in range(_newton_steps(cfg)):
         step = -m / dm
         y = y + step
-        # past the far end the tangent, and so the margin, is <= 0 on the whole range
-        beyond = d[idx] * (y - far[idx]) > 0
+        # past the upper end the tangent, and so the margin, is <= 0 on the whole range
+        beyond = y > y_hi
         done = beyond | (np.abs(step) <= np.maximum(_EDGE_TOL, np.spacing(np.abs(y))))
-        edge[idx[done]] = np.where(beyond, far[idx], y)[done]
+        edge[idx[done]] = np.where(beyond, y_hi, y)[done]
         idx, y = idx[~done], y[~done]
         if not idx.size:
             break
         m, dm = _covered_margin(th[idx], y, cfg, chi, slope=True)
         # past the maximum with the margin still <= 0 nothing is covered;
         # a positive margin is the edge, reached up to rounding
-        past = (m <= 0) & (d[idx] * dm <= 0)
+        past = (m <= 0) & (dm <= 0)
         stop = past | (m > 0)
-        edge[idx[stop]] = np.where(past, far[idx], y)[stop]
+        edge[idx[stop]] = np.where(past, y_hi, y)[stop]
         idx, y, m, dm = idx[~stop], y[~stop], m[~stop], dm[~stop]
     if idx.size:
         raise RuntimeError(f"{idx.size} edges still open after {_newton_steps(cfg)} Newton steps")
-    left, right = edge[:n], edge[n:]
+    left, right = edge[:n], -edge[n:]
     s = cfg.sigma
     mass = np.where(right > left, ndtr((right - theta) / s) - ndtr((left - theta) / s), 0.0)
     return 1.0 - mass
@@ -288,10 +289,10 @@ def soft_threshold_ebci(cfg: SoftThresholdConfig) -> tuple[float, float]:
 
 
 def _soft_threshold_problem(cfg: SoftThresholdConfig, chi: float) -> mlp.MomentProblem:
-    """Worst case at chi over grid distributions with second moment mu2."""
+    """Worst case at chi over grid distributions with second moment mu2;
+    MomentProblem checks the reward."""
     grid = np.asarray(cfg.theta_grid)
-    reward = np.clip(soft_threshold_noncoverage(grid, cfg, chi), 0.0, 1.0)
-    return mlp.MomentProblem(grid, reward, grid[None, :] ** 2, [cfg.mu2])
+    return mlp.MomentProblem(grid, soft_threshold_noncoverage(grid, cfg, chi), grid[None, :] ** 2, [cfg.mu2])
 
 
 def soft_threshold_worst_noncoverage(cfg: SoftThresholdConfig, chi: float) -> float:
@@ -438,12 +439,10 @@ def _poisson_problem(
     cfg: PoissonConfig, chi: float, mean: float, second_moment: float, pmf=None
 ) -> mlp.MomentProblem:
     """Worst case at chi over grid rate distributions with the two moments;
-    ``pmf`` as in ``poisson_noncoverage``."""
+    ``pmf`` as in ``poisson_noncoverage``; MomentProblem checks the reward."""
     grid = np.asarray(cfg.theta_grid)
-    reward = np.clip(poisson_noncoverage(grid, cfg, chi, pmf), 0.0, 1.0)
-    return mlp.MomentProblem(
-        grid, reward, np.vstack([grid, grid**2]), [mean, second_moment]
-    )
+    reward = poisson_noncoverage(grid, cfg, chi, pmf)
+    return mlp.MomentProblem(grid, reward, np.vstack([grid, grid**2]), [mean, second_moment])
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +514,13 @@ def selection_second_moment(
     (B - 2 h Y)] / h^2 to the numerator (v cancels).  Floored at 1e-8.
 
     ``return_se`` adds the ratio's delta-method standard error from the same
-    terms, std(num - est M) / (mean(M) sqrt(n)).  Raises ValueError on a
-    non-finite draw, on fewer than ``min_selected`` draws in the window, and
-    on equal draws or a bandwidth that squares to 0.
+    terms, std(num - est M) / (mean(M) sqrt(n)).  Draws past 2**64 (in units
+    of sigma) are taken on the power-of-two scale of ``moments._exponent``,
+    where the noise variance is u = 4**-e: Y^2 - u and u phi(A) (u A - 2 h Y)
+    replace Y^2 - 1 and phi(A) (A - 2 h Y).  Raises ValueError on a
+    non-finite draw, on fewer than ``min_selected`` draws in the window, on
+    equal draws or a bandwidth that squares to 0, and on an answer past the
+    float range.
     """
     ys = np.asarray(ys, dtype=float) / sigma
     if not np.isfinite(ys).all():
@@ -526,6 +529,9 @@ def selection_second_moment(
     selected = np.count_nonzero((ys >= lo) & (ys <= hi))
     if selected < min_selected:
         raise ValueError(f"only {selected} selected observations; need {min_selected}")
+    # tiny draws stay as they are: their 1 of Y^2 - 1 dominates, and 4**-e would overflow
+    e = max(int(mom._exponent(np.max(np.abs(ys)))), 0)
+    ys, lo, hi, noise = np.ldexp(ys, -e), math.ldexp(lo, -e), math.ldexp(hi, -e), math.ldexp(1.0, -2 * e)
     h = _silverman_bandwidth(ys)
     if ys.min() == ys.max() or not h * h > 0:
         raise ValueError(f"the draws are (nearly) all equal: Silverman bandwidth {h!r}")
@@ -535,14 +541,18 @@ def selection_second_moment(
         if math.isfinite(end):
             t = np.clip(end - ys, -40.0 * h, 40.0 * h) / h
             mass -= ndtr(sign * t)
-            ends += sign * np.exp(-0.5 * t * t) * (t - 2.0 * h * ys)
-    num = (ys * ys - 1.0) * mass + ends / (_SQRT2PI * h * h)
+            ends += sign * np.exp(-0.5 * t * t) * (t * noise - 2.0 * h * ys)
+    num = (ys * ys - noise) * mass + noise * ends / (_SQRT2PI * h * h)
     ratio = float(num.sum() / mass.sum())
-    est = max(ratio, 1e-8) * sigma**2
-    if return_se:
-        se = np.std(num - ratio * mass, ddof=1) / (mass.mean() * math.sqrt(ys.size))
-        return est, float(se) * sigma**2
-    return est
+    se = np.std(num - ratio * mass, ddof=1) / (mass.mean() * math.sqrt(ys.size)) if return_se else 0.0
+    try:  # a negative ratio takes the floor, however large its 4**e
+        est = max(math.ldexp(max(ratio, 0.0), 2 * e), 1e-8) * sigma**2
+        se = math.ldexp(float(se), 2 * e) * sigma**2
+    except OverflowError:
+        est = se = math.inf
+    if not (math.isfinite(est) and math.isfinite(se)):
+        raise ValueError(f"the second moment {ratio!r} * 4**{e} * {sigma!r}**2 is past the float range")
+    return (est, se) if return_se else est
 
 
 def selection_critical_value(
@@ -569,6 +579,6 @@ def _selection_problem(
     mu2_cond: float,
 ) -> mlp.MomentProblem:
     """Worst case at chi over grid distributions with conditional second
-    moment mu2_cond."""
-    reward = np.clip(selection_noncoverage(grid, chi, window, w_eb, sigma), 0.0, 1.0)
+    moment mu2_cond; MomentProblem checks the reward."""
+    reward = selection_noncoverage(grid, chi, window, w_eb, sigma)
     return mlp.MomentProblem(grid, reward, grid[None, :] ** 2, [mu2_cond])

@@ -195,12 +195,6 @@ def parametric_worst_noncoverage(
     return float(_param_noncov_batch(np.array([w_eb], dtype=float), alpha, kappa)[0])
 
 
-def _scaled_half_lengths(w: np.ndarray, snr: np.ndarray, kappa, alpha: float):
-    """chi((1 - 1/w)^2 * snr) * w for arrays of shrinkage levels."""
-    chi = wc.critical_values((1.0 - 1.0 / w) ** 2 * snr, kappa=kappa, alpha=alpha)
-    return chi * w, chi
-
-
 def _optimal_shrinkage_batch(snr, kappa: float, alpha: float):
     """Length-optimal shrinkage per unit, vectorized.
 
@@ -212,10 +206,10 @@ def _optimal_shrinkage_batch(snr, kappa: float, alpha: float):
     if np.any(snr <= 0):
         raise ValueError("snr must be > 0")
     grid = np.broadcast_to(_W_GRID[:, None], (_W_GRID.size, snr.size))
-    neg_half = lambda w: -_scaled_half_lengths(w, snr, kappa, alpha)[0]
-    w, _ = _solve.grid_golden_max(neg_half, grid, 40)
-    _, chi = _scaled_half_lengths(w, snr, kappa, alpha)
-    return w, chi
+    # at shrinkage w the half-length is cva(w) * w, in units of sigma
+    cva = lambda w: wc.critical_values((1.0 - 1.0 / w) ** 2 * snr, kappa=kappa, alpha=alpha)
+    w, _ = _solve.grid_golden_max(lambda w: -cva(w) * w, grid, 40)
+    return w, cva(w)
 
 
 def optimal_shrinkage(

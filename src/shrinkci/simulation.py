@@ -66,10 +66,10 @@ _ORACLE_BASELINE = "oracle_robust_mu2_kappa"
 class ThetaDistribution:
     """Effect distribution with variance ``mu2`` (exactly, by construction).
 
-    The least favorable kinds place mass 1-p at zero and p/2 at each of
-    +-sqrt(mu2/p), with p chosen from the majorant kink at the critical
-    value they are least favorable for; ``alpha`` enters only through that
-    critical value.
+    The symmetric three-point kinds place mass 1-p at zero and p/2 at each
+    of +-sqrt(mu2/p): p = 1/2 for three_point, and for the least favorable
+    kinds p comes from the majorant kink at the critical value they are
+    least favorable for; ``alpha`` enters only through that critical value.
     """
 
     kind: str
@@ -86,10 +86,12 @@ class ThetaDistribution:
 
     @cached_property
     def _lf_mass(self) -> float:
-        """Mass p of the displaced support points for the lf_* kinds.
+        """Mass p of the displaced support points of a three-point kind.
 
         Solved once per instance: every replication draws from it.
         """
+        if self.kind == "three_point":
+            return 0.5
         m2 = 1.0 / self.mu2
         if self.kind == "lf_robust":
             chi = wc._cva_scalar(m2, math.inf, self.alpha)
@@ -109,8 +111,6 @@ class ThetaDistribution:
         if self.kind == "two_point":
             p = 0.1
             return self.mu2, 1.0 / (p * (1.0 - p)) - 3.0
-        if self.kind == "three_point":
-            return self.mu2, 2.0
         return self.mu2, 1.0 / self._lf_mass
 
 
@@ -125,10 +125,6 @@ def draw_theta(dist: ThetaDistribution, n: int, rng: np.random.Generator) -> np.
         # mass 0.1 displaced so the variance is exactly mu2
         v = math.sqrt(mu2 / (0.9 * 0.1))
         return np.where(rng.random(n) < 0.1, v, 0.0)
-    if dist.kind == "three_point":
-        v = math.sqrt(mu2 / 0.5)
-        u = rng.random(n)
-        return np.where(u < 0.25, -v, np.where(u < 0.5, v, 0.0))
     p = dist._lf_mass
     v = math.sqrt(mu2 / p)
     u = rng.random(n)

@@ -17,7 +17,7 @@ row-at-a-time reader (a ``csv.DictReader`` dict per row) and writer
 
 Independent of ``shrinkci.momentlp``'s envelope simplex: the concave
 envelope as the lowest upper facet of a qhull convex hull, the route the
-simplex replaced.
+simplex replaced; and the default squared-bias grid of the LP cross-checks.
 
 Independent of ``shrinkci.nonlinear``'s vectorized intervals: the HPD set
 one y at a time and the expected HPD length by a loop over it, and the
@@ -123,6 +123,19 @@ def cva_scalar(m2, kappa, alpha):
     worst = lambda chi, idx: np.array([worst_scalar(m2, kappa, float(c)) for c in chi])
     hi = z * math.sqrt((1.0 + m2) / alpha) + 1.0
     return float(_solve.invert(worst, alpha, [z], [hi], 1e-8)[0])
+
+
+def default_squared_bias_grid(m2: float, t0: float, size: int = 1000) -> np.ndarray:
+    """Default grid for worst-case problems on the squared-bias scale.
+
+    Log-spaced points resolve the region near zero, linear points the bulk;
+    the range covers the chord kink and the point-mass solution comfortably.
+    """
+    upper = max(10.0 * m2, 2.0 * t0, 100.0)
+    half = size // 2
+    log_part = np.geomspace(max(upper * 1e-8, 1e-10), upper, half)
+    lin_part = np.linspace(0.0, upper, size - half)
+    return np.unique(np.concatenate([[0.0], log_part, lin_part]))
 
 
 def envelope_hull(problem):

@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import cva_scalar, read_units_csv_reference, write_csv_reference
 from scipy.special import ndtri
+from test_pipeline import fit_inputs
 
 from shrinkci import _csvio
 from shrinkci import cli
@@ -383,6 +386,49 @@ class TestFitCommand:
         ]) == 0
         header2, _ = read_output(str(out2))
         assert header2["alpha"] == "0.05"
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=fit_inputs(), method=st.sampled_from(pl.METHODS), bad_se=st.sampled_from(["nan", "inf", "-inf"]))
+def test_fit_route_matches_the_library_and_exits_by_kind(case, method, bad_se):
+    # the CLI's columns are pl.fit's bit for bit on the library property's
+    # edge inputs; one broken thing at a time then gives its exit code and
+    # writes no output
+    data, alpha, variant, weights = case
+    y, se = data.y.tolist(), data.sigma.tolist()
+    flags = ["--alpha", repr(alpha), "--method", method, "--weights", weights]
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "FPLIB variance estimate", UserWarning)
+        inp, out = os.path.join(tmp, "in.csv"), os.path.join(tmp, "out.csv")
+        write_units(inp, y, se)
+        assert cli.main(["fit", "--input", inp, "--output", out, "--moments", variant, *flags]) == 0
+        header, rows = read_output(out)
+        res = pl.fit(data, alpha=alpha, method=method, moment_variant=variant, weights=weights)
+        assert (float(header["mu2"]), float(header["kappa"])) == (res.moments.mu2, res.moments.kappa)
+        for name in ("theta_hat", "w_eb", "cva", "lower", "upper", "half_length", "param_max_noncov"):
+            parsed = np.array([float(r[name]) for r in rows])
+            assert parsed.tobytes() == getattr(res, name).tobytes(), name
+        assert [r["rule_of_thumb_ok"] for r in rows] == [str(int(v)) for v in res.rule_of_thumb_ok]
+        assert [r["error"] for r in rows] == ["" if e is None else e for e in res.error]
+        os.remove(out)
+
+        write_units(inp, y, [bad_se, *se[1:]])
+        assert cli.main(["fit", "--input", inp, "--output", out, "--moments", variant, *flags]) == 2
+        write_units(inp, y, se)
+        other = "pmt" if variant == "nn" else variant
+        assert cli.main(["fit", "--input", inp, "--output", out, "--moments", other, "--nn-j", "2", *flags]) == 4
+        write_units(inp, y[:2], se[:2])
+        assert cli.main(["fit", "--input", inp, "--output", out, "--moments", "nn", *flags]) == 3
+        assert not os.path.exists(out)
+
+
+def test_nn_on_two_units_names_the_count(tmp_path, capsys):
+    # cross-validation has no candidate neighbor count below 3 units
+    inp = tmp_path / "in.csv"
+    write_units(str(inp), [0.5, -1.0], [1.0, 2.0])
+    assert cli.main(["fit", "--input", str(inp), "--output", str(tmp_path / "o.csv"), "--moments", "nn"]) == 3
+    assert "among 2 units" in capsys.readouterr().err
+    assert cli.main(["fit", "--input", str(inp), "--output", str(tmp_path / "o.csv"), "--moments", "nn", "--nn-j", "2"]) == 0
 
 
 class TestConfigFile:

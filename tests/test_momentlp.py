@@ -18,7 +18,7 @@ from shrinkci import worstcase as wc
 
 def make_problem(m2, chi, size=2000):
     t0 = wc.majorant_kink(chi)
-    grid = mlp.default_squared_bias_grid(m2, t0, size)
+    grid = oracles.default_squared_bias_grid(m2, t0, size)
     return mlp.MomentProblem(grid, wc.noncoverage_sq(grid, chi), grid[None, :], [m2])
 
 

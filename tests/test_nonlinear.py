@@ -236,14 +236,31 @@ class TestSoftThresholdNoncoverage:
     def test_step_below_the_float_spacing_ends_an_edge(self, monkeypatch):
         # a margin whose root lies 1.5e-12 above y = 2e4, where the float
         # spacing is 3.6e-12: the iterate cannot move off y = 2e4, so only a
-        # step at most the spacing there ends the solve before the cap
+        # step at most the spacing there ends the solve before the cap.  The
+        # margin is symmetric under (theta, y) -> (-theta, -y), as the real
+        # one is, so the right edge of theta = 2e4 is the upper end
         def margin(theta, y, cfg, chi, slope=False):
-            m = (y - 2e4) - 1.5e-12
-            return (m, np.ones_like(m)) if slope else m
+            m = np.sign(theta) * y - np.abs(theta) - 1.5e-12
+            return (m, np.sign(theta) * np.ones_like(m)) if slope else m
 
         monkeypatch.setattr(nl, "_covered_margin", margin)
         cfg = nl.SoftThresholdConfig(mu2=0.2, y_truncation=(-1e5, 1e5))
         assert nl.soft_threshold_noncoverage(2e4, cfg, 0.0)[0] == 0.5
+
+    def test_margin_is_symmetric_under_reflection(self):
+        # the right edge at theta is solved as minus the left edge at -theta,
+        # which holds bit for bit only if the margin at (-theta, -y) is the
+        # margin at (theta, y) and its slope is exactly negated
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            cfg = nl.SoftThresholdConfig(mu2=10.0 ** rng.uniform(-1.5, 1.5), sigma=10.0 ** rng.uniform(-1.3, 0.85))
+            chi = rng.uniform(0.0, 8.0)
+            theta = np.concatenate([[0.0, -0.0, 0.0, -0.0], rng.normal(0.0, 5.0, 200)])
+            y = np.concatenate([[0.0, 0.0, -0.0, -0.0], 10.0 ** rng.uniform(-3.0, 5.0, 200) * rng.choice([-1.0, 1.0], 200)])
+            m, dm = nl._covered_margin(theta, y, cfg, chi, slope=True)
+            m_r, dm_r = nl._covered_margin(-theta, -y, cfg, chi, slope=True)
+            np.testing.assert_array_equal(m_r, m)
+            np.testing.assert_array_equal(dm_r, -dm)
 
     def test_newton_settles_the_sweep_in_few_steps(self, monkeypatch):
         # an empty run must end where an iterate passes the maximum, not by
@@ -485,6 +502,14 @@ class TestPoissonEbci:
         assert repr(got) == repr(want)
         assert len(builds) == 1 and len(rewards) > 10
 
+    def test_moment_problem_checks_the_reward(self, monkeypatch):
+        # the calibrations pass their rewards unclipped: a reward past [0, 1]
+        # is caught by MomentProblem, not clipped away before it
+        reward = nl.poisson_noncoverage
+        monkeypatch.setattr(nl, "poisson_noncoverage", lambda *a: reward(*a) + 0.5)
+        with pytest.raises(ValueError, match=r"reward values must lie in \[0, 1\]"):
+            nl.poisson_ebci(nl.PoissonConfig(shape=2.0, scale=0.5))
+
 
 class TestSelectionNoncoverage:
     def test_infinite_window_reduces_to_unconditional(self):
@@ -585,6 +610,26 @@ class TestSelectionSecondMoment:
         est, se = nl.selection_second_moment(ys, nl.SelectionWindow(-1.0, 2.0), return_se=True)
         scaled = nl.selection_second_moment(4.0 * ys, nl.SelectionWindow(-4.0, 8.0), sigma=4.0, return_se=True)
         assert scaled == (16.0 * est, 16.0 * se)
+
+    def test_draws_past_the_float_range_of_their_squares(self):
+        # at 1e150 times the draws their squares and the se's variance
+        # overflowed; on a power-of-two scale the estimate and se are 4**450
+        # times those of the same draws divided by 2**450
+        ys = 1e150 * np.random.default_rng(28).normal(0.0, 1.5, 300)
+        window = nl.SelectionWindow(0.0, math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nl.selection_second_moment(ys, window, return_se=True)
+        want = nl.selection_second_moment(ys / 2.0**450, window, return_se=True)
+        for g, w in zip(got, want):
+            assert math.isfinite(g)
+            assert g == pytest.approx(4.0**450 * w, rel=1e-12)
+
+    def test_answer_past_the_float_range_rejected(self):
+        # in units of sigma the draws are ordinary, but sigma^2 = 1e320 is not
+        ys = 1e160 * np.random.default_rng(28).normal(0.0, 1.5, 300)
+        with pytest.raises(ValueError, match="past the float range"):
+            nl.selection_second_moment(ys, nl.SelectionWindow(0.0, math.inf), sigma=1e160, return_se=True)
 
     def test_too_few_selected_rejected(self):
         with pytest.raises(ValueError):

@@ -316,7 +316,7 @@ class TestOptimalShrinkage:
     def test_against_dense_grid_oracle(self):
         snr, kappa, alpha = 1 / 9, 3.0, 0.05
         ws = np.arange(1e-4, 1.0 + 1e-9, 1e-4)
-        half, _ = pl._scaled_half_lengths(ws, np.full_like(ws, snr), kappa, alpha)
+        half = wc.critical_values((1.0 - 1.0 / ws) ** 2 * snr, kappa=kappa, alpha=alpha) * ws
         w_star = float(ws[np.argmin(half)])
         assert pl.optimal_shrinkage(snr, kappa, alpha) == pytest.approx(w_star, abs=2e-4)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import binding_pair_value, cva_scalar, kink_brentq
+from oracles import binding_pair_value, cva_scalar, default_squared_bias_grid, kink_brentq
 from scipy.optimize import brentq
 from scipy.special import ndtri
 from shrinkci import _solve
@@ -18,7 +18,7 @@ Z975 = 1.959963984540054
 def lp_worst_case(m2, chi, kappa=None, size=3000):
     """Independent route: discretized LP on the squared-bias scale."""
     t0 = wc.majorant_kink(chi)
-    grid = mlp.default_squared_bias_grid(m2, t0, size)
+    grid = default_squared_bias_grid(m2, t0, size)
     moments = [grid]
     targets = [m2]
     if kappa is not None:
