@@ -17,7 +17,8 @@ row-at-a-time reader (a ``csv.DictReader`` dict per row) and writer
 
 Independent of ``shrinkci.momentlp``'s envelope simplex: the concave
 envelope as the lowest upper facet of a qhull convex hull, the route the
-simplex replaced; and the default squared-bias grid of the LP cross-checks.
+simplex replaced.  The squared-bias grid of the LP cross-checks lives here
+too, as no route in the package uses it.
 
 Independent of ``shrinkci.nonlinear``'s vectorized intervals: the HPD set
 one y at a time and the expected HPD length by a loop over it, and the
